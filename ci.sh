@@ -59,7 +59,13 @@
 #                           report exactly 0 allocs/op (BENCH_kernels.json);
 #                           likewise BenchmarkAnalyzeSparse/sparse-resolve,
 #                           the sparse def-use kernels' steady-state loop
-#                           (BENCH_sparse.json)
+#                           (BENCH_sparse.json); and BenchmarkReduce
+#                           must report the same allocs/op, and B/op
+#                           within 5%, for one generated function at 10
+#                           and at 1000 registers: reduction reads
+#                           solutions only at block inputs, so its
+#                           allocations may not grow with the register
+#                           file
 #   9. check smoke          `pathflow check` over examples/hotpath.pf
 #                           and two benchmarks: the precision
 #                           differential oracle must report zero
@@ -180,6 +186,21 @@ sparse_clean=$(echo "$sparse" | grep -Ec 'AnalyzeSparse/.*/sparse-resolve.*[^0-9
 if [ "$sparse_lines" -eq 0 ] || [ "$sparse_lines" -ne "$sparse_clean" ]; then
     echo "kernel gate: sparse-resolve path is not allocation-free" >&2; exit 1
 fi
+
+# Reduction's allocations must not depend on the register count: the
+# same generated function and profile at 10 and at 1000 registers must
+# allocate equally often, and within 5% of the same bytes (B/op is a
+# mean over the run and moves by a few bytes with map layout).
+reduce_out=$(go test -run '^$' -bench '^BenchmarkReduce$' -benchmem -benchtime 20x ./internal/reduce/)
+echo "$reduce_out"
+echo "$reduce_out" | awk '
+    /BenchmarkReduce\/vars=10-/   { for (i = 1; i < NF; i++) { if ($(i+1) == "B/op") sb = $i; if ($(i+1) == "allocs/op") sa = $i } }
+    /BenchmarkReduce\/vars=1000-/ { for (i = 1; i < NF; i++) { if ($(i+1) == "B/op") lb = $i; if ($(i+1) == "allocs/op") la = $i } }
+    END {
+        if (sa == "" || la == "") { print "reduce gate: BenchmarkReduce lines missing" > "/dev/stderr"; exit 1 }
+        if (sa != la) { printf "reduce gate: allocs/op %s at 10 registers, %s at 1000\n", sa, la > "/dev/stderr"; exit 1 }
+        if (lb > sb * 1.05) { printf "reduce gate: B/op %s at 10 registers, %s at 1000\n", sb, lb > "/dev/stderr"; exit 1 }
+    }'
 
 tmpdir=$(mktemp -d)
 cleanup() {

@@ -17,6 +17,7 @@ package bl
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"pathflow/internal/cfg"
@@ -29,16 +30,19 @@ type Path struct {
 	Edges []cfg.EdgeID
 }
 
-// Key returns a canonical map key for the path.
-func (p Path) Key() string {
-	var b strings.Builder
+// Key returns a canonical map key for the path: its edge IDs in decimal,
+// comma-separated.
+func (p Path) Key() string { return string(p.AppendKey(nil)) }
+
+// AppendKey appends the path's Key to dst and returns the extended slice.
+func (p Path) AppendKey(dst []byte) []byte {
 	for i, e := range p.Edges {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		fmt.Fprintf(&b, "%d", e)
+		dst = strconv.AppendInt(dst, int64(e), 10)
 	}
-	return b.String()
+	return dst
 }
 
 // Len returns the number of edges (excluding the • placeholder).

@@ -137,13 +137,24 @@ func (e Env) String(names []string) string {
 // EvalInstr computes the lattice value an instruction's destination takes
 // under env. Instructions without a destination yield ⊥.
 func EvalInstr(in *ir.Instr, env Env) Value {
+	var a, b Value
+	switch {
+	case in.Op.IsUnary():
+		a = env[in.A]
+	case in.Op.IsBinary():
+		a, b = env[in.A], env[in.B]
+	}
+	return evalOp(in, a, b)
+}
+
+// evalOp computes an instruction's value given the values of its
+// operands: a for A and b for B, each meaningful only when the opcode
+// reads that operand.
+func evalOp(in *ir.Instr, a, b Value) Value {
 	switch {
 	case in.Op == ir.Const:
 		return ConstOf(in.K)
-	case in.Op.Opaque() || in.Op == ir.Print || in.Op == ir.Nop:
-		return Value{Kind: Bottom}
 	case in.Op.IsUnary():
-		a := env[in.A]
 		switch a.Kind {
 		case Const:
 			return ConstOf(ir.EvalUn(in.Op, a.K))
@@ -152,7 +163,6 @@ func EvalInstr(in *ir.Instr, env Env) Value {
 		}
 		return Value{Kind: Bottom}
 	case in.Op.IsBinary():
-		a, b := env[in.A], env[in.B]
 		if a.Kind == Const && b.Kind == Const {
 			return ConstOf(ir.EvalBin(in.Op, a.K, b.K))
 		}
@@ -161,6 +171,7 @@ func EvalInstr(in *ir.Instr, env Env) Value {
 		}
 		return Value{Kind: Top}
 	}
+	// Opaque operations, Print and Nop.
 	return Value{Kind: Bottom}
 }
 
@@ -321,10 +332,10 @@ func (r *Result) Reached(n cfg.NodeID) bool { return r.Sol.Reached[n] }
 // LocalValues returns the value of each instruction in n derivable by
 // purely local analysis: symbolic execution of the block alone, starting
 // from an all-⊥ environment. Instructions constant under this analysis
-// form the paper's "Local" category (e.g. every Const instruction).
-func LocalValues(g *cfg.Graph, n cfg.NodeID, numVars int) []Value {
-	_, vals := TransferBlock(g, n, NewEnv(numVars, Bottom), true)
-	return vals
+// form the paper's "Local" category (e.g. every Const instruction). The
+// register count is unused: a block's values depend only on its inputs.
+func LocalValues(g *cfg.Graph, n cfg.NodeID, _ int) []Value {
+	return NewBlock(g.Node(n).Instrs).Local
 }
 
 // ConstFlags reports, per instruction of node n, whether the instruction
@@ -332,26 +343,22 @@ func LocalValues(g *cfg.Graph, n cfg.NodeID, numVars int) []Value {
 // destination qualify. When excludeLocal is set, instructions already
 // constant under local analysis (the paper's trivial constants) are
 // skipped — the remaining flags mark the paper's "non-local" constants.
-func ConstFlags(g *cfg.Graph, n cfg.NodeID, env Env, numVars int, excludeLocal bool) []bool {
-	nd := g.Node(n)
-	flags := make([]bool, len(nd.Instrs))
-	_, vals := TransferBlock(g, n, env, true)
-	var local []Value
+// The register count is unused: only env's values at the block's inputs
+// are read.
+func ConstFlags(g *cfg.Graph, n cfg.NodeID, env Env, _ int, excludeLocal bool) []bool {
+	b := NewBlock(g.Node(n).Instrs)
+	vals := make([]Value, len(b.Instrs))
+	b.Eval(b.Project(nil, env), vals)
+	flags := make([]bool, len(b.Instrs))
 	if excludeLocal {
-		local = LocalValues(g, n, numVars)
+		for _, i := range b.Candidates {
+			flags[i] = vals[i].IsConst()
+		}
+		return flags
 	}
-	for i := range nd.Instrs {
-		in := &nd.Instrs[i]
-		if !in.Op.IsPure() || !in.HasDst() {
-			continue
-		}
-		if !vals[i].IsConst() {
-			continue
-		}
-		if excludeLocal && local[i].IsConst() {
-			continue
-		}
-		flags[i] = true
+	for i := range b.Instrs {
+		in := &b.Instrs[i]
+		flags[i] = in.Op.IsPure() && in.HasDst() && vals[i].IsConst()
 	}
 	return flags
 }

@@ -470,9 +470,14 @@ func (h *fnv1a64) u64(v uint64) {
 	*h = fnv1a64(x)
 }
 
-func (h *fnv1a64) i64(v int64) { h.u64(uint64(v)) }
-func (h *fnv1a64) int(v int)   { h.u64(uint64(int64(v))) }
-func (h *fnv1a64) str(s string) {
+func (h *fnv1a64) i64(v int64)    { h.u64(uint64(v)) }
+func (h *fnv1a64) int(v int)      { h.u64(uint64(int64(v))) }
+func (h *fnv1a64) str(s string)   { hashSeq(h, s) }
+func (h *fnv1a64) bytes(b []byte) { hashSeq(h, b) }
+
+// hashSeq hashes s's bytes followed by its length, so a string and its
+// bytes hash alike.
+func hashSeq[S string | []byte](h *fnv1a64, s S) {
 	x := uint64(*h)
 	for i := 0; i < len(s); i++ {
 		x ^= uint64(s[i])
@@ -784,12 +789,15 @@ func FingerprintProfile(pr *bl.Profile) uint64 {
 	return uint64(h)
 }
 
-// FingerprintHot hashes an ordered hot-path set.
+// FingerprintHot hashes an ordered hot-path set: each path's Key, built
+// in one reused buffer.
 func FingerprintHot(hot []bl.Path) uint64 {
 	h := newFNV()
 	h.int(len(hot))
+	var buf []byte
 	for _, p := range hot {
-		h.str(p.Key())
+		buf = p.AppendKey(buf[:0])
+		h.bytes(buf)
 	}
 	return uint64(h)
 }

@@ -2,9 +2,13 @@ package engine_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -437,5 +441,48 @@ func TestFingerprintsStableAndSensitive(t *testing.T) {
 	hot := paperex.Paths(e1)
 	if engine.FingerprintHot(hot[:2]) == engine.FingerprintHot(hot[:3]) {
 		t.Error("hot-set fingerprint blind to set size")
+	}
+}
+
+// TestHotFingerprintPinned pins Path.Key and FingerprintHot to the
+// formula every existing cache key was built with — fmt's decimal edge
+// IDs joined by commas, hashed by FNV-1a 64 with each string's length
+// and the set size appended as little-endian uint64s — on random paths,
+// so on-disk caches keep hitting.
+func TestHotFingerprintPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	le := func(h hash.Hash64, v int) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	for round := 0; round < 200; round++ {
+		hot := make([]bl.Path, rng.Intn(6))
+		for i := range hot {
+			edges := make([]cfg.EdgeID, rng.Intn(12))
+			for j := range edges {
+				edges[j] = cfg.EdgeID(rng.Int31n(1 << uint(rng.Intn(31))))
+			}
+			hot[i] = bl.Path{Edges: edges}
+		}
+		want := fnv.New64a()
+		le(want, len(hot))
+		for _, p := range hot {
+			var key strings.Builder
+			for i, e := range p.Edges {
+				if i > 0 {
+					key.WriteByte(',')
+				}
+				fmt.Fprintf(&key, "%d", e)
+			}
+			if got := p.Key(); got != key.String() {
+				t.Fatalf("Key(%v) = %q, want %q", p.Edges, got, key.String())
+			}
+			want.Write([]byte(key.String()))
+			le(want, key.Len())
+		}
+		if got := engine.FingerprintHot(hot); got != want.Sum64() {
+			t.Fatalf("FingerprintHot(%v) = %#x, want %#x", hot, got, want.Sum64())
+		}
 	}
 }

@@ -14,6 +14,12 @@
 //     is hot, or if lowering both solutions to the meet of their lattice
 //     values destroys no constant in a hot vertex. Vertices are considered
 //     in descending weight order to keep hot vertices together.
+//     Both steps read the solution only at each block's inputs, the
+//     registers it reads before writing them (constprop.Block). Every
+//     other register an instruction reads was written earlier in the
+//     block, so instruction values — and hence weights and compatibility
+//     — depend on the inputs alone, and the projected meets decide
+//     exactly what whole-environment meets would.
 //  3. Refine the partition with the standard DFA-minimization algorithm
 //     (Hopcroft, via Gries) so that it becomes a congruence: every member
 //     of a class must agree, per successor slot, on the class of its
@@ -25,8 +31,10 @@
 package reduce
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"pathflow/internal/bl"
 	"pathflow/internal/cfg"
@@ -67,87 +75,77 @@ type Reduced struct {
 	Weights []int64
 }
 
-// constMask is a bitset over the instructions of one block.
-type constMask []uint64
-
-func newMask(n int) constMask { return make(constMask, (n+63)/64) }
-
-func (m constMask) set(i int)      { m[i/64] |= 1 << (i % 64) }
-func (m constMask) get(i int) bool { return m[i/64]&(1<<(i%64)) != 0 }
-
-// contains reports whether m ⊇ o.
-func (m constMask) contains(o constMask) bool {
-	for i := range o {
-		if o[i]&^m[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// NonLocalConstMask returns the set of instructions of HPG node n that
-// are constant under env but not under local analysis.
-func nonLocalConstMask(g *cfg.Graph, n cfg.NodeID, env constprop.Env, local []constprop.Value) constMask {
-	nd := g.Node(n)
-	mask := newMask(len(nd.Instrs))
-	_, vals := constprop.TransferBlock(g, n, env, true)
-	for i := range nd.Instrs {
-		in := &nd.Instrs[i]
-		if !in.Op.IsPure() || !in.HasDst() {
-			continue
-		}
-		if vals[i].IsConst() && !local[i].IsConst() {
-			mask.set(i)
-		}
-	}
-	return mask
-}
-
 // Reduce shrinks the HPG h, whose qualified constant-propagation result is
 // sol and whose translated path profile is hpgProf.
 func Reduce(h *trace.HPG, sol *constprop.Result, hpgProf *bl.Profile, opt Options) (*Reduced, error) {
 	g := h.G
-	numVars := h.Fn.NumVars()
 	freq := profile.NodeFrequencies(hpgProf, g)
 
-	// Per-node local values (shared across duplicates of the same
-	// original vertex — instructions are identical).
-	localByOrig := map[cfg.NodeID][]constprop.Value{}
-	localOf := func(n cfg.NodeID) []constprop.Value {
-		ov := h.OrigNode[n]
-		if l, ok := localByOrig[ov]; ok {
-			return l
-		}
-		l := constprop.LocalValues(g, n, numVars)
-		localByOrig[ov] = l
-		return l
-	}
-
-	// Step 1: weights and hot vertices.
-	weights := make([]int64, g.NumNodes())
-	masks := make([]constMask, g.NumNodes())
-	var total int64
+	// All HPG duplicates of one original vertex share its instruction
+	// list, so each original vertex's block is prepared once.
+	blocks := make([]*constprop.Block, h.Fn.G.NumNodes())
+	maxInputs, maxInstrs := 0, 0
 	for _, nd := range g.Nodes {
-		mask := nonLocalConstMask(g, nd.ID, sol.EnvAt(nd.ID), localOf(nd.ID))
-		masks[nd.ID] = mask
-		var nconst int64
-		for i := range nd.Instrs {
-			if mask.get(i) {
-				nconst++
+		ov := h.OrigNode[nd.ID]
+		if blocks[ov] != nil {
+			continue
+		}
+		b := constprop.NewBlock(nd.Instrs)
+		blocks[ov] = b
+		maxInputs = max(maxInputs, len(b.Inputs))
+		maxInstrs = max(maxInstrs, len(b.Instrs))
+	}
+	blockOf := func(n cfg.NodeID) *constprop.Block { return blocks[h.OrigNode[n]] }
+	// Scratch shared by every evaluation below.
+	in := make([]constprop.Value, 0, maxInputs)
+	vals := make([]constprop.Value, maxInstrs)
+	// inputsAt projects the solution at n onto its block's inputs.
+	inputsAt := func(n cfg.NodeID) []constprop.Value {
+		var env constprop.Env
+		if sol.Reached(n) {
+			env = sol.EnvAt(n)
+		}
+		return blockOf(n).Project(in[:0], env)
+	}
+	// nonLocal evaluates b with its inputs holding x and sets in m the
+	// bits of the candidates (b.Candidates) that come out constant.
+	nonLocal := func(b *constprop.Block, x []constprop.Value, m constMask) {
+		b.Eval(x, vals)
+		clear(m)
+		for k, i := range b.Candidates {
+			if vals[i].IsConst() {
+				m.set(k)
 			}
 		}
-		weights[nd.ID] = nconst * freq[nd.ID]
+	}
+
+	// Step 1: weights and hot vertices. masks[n] marks n's non-local
+	// constants, one bit per candidate of its block.
+	weights := make([]int64, g.NumNodes())
+	masks := make([]constMask, g.NumNodes())
+	words := 0
+	for _, nd := range g.Nodes {
+		words += maskWords(len(blockOf(nd.ID).Candidates))
+	}
+	arena := make(constMask, words)
+	var total int64
+	for _, nd := range g.Nodes {
+		b := blockOf(nd.ID)
+		w := maskWords(len(b.Candidates))
+		masks[nd.ID], arena = arena[:w:w], arena[w:]
+		nonLocal(b, inputsAt(nd.ID), masks[nd.ID])
+		weights[nd.ID] = int64(masks[nd.ID].count()) * freq[nd.ID]
 		total += weights[nd.ID]
 	}
 	order := make([]cfg.NodeID, g.NumNodes())
 	for i := range order {
 		order[i] = cfg.NodeID(i)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if weights[order[i]] != weights[order[j]] {
-			return weights[order[i]] > weights[order[j]]
+	slices.SortFunc(order, func(a, b cfg.NodeID) int {
+		if weights[a] != weights[b] {
+			return cmp.Compare(weights[b], weights[a])
 		}
-		return order[i] < order[j]
+		return cmp.Compare(a, b)
 	})
 	hot := make([]bool, g.NumNodes())
 	var hotList []cfg.NodeID
@@ -162,68 +160,67 @@ func Reduce(h *trace.HPG, sol *constprop.Result, hpgProf *bl.Profile, opt Option
 		acc += float64(weights[n])
 	}
 
-	// Step 2: greedy compatibility partition, per original vertex.
-	byOrig := map[cfg.NodeID][]cfg.NodeID{}
-	for _, nd := range g.Nodes {
-		byOrig[h.OrigNode[nd.ID]] = append(byOrig[h.OrigNode[nd.ID]], nd.ID)
-	}
+	// Step 2: greedy compatibility partition, per original vertex in
+	// ascending order. A stable sort of order by original vertex groups
+	// the duplicates and keeps each group in descending weight order.
+	slices.SortStableFunc(order, func(a, b cfg.NodeID) int {
+		return cmp.Compare(h.OrigNode[a], h.OrigNode[b])
+	})
 	class := make([]int, g.NumNodes())
-	for i := range class {
-		class[i] = -1
-	}
 	numClasses := 0
-	origIDs := make([]cfg.NodeID, 0, len(byOrig))
-	for ov := range byOrig {
-		origIDs = append(origIDs, ov)
+	// A compatibility set keeps the meet of its members' inputs and the
+	// union of its hot members' non-local constants.
+	type set struct {
+		id      int
+		meet    []constprop.Value
+		hasHot  bool
+		hotMask constMask
 	}
-	sort.Slice(origIDs, func(i, j int) bool { return origIDs[i] < origIDs[j] })
-	for _, ov := range origIDs {
-		group := byOrig[ov]
-		sort.Slice(group, func(i, j int) bool {
-			if weights[group[i]] != weights[group[j]] {
-				return weights[group[i]] > weights[group[j]]
-			}
-			return group[i] < group[j]
-		})
-		type set struct {
-			id      int
-			meet    constprop.Env
-			hasHot  bool
-			hotMask constMask // union of hot members' required constants
+	var (
+		sets []set
+		got  constMask
+		meet = make([]constprop.Value, maxInputs)
+	)
+	for rest := order; len(rest) > 0; {
+		b := blockOf(rest[0])
+		size := 1
+		for size < len(rest) && h.OrigNode[rest[size]] == h.OrigNode[rest[0]] {
+			size++
 		}
-		var sets []*set
-		nInstrs := len(g.Node(group[0]).Instrs)
+		group := rest[:size]
+		rest = rest[size:]
+		nIn, w := len(b.Inputs), maskWords(len(b.Candidates))
+		got = slices.Grow(got[:0], w)[:w]
+		sets = sets[:0]
 		for _, n := range group {
-			env := sol.EnvAt(n)
+			x := inputsAt(n)
 			placed := false
-			for _, s := range sets {
+			for si := range sets {
+				s := &sets[si]
 				if !s.hasHot && !hot[n] {
 					// Neither side hot: always compatible.
-					s.meet = s.meet.Meet(env)
+					meetInto(s.meet, s.meet, x)
 					class[n] = s.id
 					placed = true
 					break
 				}
-				m := s.meet.Meet(env)
-				need := newMask(nInstrs)
-				copy(need, s.hotMask)
+				m := meet[:nIn]
+				meetInto(m, s.meet, x)
+				nonLocal(b, m, got)
+				if !got.contains(s.hotMask) || hot[n] && !got.contains(masks[n]) {
+					continue
+				}
+				copy(s.meet, m)
 				if hot[n] {
-					for i := range need {
-						need[i] |= masks[n][i]
-					}
+					s.hasHot = true
+					s.hotMask.or(masks[n])
 				}
-				got := nonLocalConstMask(g, n, m, localOf(n))
-				if got.contains(need) {
-					s.meet = m
-					s.hasHot = s.hasHot || hot[n]
-					s.hotMask = need
-					class[n] = s.id
-					placed = true
-					break
-				}
+				class[n] = s.id
+				placed = true
+				break
 			}
 			if !placed {
-				s := &set{id: numClasses, meet: sol.EnvAt(n).Clone(), hasHot: hot[n], hotMask: newMask(nInstrs)}
+				s := set{id: numClasses, meet: slices.Clone(x), hasHot: hot[n], hotMask: make(constMask, w)}
 				if hot[n] {
 					copy(s.hotMask, masks[n])
 				}
@@ -233,6 +230,53 @@ func Reduce(h *trace.HPG, sol *constprop.Result, hpgProf *bl.Profile, opt Option
 			}
 		}
 	}
+	return quotient(h, weights, hotList, class, numClasses)
+}
+
+// constMask is a bitset over the candidates of one block.
+type constMask []uint64
+
+func maskWords(n int) int { return (n + 63) / 64 }
+
+func (m constMask) set(i int) { m[i/64] |= 1 << (i % 64) }
+
+func (m constMask) count() int {
+	c := 0
+	for _, w := range m {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+func (m constMask) or(o constMask) {
+	for i := range o {
+		m[i] |= o[i]
+	}
+}
+
+// contains reports whether m ⊇ o.
+func (m constMask) contains(o constMask) bool {
+	for i := range o {
+		if o[i]&^m[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// meetInto sets dst to the pointwise meet of a and b; dst may alias a.
+func meetInto(dst, a, b []constprop.Value) {
+	for i := range dst {
+		dst[i] = a[i].Meet(b[i])
+	}
+}
+
+// quotient performs steps 3 and 4 on the compatibility partition class
+// (numClasses classes) of h: it refines the partition to a congruence
+// and builds the reduced graph over the refined classes.
+func quotient(h *trace.HPG, weights []int64, hotList []cfg.NodeID, class []int, numClasses int) (*Reduced, error) {
+	g := h.G
+	numVars := h.Fn.NumVars()
 
 	// Step 3: refine to the coarsest congruence (DFA minimization).
 	class, numClasses = refine(g, class, numClasses)

@@ -1,17 +1,25 @@
 package reduce_test
 
 import (
+	"context"
+	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"pathflow/internal/automaton"
+	"pathflow/internal/bench"
 	"pathflow/internal/bl"
 	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
+	"pathflow/internal/engine"
 	"pathflow/internal/interp"
+	"pathflow/internal/ir"
+	"pathflow/internal/lang"
 	"pathflow/internal/paperex"
 	"pathflow/internal/profile"
+	"pathflow/internal/progen"
 	. "pathflow/internal/reduce"
 	"pathflow/internal/trace"
 )
@@ -327,4 +335,242 @@ func TestReduceCR0CollapsesToOriginalSize(t *testing.T) {
 	if red.Growth() != 0 {
 		t.Errorf("growth = %v, want 0", red.Growth())
 	}
+}
+
+// referencePartition is steps 1 and 2 of §5 over whole environments: it
+// weighs every HPG node and tests every compatibility meet by symbolic
+// execution under the node's full solved environment, the formulation
+// Reduce replaced by evaluation over block inputs. It returns the inputs
+// of steps 3 and 4.
+func referencePartition(h *trace.HPG, sol *constprop.Result, hpgProf *bl.Profile, cr float64) (weights []int64, hotList []cfg.NodeID, class []int, numClasses int) {
+	g := h.G
+	numVars := h.Fn.NumVars()
+	freq := profile.NodeFrequencies(hpgProf, g)
+	nonLocal := func(n cfg.NodeID, env constprop.Env) []bool {
+		_, vals := constprop.TransferBlock(g, n, env, true)
+		_, local := constprop.TransferBlock(g, n, constprop.NewEnv(numVars, constprop.Bottom), true)
+		mask := make([]bool, len(vals))
+		for i, in := range g.Node(n).Instrs {
+			mask[i] = in.Op.IsPure() && in.HasDst() && vals[i].IsConst() && !local[i].IsConst()
+		}
+		return mask
+	}
+	contains := func(got, need []bool) bool {
+		for i := range need {
+			if need[i] && !got[i] {
+				return false
+			}
+		}
+		return true
+	}
+
+	weights = make([]int64, g.NumNodes())
+	masks := make([][]bool, g.NumNodes())
+	var total int64
+	for _, nd := range g.Nodes {
+		masks[nd.ID] = nonLocal(nd.ID, sol.EnvAt(nd.ID))
+		for _, c := range masks[nd.ID] {
+			if c {
+				weights[nd.ID] += freq[nd.ID]
+			}
+		}
+		total += weights[nd.ID]
+	}
+	byWeight := func(ns []cfg.NodeID) {
+		sort.Slice(ns, func(i, j int) bool {
+			if weights[ns[i]] != weights[ns[j]] {
+				return weights[ns[i]] > weights[ns[j]]
+			}
+			return ns[i] < ns[j]
+		})
+	}
+	order := make([]cfg.NodeID, g.NumNodes())
+	for i := range order {
+		order[i] = cfg.NodeID(i)
+	}
+	byWeight(order)
+	hot := make([]bool, g.NumNodes())
+	var acc float64
+	for _, n := range order {
+		if acc >= cr*float64(total) || weights[n] == 0 {
+			break
+		}
+		hot[n] = true
+		hotList = append(hotList, n)
+		acc += float64(weights[n])
+	}
+
+	byOrig := map[cfg.NodeID][]cfg.NodeID{}
+	var origIDs []cfg.NodeID
+	for _, nd := range g.Nodes {
+		ov := h.OrigNode[nd.ID]
+		if byOrig[ov] == nil {
+			origIDs = append(origIDs, ov)
+		}
+		byOrig[ov] = append(byOrig[ov], nd.ID)
+	}
+	sort.Slice(origIDs, func(i, j int) bool { return origIDs[i] < origIDs[j] })
+	class = make([]int, g.NumNodes())
+	for _, ov := range origIDs {
+		group := byOrig[ov]
+		byWeight(group)
+		type set struct {
+			id      int
+			meet    constprop.Env
+			hasHot  bool
+			hotMask []bool
+		}
+		var sets []*set
+		for _, n := range group {
+			env := sol.EnvAt(n)
+			placed := false
+			for _, s := range sets {
+				if !s.hasHot && !hot[n] {
+					s.meet = s.meet.Meet(env)
+					class[n], placed = s.id, true
+					break
+				}
+				m := s.meet.Meet(env)
+				got := nonLocal(n, m)
+				if !contains(got, s.hotMask) || hot[n] && !contains(got, masks[n]) {
+					continue
+				}
+				s.meet = m
+				if hot[n] {
+					s.hasHot = true
+					for i, c := range masks[n] {
+						s.hotMask[i] = s.hotMask[i] || c
+					}
+				}
+				class[n], placed = s.id, true
+				break
+			}
+			if !placed {
+				s := &set{id: numClasses, meet: env.Clone(), hasHot: hot[n], hotMask: make([]bool, len(masks[n]))}
+				if hot[n] {
+					copy(s.hotMask, masks[n])
+				}
+				numClasses++
+				sets = append(sets, s)
+				class[n] = s.id
+			}
+		}
+	}
+	return weights, hotList, class, numClasses
+}
+
+// readsOwnDef reports whether some instruction of g reads a register an
+// earlier instruction of the same block wrote.
+func readsOwnDef(g *cfg.Graph) bool {
+	for _, nd := range g.Nodes {
+		written := map[ir.Var]bool{}
+		for i := range nd.Instrs {
+			for _, r := range nd.Instrs[i].Uses(nil) {
+				if written[r] {
+					return true
+				}
+			}
+			if nd.Instrs[i].HasDst() {
+				written[nd.Instrs[i].Dst] = true
+			}
+		}
+	}
+	return false
+}
+
+// checkAgainstReference reduces every qualified function of res at each
+// CR ∈ {0, 0.1, …, 1} both ways and requires identical results. It
+// returns the number of reductions compared and whether any compared
+// HPG reads a register its own block defined.
+func checkAgainstReference(t *testing.T, label string, res *engine.ProgramResult) (compared int, ownDef bool) {
+	t.Helper()
+	for _, name := range res.Prog.Order {
+		fr := res.Funcs[name]
+		if fr.HPG == nil {
+			continue
+		}
+		ownDef = ownDef || readsOwnDef(fr.HPG.G)
+		for i := 0; i <= 10; i++ {
+			cr := float64(i) / 10
+			got, err := Reduce(fr.HPG, fr.HPGSol, fr.HPGProf, Options{CR: cr})
+			if err != nil {
+				t.Fatalf("%s/%s CR=%.1f: %v", label, name, cr, err)
+			}
+			weights, hot, class, numClasses := referencePartition(fr.HPG, fr.HPGSol, fr.HPGProf, cr)
+			want, err := Quotient(fr.HPG, weights, hot, class, numClasses)
+			if err != nil {
+				t.Fatalf("%s/%s CR=%.1f: reference: %v", label, name, cr, err)
+			}
+			switch {
+			case !reflect.DeepEqual(got.Weights, want.Weights):
+				t.Errorf("%s/%s CR=%.1f: weights differ from the reference", label, name, cr)
+			case !reflect.DeepEqual(got.Hot, want.Hot):
+				t.Errorf("%s/%s CR=%.1f: hot vertices %v, reference %v", label, name, cr, got.Hot, want.Hot)
+			case !reflect.DeepEqual(got.Class, want.Class):
+				t.Errorf("%s/%s CR=%.1f: partition differs from the reference", label, name, cr)
+			case !reflect.DeepEqual(got, want) || got.G.String() != want.G.String():
+				t.Errorf("%s/%s CR=%.1f: rHPG differs from the reference", label, name, cr)
+			}
+			compared++
+		}
+	}
+	return compared, ownDef
+}
+
+// TestReduceMatchesFullEnvironmentReference pins the block-input
+// projection to the whole-environment formulation on every function of
+// the named programs at each coverage level, and on generated programs
+// with correlated branches.
+func TestReduceMatchesFullEnvironmentReference(t *testing.T) {
+	ctx := context.Background()
+	eng := engine.New(engine.Config{Workers: 1})
+	compared, ownDef := 0, false
+	for _, b := range bench.All() {
+		in, err := bench.Load(b, eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ca := range bench.CoverageLevels {
+			res, err := in.Analyze(ctx, engine.Options{CA: ca, CR: 0.95})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, own := checkAgainstReference(t, fmt.Sprintf("%s CA=%v", b.Name, ca), res)
+			compared += n
+			ownDef = ownDef || own
+		}
+	}
+	named := compared
+	for seed := uint64(1); seed <= 12; seed++ {
+		cfgGen := progen.DefaultConfig(seed)
+		cfgGen.Correlated = 40
+		prog, err := lang.Compile(progen.Generate(cfgGen))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		train, _, err := bl.ProfileProgram(prog, interp.Options{
+			Args:     []ir.Value{3, 7, 11},
+			Input:    &interp.SliceInput{Values: bench.InputValues(seed, 64)},
+			MaxSteps: 2_000_000,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: training run: %v", seed, err)
+		}
+		for _, ca := range []float64{0.75, 0.97, 1} {
+			res, err := eng.AnalyzeProgram(ctx, prog, train, engine.Options{CA: ca, CR: 0.95})
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			n, own := checkAgainstReference(t, fmt.Sprintf("progen %d CA=%v", seed, ca), res)
+			compared += n
+			ownDef = ownDef || own
+		}
+	}
+	if named == 0 || compared == named {
+		t.Fatalf("reductions compared: %d named, %d generated; want both > 0", named, compared-named)
+	}
+	if !ownDef {
+		t.Error("no compared block reads a register defined earlier in the same block")
+	}
+	t.Logf("%d named and %d generated reductions compared", named, compared-named)
 }
