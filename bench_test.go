@@ -29,7 +29,6 @@ import (
 	"pathflow/internal/cfg"
 	"pathflow/internal/classify"
 	"pathflow/internal/constprop"
-	"pathflow/internal/core"
 	"pathflow/internal/dataflow/kernel"
 	"pathflow/internal/engine"
 	"pathflow/internal/fabric"
@@ -405,7 +404,7 @@ func BenchmarkPipeline(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				_, _, err := core.ProfileAndAnalyze(prog, bm.TrainOptions(), core.Options{CA: 0.97, CR: 0.95})
+				_, _, err := engine.Serial().ProfileAndAnalyze(benchCtx, prog, bm.TrainOptions(), engine.Options{CA: 0.97, CR: 0.95})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -422,7 +421,7 @@ func BenchmarkAnalysisOnly(b *testing.B) {
 		in := in
 		b.Run(in.B.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := core.AnalyzeProgram(in.Prog, in.Train, core.Options{CA: 0.97, CR: 0.95})
+				_, err := engine.Serial().AnalyzeProgram(benchCtx, in.Prog, in.Train, engine.Options{CA: 0.97, CR: 0.95})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -749,67 +748,6 @@ func BenchmarkAnalyzeKernels(b *testing.B) {
 		}
 		b.ReportMetric(float64(nodes), "nodes")
 	})
-}
-
-// BenchmarkAnalyzeSparse compares the solver schedules this PR's
-// tentpole stacked on the packed kernels, steady state: Run() on
-// pre-built solvers over each benchmark's analysis-tier graphs (the HPG
-// of every qualified function). Three configurations per benchmark:
-//
-//	fifo-resolve    packed dense Run() on the FIFO worklist — the
-//	                pre-upgrade baseline the speedup target is
-//	                measured against
-//	dense-resolve   packed dense Run() on the RPO priority worklist
-//	                (the scheduling half of the upgrade alone)
-//	sparse-resolve  sparse def-use Run(); must report 0 allocs/op
-//	                (ci.sh greps for exactly that)
-//
-// The quantity BENCH_sparse.json tracks is the per-benchmark ratio
-// fifo-resolve / sparse-resolve on the HPG-heaviest programs, where
-// hot-path duplication multiplies transparent vertices and the sparse
-// kernel's masked meets and pass-through pops skip the re-merging the
-// dense flood pays for; dense-resolve / sparse-resolve isolates the
-// sparsity win from the scheduling win.
-func BenchmarkAnalyzeSparse(b *testing.B) {
-	ins := suite(b)
-	resolve := func(gs []bench.AnalyzeGraph, nodes int, build func(bench.AnalyzeGraph) *kernel.Solver) func(*testing.B) {
-		return func(b *testing.B) {
-			solvers := make([]*kernel.Solver, len(gs))
-			for i, g := range gs {
-				solvers[i] = build(g)
-				solvers[i].Run() // warm: arenas sized before the timer starts
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, s := range solvers {
-					s.Run()
-				}
-			}
-			b.ReportMetric(float64(nodes), "nodes")
-		}
-	}
-	for _, in := range ins {
-		gs, err := bench.AnalyzeGraphs(benchCtx, in)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nodes := 0
-		for _, g := range gs {
-			nodes += g.G.NumNodes()
-		}
-		b.Run(in.B.Name+"/fifo-resolve", resolve(gs, nodes, func(g bench.AnalyzeGraph) *kernel.Solver {
-			s := constprop.PackedSolver(g.G, g.NumVars, true)
-			s.SetFIFO()
-			return s
-		}))
-		b.Run(in.B.Name+"/dense-resolve", resolve(gs, nodes, func(g bench.AnalyzeGraph) *kernel.Solver {
-			return constprop.PackedSolver(g.G, g.NumVars, true)
-		}))
-		b.Run(in.B.Name+"/sparse-resolve", resolve(gs, nodes, func(g bench.AnalyzeGraph) *kernel.Solver {
-			return constprop.SparseSolver(g.G, g.NumVars, true)
-		}))
-	}
 }
 
 // --- Sharded sweep ---------------------------------------------------------

@@ -17,8 +17,8 @@
 #                           differential test in internal/engine, so
 #                           cold-vs-warm byte-identity holds under
 #                           -race — the persistent diskcache store,
-#                           the core compat shim, the bench harness
-#                           memo, the serving layer's job manager +
+#                           the bench harness memo, the serving
+#                           layer's job manager +
 #                           streams, the distributed fabric's queue +
 #                           coordinator + worker loop, the streaming
 #                           accumulator sets and the watch runner —
@@ -38,10 +38,10 @@
 #                           (FuzzDiskcacheCodec: corrupt cache files
 #                           never panic; FuzzDelta: dirty-set
 #                           predictions stay sound on random edits;
-#                           FuzzKernelEquivalence: the packed and sparse
-#                           arena kernels match the boxed reference on
-#                           full pipeline runs over random programs —
-#                           packed pointwise, sparse facts-only;
+#                           FuzzKernelEquivalence: the packed arena
+#                           kernels match the boxed reference pointwise,
+#                           iteration counts included, on full pipeline
+#                           runs over random programs;
 #                           FuzzFeasibleSoundness: no trace-observed
 #                           edge is ever marked infeasible on random
 #                           correlated-branch programs;
@@ -57,9 +57,7 @@
 #   8. kernel gate          BenchmarkAnalyzeKernels/resolve — the packed
 #                           solvers' steady-state Run() loop — must
 #                           report exactly 0 allocs/op (BENCH_kernels.json);
-#                           likewise BenchmarkAnalyzeSparse/sparse-resolve,
-#                           the sparse def-use kernels' steady-state loop
-#                           (BENCH_sparse.json); and BenchmarkReduce
+#                           and BenchmarkReduce
 #                           must report the same allocs/op, and B/op
 #                           within 5%, for one generated function at 10
 #                           and at 1000 registers: reduction reads
@@ -67,14 +65,12 @@
 #                           allocations may not grow with the register
 #                           file
 #   9. check smoke          `pathflow check` over examples/hotpath.pf
-#                           and two benchmarks: the precision
-#                           differential oracle must report zero
-#                           violations (exit status is the gate) — then
-#                           `check -kernel=sparse` over all seven
-#                           benchmarks, so the sparse kernels clear the
-#                           same oracle end to end — then `check
+#                           and all seven benchmarks on the default
+#                           packed kernels: the precision differential
+#                           oracle must report zero violations (exit
+#                           status is the gate) — then `check
 #                           -feasible` over all seven (packed) plus
-#                           boxed/sparse on m88ksim: the extended gate
+#                           boxed on m88ksim: the extended gate
 #                           (masked facts pointwise >= unmasked on
 #                           every tier, no executed edge pruned)
 #  10. baseline smoke       end-to-end incremental re-analysis:
@@ -141,7 +137,7 @@ echo "== test"
 go test ./...
 
 echo "== race"
-go test -race ./internal/engine/ ./internal/engine/diskcache/ ./internal/core/ ./internal/bench/ ./internal/serve/ \
+go test -race ./internal/engine/ ./internal/engine/diskcache/ ./internal/bench/ ./internal/serve/ \
     ./internal/fabric/ ./internal/profile/stream/ ./internal/watch/ \
     ./internal/liveness/ ./internal/availexpr/ ./internal/dataflow/oracle/ \
     ./internal/dataflow/ ./internal/dataflow/kernel/ ./internal/constprop/ ./internal/intervals/ \
@@ -176,16 +172,6 @@ kernels=$(go test -run '^$' -bench '^BenchmarkAnalyzeKernels$' -benchmem -bencht
 echo "$kernels"
 echo "$kernels" | grep -Eq 'AnalyzeKernels/resolve.*[^0-9]0 B/op[[:space:]]+0 allocs/op' || {
     echo "kernel gate: resolve path is not allocation-free" >&2; exit 1; }
-# Same bar for the sparse def-use kernels: their steady-state Run() —
-# dirty bitsets, masked meets, the priority ring — must also stay inside
-# the arena. Every sparse-resolve line must report exactly 0 allocs/op.
-sparse=$(go test -run '^$' -bench '^BenchmarkAnalyzeSparse$' -benchmem -benchtime 20x .)
-echo "$sparse"
-sparse_lines=$(echo "$sparse" | grep -Ec 'AnalyzeSparse/.*/sparse-resolve')
-sparse_clean=$(echo "$sparse" | grep -Ec 'AnalyzeSparse/.*/sparse-resolve.*[^0-9]0 B/op[[:space:]]+0 allocs/op')
-if [ "$sparse_lines" -eq 0 ] || [ "$sparse_lines" -ne "$sparse_clean" ]; then
-    echo "kernel gate: sparse-resolve path is not allocation-free" >&2; exit 1
-fi
 
 # Reduction's allocations must not depend on the register count: the
 # same generated function and profile at 10 and at 1000 registers must
@@ -220,32 +206,23 @@ echo "== check smoke"
 # violation.
 "$tmpdir/pathflow" check -q -src examples/hotpath.pf -args 500 || {
     echo "check smoke: oracle violation in examples/hotpath.pf" >&2; exit 1; }
-for b in compress m88ksim; do
+for b in compress go ijpeg li m88ksim perl vortex; do
     "$tmpdir/pathflow" check -q "$b" || {
         echo "check smoke: oracle violation in benchmark $b" >&2; exit 1; }
-done
-# The sparse kernels run the same precision oracle over every benchmark:
-# def-use seeded propagation must land on exactly the facts the dense
-# solve reaches, so the HPG/rHPG-vs-CFG differential holds unchanged.
-for b in compress go ijpeg li m88ksim perl vortex; do
-    "$tmpdir/pathflow" check -q -kernel=sparse "$b" || {
-        echo "check smoke: oracle violation in benchmark $b (-kernel=sparse)" >&2; exit 1; }
 done
 # The feasibility axis runs its extended soundness gate over every
 # benchmark: masked (infeasible-edge-pruned) facts pointwise at least
 # as precise as unmasked on every tier, and no edge the training run
 # executed marked infeasible. Once on the default packed kernels for
-# the whole suite, then the other two backends on the benchmark with
-# the most detected correlations (m88ksim) so all three kernels clear
-# the masked solve end to end.
+# the whole suite, then the boxed reference on the benchmark with the
+# most detected correlations (m88ksim) so both kernels clear the masked
+# solve end to end.
 for b in compress go ijpeg li m88ksim perl vortex; do
     "$tmpdir/pathflow" check -q -feasible "$b" || {
         echo "check smoke: feasibility gate violation in benchmark $b" >&2; exit 1; }
 done
-for k in boxed sparse; do
-    "$tmpdir/pathflow" check -q -feasible -kernel=$k m88ksim || {
-        echo "check smoke: feasibility gate violation in m88ksim (-kernel=$k)" >&2; exit 1; }
-done
+"$tmpdir/pathflow" check -q -feasible -kernel=boxed m88ksim || {
+    echo "check smoke: feasibility gate violation in m88ksim (-kernel=boxed)" >&2; exit 1; }
 
 echo "== baseline smoke"
 # Incremental re-analysis end to end: dump a benchmark's source, apply a
@@ -418,6 +395,7 @@ job_result "$tmpdir/scold.json" "$tmpdir/scold_result.json"
 cmp -s "$tmpdir/slive_result.json" "$tmpdir/scold_result.json" || {
     echo "streaming smoke: requalified result differs from cold live analysis" >&2
     diff "$tmpdir/slive_result.json" "$tmpdir/scold_result.json" >&2 || true; exit 1; }
+stop_serve "$tmpdir/stream2.log"
 
 echo "== watch smoke"
 # Watch-mode continuous re-analysis end to end: start `pathflow watch`
@@ -442,6 +420,7 @@ mv "$tmpdir/watch_edit.pf" "$tmpdir/watch.pf"
 wait "$watch_pid" || {
     echo "watch smoke: watch exited nonzero" >&2
     cat "$tmpdir/watch.txt" >&2; exit 1; }
+watch_pid=""
 grep -Eq '^1 +main +body ' "$tmpdir/watch.txt" || {
     echo "watch smoke: edit round did not classify main as a body delta" >&2
     cat "$tmpdir/watch.txt" >&2; exit 1; }

@@ -25,7 +25,7 @@ func cmdExp(args []string) error {
 	workers := fs.Int("workers", 0, "parallel function analyses (0 = NumCPU)")
 	nocache := fs.Bool("nocache", false, "disable the cross-run artifact cache")
 	verbose := fs.Bool("v", false, "print per-stage cache provenance (computed/memory/disk) after the run")
-	kernelFlag := fs.String("kernel", "packed", "data-flow solver backend: packed (arena kernels), boxed (reference), or sparse (def-use chains)")
+	kernelFlag := fs.String("kernel", "packed", "data-flow solver backend: packed (arena kernels) or boxed (reference)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (after the experiment) to this file")
 	cflags := addCacheFlags(fs, "")
@@ -33,7 +33,7 @@ func cmdExp(args []string) error {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: pathflow exp [-workers n] [-nocache] [-cachedir dir] [-cachemax size] [-kernel packed|boxed|sparse] [-cpuprofile f] [-memprofile f] [-v] <table1|table2|fig7|fig9|fig10|fig11|fig12|ablation|clients|kernels|feasible|streaming|all>")
+		return fmt.Errorf("usage: pathflow exp [-workers n] [-nocache] [-cachedir dir] [-cachemax size] [-kernel packed|boxed] [-cpuprofile f] [-memprofile f] [-v] <table1|table2|fig7|fig9|fig10|fig11|fig12|ablation|clients|kernels|feasible|streaming|all>")
 	}
 	what := fs.Arg(0)
 	kern, err := engine.ParseKernel(*kernelFlag)
@@ -483,40 +483,24 @@ func expFig12(ctx context.Context, ins []*bench.Instance) error {
 }
 
 // expKernels compares the packed arena kernels against the boxed
-// reference solver and the sparse def-use kernel on every benchmark's
-// analysis-tier graphs, with the oracle's differential gate asserting
-// pointwise-identical solutions for all four clients before any timing
-// is believed. The second block makes the sparse work reduction
-// visible per client: worklist pops and node transfers, dense vs
-// sparse, summed over each benchmark's graph set.
+// reference solver on every benchmark's analysis-tier graphs, with the
+// oracle's differential gate asserting pointwise-identical solutions
+// for all four clients before any timing is believed.
 func expKernels(ctx context.Context, ins []*bench.Instance) error {
 	rows, err := bench.Kernels(ctx, ins)
 	if err != nil {
 		return err
 	}
-	fmt.Println("Kernel backends: boxed reference vs packed arena kernels vs sparse def-use")
+	fmt.Println("Kernel backends: boxed reference vs packed arena kernels")
 	fmt.Println("(constant propagation over each benchmark's analyze-stage graphs;")
 	fmt.Println(" 'checked' vertices passed the 4-client pointwise differential gate;")
-	fmt.Println(" speedup = boxed/packed, sp-up = packed/sparse)")
-	fmt.Printf("%-10s %7s %12s %12s %12s %8s %7s %9s\n",
-		"Program", "nodes", "boxed", "packed", "sparse", "speedup", "sp-up", "checked")
+	fmt.Println(" speedup = boxed/packed)")
+	fmt.Printf("%-10s %7s %12s %12s %8s %9s\n",
+		"Program", "nodes", "boxed", "packed", "speedup", "checked")
 	for _, r := range rows {
-		fmt.Printf("%-10s %7d %12s %12s %12s %7.2fx %6.2fx %9d\n",
+		fmt.Printf("%-10s %7d %12s %12s %7.2fx %9d\n",
 			r.Name, r.Nodes, r.Boxed.Round(10*time.Microsecond), r.Packed.Round(10*time.Microsecond),
-			r.Sparse.Round(10*time.Microsecond), r.Speedup, r.SparseSpeedup, r.Checked)
-	}
-	fmt.Println()
-	fmt.Println("Solver work per client (worklist pops / node transfers over the graph set)")
-	fmt.Printf("%-10s %-10s %16s %16s %10s\n", "Program", "client", "dense", "sparse", "transfers")
-	for _, r := range rows {
-		for _, w := range r.Work {
-			ratio := 1.0
-			if w.DenseIters > 0 {
-				ratio = float64(w.SparseIters) / float64(w.DenseIters)
-			}
-			fmt.Printf("%-10s %-10s %7d/%-8d %7d/%-8d %9.0f%%\n",
-				r.Name, w.Client, w.DensePops, w.DenseIters, w.SparsePops, w.SparseIters, 100*ratio)
-		}
+			r.Speedup, r.Checked)
 	}
 	return nil
 }

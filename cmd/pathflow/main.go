@@ -302,7 +302,7 @@ func cmdAnalyze(args []string) error {
 	showConsts := fs.Bool("consts", false, "list discovered non-local constants")
 	profFile := fs.String("profile", "", "use a saved profile instead of running the training input")
 	clientsFlag := fs.String("clients", "none", "extra data-flow clients to run: none, liveness, availexpr, all")
-	kernelFlag := fs.String("kernel", "packed", "data-flow solver backend: packed (arena kernels), boxed (reference), or sparse (def-use chains)")
+	kernelFlag := fs.String("kernel", "packed", "data-flow solver backend: packed (arena kernels) or boxed (reference)")
 	verify := fs.Bool("verify", false, "run the precision differential oracle as a final stage")
 	feasible := fs.Bool("feasible", false, "run the feasible-path qualification pass: detect branch correlations, prune infeasible edges, and analyze every client on the pruned graphs")
 	baseFile := fs.String("baseline", "", "previous source version: warm the cache with its analysis, classify the edit per function, and report which stages replayed vs recomputed")

@@ -1,10 +1,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 
-	"pathflow/internal/core"
+	"pathflow/internal/engine"
 	"pathflow/internal/machine"
 	"pathflow/internal/opt"
 )
@@ -21,11 +22,11 @@ func cmdOpt(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, _, err := core.ProfileAndAnalyze(tg.prog, tg.opts, core.Options{CA: *ca, CR: *cr})
+	res, _, err := engine.Serial().ProfileAndAnalyze(context.Background(), tg.prog, tg.opts, engine.Options{CA: *ca, CR: *cr})
 	if err != nil {
 		return err
 	}
-	baseProg, baseFolds := core.BaselineProgram(tg.prog, opt.PassesAll)
+	baseProg, baseFolds := engine.BaselineProgram(tg.prog, opt.PassesAll)
 	optProg, optFolds := res.OptimizedProgram(opt.PassesAll)
 
 	cm := machine.DefaultCostModel()

@@ -28,7 +28,7 @@ func cmdWatch(args []string) error {
 	cr := fs.Float64("cr", 0.95, "reduction benefit cutoff CR")
 	workers := fs.Int("workers", 0, "parallel function analyses (0 = NumCPU)")
 	clientsFlag := fs.String("clients", "none", "extra data-flow clients to run: none, liveness, availexpr, all")
-	kernelFlag := fs.String("kernel", "packed", "data-flow solver backend: packed, boxed, or sparse")
+	kernelFlag := fs.String("kernel", "packed", "data-flow solver backend: packed or boxed")
 	feasible := fs.Bool("feasible", false, "run the feasible-path qualification pass")
 	profFile := fs.String("profile", "", "watch this saved profile (bl JSON) too and re-analyze when it changes")
 	interval := fs.Duration("interval", 500*time.Millisecond, "poll period for file changes")

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -18,7 +19,7 @@ import (
 	"pathflow/internal/bench"
 	"pathflow/internal/bl"
 	"pathflow/internal/cfg"
-	"pathflow/internal/core"
+	"pathflow/internal/engine"
 	"pathflow/internal/interp"
 	"pathflow/internal/lang"
 )
@@ -80,7 +81,7 @@ func run(benchName, srcFile, fnName, stage string, ca, cr float64, instrs bool) 
 		return nil
 	}
 
-	res, _, err := core.ProfileAndAnalyze(prog, opts, core.Options{CA: ca, CR: cr})
+	res, _, err := engine.Serial().ProfileAndAnalyze(context.Background(), prog, opts, engine.Options{CA: ca, CR: cr})
 	if err != nil {
 		return err
 	}

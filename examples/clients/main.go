@@ -7,12 +7,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
-	"pathflow/internal/core"
+	"pathflow/internal/engine"
 	"pathflow/internal/interp"
 	"pathflow/internal/intervals"
 	"pathflow/internal/ir"
@@ -58,7 +59,7 @@ func main() {
 		Args:  []ir.Value{400},
 		Input: &interp.SliceInput{Values: stream(11)},
 	}
-	res, trainPP, err := core.ProfileAndAnalyze(prog, train, core.Options{CA: 0.97, CR: 0.95})
+	res, trainPP, err := engine.Serial().ProfileAndAnalyze(context.Background(), prog, train, engine.Options{CA: 0.97, CR: 0.95})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -58,8 +58,7 @@ func main() {
 	// One call profiles the program and runs the whole staged pipeline:
 	// hot-path selection at CA, Aho-Corasick automaton, Holley-Rosen
 	// tracing, Wegman-Zadek on the hot path graph, and reduction at CR.
-	// (internal/core offers the same call without the context for legacy
-	// callers; the engine adds cancellation, parallelism and caching.)
+	// The engine adds cancellation, parallelism and caching on top.
 	eng := engine.New(engine.Config{Cache: true})
 	res, _, err := eng.ProfileAndAnalyze(context.Background(), prog, train,
 		engine.Options{CA: 0.97, CR: 0.95})

@@ -86,68 +86,25 @@ func (d *packedDomain) Transfer(n cfg.NodeID, in, scratch int, slots []int8) {
 	}
 }
 
-// Cells implements kernel.SparseDomain: one cell per expression bit.
-// The whole word span counts, so the sparse solver's masks line up with
-// the arena rows word for word.
-func (d *packedDomain) Cells() int { return d.u.words * 64 }
-
-// Chain implements kernel.SparseDomain. An availability block writes
-// exactly the bits it gens (the expressions it computes) or kills (the
-// kill masks of its destination writes); everything else passes
-// through, and the executable-edge choice is static under the guide.
-func (d *packedDomain) Chain(n cfg.NodeID, defs, _ []uint64) {
-	if d.guide != nil && !d.guide.Reached[n] {
-		return
-	}
-	for _, fx := range d.fx[n] {
-		if fx.expr >= 0 {
-			defs[int(fx.expr)/64] |= 1 << (uint32(fx.expr) % 64)
-		}
-		if fx.kill != nil {
-			for i := range fx.kill {
-				defs[i] |= fx.kill[i]
-			}
-		}
-	}
-}
-
-// MeetMasked implements kernel.SparseDomain (masked intersection).
-func (d *packedDomain) MeetMasked(dst, src int, mask, dirty []uint64) bool {
-	return d.bits.AndMasked(dst, src, mask, dirty)
-}
-
-func materialize(s *kernel.Solver, d *packedDomain) *Result {
+// AnalyzePacked runs available-expressions on the packed bitset kernel
+// using the shared universe u. The solution is pointwise equal to
+// Analyze's.
+func AnalyzePacked(g *cfg.Graph, u *Universe, guide *dataflow.Solution) *Result {
+	d := newPackedDomain(g, u, guide)
+	s := kernel.NewSolver(g, d)
 	s.Run()
 	sol := s.Materialize(func(row int) dataflow.Fact {
 		return Set(append([]uint64(nil), d.bits.Row(row)...))
 	})
 	// The boxed path hangs the Problem off the result for callers that
 	// re-run TransferBlock; give them the same view.
-	return &Result{G: d.g, U: d.u, P: &Problem{U: d.u, Guide: d.guide}, Sol: sol}
-}
-
-// AnalyzePacked runs available-expressions on the packed bitset kernel
-// using the shared universe u. The solution is pointwise equal to
-// Analyze's.
-func AnalyzePacked(g *cfg.Graph, u *Universe, guide *dataflow.Solution) *Result {
-	d := newPackedDomain(g, u, guide)
-	return materialize(kernel.NewSolver(g, d), d)
-}
-
-// AnalyzeSparse runs available-expressions on the sparse def-use-chain
-// solver; facts match the other backends pointwise.
-func AnalyzeSparse(g *cfg.Graph, u *Universe, guide *dataflow.Solution) *Result {
-	d := newPackedDomain(g, u, guide)
-	return materialize(kernel.NewSparseSolver(g, d), d)
+	return &Result{G: g, U: u, P: &Problem{U: u, Guide: guide}, Sol: sol}
 }
 
 // AnalyzeWith dispatches Analyze on the requested kernel backend.
 func AnalyzeWith(g *cfg.Graph, u *Universe, guide *dataflow.Solution, k dataflow.Kernel) *Result {
-	switch k {
-	case dataflow.KernelBoxed:
+	if k == dataflow.KernelBoxed {
 		return Analyze(g, u, guide)
-	case dataflow.KernelSparse:
-		return AnalyzeSparse(g, u, guide)
 	}
 	return AnalyzePacked(g, u, guide)
 }

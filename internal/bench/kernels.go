@@ -21,32 +21,15 @@ import (
 type KernelRow struct {
 	Name  string
 	Nodes int // nodes across the timed graph set
-	// Boxed, Packed, and Sparse are the wall time of one
-	// constant-propagation sweep over the whole graph set on each
-	// backend.
-	Boxed, Packed, Sparse time.Duration
-	// Speedup is Boxed / Packed; SparseSpeedup is Packed / Sparse (the
-	// sparse kernel's win over the dense arena kernels).
-	Speedup, SparseSpeedup float64
+	// Boxed and Packed are the wall time of one constant-propagation
+	// sweep over the whole graph set on each backend.
+	Boxed, Packed time.Duration
+	// Speedup is Boxed / Packed.
+	Speedup float64
 	// Checked counts the vertices the differential gate compared across
-	// all four clients and both non-reference backends; Violations
-	// counts pointwise disagreements (any non-zero value is a kernel
-	// bug).
+	// all four clients; Violations counts pointwise disagreements (any
+	// non-zero value is a kernel bug).
 	Checked, Violations int
-	// Work holds the per-client dense-vs-sparse solver effort.
-	Work []KernelWork
-}
-
-// KernelWork is one client's solver effort on a benchmark's analysis
-// graphs, summed over the graph set: worklist pops and node transfers
-// for the dense packed kernel vs the sparse def-use kernel. Dense pops
-// always equal dense transfers (every pop transfers); sparse pops may
-// exceed sparse transfers (pass-through pops forward a delta without
-// transferring), and sparse transfers are the number to watch shrink.
-type KernelWork struct {
-	Client                  string
-	DensePops, DenseIters   int
-	SparsePops, SparseIters int
 }
 
 // AnalyzeGraph is one graph the analyze stage solves, with enough
@@ -100,12 +83,8 @@ func Kernels(ctx context.Context, instances []*Instance) ([]KernelRow, error) {
 		}
 
 		row := KernelRow{Name: in.B.Name, Nodes: nodes}
-		row.Work = []KernelWork{
-			{Client: "constprop"}, {Client: "intervals"},
-			{Client: "liveness"}, {Client: "availexpr"},
-		}
 		for _, kg := range graphs {
-			checked, bad, err := kernelDifferential(in.B.Name, kg, row.Work)
+			checked, bad, err := kernelDifferential(in.B.Name, kg)
 			if err != nil {
 				return nil, err
 			}
@@ -127,62 +106,43 @@ func Kernels(ctx context.Context, instances []*Instance) ([]KernelRow, error) {
 			}
 		}
 		row.Packed = time.Since(t0)
-		t0 = time.Now()
-		for i := 0; i < kernelReps; i++ {
-			for _, kg := range graphs {
-				constprop.AnalyzeSparse(kg.G, kg.NumVars, true)
-			}
-		}
-		row.Sparse = time.Since(t0)
 		if row.Packed > 0 {
 			row.Speedup = float64(row.Boxed) / float64(row.Packed)
-		}
-		if row.Sparse > 0 {
-			row.SparseSpeedup = float64(row.Packed) / float64(row.Sparse)
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// kernelDifferential solves every client on all three backends over one
-// graph, counts the vertices compared and the disagreements found, and
-// accumulates per-client dense-vs-sparse solver effort into work (which
-// must hold the four clients in the fixed order constprop, intervals,
-// liveness, availexpr). The packed solutions are gated with the full
-// Differential (iterations included — dense mirrors boxed exactly); the
-// sparse ones with DifferentialFacts, except intervals, whose sparse
-// schedule replays the dense trajectory and so keeps the full gate.
-func kernelDifferential(name string, kg AnalyzeGraph, work []KernelWork) (checked, violations int, err error) {
+// kernelDifferential solves every client on both backends over one
+// graph and counts the vertices compared and the disagreements found.
+// The packed solutions are gated with the full Differential: facts,
+// reachability, edge executability and iteration counts must all match
+// the boxed reference.
+func kernelDifferential(name string, kg AnalyzeGraph) (checked, violations int, err error) {
 	type diff struct {
 		client string
 		lat    oracle.Lattice
 		boxed  *dataflow.Solution
 		packed *dataflow.Solution
-		sparse *dataflow.Solution
-		facts  bool // gate sparse with DifferentialFacts instead of Differential
 	}
 	cpB := constprop.Analyze(kg.G, kg.NumVars, true)
 	cpP := constprop.AnalyzePacked(kg.G, kg.NumVars, true)
-	cpS := constprop.AnalyzeSparse(kg.G, kg.NumVars, true)
 	ivB := intervals.AnalyzeWith(kg.G, kg.NumVars, true, dataflow.KernelBoxed)
 	ivP := intervals.AnalyzePacked(kg.G, kg.NumVars, true)
-	ivS := intervals.AnalyzeWith(kg.G, kg.NumVars, true, dataflow.KernelSparse)
 	// The optional clients share one guide (the boxed constprop
-	// solution) so all backends solve the identical problem.
+	// solution) so both backends solve the identical problem.
 	guide := cpB.Sol
 	lvB := liveness.Analyze(kg.G, kg.NumVars, guide)
 	lvP := liveness.AnalyzePacked(kg.G, kg.NumVars, guide)
-	lvS := liveness.AnalyzeSparse(kg.G, kg.NumVars, guide)
 	u := availexpr.NewUniverse(kg.G, kg.NumVars)
 	aeB := availexpr.Analyze(kg.G, u, guide)
 	aeP := availexpr.AnalyzePacked(kg.G, u, guide)
-	aeS := availexpr.AnalyzeSparse(kg.G, u, guide)
-	for i, d := range []diff{
-		{"constprop", &constprop.Problem{NumVars: kg.NumVars, Conditional: true}, cpB.Sol, cpP.Sol, cpS.Sol, true},
-		{"intervals", &intervals.Problem{NumVars: kg.NumVars, Conditional: true}, ivB.Sol, ivP.Sol, ivS.Sol, false},
-		{"liveness", &liveness.Problem{NumVars: kg.NumVars, Guide: guide}, lvB.Sol, lvP.Sol, lvS.Sol, true},
-		{"availexpr", &availexpr.Problem{U: u, Guide: guide}, aeB.Sol, aeP.Sol, aeS.Sol, true},
+	for _, d := range []diff{
+		{"constprop", &constprop.Problem{NumVars: kg.NumVars, Conditional: true}, cpB.Sol, cpP.Sol},
+		{"intervals", &intervals.Problem{NumVars: kg.NumVars, Conditional: true}, ivB.Sol, ivP.Sol},
+		{"liveness", &liveness.Problem{NumVars: kg.NumVars, Guide: guide}, lvB.Sol, lvP.Sol},
+		{"availexpr", &availexpr.Problem{U: u, Guide: guide}, aeB.Sol, aeP.Sol},
 	} {
 		rep := oracle.Differential(d.client, "analyze", d.lat, d.boxed, d.packed)
 		checked += rep.Checked
@@ -190,19 +150,6 @@ func kernelDifferential(name string, kg AnalyzeGraph, work []KernelWork) (checke
 		if !rep.OK() {
 			return checked, violations, fmt.Errorf("bench %s: kernel differential: %w", name, rep.Err())
 		}
-		srep := oracle.DifferentialFacts(d.client, "analyze", d.lat, d.boxed, d.sparse)
-		if !d.facts {
-			srep = oracle.Differential(d.client, "analyze", d.lat, d.boxed, d.sparse)
-		}
-		checked += srep.Checked
-		violations += len(srep.Violations)
-		if !srep.OK() {
-			return checked, violations, fmt.Errorf("bench %s: sparse kernel differential: %w", name, srep.Err())
-		}
-		work[i].DensePops += d.packed.Pops
-		work[i].DenseIters += d.packed.Iterations
-		work[i].SparsePops += d.sparse.Pops
-		work[i].SparseIters += d.sparse.Iterations
 	}
 	return checked, violations, nil
 }

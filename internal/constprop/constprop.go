@@ -220,7 +220,7 @@ type Problem struct {
 	// withholds facts along them, so the solve prunes their targets the
 	// same way Wegman-Zadek prunes constant-condition legs. The solver
 	// never delivers along a withheld edge, so the mask works identically
-	// under the boxed, packed and sparse backends.
+	// under the boxed and packed backends.
 	Infeasible []bool
 }
 

@@ -1,9 +1,6 @@
 package constprop
 
 import (
-	"encoding/binary"
-	"math/bits"
-
 	"pathflow/internal/cfg"
 	"pathflow/internal/dataflow"
 	"pathflow/internal/dataflow/kernel"
@@ -14,36 +11,11 @@ import (
 // live as rows of a (kind []uint8, val []int64) arena instead of boxed
 // []Value slices. Cells are kept normalized (val = 0 unless Const), so
 // raw cell comparison is exactly Env.Equal.
-//
-// In sparse mode (bot non-nil) the domain additionally tracks, per node
-// row, two cell bitsets that let meets skip settled cells up front:
-//
-//   - bot: cells already at ⊥. The lattice only descends (⊤ → const →
-//     ⊥), so a ⊥ destination cell can never change again — drop it
-//     from the mask.
-//   - top: cells still at ⊤. A ⊤ *source* cell is the meet identity —
-//     the destination cell cannot change, so drop it too.
-//
-// On hot-path graphs most cells are one or the other (a variable is
-// either untouched on the path, or unknown after an opaque merge), so
-// the expensive full-mask first deliveries shrink to the few cells
-// carrying actual constants. Both bitsets are maintained word-parallel:
-// Copy installs the source's masks, Transfer re-derives the scratch
-// row's masks from its final kind bytes in one branchless SWAR pass,
-// and MeetMasked clears/sets bits exactly where it changes cells — so
-// stale state from a previous Run is overwritten before it is ever
-// read.
 type packedDomain struct {
 	g           *cfg.Graph
 	conditional bool
 	infeasible  []bool // optional per-EdgeID feasibility mask; masked slots stay -1
 	cells       *kernel.KV
-	nodeRows    int      // rows [0, nodeRows) are per-node rows
-	bot         []uint64 // nodeRows × cw cells-at-⊥ bitsets; nil in dense mode
-	top         []uint64 // nodeRows × cw cells-at-⊤ bitsets; nil in dense mode
-	defBits     []uint64 // nodeRows × cw static def cells per node
-	scratchBot  []uint64 // cw: ⊥ cells of the transfer scratch row
-	scratchTop  []uint64 // cw: ⊤ cells of the transfer scratch row
 }
 
 const (
@@ -54,63 +26,9 @@ const (
 
 func (d *packedDomain) Direction() dataflow.Direction { return dataflow.Forward }
 func (d *packedDomain) Grow(rows int)                 { d.cells.Grow(rows) }
-func (d *packedDomain) Boundary(dst int) {
-	d.cells.Fill(dst, pkBottom)
-	if d.bot != nil && dst < d.nodeRows {
-		b, t := d.botRow(dst), d.topRow(dst)
-		left := d.cells.Width
-		for w := range b {
-			span := left
-			if span > 64 {
-				span = 64
-			}
-			if span == 64 {
-				b[w] = ^uint64(0)
-			} else {
-				b[w] = 1<<span - 1
-			}
-			t[w] = 0
-			left -= span
-		}
-	}
-}
-
-// Copy keeps the ⊥ bitsets in step without rescanning: a node-row
-// source shares its bot row, and the only other source the sparse
-// kernel copies from is the transfer scratch row, whose bot mask
-// Transfer maintains incrementally in scratchBot.
-func (d *packedDomain) Copy(dst, src int) {
-	d.cells.Copy(dst, src)
-	if d.bot != nil && dst < d.nodeRows {
-		if src < d.nodeRows {
-			copy(d.botRow(dst), d.botRow(src))
-			copy(d.topRow(dst), d.topRow(src))
-		} else {
-			copy(d.botRow(dst), d.scratchBot)
-			copy(d.topRow(dst), d.scratchTop)
-		}
-	}
-}
-
-// botRow returns node row r's cells-at-⊥ bitset.
-func (d *packedDomain) botRow(r int) []uint64 {
-	cw := (d.cells.Width + 63) / 64
-	return d.bot[r*cw : (r+1)*cw : (r+1)*cw]
-}
-
-// topRow returns node row r's cells-at-⊤ bitset.
-func (d *packedDomain) topRow(r int) []uint64 {
-	cw := (d.cells.Width + 63) / 64
-	return d.top[r*cw : (r+1)*cw : (r+1)*cw]
-}
-
-// defRow returns node r's static def-cell bitset (sparse mode only).
-func (d *packedDomain) defRow(r cfg.NodeID) []uint64 {
-	cw := (d.cells.Width + 63) / 64
-	return d.defBits[int(r)*cw : (int(r)+1)*cw : (int(r)+1)*cw]
-}
-
-func (d *packedDomain) Equal(a, b int) bool { return d.cells.Equal(a, b) }
+func (d *packedDomain) Boundary(dst int)              { d.cells.Fill(dst, pkBottom) }
+func (d *packedDomain) Copy(dst, src int)             { d.cells.Copy(dst, src) }
+func (d *packedDomain) Equal(a, b int) bool           { return d.cells.Equal(a, b) }
 
 // Meet folds src into dst pointwise (Value.Meet over normalized cells).
 func (d *packedDomain) Meet(dst, src int) bool {
@@ -185,26 +103,6 @@ func (d *packedDomain) Transfer(n cfg.NodeID, in, scratch int, slots []int8) {
 			k[ins.Dst], v[ins.Dst] = ck, cv
 		}
 	}
-	if d.bot != nil && in < d.nodeRows {
-		// Bring the scratch row's ⊥/⊤ masks in step: outside the def
-		// cells they are the input's; words holding defs are re-derived
-		// from the final kind bytes in a branchless SWAR pass.
-		copy(d.scratchBot, d.botRow(in))
-		copy(d.scratchTop, d.topRow(in))
-		for w, m := range d.defRow(n) {
-			if m == 0 {
-				continue
-			}
-			base := w * 64
-			end := base + 64
-			if end > len(k) {
-				end = len(k)
-			}
-			bw, tw := kindMasks(k[base:end])
-			d.scratchBot[w] = d.scratchBot[w]&^m | bw&m
-			d.scratchTop[w] = d.scratchTop[w]&^m | tw&m
-		}
-	}
 	switch nd.Kind {
 	case cfg.TermJump, cfg.TermReturn:
 		slots[0] = 0
@@ -238,153 +136,6 @@ func (d *packedDomain) Transfer(n cfg.NodeID, in, scratch int, slots []int8) {
 	}
 }
 
-// Cells implements kernel.SparseDomain: one cell per register.
-func (d *packedDomain) Cells() int { return d.cells.Width }
-
-// Chain implements kernel.SparseDomain. A block's symbolic execution
-// writes only its instruction destinations; it reads its instruction
-// operands and, under conditional dispatch, the branch condition (whose
-// value picks the executable legs). Every other register passes
-// through.
-func (d *packedDomain) Chain(n cfg.NodeID, defs, uses []uint64) {
-	set := func(m []uint64, v ir.Var) {
-		if v.Valid() {
-			m[int(v)/64] |= 1 << (uint32(v) % 64)
-		}
-	}
-	nd := d.g.Node(n)
-	var buf []ir.Var
-	for i := range nd.Instrs {
-		ins := &nd.Instrs[i]
-		if ins.HasDst() {
-			set(defs, ins.Dst)
-		}
-		buf = ins.Uses(buf[:0])
-		for _, u := range buf {
-			set(uses, u)
-		}
-	}
-	if nd.Kind == cfg.TermBranch && d.conditional {
-		set(uses, nd.Cond)
-	}
-}
-
-// kindMasks computes the ⊥ and ⊤ cell bitsets of up to 64 kind bytes,
-// eight cells per word op: a SWAR per-byte equality test (exact — the
-// carry stays inside each byte) packs the matches of each 8-byte chunk
-// into 8 mask bits via the kindergarten multiply. Deriving the masks
-// from the data keeps the per-instruction eval loop clean and is
-// inherently in step — there is no incremental bookkeeping to
-// invalidate.
-func kindMasks(k []uint8) (bw, tw uint64) {
-	const (
-		lo7 uint64 = 0x7f7f7f7f7f7f7f7f
-		hi  uint64 = 0x8080808080808080
-		mul uint64 = 0x0102040810204080 // packs per-byte high bits into bits 56..63
-		bb  uint64 = 0x0101010101010101 * uint64(pkBottom)
-	)
-	shift := 0
-	o := 0
-	for ; o+8 <= len(k); o += 8 {
-		x := binary.LittleEndian.Uint64(k[o:])
-		y := x ^ bb // zero byte ⇔ cell at ⊥
-		y = (y&lo7 + lo7) | y
-		bw |= (^y & hi >> 7) * mul >> 56 << shift
-		y = (x&lo7 + lo7) | x // zero byte ⇔ cell at ⊤ (pkTop is 0)
-		tw |= (^y & hi >> 7) * mul >> 56 << shift
-		shift += 8
-	}
-	for ; o < len(k); o++ {
-		switch k[o] {
-		case pkBottom:
-			bw |= 1 << shift
-		case pkTop:
-			tw |= 1 << shift
-		}
-		shift++
-	}
-	return bw, tw
-}
-
-// MeetMasked implements kernel.SparseDomain: meetCell over exactly the
-// masked cells. Words whose mask covers their whole cell span — the
-// first delivery along an edge is a full meet — take a straight scan;
-// sparser words iterate bit by bit so narrow deltas touch narrow
-// slices of wide rows.
-func (d *packedDomain) MeetMasked(dst, src int, mask, dirty []uint64) bool {
-	dk, dv := d.cells.Row(dst)
-	sk, sv := d.cells.Row(src)
-	var bot, top, stop []uint64
-	if d.bot != nil && dst < d.nodeRows {
-		bot, top = d.botRow(dst), d.topRow(dst)
-		if src < d.nodeRows {
-			stop = d.topRow(src)
-		} else {
-			stop = d.scratchTop
-		}
-	}
-	changed := false
-	for w, m := range mask {
-		if bot != nil {
-			// ⊥ destination cells can never change again, and ⊤ source
-			// cells are the meet identity; drop both from the mask.
-			m &^= bot[w] | stop[w]
-		}
-		if m == 0 {
-			continue
-		}
-		base := w * 64
-		if base >= len(dk) {
-			break
-		}
-		span := len(dk) - base
-		if span > 64 {
-			span = 64
-		}
-		var dw, bw uint64
-		if span == 64 && m == ^uint64(0) || span < 64 && m == 1<<span-1 {
-			wk, wv := dk[base:base+span], dv[base:base+span]
-			xk, xv := sk[base:base+span], sv[base:base+span]
-			for i := 0; i < span; i++ {
-				k, v := meetCell(wk[i], wv[i], xk[i], xv[i])
-				if k != wk[i] || v != wv[i] {
-					wk[i], wv[i] = k, v
-					dw |= 1 << i
-					if k == pkBottom {
-						bw |= 1 << i
-					}
-				}
-			}
-		} else {
-			for ; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				if i >= span {
-					break
-				}
-				k, v := meetCell(dk[base+i], dv[base+i], sk[base+i], sv[base+i])
-				if k != dk[base+i] || v != dv[base+i] {
-					dk[base+i], dv[base+i] = k, v
-					dw |= 1 << i
-					if k == pkBottom {
-						bw |= 1 << i
-					}
-				}
-			}
-		}
-		if dw != 0 {
-			dirty[w] |= dw
-			changed = true
-			if bot != nil {
-				// Changed cells were met with a non-⊤ source, so they
-				// are no longer ⊤; the ones that hit ⊥ are settled.
-				bot[w] |= bw
-				top[w] &^= dw
-			}
-		}
-	}
-	return changed
-}
-
 // env boxes row r into a standard Env.
 func (d *packedDomain) env(r int) Env {
 	k, v := d.cells.Row(r)
@@ -404,64 +155,23 @@ func PackedSolver(g *cfg.Graph, numVars int, conditional bool) *kernel.Solver {
 	return kernel.NewSolver(g, d)
 }
 
-// SparseSolver builds a reusable sparse def-use-chain solver for
-// constant propagation over g: the chains are built once here, and
-// every Run() re-solves sparsely without allocating. BenchmarkAnalyzeSparse
-// and its allocs gate in ci.sh benchmark exactly this entry point.
-func SparseSolver(g *cfg.Graph, numVars int, conditional bool) *kernel.Solver {
-	d := newSparseDomain(g, numVars, conditional)
-	return kernel.NewSparseSolver(g, d)
-}
-
-// newSparseDomain builds a packedDomain with the cells-at-⊥ tracking
-// the sparse kernel exploits (dense solvers skip the bookkeeping).
-func newSparseDomain(g *cfg.Graph, numVars int, conditional bool) *packedDomain {
-	d := &packedDomain{g: g, conditional: conditional, cells: kernel.NewKV(numVars)}
-	cw := (numVars + 63) / 64
-	d.nodeRows = g.NumNodes()
-	d.bot = make([]uint64, d.nodeRows*cw)
-	d.top = make([]uint64, d.nodeRows*cw)
-	d.defBits = make([]uint64, d.nodeRows*cw)
-	d.scratchBot = make([]uint64, cw)
-	d.scratchTop = make([]uint64, cw)
-	for _, nd := range g.Nodes {
-		row := d.defRow(nd.ID)
-		for i := range nd.Instrs {
-			if ins := &nd.Instrs[i]; ins.HasDst() {
-				row[int(ins.Dst)/64] |= 1 << (int(ins.Dst) % 64)
-			}
-		}
-	}
-	return d
-}
-
 // AnalyzePacked runs constant propagation on the packed SoA kernel. The
 // solution is pointwise equal to Analyze's, iteration counts included.
 func AnalyzePacked(g *cfg.Graph, numVars int, conditional bool) *Result {
-	d := &packedDomain{g: g, conditional: conditional, cells: kernel.NewKV(numVars)}
-	s := kernel.NewSolver(g, d)
-	s.Run()
-	return &Result{G: g, Sol: s.Materialize(func(row int) dataflow.Fact { return d.env(row) })}
+	return solvePacked(g, numVars, conditional, nil)
 }
 
-// AnalyzeSparse runs constant propagation on the sparse def-use-chain
-// solver. Facts, reachability, and edge executability are pointwise
-// equal to the other backends'; iteration counts are lower (gate with
-// oracle.DifferentialFacts, not Differential).
-func AnalyzeSparse(g *cfg.Graph, numVars int, conditional bool) *Result {
-	d := newSparseDomain(g, numVars, conditional)
-	s := kernel.NewSparseSolver(g, d)
+func solvePacked(g *cfg.Graph, numVars int, conditional bool, infeasible []bool) *Result {
+	d := &packedDomain{g: g, conditional: conditional, infeasible: infeasible, cells: kernel.NewKV(numVars)}
+	s := kernel.NewSolver(g, d)
 	s.Run()
 	return &Result{G: g, Sol: s.Materialize(func(row int) dataflow.Fact { return d.env(row) })}
 }
 
 // AnalyzeWith dispatches Analyze on the requested kernel backend.
 func AnalyzeWith(g *cfg.Graph, numVars int, conditional bool, k dataflow.Kernel) *Result {
-	switch k {
-	case dataflow.KernelBoxed:
+	if k == dataflow.KernelBoxed {
 		return Analyze(g, numVars, conditional)
-	case dataflow.KernelSparse:
-		return AnalyzeSparse(g, numVars, conditional)
 	}
 	return AnalyzePacked(g, numVars, conditional)
 }
@@ -469,26 +179,11 @@ func AnalyzeWith(g *cfg.Graph, numVars int, conditional bool, k dataflow.Kernel)
 // AnalyzeMasked dispatches constant propagation on the requested kernel
 // backend with an infeasible-edge mask: Transfer withholds facts along
 // masked edges, so their targets see fewer meets (or become unreached).
-// A nil mask is exactly AnalyzeWith. All backends produce pointwise
-// identical masked facts: the dense solvers skip withheld slots, and
-// the sparse solver's pass-through only forwards along edges Transfer
-// has already marked executable — which a masked edge never is.
+// A nil mask is exactly AnalyzeWith. Both backends produce pointwise
+// identical masked facts: each skips the withheld slots.
 func AnalyzeMasked(g *cfg.Graph, numVars int, conditional bool, k dataflow.Kernel, infeasible []bool) *Result {
-	if infeasible == nil {
-		return AnalyzeWith(g, numVars, conditional, k)
-	}
-	switch k {
-	case dataflow.KernelBoxed:
+	if k == dataflow.KernelBoxed {
 		return AnalyzeBoxedMasked(g, numVars, conditional, infeasible)
-	case dataflow.KernelSparse:
-		d := newSparseDomain(g, numVars, conditional)
-		d.infeasible = infeasible
-		s := kernel.NewSparseSolver(g, d)
-		s.Run()
-		return &Result{G: g, Sol: s.Materialize(func(row int) dataflow.Fact { return d.env(row) })}
 	}
-	d := &packedDomain{g: g, conditional: conditional, infeasible: infeasible, cells: kernel.NewKV(numVars)}
-	s := kernel.NewSolver(g, d)
-	s.Run()
-	return &Result{G: g, Sol: s.Materialize(func(row int) dataflow.Fact { return d.env(row) })}
+	return solvePacked(g, numVars, conditional, infeasible)
 }

@@ -22,14 +22,11 @@
 // else (optimistic ⊤ start, per-edge executability, Widener hooks, the
 // narrowing passes, irreducibility tolerance) carries over unchanged.
 //
-// Three solver backends share this contract: the boxed reference path
-// in this file (facts as interface values) and, under dataflow/kernel,
-// the packed dense kernels and the sparse def-use-chain solver (facts
-// as rows of preallocated arenas). The boxed path is the semantic
-// reference; the dense kernels must reproduce its solutions — including
-// iteration counts — exactly, while the sparse solver must match its
-// facts, reachability, and edge executability but may (and does) spend
-// fewer transfers getting there.
+// Two solver backends share this contract: the boxed reference path in
+// this file (facts as interface values) and the packed kernels under
+// dataflow/kernel (facts as rows of preallocated arenas). The boxed
+// path is the semantic reference; the packed kernels must reproduce its
+// solutions — including iteration counts — exactly.
 package dataflow
 
 import "pathflow/internal/cfg"
@@ -70,9 +67,9 @@ func DirectionOf(p Problem) Direction {
 }
 
 // Kernel selects the fact representation a client analysis solves on.
-// All backends compute identical facts (the differential oracle and
-// FuzzKernelEquivalence enforce pointwise equality); they differ only
-// in memory layout, propagation strategy, and speed.
+// Both backends compute identical facts and iteration counts (the
+// differential oracle and FuzzKernelEquivalence enforce it); they
+// differ only in memory layout and speed.
 type Kernel uint8
 
 const (
@@ -83,23 +80,12 @@ const (
 	// KernelBoxed solves on the boxed reference implementation in this
 	// package (facts as interface values).
 	KernelBoxed
-	// KernelSparse solves on the packed arenas with sparse def-use
-	// propagation (dataflow/kernel's sparse solver): facts travel only
-	// along the chains the graph's defs and uses induce, and nodes
-	// transparent to a change forward it without re-running their
-	// transfer. Solutions are pointwise equal to the other backends'
-	// but iteration counts legitimately differ (see
-	// oracle.DifferentialFacts).
-	KernelSparse
 )
 
-// String returns "packed", "boxed" or "sparse".
+// String returns "packed" or "boxed".
 func (k Kernel) String() string {
-	switch k {
-	case KernelBoxed:
+	if k == KernelBoxed {
 		return "boxed"
-	case KernelSparse:
-		return "sparse"
 	}
 	return "packed"
 }
@@ -229,11 +215,9 @@ type Solution struct {
 	// Iterations counts node transfers, a measure of analysis effort
 	// (used by the paper's Figure 12-style analysis-time experiment).
 	Iterations int
-	// Pops counts fixpoint worklist pops. For the dense backends every
-	// pop transfers, so Pops equals the worklist share of Iterations;
-	// the sparse kernel also pops transparent nodes it forwards through
-	// without transferring, so there Pops >= Iterations. Narrowing-pass
-	// transfers count toward Iterations but not Pops.
+	// Pops counts fixpoint worklist pops. Every pop transfers, so Pops
+	// equals the worklist share of Iterations; narrowing-pass transfers
+	// count toward Iterations but not Pops.
 	Pops int
 	// Direction records the orientation the solution was computed in.
 	Direction Direction

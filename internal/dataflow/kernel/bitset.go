@@ -89,36 +89,3 @@ func (b *Bits) AndNot(r int, mask []uint64) {
 		row[i] &^= mask[i]
 	}
 }
-
-// OrMasked unions the masked bits of row src into row dst, records the
-// bits that flipped in dirty, and reports change. Bits of src outside
-// mask are ignored — the sparse solver's delta delivery, where mask
-// covers every cell that may differ from what the edge last carried.
-func (b *Bits) OrMasked(dst, src int, mask, dirty []uint64) bool {
-	d, s := b.Row(dst), b.Row(src)
-	changed := false
-	for i := range d {
-		if diff := (d[i] | (s[i] & mask[i])) ^ d[i]; diff != 0 {
-			d[i] |= diff
-			dirty[i] |= diff
-			changed = true
-		}
-	}
-	return changed
-}
-
-// AndMasked intersects the masked bits of row src into row dst (bits
-// outside mask are treated as set, i.e. "no information"), records the
-// bits that flipped in dirty, and reports change.
-func (b *Bits) AndMasked(dst, src int, mask, dirty []uint64) bool {
-	d, s := b.Row(dst), b.Row(src)
-	changed := false
-	for i := range d {
-		if diff := (d[i] & (s[i] | ^mask[i])) ^ d[i]; diff != 0 {
-			d[i] &^= diff
-			dirty[i] |= diff
-			changed = true
-		}
-	}
-	return changed
-}

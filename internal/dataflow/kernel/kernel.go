@@ -106,13 +106,10 @@ type Solver struct {
 	qhead, qtail int
 	slots        []int8 // Transfer slot scratch, sized to max degree
 
-	// Pops counts worklist pops. For the dense solver Pops equals
-	// Iterations (every pop runs one transfer); the sparse solver keeps
-	// the two apart, because pass-through pops forward a delta without
-	// re-running the node's transfer.
+	// Pops counts worklist pops. Every pop runs one transfer, so Pops
+	// equals Iterations except for widening problems, whose narrowing
+	// passes run transfers that count only toward Iterations.
 	Pops int
-
-	sp *sparse // non-nil for solvers built by NewSparseSolver
 
 	scratch int // first Transfer scratch row
 	spare   int // widening save / narrowing accumulator row
@@ -183,10 +180,6 @@ func NewSolver(g *cfg.Graph, d Domain) *Solver {
 // performs no allocations.
 func (s *Solver) Run() {
 	s.reset()
-	if s.sp != nil {
-		s.runSparse()
-		return
-	}
 	g, d := s.g, s.d
 	start := g.Entry
 	if s.dir == dataflow.Backward {
@@ -252,22 +245,6 @@ func (s *Solver) Run() {
 }
 
 // reset clears all per-Run iteration state without allocating.
-// SetFIFO replaces the RPO priority ring with the plain FIFO worklist
-// the dense kernels used before the scheduling upgrade. The fixpoint of
-// a non-widening problem is order-independent, so results are identical
-// — only the visit order and pop counts change. Kept so the kernel
-// benchmarks can measure the scheduling win (FIFO → RPO priority) and
-// the sparsity win (flood → def-use chains) separately. No-op on
-// widening solvers, which already run FIFO.
-func (s *Solver) SetFIFO() {
-	if s.ring == nil {
-		return
-	}
-	s.ring = nil
-	s.inQueue = make([]bool, s.g.NumNodes())
-	s.queue = make([]int32, s.g.NumNodes()+1)
-}
-
 func (s *Solver) reset() {
 	for i := range s.Reached {
 		s.Reached[i] = false
@@ -286,9 +263,6 @@ func (s *Solver) reset() {
 	s.qhead, s.qtail = 0, 0
 	if s.ring != nil {
 		s.ring.Reset()
-	}
-	if s.sp != nil {
-		s.sp.reset()
 	}
 }
 

@@ -200,31 +200,6 @@ func Identity(n cfg.NodeID) cfg.NodeID { return n }
 // (reachability mismatches as KindReachability, fact or edge mismatches
 // as KindFact on the owning node).
 func Differential(client, graph string, lat Lattice, base, derived *dataflow.Solution) *Report {
-	rep := differential(client, graph, lat, base, derived)
-	if base.Iterations != derived.Iterations {
-		// Iteration counts feed the paper's analysis-effort metrics;
-		// dense kernels must replicate the boxed schedule exactly.
-		// Attribute the mismatch to the entry-most node for lack of a
-		// better site.
-		rep.Violations = append(rep.Violations, Violation{Node: 0, Orig: 0, Kind: KindFact})
-	}
-	return rep
-}
-
-// DifferentialFacts is Differential without the iteration-count check:
-// the gate for the sparse solver, whose pass-through pops legitimately
-// spend fewer transfers reaching the same fixpoint. Everything
-// order-independent about a solution — reachability, per-edge
-// executability, and every fact — must still agree exactly; only the
-// effort metric is allowed to differ. (For non-widening problems the
-// greatest fixpoint over executable edges is unique whatever the
-// worklist order, which is why relaxing exactly this one field is
-// sound.)
-func DifferentialFacts(client, graph string, lat Lattice, base, derived *dataflow.Solution) *Report {
-	return differential(client, graph, lat, base, derived)
-}
-
-func differential(client, graph string, lat Lattice, base, derived *dataflow.Solution) *Report {
 	rep := &Report{Client: client, Graph: graph}
 	for n := range base.In {
 		nid := cfg.NodeID(n)
@@ -245,6 +220,13 @@ func differential(client, graph string, lat Lattice, base, derived *dataflow.Sol
 			rep.Violations = append(rep.Violations, Violation{Node: 0, Orig: 0, Kind: KindFact})
 			break
 		}
+	}
+	if base.Iterations != derived.Iterations {
+		// Iteration counts feed the paper's analysis-effort metrics;
+		// the packed kernels must replicate the boxed schedule exactly.
+		// Attribute the mismatch to the entry-most node for lack of a
+		// better site.
+		rep.Violations = append(rep.Violations, Violation{Node: 0, Orig: 0, Kind: KindFact})
 	}
 	return rep
 }

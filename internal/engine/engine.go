@@ -23,8 +23,6 @@
 // and recomputes only the dirtied suffix. DiffFunc classifies an edit
 // (Delta) and predicts the replay/recompute split ahead of time;
 // `pathflow analyze -baseline` reports it.
-//
-// The legacy one-call API lives on as thin wrappers in internal/core.
 package engine
 
 import (

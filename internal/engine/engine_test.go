@@ -268,9 +268,8 @@ func TestCacheSharesBaselineAcrossPoints(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesCoreCompat: the one-call wrappers in internal/core and
-// the engine must agree (the engine *is* the implementation, but this
-// pins the aliasing against accidental divergence).
+// TestAnalyzeFuncMatchesPaperExample: the serial engine and a parallel
+// caching one must agree on the paper's running example.
 func TestAnalyzeFuncMatchesPaperExample(t *testing.T) {
 	f, _, edges := paperex.Build()
 	pr := paperex.Profile(edges)

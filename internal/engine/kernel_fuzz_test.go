@@ -20,12 +20,9 @@ import (
 // arena kernels must be pointwise identical to the boxed reference run
 // — every graph tier (CFG, HPG, reduced HPG), every client (constant
 // propagation, intervals, liveness, available expressions), facts,
-// reachability, edge executability, and iteration counts. The sparse
-// def-use kernel joins the cross-product on facts-only terms
-// (DifferentialFacts): its schedule legitimately runs fewer transfers,
-// but every fact, reachable node, and executable edge must still match
-// the boxed reference pointwise. All engines run cache-less so every
-// solution is freshly computed by its own backend.
+// reachability, edge executability, and iteration counts. Both engines
+// run cache-less so every solution is freshly computed by its own
+// backend.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint64(5))
 	f.Add(uint64(2), uint64(3))
@@ -33,9 +30,10 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(uint64(19), uint64(1))
 	f.Add(uint64(42), uint64(17))
 	// Structure-targeted seeds: 301 generates the longest straight-line
-	// chain in the first 400 seeds (graph diameter 48 — stresses sparse
-	// pass-through forwarding), 138 the most branch nodes (118 — deep
-	// nested diamonds stress first-delivery masking at merge points).
+	// chain in the first 400 seeds (graph diameter 48 — stresses long
+	// propagation chains through the priority worklist), 138 the most
+	// branch nodes (118 — deep nested diamonds stress merge-point meets
+	// and per-edge executability).
 	f.Add(uint64(301), uint64(11))
 	f.Add(uint64(138), uint64(5))
 
@@ -60,13 +58,9 @@ func FuzzKernelEquivalence(f *testing.F) {
 		}
 		boxed := run(dataflow.KernelBoxed)
 		packed := run(dataflow.KernelPacked)
-		sparse := run(dataflow.KernelSparse)
 
 		if a, b := summarize(boxed), summarize(packed); a != b {
 			t.Fatalf("packed summary differs from boxed\nboxed:\n%s\npacked:\n%s", a, b)
-		}
-		if a, b := summarize(boxed), summarize(sparse); a != b {
-			t.Fatalf("sparse summary differs from boxed\nboxed:\n%s\nsparse:\n%s", a, b)
 		}
 
 		check := func(fn, client, tier string, lat oracle.Lattice, b, p *dataflow.Solution) {
@@ -81,25 +75,10 @@ func FuzzKernelEquivalence(f *testing.F) {
 				t.Errorf("func %s tier %s: %v", fn, tier, err)
 			}
 		}
-		// Facts-only variant for the sparse kernel: iteration counts are
-		// expected to differ (that is the optimization), so compare
-		// facts, reachability, and edge executability only.
-		checkFacts := func(fn, client, tier string, lat oracle.Lattice, b, s *dataflow.Solution) {
-			t.Helper()
-			if (b == nil) != (s == nil) {
-				t.Fatalf("%s/%s/%s: solution presence differs (boxed %v, sparse %v)", fn, client, tier, b != nil, s != nil)
-			}
-			if b == nil {
-				return
-			}
-			if err := oracle.DifferentialFacts(client, tier, lat, b, s).Err(); err != nil {
-				t.Errorf("func %s tier %s (sparse): %v", fn, tier, err)
-			}
-		}
 		for _, name := range prog.Order {
-			bfr, pfr, sfr := boxed.Funcs[name], packed.Funcs[name], sparse.Funcs[name]
+			bfr, pfr := boxed.Funcs[name], packed.Funcs[name]
 			nv := prog.Funcs[name].NumVars()
-			if bfr.Qualified() != pfr.Qualified() || bfr.Qualified() != sfr.Qualified() {
+			if bfr.Qualified() != pfr.Qualified() {
 				t.Fatalf("func %s: qualification differs between kernels", name)
 			}
 
@@ -117,32 +96,24 @@ func FuzzKernelEquivalence(f *testing.F) {
 				tiers = append(tiers, tier{"hpg", bfr.HPG.G}, tier{"rhpg", bfr.Red.G})
 			}
 
-			cpSols := [][3]*constprop.Result{{bfr.OrigSol, pfr.OrigSol, sfr.OrigSol}, {bfr.HPGSol, pfr.HPGSol, sfr.HPGSol}, {bfr.RedSol, pfr.RedSol, sfr.RedSol}}
-			lvSols := [][3]*liveness.Result{{bfr.LiveCFG, pfr.LiveCFG, sfr.LiveCFG}, {bfr.LiveHPG, pfr.LiveHPG, sfr.LiveHPG}, {bfr.LiveRed, pfr.LiveRed, sfr.LiveRed}}
-			aeSols := [][3]*availexpr.Result{{bfr.AvailCFG, pfr.AvailCFG, sfr.AvailCFG}, {bfr.AvailHPG, pfr.AvailHPG, sfr.AvailHPG}, {bfr.AvailRed, pfr.AvailRed, sfr.AvailRed}}
+			cpSols := [][2]*constprop.Result{{bfr.OrigSol, pfr.OrigSol}, {bfr.HPGSol, pfr.HPGSol}, {bfr.RedSol, pfr.RedSol}}
+			lvSols := [][2]*liveness.Result{{bfr.LiveCFG, pfr.LiveCFG}, {bfr.LiveHPG, pfr.LiveHPG}, {bfr.LiveRed, pfr.LiveRed}}
+			aeSols := [][2]*availexpr.Result{{bfr.AvailCFG, pfr.AvailCFG}, {bfr.AvailHPG, pfr.AvailHPG}, {bfr.AvailRed, pfr.AvailRed}}
 			for i, tr := range tiers {
 				if b, p := cpSols[i][0], cpSols[i][1]; b != nil || p != nil {
 					check(name, "constprop", tr.name, cpLat, solOf(b), solOf(p))
-					checkFacts(name, "constprop", tr.name, cpLat, solOf(b), solOf(cpSols[i][2]))
 				}
 				if b, p := lvSols[i][0], lvSols[i][1]; b != nil || p != nil {
 					check(name, "liveness", tr.name, lvLat, lvSolOf(b), lvSolOf(p))
-					checkFacts(name, "liveness", tr.name, lvLat, lvSolOf(b), lvSolOf(lvSols[i][2]))
 				}
 				if b, p := aeSols[i][0], aeSols[i][1]; b != nil || p != nil {
 					check(name, "availexpr", tr.name, aeLat, aeSolOf(b), aeSolOf(p))
-					checkFacts(name, "availexpr", tr.name, aeLat, aeSolOf(b), aeSolOf(aeSols[i][2]))
 				}
-				// Intervals is not an engine client; solve all backends
+				// Intervals is not an engine client; solve both backends
 				// directly on each tier graph to cover the widening path.
-				// The sparse widening schedule mirrors the dense one
-				// exactly, so the full Differential (iterations included)
-				// holds for it too.
 				ivB := intervals.AnalyzeWith(tr.g, nv, true, dataflow.KernelBoxed)
 				ivP := intervals.AnalyzeWith(tr.g, nv, true, dataflow.KernelPacked)
-				ivS := intervals.AnalyzeWith(tr.g, nv, true, dataflow.KernelSparse)
 				check(name, "intervals", tr.name, ivLat, ivB.Sol, ivP.Sol)
-				check(name, "intervals", tr.name, ivLat, ivB.Sol, ivS.Sol)
 			}
 		}
 	})

@@ -18,7 +18,7 @@ import (
 // names it. The first out-of-range value must be rejected with that
 // same hint, so adding a backend without updating the hint fails here.
 func TestKernelOptionsEveryEnumValue(t *testing.T) {
-	kernels := []dataflow.Kernel{dataflow.KernelPacked, dataflow.KernelBoxed, dataflow.KernelSparse}
+	kernels := []dataflow.Kernel{dataflow.KernelPacked, dataflow.KernelBoxed}
 	hint := (&engine.UnknownKernelError{Name: "x"}).Hint()
 	for _, k := range kernels {
 		name := k.String()
@@ -44,7 +44,7 @@ func TestKernelOptionsEveryEnumValue(t *testing.T) {
 
 	// One past the last valid enum value must fail Validate, and a bogus
 	// name must fail ParseKernel — both with the shared hint.
-	bad := engine.Options{CA: 0.97, CR: 0.95, Kernel: dataflow.KernelSparse + 1}
+	bad := engine.Options{CA: 0.97, CR: 0.95, Kernel: dataflow.KernelBoxed + 1}
 	var uk *engine.UnknownKernelError
 	if err := bad.Validate(); !errors.As(err, &uk) {
 		t.Errorf("Validate with out-of-range kernel = %v, want *UnknownKernelError", err)

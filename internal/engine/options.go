@@ -114,11 +114,8 @@ type Options struct {
 	// liveness, available expressions). The zero value is
 	// dataflow.KernelPacked — the allocation-free arena kernels;
 	// dataflow.KernelBoxed is the reference implementation, kept as an
-	// escape hatch and differential baseline; dataflow.KernelSparse
-	// propagates along def-use chains on the same arenas, trading the
-	// dense kernels' exact iteration-count mirror for fewer transfers.
-	// All backends produce pointwise identical facts, so the choice
-	// never enters cache keys.
+	// escape hatch and differential baseline. Both backends produce
+	// pointwise identical facts, so the choice never enters cache keys.
 	Kernel dataflow.Kernel
 }
 
@@ -159,7 +156,7 @@ func (o Options) Validate() error {
 	if math.IsNaN(o.CR) || o.CR < 0 || o.CR > 1 {
 		return &InvalidOptionsError{Field: "CR", Value: o.CR}
 	}
-	if o.Kernel > dataflow.KernelSparse {
+	if o.Kernel > dataflow.KernelBoxed {
 		return &UnknownKernelError{Name: fmt.Sprintf("%d", o.Kernel)}
 	}
 	return nil
@@ -179,20 +176,17 @@ func (e *UnknownKernelError) Error() string {
 // both quote it verbatim, so the list of valid kernels lives in exactly
 // this one place.
 func (e *UnknownKernelError) Hint() string {
-	return "valid kernels: packed (default), boxed, sparse"
+	return "valid kernels: packed (default), boxed"
 }
 
 // ParseKernel parses a solver-backend name: "packed" (or the empty
-// string) for the dense arena kernels, "boxed" for the reference path,
-// "sparse" for def-use-chain propagation.
+// string) for the arena kernels, "boxed" for the reference path.
 func ParseKernel(s string) (dataflow.Kernel, error) {
 	switch strings.TrimSpace(s) {
 	case "", "packed":
 		return dataflow.KernelPacked, nil
 	case "boxed":
 		return dataflow.KernelBoxed, nil
-	case "sparse":
-		return dataflow.KernelSparse, nil
 	default:
 		return 0, &UnknownKernelError{Name: strings.TrimSpace(s)}
 	}

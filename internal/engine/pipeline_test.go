@@ -1,4 +1,4 @@
-package core_test
+package engine_test
 
 import (
 	"reflect"
@@ -7,7 +7,7 @@ import (
 	"pathflow/internal/bl"
 	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
-	. "pathflow/internal/core"
+	"pathflow/internal/engine"
 	"pathflow/internal/interp"
 	"pathflow/internal/ir"
 	"pathflow/internal/lang"
@@ -16,10 +16,14 @@ import (
 	"pathflow/internal/profile"
 )
 
-func exampleFuncResult(t *testing.T, o Options) *FuncResult {
+// The pipeline end to end on the serial engine: the paper's running
+// example function by function, and the multi-function fixture through
+// profiling, analysis and the optimizer.
+
+func exampleFuncResult(t *testing.T, o engine.Options) *engine.FuncResult {
 	t.Helper()
 	f, _, edges := paperex.Build()
-	fr, err := AnalyzeFunc(f, paperex.Profile(edges), o)
+	fr, err := engine.Serial().AnalyzeFunc(ctx, f, paperex.Profile(edges), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +31,7 @@ func exampleFuncResult(t *testing.T, o Options) *FuncResult {
 }
 
 func TestAnalyzeFuncFullPipeline(t *testing.T) {
-	fr := exampleFuncResult(t, Options{CA: 1.0, CR: 0.6})
+	fr := exampleFuncResult(t, engine.Options{CA: 1.0, CR: 0.6})
 	if !fr.Qualified() {
 		t.Fatal("pipeline did not qualify")
 	}
@@ -58,7 +62,7 @@ func TestAnalyzeFuncFullPipeline(t *testing.T) {
 }
 
 func TestAnalyzeFuncBaseline(t *testing.T) {
-	fr := exampleFuncResult(t, Options{CA: 0, CR: 0.95})
+	fr := exampleFuncResult(t, engine.Options{CA: 0, CR: 0.95})
 	if fr.Qualified() {
 		t.Fatal("CA=0 must not qualify")
 	}
@@ -85,7 +89,7 @@ func TestAnalyzeFuncBaseline(t *testing.T) {
 
 func TestAnalyzeFuncNilProfile(t *testing.T) {
 	f, _, _ := paperex.Build()
-	fr, err := AnalyzeFunc(f, nil, Options{CA: 0.97, CR: 0.95})
+	fr, err := engine.Serial().AnalyzeFunc(ctx, f, nil, engine.Options{CA: 0.97, CR: 0.95})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +102,7 @@ func TestAnalyzeFuncNilProfile(t *testing.T) {
 }
 
 func TestTranslateEvalOntoReduced(t *testing.T) {
-	fr := exampleFuncResult(t, Options{CA: 1.0, CR: 0.6})
+	fr := exampleFuncResult(t, engine.Options{CA: 1.0, CR: 0.6})
 	_, _, edges := paperex.Build()
 	pr := paperex.Profile(edges)
 	ep, err := fr.TranslateEval(pr)
@@ -119,41 +123,19 @@ func TestTranslateEvalOntoReduced(t *testing.T) {
 }
 
 func TestDefaultOptions(t *testing.T) {
-	o := DefaultOptions()
+	o := engine.DefaultOptions()
 	if o.CA != 0.97 || o.CR != 0.95 {
 		t.Errorf("DefaultOptions = %+v", o)
 	}
 }
 
-const multiSrc = `
-func helper(k) {
-	m = input() % 10;
-	if (m < 9) { s = 4; } else { s = input() % 16; }
-	return k * s + s / 2;
-}
-func cold(k) {
-	return k * 31 % 17;
-}
-func main() {
-	n = arg(0);
-	i = 0;
-	t = 0;
-	while (i < n) {
-		t = t + helper(i);
-		i = i + 1;
-	}
-	if (arg(5) == 99) { t = t + cold(t); }
-	print(t);
-}
-`
-
-func analyzeMulti(t *testing.T, o Options) (*cfg.Program, *ProgramResult) {
+func analyzeMulti(t *testing.T, o engine.Options) (*cfg.Program, *engine.ProgramResult) {
 	t.Helper()
 	prog, err := lang.Compile(multiSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := ProfileAndAnalyze(prog, interp.Options{
+	res, _, err := engine.Serial().ProfileAndAnalyze(ctx, prog, interp.Options{
 		Args:  []ir.Value{200},
 		Input: &interp.SliceInput{Values: stream(7)},
 	}, o)
@@ -163,20 +145,8 @@ func analyzeMulti(t *testing.T, o Options) (*cfg.Program, *ProgramResult) {
 	return prog, res
 }
 
-func stream(seed uint64) []ir.Value {
-	vals := make([]ir.Value, 2048)
-	x := seed
-	for i := range vals {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		vals[i] = ir.Value(x & 0x7fffffff)
-	}
-	return vals
-}
-
 func TestAnalyzeProgramMultiFunction(t *testing.T) {
-	prog, res := analyzeMulti(t, Options{CA: 0.97, CR: 0.95})
+	prog, res := analyzeMulti(t, engine.Options{CA: 0.97, CR: 0.95})
 	if len(res.Funcs) != 3 {
 		t.Fatalf("results = %d, want 3", len(res.Funcs))
 	}
@@ -203,7 +173,7 @@ func TestAnalyzeProgramMultiFunction(t *testing.T) {
 }
 
 func TestOptimizedAndBaselineProgramsEquivalent(t *testing.T) {
-	prog, res := analyzeMulti(t, Options{CA: 1.0, CR: 0.95})
+	prog, res := analyzeMulti(t, engine.Options{CA: 1.0, CR: 0.95})
 	run := func(p *cfg.Program) []ir.Value {
 		r, err := interp.Run(p, interp.Options{
 			Args:          []ir.Value{200},
@@ -223,7 +193,7 @@ func TestOptimizedAndBaselineProgramsEquivalent(t *testing.T) {
 	if got := run(optProg); !reflect.DeepEqual(got, want) {
 		t.Errorf("optimized output = %v, want %v", got, want)
 	}
-	baseProg, baseN := BaselineProgram(prog, opt.PassesAll)
+	baseProg, baseN := engine.BaselineProgram(prog, opt.PassesAll)
 	if got := run(baseProg); !reflect.DeepEqual(got, want) {
 		t.Errorf("baseline output = %v, want %v", got, want)
 	}
@@ -239,14 +209,14 @@ func TestProfileAndAnalyzeErrorOnBadRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = ProfileAndAnalyze(prog, interp.Options{MaxSteps: 100}, DefaultOptions())
+	_, _, err = engine.Serial().ProfileAndAnalyze(ctx, prog, interp.Options{MaxSteps: 100}, engine.DefaultOptions())
 	if err == nil {
 		t.Error("expected training-run failure to surface")
 	}
 }
 
 func TestQualifiedConstantsBeatBaselineOnExample(t *testing.T) {
-	fr := exampleFuncResult(t, Options{CA: 1.0, CR: 1.0})
+	fr := exampleFuncResult(t, engine.Options{CA: 1.0, CR: 1.0})
 	_, _, edges := paperex.Build()
 	pr := paperex.Profile(edges)
 	ep, err := fr.TranslateEval(pr)

@@ -351,11 +351,8 @@ func Analyze(g *cfg.Graph, numVars int, conditional bool) *Result {
 // overrides on the requested kernel backend.
 func AnalyzeTuned(g *cfg.Graph, numVars int, conditional bool, tune *dataflow.Tuning, k dataflow.Kernel) *Result {
 	p := &Problem{NumVars: numVars, Conditional: conditional, Tuning: tune}
-	switch k {
-	case dataflow.KernelBoxed:
+	if k == dataflow.KernelBoxed {
 		return &Result{G: g, Sol: dataflow.Solve(g, p), n: numVars}
-	case dataflow.KernelSparse:
-		return analyzeSparse(g, p)
 	}
 	return analyzePacked(g, p)
 }

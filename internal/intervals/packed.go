@@ -1,8 +1,6 @@
 package intervals
 
 import (
-	mbits "math/bits"
-
 	"pathflow/internal/cfg"
 	"pathflow/internal/dataflow"
 	"pathflow/internal/dataflow/kernel"
@@ -276,116 +274,6 @@ func (d *packedDomain) refine(nd *cfg.Node, lo, hi []int64, taken bool) {
 	}
 }
 
-// Cells implements kernel.SparseDomain: one cell per register.
-func (d *packedDomain) Cells() int { return d.nv }
-
-// Chain implements kernel.SparseDomain. Beyond instruction
-// destinations, a branch block's refinement clips the registers holding
-// the condition's value and the comparison operands' values — chosen by
-// a value-numbering pass over the block that depends only on its
-// instructions, so it is replayed here statically and its targets land
-// in the defs mask. Intervals widen, so the sparse solver never
-// pass-throughs this domain (the chains sharpen deliveries only), but
-// the masks must still over-approximate every cell a transfer can
-// touch.
-func (d *packedDomain) Chain(n cfg.NodeID, defs, uses []uint64) {
-	set := func(m []uint64, v int) {
-		m[v/64] |= 1 << (uint32(v) % 64)
-	}
-	nd := d.g.Node(n)
-	var buf []ir.Var
-	for i := range nd.Instrs {
-		ins := &nd.Instrs[i]
-		if ins.HasDst() {
-			set(defs, int(ins.Dst))
-		}
-		buf = ins.Uses(buf[:0])
-		for _, u := range buf {
-			if u.Valid() {
-				set(uses, int(u))
-			}
-		}
-	}
-	if nd.Kind != cfg.TermBranch || !d.conditional || !nd.Cond.Valid() {
-		return
-	}
-	set(uses, int(nd.Cond))
-	// Replay refine's token pass: tokens depend only on the block's
-	// instructions, never on interval values.
-	tokens := d.tokens
-	for i := range tokens {
-		tokens[i] = int32(i)
-	}
-	next := int32(d.nv)
-	pdefs := d.defs[:0]
-	for i := range nd.Instrs {
-		in := &nd.Instrs[i]
-		if !in.HasDst() {
-			continue
-		}
-		if in.Op == ir.Copy {
-			tokens[in.Dst] = tokens[in.A]
-			continue
-		}
-		tok := next
-		next++
-		var pd pdef
-		switch in.Op {
-		case ir.Eq, ir.Ne, ir.Lt, ir.Le, ir.Gt, ir.Ge:
-			pd = pdef{op: in.Op, tokA: tokens[in.A], tokB: tokens[in.B], isComparison: true}
-		}
-		pdefs = append(pdefs, pd)
-		tokens[in.Dst] = tok
-	}
-	d.defs = pdefs
-	condTok := tokens[nd.Cond]
-	for v := range tokens {
-		if tokens[v] == condTok {
-			set(defs, v)
-		}
-	}
-	if condTok < int32(d.nv) {
-		return
-	}
-	pd := pdefs[condTok-int32(d.nv)]
-	if !pd.isComparison {
-		return
-	}
-	for v := range tokens {
-		if tokens[v] == pd.tokA || tokens[v] == pd.tokB {
-			set(defs, v)
-		}
-	}
-}
-
-// MeetMasked implements kernel.SparseDomain: the hull over exactly the
-// masked cells, iterated bit by bit.
-func (d *packedDomain) MeetMasked(dst, src int, mask, dirty []uint64) bool {
-	dl, dh := d.spans.Row(dst)
-	sl, sh := d.spans.Row(src)
-	changed := false
-	for w, m := range mask {
-		for m != 0 {
-			i := w*64 + mbits.TrailingZeros64(m)
-			m &= m - 1
-			if i >= len(dl) {
-				break
-			}
-			mv := cell(dl, dh, i).Meet(cell(sl, sh, i))
-			nl, nh := mv.Lo, mv.Hi
-			if !mv.present {
-				nl, nh = PosInf, NegInf
-			}
-			if nl != dl[i] || nh != dh[i] {
-				dl[i], dh[i] = nl, nh
-				dirty[w] |= 1 << (uint32(i) % 64)
-				changed = true
-			}
-		}
-	}
-	return changed
-}
-
 // env boxes row r into a standard Env.
 func (d *packedDomain) env(r int) Env {
 	lo, hi := d.spans.Row(r)
@@ -402,19 +290,6 @@ func (d *packedDomain) env(r int) Env {
 func analyzePacked(g *cfg.Graph, p *Problem) *Result {
 	d := newPackedDomain(g, p)
 	s := kernel.NewSolver(g, d)
-	s.Run()
-	sol := s.Materialize(func(row int) dataflow.Fact { return d.env(row) })
-	return &Result{G: g, Sol: sol, n: p.NumVars}
-}
-
-// analyzeSparse runs range analysis on the sparse solver. Widening is
-// order-sensitive, so the sparse schedule for this domain is the dense
-// one (FIFO, every pop transfers) with masked deliveries — the
-// trajectory, and therefore every fact, matches the dense kernel
-// exactly, iteration counts included.
-func analyzeSparse(g *cfg.Graph, p *Problem) *Result {
-	d := newPackedDomain(g, p)
-	s := kernel.NewSparseSolver(g, d)
 	s.Run()
 	sol := s.Materialize(func(row int) dataflow.Fact { return d.env(row) })
 	return &Result{G: g, Sol: sol, n: p.NumVars}

@@ -1,6 +1,7 @@
 package progen_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -9,7 +10,7 @@ import (
 	"pathflow/internal/bl"
 	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
-	"pathflow/internal/core"
+	"pathflow/internal/engine"
 	"pathflow/internal/interp"
 	"pathflow/internal/ir"
 	"pathflow/internal/lang"
@@ -125,7 +126,7 @@ func TestPipelinePreservesSemantics(t *testing.T) {
 			t.Fatalf("seed %d: profile: %v", seed, err)
 		}
 		for _, ca := range []float64{0.5, 1.0} {
-			res, err := core.AnalyzeProgram(prog, train, core.Options{CA: ca, CR: 0.95})
+			res, err := engine.Serial().AnalyzeProgram(context.Background(), prog, train, engine.Options{CA: ca, CR: 0.95})
 			if err != nil {
 				t.Fatalf("seed %d ca=%v: analyze: %v", seed, ca, err)
 			}
@@ -167,7 +168,7 @@ func TestPipelinePreservesSemantics(t *testing.T) {
 			}
 		}
 		// Baseline (all passes on the original graphs) equivalence.
-		baseProg, _ := core.BaselineProgram(prog, opt.PassesAll)
+		baseProg, _ := engine.BaselineProgram(prog, opt.PassesAll)
 		got := runProg(t, baseProg, seed)
 		if !reflect.DeepEqual(got.Output, want.Output) {
 			t.Fatalf("seed %d: baseline-folded program diverged", seed)
@@ -231,7 +232,7 @@ func TestQualifiedConstPropSoundOnHPG(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		res, err := core.AnalyzeProgram(prog, train, core.Options{CA: 1.0, CR: 0.95})
+		res, err := engine.Serial().AnalyzeProgram(context.Background(), prog, train, engine.Options{CA: 1.0, CR: 0.95})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -73,11 +73,10 @@ type OptionsSpec struct {
 	// any violation fails the job with a check-stage error.
 	Verify bool `json:"verify,omitempty"`
 	// Kernel selects the data-flow solver backend: "packed" (default,
-	// the allocation-free arena kernels), "boxed" (the reference
-	// implementation), or "sparse" (def-use-chain propagation on the
-	// packed arenas) — the same syntax as the CLI's -kernel. All
-	// produce identical facts; the knob exists for speed, differential
-	// testing, and as an escape hatch.
+	// the allocation-free arena kernels) or "boxed" (the reference
+	// implementation) — the same syntax as the CLI's -kernel. Both
+	// produce identical facts; the knob exists for differential testing
+	// and as an escape hatch.
 	Kernel string `json:"kernel,omitempty"`
 	// Feasible runs the feasible-path qualification pass: the branch-
 	// correlation detector computes a sound infeasible-edge set per graph

@@ -219,19 +219,24 @@ func TestClientsAndVerifyOverHTTP(t *testing.T) {
 	}
 
 	// Unknown kernel → 400 carrying engine.UnknownKernelError's hint,
-	// verbatim the line the CLI prints.
-	resp, data = postJSON(t, ts.URL+"/v1/analyze",
-		[]byte(`{"program": "compress", "options": {"ca": 0.97, "cr": 0.95, "kernel": "dense"}}`))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad kernel status = %d, body %s", resp.StatusCode, data)
-	}
-	eb = ErrorBody{}
-	if err := json.Unmarshal(data, &eb); err != nil {
-		t.Fatalf("error body not JSON: %v\n%s", err, data)
-	}
+	// verbatim the line the CLI prints. "sparse" names a retired backend.
 	wantHint = (&engine.UnknownKernelError{Name: "dense"}).Hint()
-	if eb.Hint != wantHint {
-		t.Errorf("kernel hint = %q, want the CLI's %q", eb.Hint, wantHint)
+	if wantHint != "valid kernels: packed (default), boxed" {
+		t.Errorf("kernel hint = %q, want the two-backend list", wantHint)
+	}
+	for _, kernel := range []string{"dense", "sparse"} {
+		resp, data = postJSON(t, ts.URL+"/v1/analyze",
+			[]byte(`{"program": "compress", "options": {"ca": 0.97, "cr": 0.95, "kernel": "`+kernel+`"}}`))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("kernel %q status = %d, body %s", kernel, resp.StatusCode, data)
+		}
+		eb = ErrorBody{}
+		if err := json.Unmarshal(data, &eb); err != nil {
+			t.Fatalf("error body not JSON: %v\n%s", err, data)
+		}
+		if eb.Hint != wantHint {
+			t.Errorf("kernel %q hint = %q, want the CLI's %q", kernel, eb.Hint, wantHint)
+		}
 	}
 }
 
