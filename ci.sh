@@ -45,6 +45,11 @@
 #                           FuzzFeasibleSoundness: no trace-observed
 #                           edge is ever marked infeasible on random
 #                           correlated-branch programs;
+#                           FuzzClampedEquivalence: feasible.Detect's
+#                           packed clamped interval solves match the
+#                           boxed ClampedProblem reference on every
+#                           graph tier, unmasked and under Detect's
+#                           mask, and Detect matches the boxed fold;
 #                           FuzzAccumulatorMerge: the decaying
 #                           accumulator algebra stays commutative/
 #                           associative and Decay commutes with Merge
@@ -63,7 +68,10 @@
 #                           and at 1000 registers: reduction reads
 #                           solutions only at block inputs, so its
 #                           allocations may not grow with the register
-#                           file
+#                           file; and BenchmarkDetect/packed must
+#                           allocate at most a tenth of the B/op of
+#                           BenchmarkDetect/reference (the boxed fold
+#                           it replaced) over the named programs' graphs
 #   9. check smoke          `pathflow check` over examples/hotpath.pf
 #                           and all seven benchmarks on the default
 #                           packed kernels: the precision differential
@@ -155,6 +163,9 @@ go test -run '^$' -fuzz '^FuzzKernelEquivalence$' -fuzztime 10s ./internal/engin
 # The branch-correlation detector must never prune an edge a real
 # execution traverses, over programs biased toward correlated re-tests.
 go test -run '^$' -fuzz '^FuzzFeasibleSoundness$' -fuzztime 10s ./internal/feasible/
+# Detect's packed clamped interval domain must match the boxed
+# ClampedProblem on every tier, with and without Detect's mask.
+go test -run '^$' -fuzz '^FuzzClampedEquivalence$' -fuzztime 10s ./internal/feasible/
 # The streaming layer's two wire surfaces: the accumulator algebra must
 # stay commutative/associative (and Decay/Merge must commute) on
 # fuzzer-chosen ingestion histories, and arbitrary bytes thrown at the
@@ -186,6 +197,19 @@ echo "$reduce_out" | awk '
         if (sa == "" || la == "") { print "reduce gate: BenchmarkReduce lines missing" > "/dev/stderr"; exit 1 }
         if (sa != la) { printf "reduce gate: allocs/op %s at 10 registers, %s at 1000\n", sa, la > "/dev/stderr"; exit 1 }
         if (lb > sb * 1.05) { printf "reduce gate: B/op %s at 10 registers, %s at 1000\n", sb, lb > "/dev/stderr"; exit 1 }
+    }'
+
+# Feasible detection solves on the packed kernel and reads only the
+# solvers' executable edges: over the named programs' graph tiers it must
+# allocate at most a tenth of the bytes the boxed reference fold does.
+detect_out=$(go test -run '^$' -bench '^BenchmarkDetect$' -benchmem -benchtime 2x ./internal/feasible/)
+echo "$detect_out"
+echo "$detect_out" | awk '
+    /BenchmarkDetect\/packed-/    { for (i = 1; i < NF; i++) if ($(i+1) == "B/op") pb = $i }
+    /BenchmarkDetect\/reference-/ { for (i = 1; i < NF; i++) if ($(i+1) == "B/op") rb = $i }
+    END {
+        if (pb == "" || rb == "") { print "detect gate: BenchmarkDetect lines missing" > "/dev/stderr"; exit 1 }
+        if (pb * 10 > rb) { printf "detect gate: packed %s B/op, reference %s B/op; want at most a tenth\n", pb, rb > "/dev/stderr"; exit 1 }
     }'
 
 tmpdir=$(mktemp -d)

@@ -151,8 +151,20 @@ func (d *packedDomain) env(r int) Env {
 // allocs-per-op gate in ci.sh benchmarks exactly this entry point;
 // AnalyzePacked wraps it for one-shot use.
 func PackedSolver(g *cfg.Graph, numVars int, conditional bool) *kernel.Solver {
-	d := &packedDomain{g: g, conditional: conditional, cells: kernel.NewKV(numVars)}
-	return kernel.NewSolver(g, d)
+	return PackedSolverMasked(g, numVars, conditional, nil)
+}
+
+// PackedSolverMasked is PackedSolver under an infeasible-edge mask
+// (nil behaves like PackedSolver). Each Run reads the mask afresh, so a
+// caller that grows it in place between runs solves under the grown
+// mask — feasible.Detect's edges-only folds read EdgeExecutable straight
+// off the solver this way, with no facts boxed.
+func PackedSolverMasked(g *cfg.Graph, numVars int, conditional bool, infeasible []bool) *kernel.Solver {
+	return kernel.NewSolver(g, newPackedDomain(g, numVars, conditional, infeasible))
+}
+
+func newPackedDomain(g *cfg.Graph, numVars int, conditional bool, infeasible []bool) *packedDomain {
+	return &packedDomain{g: g, conditional: conditional, infeasible: infeasible, cells: kernel.NewKV(numVars)}
 }
 
 // AnalyzePacked runs constant propagation on the packed SoA kernel. The
@@ -162,7 +174,7 @@ func AnalyzePacked(g *cfg.Graph, numVars int, conditional bool) *Result {
 }
 
 func solvePacked(g *cfg.Graph, numVars int, conditional bool, infeasible []bool) *Result {
-	d := &packedDomain{g: g, conditional: conditional, infeasible: infeasible, cells: kernel.NewKV(numVars)}
+	d := newPackedDomain(g, numVars, conditional, infeasible)
 	s := kernel.NewSolver(g, d)
 	s.Run()
 	return &Result{G: g, Sol: s.Materialize(func(row int) dataflow.Fact { return d.env(row) })}

@@ -44,7 +44,6 @@ package feasible
 import (
 	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
-	"pathflow/internal/dataflow"
 	"pathflow/internal/intervals"
 	"pathflow/internal/ir"
 )
@@ -84,17 +83,22 @@ const maxRounds = 3
 // Detect computes the infeasible-edge set of g. It is deterministic
 // (same graph, same mask) and kernel-independent, so the result can be
 // cached and shared across solver backends.
+//
+// The lattice evidence comes from two packed kernel solvers built once
+// per call. Both hold the mask Detect grows in place, so each fold just
+// re-runs them and reads their executable edges; no fact is boxed.
 func Detect(g *cfg.Graph, numVars int) *Edges {
 	mask := make([]bool, len(g.Edges))
 	info := buildNodeInfo(g, numVars)
-	thr := intervals.Thresholds(g)
+	wz := constprop.PackedSolverMasked(g, numVars, true, mask)
+	iv := intervals.ClampedSolver(g, numVars, intervals.Thresholds(g), true, mask)
 
 	fold := func() bool {
+		wz.Run()
+		iv.Run()
 		changed := false
-		wz := constprop.AnalyzeMasked(g, numVars, true, dataflow.KernelPacked, mask)
-		iv := intervals.AnalyzeClampedMasked(g, numVars, thr, true, mask)
 		for e := range mask {
-			if !mask[e] && (!wz.Sol.EdgeExecutable[e] || !iv.Sol.EdgeExecutable[e]) {
+			if !mask[e] && (!wz.EdgeExecutable[e] || !iv.EdgeExecutable[e]) {
 				mask[e] = true
 				changed = true
 			}

@@ -1,12 +1,17 @@
 package feasible_test
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"pathflow/internal/bl"
+	"pathflow/internal/cfg"
 	"pathflow/internal/dataflow/oracle"
+	"pathflow/internal/engine"
 	"pathflow/internal/feasible"
 	"pathflow/internal/interp"
+	"pathflow/internal/intervals"
 	"pathflow/internal/ir"
 	"pathflow/internal/lang"
 	"pathflow/internal/profile"
@@ -68,6 +73,54 @@ func FuzzFeasibleSoundness(f *testing.F) {
 			if err := oracle.CheckTraces("feasible", name, counts, feas.Infeasible).Err(); err != nil {
 				t.Errorf("seed %d func %s: %v", seed, name, err)
 			}
+		}
+	})
+}
+
+// FuzzClampedEquivalence is the falsifier for Detect's packed clamped
+// interval domain: on every graph tier (CFG, HPG, rHPG) of a random
+// correlated-branch program, the packed clamped solve must equal the
+// boxed ClampedProblem solve — facts, reachability, edge executability
+// and iteration count — both unmasked and under Detect's mask, and
+// Detect must produce exactly the boxed reference fold's mask.
+func FuzzClampedEquivalence(f *testing.F) {
+	f.Add(uint64(1), uint64(5))
+	f.Add(uint64(2), uint64(3))
+	f.Add(uint64(7), uint64(9))
+	f.Add(uint64(42), uint64(17))
+	f.Add(uint64(138), uint64(5))
+
+	f.Fuzz(func(t *testing.T, seed, inputSeed uint64) {
+		cfgc := progen.DefaultConfig(seed)
+		cfgc.Correlated = 40
+		prog, err := lang.Compile(progen.Generate(cfgc))
+		if err != nil {
+			t.Fatalf("seed %d: generated program does not compile: %v", seed, err)
+		}
+		train, _, err := bl.ProfileProgram(prog, interp.Options{
+			Args:     []ir.Value{3, 7, 11},
+			Input:    fuzzInput(inputSeed),
+			MaxSteps: 2_000_000,
+		})
+		if err != nil {
+			t.Skip("training run did not terminate in budget")
+		}
+		eng := engine.New(engine.Config{Workers: 1})
+		res, err := eng.AnalyzeProgram(context.Background(), prog, train, engine.Options{CA: 0.97, CR: 0.95, Feasible: true})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, rg := range tierGraphs(nil, map[*cfg.Graph]bool{}, fmt.Sprintf("seed %d", seed), res) {
+			thr := intervals.Thresholds(rg.g)
+			got := feasible.Detect(rg.g, rg.nv)
+			want := detectReference(rg.g, rg.nv)
+			for e := range want {
+				if got.Infeasible[e] != want[e] {
+					t.Fatalf("%s: edge %d infeasible=%t, reference %t", rg.label, e, got.Infeasible[e], want[e])
+				}
+			}
+			checkClampedMatchesBoxed(t, rg.label+" unmasked", rg.g, rg.nv, thr, nil)
+			checkClampedMatchesBoxed(t, rg.label+" masked", rg.g, rg.nv, thr, got.Infeasible)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 
 	"pathflow/internal/cfg"
 	"pathflow/internal/dataflow"
+	"pathflow/internal/dataflow/kernel"
 	"pathflow/internal/ir"
 )
 
@@ -76,6 +77,9 @@ func Clamp(a Interval, t []int64) Interval {
 // delivered fact's bounds outward to T. It deliberately does NOT
 // implement dataflow.Widener — the finite lattice makes widening
 // unnecessary, and omitting it is what restores the oracle's guarantee.
+// The oracle compares facts with its Meet and Equal; the analyses
+// themselves solve on the packed clampedDomain, and dataflow.Solve over
+// ClampedProblem remains the boxed reference the tests hold them to.
 type ClampedProblem struct {
 	NumVars int
 	// Conditional enables branch pruning and comparison refinement,
@@ -120,17 +124,121 @@ func (p *ClampedProblem) Transfer(g *cfg.Graph, n cfg.NodeID, in dataflow.Fact, 
 	}
 }
 
+// clampedDomain is ClampedProblem on the packed kernel: packedDomain's
+// span rows, Transfer and Meet, with every cell a Transfer changed
+// rounded outward to T. It wraps rather than embeds packedDomain so it
+// does not inherit WidenInto/Tune: a kernel.WidenDomain would make the
+// solver widen and switch to FIFO order, which ClampedProblem never
+// does.
+//
+// Clamping only what changed is exact. Node rows only ever hold
+// threshold-bounded cells — Boundary writes ±∞, scratch rows are
+// clamped before the solver copies or meets them in, and the hull of
+// two thresholds is a threshold — and Clamp leaves a threshold bound
+// where it is, so a bound the Transfer left equal to its input bound is
+// already what ClampedProblem's whole-environment clamp would make of
+// it.
+type clampedDomain struct {
+	p *packedDomain
+	t []int64
+}
+
+func (d *clampedDomain) Direction() dataflow.Direction { return dataflow.Forward }
+func (d *clampedDomain) Grow(rows int)                 { d.p.Grow(rows) }
+func (d *clampedDomain) Boundary(dst int)              { d.p.Boundary(dst) }
+func (d *clampedDomain) Copy(dst, src int)             { d.p.Copy(dst, src) }
+func (d *clampedDomain) Meet(dst, src int) bool        { return d.p.Meet(dst, src) }
+func (d *clampedDomain) Equal(a, b int) bool           { return d.p.Equal(a, b) }
+
+// Transfer runs the range transfer, then clamps, in each scratch row a
+// slot points to, the cells that differ from the input row — and of
+// those only the bounds that changed (an empty input cell is (+∞, −∞),
+// both thresholds too).
+func (d *clampedDomain) Transfer(n cfg.NodeID, in, scratch int, slots []int8) {
+	d.p.Transfer(n, in, scratch, slots)
+	il, ih := d.p.spans.Row(in)
+	t := d.t
+	var done [3]bool
+	for _, sub := range slots {
+		if sub < 0 || done[sub] {
+			continue
+		}
+		done[sub] = true
+		lo, hi := d.p.spans.Row(scratch + int(sub))
+		for v := range lo {
+			if lo[v] > hi[v] {
+				continue // empty: nothing to round
+			}
+			if lo[v] != il[v] {
+				lo[v] = floorThreshold(t, lo[v])
+			}
+			if hi[v] != ih[v] {
+				hi[v] = ceilThreshold(t, hi[v])
+			}
+		}
+	}
+}
+
+// floorThreshold returns the largest threshold ≤ k; t is sorted and
+// starts with NegInf.
+func floorThreshold(t []int64, k int64) int64 {
+	i, j := 0, len(t)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if t[h] <= k {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return t[i-1]
+}
+
+// ceilThreshold returns the smallest threshold ≥ k; t is sorted and
+// ends with PosInf.
+func ceilThreshold(t []int64, k int64) int64 {
+	i, j := 0, len(t)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if t[h] < k {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return t[i]
+}
+
+// ClampedSolver builds a reusable packed solver for the widening-free
+// threshold-lattice range analysis over g. Every Run re-solves from
+// scratch without allocating and reads infeasible (which may be nil)
+// afresh, so a caller that grows the mask in place between runs solves
+// under the grown mask. Its Reached, EdgeExecutable and Iterations equal
+// those of dataflow.Solve over the same ClampedProblem.
+func ClampedSolver(g *cfg.Graph, numVars int, thresholds []int64, conditional bool, infeasible []bool) *kernel.Solver {
+	return kernel.NewSolver(g, newClampedDomain(g, numVars, thresholds, conditional, infeasible))
+}
+
+func newClampedDomain(g *cfg.Graph, numVars int, thresholds []int64, conditional bool, infeasible []bool) *clampedDomain {
+	p := newPackedDomain(g, &Problem{NumVars: numVars, Conditional: conditional, Infeasible: infeasible})
+	return &clampedDomain{p: p, t: thresholds}
+}
+
 // AnalyzeClamped runs the widening-free threshold-lattice range analysis
 // over g. Callers comparing solutions across graph tiers must pass the
 // same threshold set to every tier.
 func AnalyzeClamped(g *cfg.Graph, numVars int, thresholds []int64, conditional bool) *Result {
-	p := &ClampedProblem{NumVars: numVars, Conditional: conditional, T: thresholds}
-	return &Result{G: g, Sol: dataflow.Solve(g, p), n: numVars}
+	return AnalyzeClampedMasked(g, numVars, thresholds, conditional, nil)
 }
 
 // AnalyzeClampedMasked is AnalyzeClamped with an infeasible-edge mask
-// (nil behaves like AnalyzeClamped).
+// (nil behaves like AnalyzeClamped). It solves on the packed kernel and
+// boxes the facts; the solution equals dataflow.Solve over the same
+// ClampedProblem, iteration counts included.
 func AnalyzeClampedMasked(g *cfg.Graph, numVars int, thresholds []int64, conditional bool, infeasible []bool) *Result {
-	p := &ClampedProblem{NumVars: numVars, Conditional: conditional, T: thresholds, Infeasible: infeasible}
-	return &Result{G: g, Sol: dataflow.Solve(g, p), n: numVars}
+	d := newClampedDomain(g, numVars, thresholds, conditional, infeasible)
+	s := kernel.NewSolver(g, d)
+	s.Run()
+	sol := s.Materialize(func(row int) dataflow.Fact { return d.p.env(row) })
+	return &Result{G: g, Sol: sol, n: numVars}
 }

@@ -10,10 +10,10 @@ import (
 // packedDomain is the SoA kernel for range analysis: environments live
 // as rows of a (lo []int64, hi []int64) arena. The empty interval is
 // encoded canonically as lo > hi (kernel.Span's convention), so raw
-// cell comparison matches Env.Equal. Branch refinement reuses
-// preallocated token/def/operand buffers instead of the boxed path's
-// per-call map and slices — the only state refineBranch ever needed
-// was block-local and bounded by the function's shape.
+// cell comparison matches Env.Equal. Branch refinement runs from plans
+// built once per graph instead of the boxed path's per-call value
+// numbering: which registers hold the condition and its comparison's
+// operands depends only on the block, never on the facts.
 type packedDomain struct {
 	g                 *cfg.Graph
 	nv                int
@@ -22,10 +22,18 @@ type packedDomain struct {
 	spans             *kernel.Span
 	threshold, passes int
 
-	// refine scratch, sized once per graph
-	tokens []int32
-	defs   []pdef  // defs[tok - nv], one per non-Copy dst instr of the block
-	as, bs []int32 // registers holding the comparison operands
+	plans []refinePlan // per node; set for branches of conditional domains
+	regs  []int32      // the plans' register lists, back to back
+}
+
+// refinePlan is refineBranch's fact-independent half for one branch
+// node: regs[cond0:as0] hold the condition's value at block exit, and
+// when the condition is a comparison defined in the block,
+// regs[as0:bs0] and regs[bs0:end] hold its two operands.
+type refinePlan struct {
+	cond0, as0, bs0, end int32
+	op                   ir.Op
+	isComparison         bool
 }
 
 // pdef tracks the defining comparison of a value token, if any (the
@@ -43,19 +51,72 @@ func newPackedDomain(g *cfg.Graph, p *Problem) *packedDomain {
 		conditional: p.Conditional,
 		infeasible:  p.Infeasible,
 		spans:       kernel.NewSpan(p.NumVars),
-		tokens:      make([]int32, p.NumVars),
-		as:          make([]int32, 0, p.NumVars),
-		bs:          make([]int32, 0, p.NumVars),
 	}
 	d.threshold, d.passes = dataflow.TuningOf(p)
-	maxInstrs := 0
-	for _, nd := range g.Nodes {
-		if len(nd.Instrs) > maxInstrs {
-			maxInstrs = len(nd.Instrs)
+	if p.Conditional {
+		d.buildPlans()
+	}
+	return d
+}
+
+// buildPlans runs refineBranch's block-local value numbering once per
+// branch node and records the registers each refinement touches.
+func (d *packedDomain) buildPlans() {
+	g, nv := d.g, d.nv
+	d.plans = make([]refinePlan, len(g.Nodes))
+	tokens := make([]int32, nv)
+	var defs []pdef // defs[tok - nv], one per non-Copy dst instr of the block
+	holders := func(tok int32) {
+		for v := range tokens {
+			if tokens[v] == tok {
+				d.regs = append(d.regs, int32(v))
+			}
 		}
 	}
-	d.defs = make([]pdef, 0, maxInstrs)
-	return d
+	for _, nd := range g.Nodes {
+		if nd.Kind != cfg.TermBranch {
+			continue
+		}
+		for i := range tokens {
+			tokens[i] = int32(i)
+		}
+		next := int32(nv)
+		defs = defs[:0]
+		for i := range nd.Instrs {
+			in := &nd.Instrs[i]
+			if !in.HasDst() {
+				continue
+			}
+			if in.Op == ir.Copy {
+				tokens[in.Dst] = tokens[in.A]
+				continue
+			}
+			tok := next
+			next++
+			var pd pdef
+			switch in.Op {
+			case ir.Eq, ir.Ne, ir.Lt, ir.Le, ir.Gt, ir.Ge:
+				pd = pdef{op: in.Op, tokA: tokens[in.A], tokB: tokens[in.B], isComparison: true}
+			}
+			defs = append(defs, pd)
+			tokens[in.Dst] = tok
+		}
+		condTok := tokens[nd.Cond]
+		pl := refinePlan{cond0: int32(len(d.regs))}
+		holders(condTok)
+		pl.as0 = int32(len(d.regs))
+		pl.bs0 = pl.as0
+		if condTok >= int32(nv) {
+			if pd := defs[condTok-int32(nv)]; pd.isComparison {
+				pl.op, pl.isComparison = pd.op, true
+				holders(pd.tokA)
+				pl.bs0 = int32(len(d.regs))
+				holders(pd.tokB)
+			}
+		}
+		pl.end = int32(len(d.regs))
+		d.plans[nd.ID] = pl
+	}
 }
 
 func (d *packedDomain) Direction() dataflow.Direction { return dataflow.Forward }
@@ -88,19 +149,29 @@ func put(lo, hi []int64, i int, v Interval) {
 	lo[i], hi[i] = v.Lo, v.Hi
 }
 
-// Meet hulls src into dst pointwise.
+// Meet hulls src into dst pointwise, on the raw cells: an empty src
+// cell leaves dst as it is, an empty dst cell takes src, and otherwise
+// the bounds spread to cover both.
 func (d *packedDomain) Meet(dst, src int) bool {
 	dl, dh := d.spans.Row(dst)
 	sl, sh := d.spans.Row(src)
 	changed := false
 	for i := range dl {
-		m := cell(dl, dh, i).Meet(cell(sl, sh, i))
-		nl, nh := m.Lo, m.Hi
-		if !m.present {
-			nl, nh = PosInf, NegInf
+		lo, hi := sl[i], sh[i]
+		if lo > hi {
+			continue
 		}
-		if nl != dl[i] || nh != dh[i] {
-			dl[i], dh[i] = nl, nh
+		if dl[i] > dh[i] {
+			dl[i], dh[i] = lo, hi
+			changed = true
+			continue
+		}
+		if lo < dl[i] {
+			dl[i] = lo
+			changed = true
+		}
+		if hi > dh[i] {
+			dh[i] = hi
 			changed = true
 		}
 	}
@@ -181,81 +252,35 @@ func (d *packedDomain) Transfer(n cfg.NodeID, in, scratch int, slots []int8) {
 	}
 }
 
-// refine is refineBranch over SoA cells with reused scratch buffers.
+// refine is refineBranch over SoA cells, driven by n's plan.
 func (d *packedDomain) refine(nd *cfg.Node, lo, hi []int64, taken bool) {
-	tokens := d.tokens
-	for i := range tokens {
-		tokens[i] = int32(i)
-	}
-	next := int32(d.nv)
-	defs := d.defs[:0]
-	for i := range nd.Instrs {
-		in := &nd.Instrs[i]
-		if !in.HasDst() {
-			continue
-		}
-		if in.Op == ir.Copy {
-			tokens[in.Dst] = tokens[in.A]
-			continue
-		}
-		tok := next
-		next++
-		var pd pdef
-		switch in.Op {
-		case ir.Eq, ir.Ne, ir.Lt, ir.Le, ir.Gt, ir.Ge:
-			pd = pdef{op: in.Op, tokA: tokens[in.A], tokB: tokens[in.B], isComparison: true}
-		}
-		defs = append(defs, pd)
-		tokens[in.Dst] = tok
-	}
-	d.defs = defs
-	condTok := tokens[nd.Cond]
+	pl := &d.plans[nd.ID]
 
 	// The condition itself is 0 on the fall-through leg, non-zero on the
 	// taken leg; clip every register holding its value.
-	for v := range tokens {
-		if tokens[v] != condTok {
-			continue
-		}
+	for _, v := range d.regs[pl.cond0:pl.as0] {
 		if taken {
-			iv := cell(lo, hi, v)
+			iv := cell(lo, hi, int(v))
 			if iv.Contains(0) {
 				// Only boundary zeros can be removed from an interval.
 				if iv.Lo == 0 && iv.Hi > 0 {
-					put(lo, hi, v, iv.Intersect(Range(1, PosInf)))
+					put(lo, hi, int(v), iv.Intersect(Range(1, PosInf)))
 				} else if iv.Hi == 0 && iv.Lo < 0 {
-					put(lo, hi, v, iv.Intersect(Range(NegInf, -1)))
+					put(lo, hi, int(v), iv.Intersect(Range(NegInf, -1)))
 				}
 			}
 		} else {
-			put(lo, hi, v, cell(lo, hi, v).Intersect(ConstI(0)))
+			put(lo, hi, int(v), cell(lo, hi, int(v)).Intersect(ConstI(0)))
 		}
 	}
 
-	if condTok < int32(d.nv) {
-		return // the condition's value has no defining instruction here
-	}
-	pd := defs[condTok-int32(d.nv)]
-	if !pd.isComparison {
+	as, bs := d.regs[pl.as0:pl.bs0], d.regs[pl.bs0:pl.end]
+	if !pl.isComparison || (len(as) == 0 && len(bs) == 0) {
 		return
 	}
-	op := pd.op
+	op := pl.op
 	if !taken {
 		op = negateCmp(op)
-	}
-	// Gather the registers still holding the operands' values.
-	as, bs := d.as[:0], d.bs[:0]
-	for v := range tokens {
-		if tokens[v] == pd.tokA {
-			as = append(as, int32(v))
-		}
-		if tokens[v] == pd.tokB {
-			bs = append(bs, int32(v))
-		}
-	}
-	d.as, d.bs = as, bs
-	if len(as) == 0 && len(bs) == 0 {
-		return
 	}
 	// Operand intervals (all regs in a group hold the same value).
 	aIv, bIv := Full(), Full()

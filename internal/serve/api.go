@@ -406,6 +406,10 @@ func errorBody(err error) ErrorBody {
 	if errors.As(err, &be) {
 		b.Hint = be.Hint()
 	}
+	var tl *BodyTooLargeError
+	if errors.As(err, &tl) {
+		b.Hint = tl.Hint()
+	}
 	var se *engine.StageError
 	if errors.As(err, &se) {
 		b.Stage = string(se.Stage)
@@ -418,11 +422,16 @@ func errorBody(err error) ErrorBody {
 }
 
 // statusFor maps request-validation errors to HTTP status codes: unknown
-// program names are 404, every other bad input is 400.
+// program names are 404, oversized bodies 413, every other bad input is
+// 400.
 func statusFor(err error) int {
 	var ub *bench.UnknownBenchmarkError
 	if errors.As(err, &ub) {
 		return http.StatusNotFound
+	}
+	var tl *BodyTooLargeError
+	if errors.As(err, &tl) {
+		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
 }

@@ -213,8 +213,8 @@ type StreamStateResponse struct {
 
 func (s *Server) handleProfileIngest(w http.ResponseWriter, r *http.Request) {
 	var req IngestRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, requestID(r), http.StatusBadRequest, err)
+	if err := decodeBody(w, r, &req); err != nil {
+		writeError(w, requestID(r), statusFor(err), err)
 		return
 	}
 	rt, err := resolveTarget(&req.TargetSpec)

@@ -553,6 +553,39 @@ func TestErrorMapping(t *testing.T) {
 	}
 }
 
+// TestOversizedBodies: every endpoint that decodes a JSON body stops
+// reading at maxBodyBytes and answers 413 with a hint, before any
+// program is compiled or profile applied.
+func TestOversizedBodies(t *testing.T) {
+	srv := mustNew(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.jobs.Shutdown()
+
+	pad := strings.Repeat("x", maxBodyBytes)
+	wantHint := (&BodyTooLargeError{Limit: maxBodyBytes}).Hint()
+	for _, tc := range []struct {
+		path, body string
+	}{
+		{"/v1/analyze", `{"source": "` + pad + `"}`},
+		{"/v1/sweep", `{"program": "compress", "points": [], "source": "` + pad + `"}`},
+		{"/v1/profiles", `{"program": "compress", "agent": "` + pad + `"}`},
+	} {
+		resp, data := postJSON(t, ts.URL+tc.path, []byte(tc.body))
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status = %d, want 413; body %.200s", tc.path, resp.StatusCode, data)
+			continue
+		}
+		var eb ErrorBody
+		if err := json.Unmarshal(data, &eb); err != nil {
+			t.Fatalf("%s: error body not JSON: %v\n%s", tc.path, err, data)
+		}
+		if eb.Hint != wantHint || eb.RequestID == "" {
+			t.Errorf("%s: error body %+v, want hint %q and a request id", tc.path, eb, wantHint)
+		}
+	}
+}
+
 // --- Sweep + events stream ------------------------------------------------
 
 func TestSweepAndEventStream(t *testing.T) {

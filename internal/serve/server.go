@@ -418,11 +418,38 @@ func (s *Server) runPoints(ctx context.Context, job *Job, rt *resolvedTarget, po
 
 // --- Handlers -------------------------------------------------------------
 
-// decodeBody strictly decodes a JSON request body.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds every JSON request body. The largest named
+// program's source is under 20 KB and a profile batch carrying every
+// trained path of one is a few tens of KB, so 1 MiB leaves wide room
+// for inline sources and batches while a client can no longer stream an
+// unbounded body into the decoder.
+const maxBodyBytes = 1 << 20
+
+// BodyTooLargeError reports a request body over maxBodyBytes; it maps
+// to 413.
+type BodyTooLargeError struct {
+	Limit int64
+}
+
+func (e *BodyTooLargeError) Error() string {
+	return fmt.Sprintf("serve: request body exceeds %d bytes", e.Limit)
+}
+
+// Hint tells the client how to get under the limit.
+func (e *BodyTooLargeError) Hint() string {
+	return fmt.Sprintf("request bodies are limited to %d bytes; split profile batches or shorten the inline source", e.Limit)
+}
+
+// decodeBody strictly decodes a JSON request body of at most
+// maxBodyBytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var mb *http.MaxBytesError
+		if errors.As(err, &mb) {
+			return &BodyTooLargeError{Limit: mb.Limit}
+		}
 		return fmt.Errorf("serve: bad request body: %w", err)
 	}
 	return nil
@@ -437,8 +464,8 @@ func (s *Server) timeoutFor(ms int64) time.Duration {
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, requestID(r), http.StatusBadRequest, err)
+	if err := decodeBody(w, r, &req); err != nil {
+		writeError(w, requestID(r), statusFor(err), err)
 		return
 	}
 	rt, err := resolveTarget(&req.TargetSpec)
@@ -470,8 +497,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, requestID(r), http.StatusBadRequest, err)
+	if err := decodeBody(w, r, &req); err != nil {
+		writeError(w, requestID(r), statusFor(err), err)
 		return
 	}
 	if len(req.Points) == 0 {
