@@ -9,15 +9,8 @@
 package pathflow
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -31,11 +24,9 @@ import (
 	"pathflow/internal/constprop"
 	"pathflow/internal/dataflow/kernel"
 	"pathflow/internal/engine"
-	"pathflow/internal/fabric"
 	"pathflow/internal/interp"
 	"pathflow/internal/profile"
 	"pathflow/internal/profile/stream"
-	"pathflow/internal/serve"
 	"pathflow/internal/trace"
 	"pathflow/internal/tupling"
 )
@@ -748,175 +739,6 @@ func BenchmarkAnalyzeKernels(b *testing.B) {
 		}
 		b.ReportMetric(float64(nodes), "nodes")
 	})
-}
-
-// --- Sharded sweep ---------------------------------------------------------
-
-// shardedSweepPoints is the per-benchmark grid BenchmarkShardedSweep
-// fans out: three coverage points around the recommended one, so every
-// function contributes three fabric tasks and the LPT scheduler has
-// enough grain to balance.
-var shardedSweepPoints = []serve.OptionsSpec{
-	{CA: 0.95, CR: 0.95},
-	{CA: 0.97, CR: 0.95},
-	{CA: 0.99, CR: 0.95},
-}
-
-// runShardedSweep drives one cold distributed sweep of the full
-// 7-benchmark suite through a fabric coordinator and nWorkers in-process
-// workers (each with a private engine and cache, bridged only by the
-// coordinator's bundle and profile endpoints). Returns the wall time and
-// each worker's busy (task compute) time.
-//
-// The harness has one machine, so N concurrent workers would time-share
-// the CPU and each task's wall-clock duration would absorb the other
-// workers' slices — busy time would inflate ~N× and say nothing about
-// fleet scaling. Instead the fleet is a discrete-event simulation over
-// real work: one driver goroutine repeatedly picks the worker with the
-// least accumulated busy time — the host whose clock reaches its next
-// free moment first — and has it run one full fabric.Worker.Step
-// (lease, compute, complete), timed uncontended. Lease order, affinity
-// warm-up, and work stealing therefore unfold exactly as on N
-// independent single-core hosts, and max-per-worker Σ busy is the
-// fleet's makespan.
-func runShardedSweep(b *testing.B, nWorkers int) (time.Duration, []time.Duration) {
-	b.Helper()
-	srv, err := serve.New(serve.Config{Workers: 1, MaxJobs: 8, Fabric: true, CacheDir: b.TempDir()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer srv.Jobs().Shutdown()
-
-	ctx, cancel := context.WithCancel(benchCtx)
-	defer cancel()
-	busy := make([]time.Duration, nWorkers)
-	workers := make([]*fabric.Worker, nWorkers)
-	for i := range workers {
-		eng, err := engine.Open(engine.Config{Workers: 1, Cache: true, CacheDir: b.TempDir()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		remote := fabric.NewRemoteCache(ctx, ts.URL, nil)
-		eng.Disk().SetRemote(remote)
-		workers[i] = &fabric.Worker{
-			ID:   fmt.Sprintf("w%d", i),
-			Base: ts.URL,
-			Run:  serve.NewTaskRunner(eng).WithProfileExchange(remote).Run,
-			Poll: 5 * time.Millisecond,
-		}
-	}
-	driverDone := make(chan struct{})
-	go func() {
-		defer close(driverDone)
-		for ctx.Err() == nil {
-			next := 0
-			for i := range busy {
-				if busy[i] < busy[next] {
-					next = i
-				}
-			}
-			t0 := time.Now()
-			ran, _, _ := workers[next].Step(ctx)
-			if ran {
-				busy[next] += time.Since(t0)
-			} else {
-				time.Sleep(500 * time.Microsecond)
-			}
-		}
-	}()
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for _, bm := range bench.All() {
-		wg.Add(1)
-		go func(name string) {
-			defer wg.Done()
-			body, err := json.Marshal(serve.SweepRequest{
-				TargetSpec:  serve.TargetSpec{Program: name},
-				Points:      shardedSweepPoints,
-				Distributed: true,
-			})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			resp, err := http.Post(ts.URL+"/v1/sweep?wait=1", "application/json", bytes.NewReader(body))
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			defer resp.Body.Close()
-			var job struct {
-				State string `json:"state"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-				b.Error(err)
-				return
-			}
-			if resp.StatusCode != http.StatusOK || job.State != "done" {
-				b.Errorf("%s: sweep status %d, state %q", name, resp.StatusCode, job.State)
-			}
-		}(bm.Name)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	if os.Getenv("SHARDED_DEBUG") != "" {
-		fmt.Fprintf(os.Stderr, "fleet=%d busy=%v\n", nWorkers, busy)
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err == nil {
-			io.Copy(os.Stderr, resp.Body) //nolint:errcheck
-			resp.Body.Close()
-		}
-	}
-	cancel()     // stop the driver loop
-	<-driverDone // after which busy is quiescent
-	return wall, busy
-}
-
-// BenchmarkShardedSweep measures the fabric's scheduling quality on the
-// full suite at fleet sizes 1, 2 and 4. The harness runs on one machine
-// (discrete-event fleet simulation; see runShardedSweep), so raw wall
-// time cannot show fleet scaling; the fleet-scaling metric is the
-// makespan — the maximum per-worker busy time, i.e. the wall time an
-// N-host fleet would take for the same schedule. busy-ms (the summed
-// compute) shows the sharding overhead: duplicated training runs and
-// missed bundle reuse would appear as busy inflation over the 1-worker
-// run.
-//
-// Each iteration runs all three fleet sizes back to back so they share
-// one ambient-noise window, and per-config results keep the minimum
-// over iterations — external CPU contention only ever adds time, so
-// min is the noise-robust estimator for a deterministic workload.
-func BenchmarkShardedSweep(b *testing.B) {
-	fleets := []int{1, 2, 4}
-	makespan := map[int]time.Duration{}
-	busyTotal := map[int]time.Duration{}
-	wallMin := map[int]time.Duration{}
-	for i := 0; i < b.N; i++ {
-		for _, n := range fleets {
-			runtime.GC()
-			wall, busies := runShardedSweep(b, n)
-			var max, sum time.Duration
-			for _, d := range busies {
-				sum += d
-				if d > max {
-					max = d
-				}
-			}
-			if cur, ok := makespan[n]; !ok || max < cur {
-				makespan[n], busyTotal[n], wallMin[n] = max, sum, wall
-			}
-		}
-	}
-	for _, n := range fleets {
-		b.ReportMetric(float64(makespan[n])/1e6, fmt.Sprintf("makespan-%dw-ms", n))
-		b.ReportMetric(float64(busyTotal[n])/1e6, fmt.Sprintf("busy-%dw-ms", n))
-		b.ReportMetric(float64(wallMin[n])/1e6, fmt.Sprintf("wall-%dw-ms", n))
-	}
-	b.ReportMetric(float64(makespan[1])/float64(makespan[2]), "speedup-2w")
-	b.ReportMetric(float64(makespan[1])/float64(makespan[4]), "speedup-4w")
 }
 
 // BenchmarkStreamingDrift times the streaming ingest → drift → requalify

@@ -19,8 +19,7 @@
 #                           -race — the persistent diskcache store,
 #                           the bench harness memo, the serving
 #                           layer's job manager +
-#                           streams, the distributed fabric's queue +
-#                           coordinator + worker loop, the streaming
+#                           streams, the streaming
 #                           accumulator sets and the watch runner —
 #                           including a concurrent ingest + sweep +
 #                           live-analyze test against one server), plus the
@@ -105,16 +104,6 @@
 #                           edit's round must classify the edited
 #                           function as a body delta and replay
 #                           untouched functions as 'none'
-#  14. fabric smoke         distributed analysis end-to-end: a `serve
-#                           -fabric` coordinator plus two `pathflow
-#                           worker` processes (private cache dirs, so
-#                           artifacts flow only through the coordinator's
-#                           bundle exchange); a distributed sweep's
-#                           result bytes must equal the same sweep run
-#                           in-process, and SIGKILLing a worker mid-job
-#                           must not lose it — the expired lease
-#                           requeues its tasks on the survivor and the
-#                           result bytes must still match
 #
 # Exit status is nonzero on the first failure. See README.md ("Verifying").
 set -e
@@ -146,7 +135,7 @@ go test ./...
 
 echo "== race"
 go test -race ./internal/engine/ ./internal/engine/diskcache/ ./internal/bench/ ./internal/serve/ \
-    ./internal/fabric/ ./internal/profile/stream/ ./internal/watch/ \
+    ./internal/profile/stream/ ./internal/watch/ \
     ./internal/liveness/ ./internal/availexpr/ ./internal/dataflow/oracle/ \
     ./internal/dataflow/ ./internal/dataflow/kernel/ ./internal/constprop/ ./internal/intervals/ \
     ./internal/feasible/ ./internal/lint/
@@ -215,8 +204,6 @@ echo "$detect_out" | awk '
 tmpdir=$(mktemp -d)
 cleanup() {
     [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null
-    [ -n "$wa_pid" ] && kill "$wa_pid" 2>/dev/null
-    [ -n "$wb_pid" ] && kill "$wb_pid" 2>/dev/null
     [ -n "$watch_pid" ] && kill "$watch_pid" 2>/dev/null
     rm -rf "$tmpdir"
 }
@@ -451,90 +438,5 @@ grep -Eq '^1 +main +body ' "$tmpdir/watch.txt" || {
 grep -Eq '^1 +[a-z]+ +none +- ' "$tmpdir/watch.txt" || {
     echo "watch smoke: no untouched function replayed as 'none'" >&2
     cat "$tmpdir/watch.txt" >&2; exit 1; }
-
-echo "== fabric smoke"
-# Distributed analysis end to end. The coordinator gets a short lease
-# TTL so the worker-kill gate recovers in seconds; the workers get
-# private cache dirs so every artifact they share travels through the
-# coordinator's content-addressed bundle exchange, never a common
-# filesystem.
-start_serve "$tmpdir/fabric.log" -cachedir "$tmpdir/fabcache" -fabric -fabric-lease 2s
-
-"$tmpdir/pathflow" worker -join "http://$addr" -id wA -cachedir "$tmpdir/wA" >"$tmpdir/wA.log" 2>&1 &
-wa_pid=$!
-"$tmpdir/pathflow" worker -join "http://$addr" -id wB -cachedir "$tmpdir/wB" >"$tmpdir/wB.log" 2>&1 &
-wb_pid=$!
-
-sweep1='"program": "compress", "points": [{"ca": 0.95, "cr": 0.95}, {"ca": 0.99, "cr": 0.95}]'
-
-# Gate 1: byte-identity. The same sweep in-process on the server's own
-# engine, then sharded over both workers — the result payloads must be
-# byte-for-byte equal.
-curl -fsS -X POST "http://$addr/v1/sweep?wait=1" -H 'Content-Type: application/json' \
-    -d "{$sweep1}" >"$tmpdir/r1.json"
-grep -q '"state": "done"' "$tmpdir/r1.json" || {
-    echo "fabric smoke: in-process reference sweep did not finish 'done'" >&2
-    cat "$tmpdir/r1.json" >&2; exit 1; }
-job_result "$tmpdir/r1.json" "$tmpdir/r1_result.json"
-curl -fsS -X POST "http://$addr/v1/sweep?wait=1" -H 'Content-Type: application/json' \
-    -d "{$sweep1, \"distributed\": true}" >"$tmpdir/d1.json"
-grep -q '"state": "done"' "$tmpdir/d1.json" || {
-    echo "fabric smoke: distributed sweep did not finish 'done'" >&2
-    cat "$tmpdir/d1.json" >&2
-    cat "$tmpdir/wA.log" "$tmpdir/wB.log" >&2; exit 1; }
-job_result "$tmpdir/d1.json" "$tmpdir/d1_result.json"
-cmp -s "$tmpdir/r1_result.json" "$tmpdir/d1_result.json" || {
-    echo "fabric smoke: distributed result differs from in-process result" >&2
-    diff "$tmpdir/r1_result.json" "$tmpdir/d1_result.json" >&2 || true; exit 1; }
-
-# Gate 2: worker-kill recovery. Shard a bigger sweep, SIGKILL one
-# worker while it is in flight (no drain, no goodbye), and require the
-# job to finish anyway — the dead worker's lease expires and its tasks
-# requeue on the survivor — with bytes still identical to in-process.
-sweep2='"program": "go", "points": [{"ca": 0.95, "cr": 0.95}, {"ca": 0.97, "cr": 0.95}, {"ca": 0.99, "cr": 0.95}]'
-curl -fsS -X POST "http://$addr/v1/sweep" -H 'Content-Type: application/json' \
-    -d "{$sweep2, \"distributed\": true}" >"$tmpdir/d2_submit.json"
-sleep 0.3
-kill -9 "$wb_pid" 2>/dev/null
-wb_pid=""
-d2_id=$(sed -n 's/.*"job_id": "\([^"]*\)".*/\1/p' "$tmpdir/d2_submit.json")
-[ -n "$d2_id" ] || { echo "fabric smoke: no job id for kill-recovery sweep" >&2
-    cat "$tmpdir/d2_submit.json" >&2; exit 1; }
-i=0
-while [ $i -lt 240 ]; do
-    curl -fsS "http://$addr/v1/jobs/$d2_id" >"$tmpdir/d2.json"
-    grep -q '"state": "done"' "$tmpdir/d2.json" && break
-    if grep -q '"state": "failed"' "$tmpdir/d2.json"; then
-        echo "fabric smoke: sweep failed after worker kill" >&2
-        cat "$tmpdir/d2.json" >&2; exit 1
-    fi
-    sleep 0.5
-    i=$((i + 1))
-done
-grep -q '"state": "done"' "$tmpdir/d2.json" || {
-    echo "fabric smoke: sweep never finished after worker kill" >&2
-    cat "$tmpdir/d2.json" >&2; cat "$tmpdir/wA.log" >&2; exit 1; }
-job_result "$tmpdir/d2.json" "$tmpdir/d2_result.json"
-curl -fsS -X POST "http://$addr/v1/sweep?wait=1" -H 'Content-Type: application/json' \
-    -d "{$sweep2}" >"$tmpdir/r2.json"
-grep -q '"state": "done"' "$tmpdir/r2.json" || {
-    echo "fabric smoke: second in-process reference sweep did not finish 'done'" >&2
-    cat "$tmpdir/r2.json" >&2; exit 1; }
-job_result "$tmpdir/r2.json" "$tmpdir/r2_result.json"
-cmp -s "$tmpdir/r2_result.json" "$tmpdir/d2_result.json" || {
-    echo "fabric smoke: post-kill distributed result differs from in-process result" >&2
-    diff "$tmpdir/r2_result.json" "$tmpdir/d2_result.json" >&2 || true; exit 1; }
-# The fabric surfaced in /metrics: every completed task counted,
-# whichever worker ended up running it.
-curl -fsS "http://$addr/metrics" >"$tmpdir/fabric_metrics.txt"
-done_n=$(sed -n 's/^pathflow_fabric_tasks_total{state="done"} //p' "$tmpdir/fabric_metrics.txt")
-if [ -z "$done_n" ] || [ "$done_n" -eq 0 ]; then
-    echo "fabric smoke: pathflow_fabric_tasks_total{state=\"done\"} is ${done_n:-missing}" >&2
-    exit 1
-fi
-
-kill "$wa_pid" 2>/dev/null
-wa_pid=""
-stop_serve "$tmpdir/fabric.log"
 
 echo "ci.sh: all gates passed"

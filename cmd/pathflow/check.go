@@ -21,7 +21,7 @@ func cmdCheck(args []string) error {
 	ca := fs.Float64("ca", 0.97, "hot-path coverage CA")
 	cr := fs.Float64("cr", 0.95, "reduction benefit cutoff CR")
 	workers := fs.Int("workers", 0, "parallel function analyses (0 = NumCPU)")
-	kernelFlag := fs.String("kernel", "packed", "data-flow solver backend: packed (arena kernels) or boxed (reference)")
+	kernelFlag := fs.String("kernel", "packed", "data-flow solver backend: packed (the production kernels); boxed is the test reference, not a production choice")
 	quiet := fs.Bool("q", false, "print only violations and the final verdict")
 	feasible := fs.Bool("feasible", false, "also run feasible-path qualification and its extended soundness gates (masked ⊒ unmasked per tier, plus the executed-edge trace gate)")
 	cflags := addCacheFlags(fs, "")

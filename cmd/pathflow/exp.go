@@ -25,7 +25,7 @@ func cmdExp(args []string) error {
 	workers := fs.Int("workers", 0, "parallel function analyses (0 = NumCPU)")
 	nocache := fs.Bool("nocache", false, "disable the cross-run artifact cache")
 	verbose := fs.Bool("v", false, "print per-stage cache provenance (computed/memory/disk) after the run")
-	kernelFlag := fs.String("kernel", "packed", "data-flow solver backend: packed (arena kernels) or boxed (reference)")
+	kernelFlag := fs.String("kernel", "packed", "data-flow solver backend: packed (the production kernels); boxed is the test reference, not a production choice")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (after the experiment) to this file")
 	cflags := addCacheFlags(fs, "")

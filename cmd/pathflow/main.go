@@ -15,7 +15,6 @@
 //	pathflow exp     table1|table2|fig7|fig9|fig10|fig11|fig12|ablation|clients|feasible|all
 //	pathflow watch   -src file [-profile prof.pf] [-interval d] [-rounds n]
 //	pathflow serve   [-addr host:port] [-maxjobs n] [-workers n] [-timeout d]
-//	pathflow worker  -join http://host:port [-id name] [-cachedir dir]
 package main
 
 import (
@@ -69,8 +68,6 @@ func main() {
 		err = cmdWatch(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
-	case "worker":
-		err = cmdWorker(os.Args[2:])
 	case "help", "-h", "--help":
 		usage()
 	default:
@@ -130,9 +127,6 @@ commands:
   serve   [-addr host:port] [...] run the long-running analysis service
                                  (shared artifact cache, job manager,
                                  live per-stage metrics; see README)
-  worker  -join http://host:port  join a serve -fabric coordinator and
-                                 run distributed sweep tasks (leases,
-                                 shared bundle cache; see README)
 `)
 }
 
@@ -302,7 +296,7 @@ func cmdAnalyze(args []string) error {
 	showConsts := fs.Bool("consts", false, "list discovered non-local constants")
 	profFile := fs.String("profile", "", "use a saved profile instead of running the training input")
 	clientsFlag := fs.String("clients", "none", "extra data-flow clients to run: none, liveness, availexpr, all")
-	kernelFlag := fs.String("kernel", "packed", "data-flow solver backend: packed (arena kernels) or boxed (reference)")
+	kernelFlag := fs.String("kernel", "packed", "data-flow solver backend: packed (the production kernels); boxed is the test reference, not a production choice")
 	verify := fs.Bool("verify", false, "run the precision differential oracle as a final stage")
 	feasible := fs.Bool("feasible", false, "run the feasible-path qualification pass: detect branch correlations, prune infeasible edges, and analyze every client on the pruned graphs")
 	baseFile := fs.String("baseline", "", "previous source version: warm the cache with its analysis, classify the edit per function, and report which stages replayed vs recomputed")

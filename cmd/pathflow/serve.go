@@ -25,8 +25,6 @@ func cmdServe(args []string) error {
 	maxJobs := fs.Int("maxjobs", 2, "concurrently running jobs (further submissions queue)")
 	timeout := fs.Duration("timeout", 0, "default per-job deadline (0 = none; requests may set timeout_ms)")
 	nocache := fs.Bool("nocache", false, "disable the shared artifact cache")
-	fab := fs.Bool("fabric", false, "mount the distributed-analysis coordinator (workers join with `pathflow worker -join`; sweeps opt in with \"distributed\": true)")
-	fabLease := fs.Duration("fabric-lease", 0, "fabric worker lease TTL (0 = default 10s); a worker that stops heartbeating for this long forfeits its task")
 	cflags := addCacheFlags(fs, "512M")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -54,8 +52,6 @@ func cmdServe(args []string) error {
 		CacheMaxBytes:  maxBytes,
 		MemoryMaxBytes: memBytes,
 		DefaultTimeout: *timeout,
-		Fabric:         *fab,
-		FabricLeaseTTL: *fabLease,
 	})
 	if err != nil {
 		return err

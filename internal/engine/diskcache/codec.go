@@ -9,7 +9,11 @@
 //     fixed header with a format-version byte, and a trailing FNV-64a
 //     checksum). Any framing defect — bad magic, unknown version, kind
 //     mismatch, truncation, bit flips — is reported as ErrCorrupt and
-//     treated by the store as a miss, never as an error.
+//     treated by the store as a miss, never as an error. A cache file is
+//     untrusted input: other processes share the directory, older
+//     binaries leave their formats behind, and disks rot. So the frame
+//     checksum and the decoders' length bounds stay on every read, and
+//     FuzzDiskcacheCodec feeds them arbitrary bytes.
 //   - artifacts.go: encoders/decoders for the per-stage bundles the
 //     engine caches (hot sets, automata, HPG graphs, data-flow
 //     solutions, translated profiles, reduced graphs), each carrying
@@ -127,22 +131,6 @@ func unframe(kind Kind, data []byte) ([]byte, error) {
 		return nil, ErrCorrupt
 	}
 	return body[headerLen:], nil
-}
-
-// CheckFrame validates a bundle frame whose expected kind is not known
-// from a typed Key — magic, version, a kind byte in range, and the
-// trailing checksum. This is the admission check for bundles arriving
-// from fabric peers, where the claimed kind comes from the untrusted
-// file name: a frame that passes still gets the full kind-matched
-// unframe (and the artifact decoder's structural validation) before any
-// payload is used, so CheckFrame only has to reject noise, truncation,
-// and version skew at the door.
-func CheckFrame(kind Kind, data []byte) error {
-	if kind == 0 || kind > KindStream {
-		return ErrCorrupt
-	}
-	_, err := unframe(kind, data)
-	return err
 }
 
 // KindFromString maps a bundle-kind name (the file-name prefix) back to

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 )
@@ -290,6 +291,66 @@ func TestStoreCrossProcessFallback(t *testing.T) {
 	}
 	if st := b.Stats(); st.Entries != 1 {
 		t.Errorf("fallback did not adopt entry: %+v", st)
+	}
+}
+
+// TestSharedDirConcurrentPublish is the cross-process race surface run
+// in-process: many stores (one per simulated worker) over ONE shared
+// directory, concurrently publishing the same fingerprints and reading
+// them back. The O_EXCL-temp + rename discipline must keep every read
+// either a clean miss or a fully written frame — run under -race in CI.
+func TestSharedDirConcurrentPublish(t *testing.T) {
+	dir := t.TempDir()
+	const workers = 4
+	const keys = 8
+	const rounds = 25
+
+	stores := make([]*Store, workers)
+	for i := range stores {
+		s, err := Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = s
+	}
+	payload := func(i int) []byte {
+		return frame(KindSelect, bytes.Repeat([]byte{byte(i)}, 64))
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(s *Store) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i := 0; i < keys; i++ {
+					// Same key ⇒ same content: racing writers are
+					// byte-equivalent, so any winner is correct.
+					s.Put(testKey(i), payload(i))
+					if data, ok := s.Get(testKey(i)); ok {
+						if _, err := unframe(KindSelect, data); err != nil {
+							t.Errorf("read a torn frame for key %d: %v", i, err)
+							return
+						}
+						if !bytes.Equal(data, payload(i)) {
+							t.Errorf("key %d served wrong content", i)
+							return
+						}
+					}
+				}
+			}
+		}(stores[w])
+	}
+	wg.Wait()
+
+	// Every store ends with every key readable.
+	for wi, s := range stores {
+		for i := 0; i < keys; i++ {
+			data, ok := s.Get(testKey(i))
+			if !ok || !bytes.Equal(data, payload(i)) {
+				t.Fatalf("store %d: key %d unreadable after the race", wi, i)
+			}
+		}
 	}
 }
 

@@ -40,10 +40,10 @@ const (
 )
 
 // bundleNamePat matches well-formed bundle file names: a known kind
-// prefix, the three 16-hex-digit key fingerprints, and the suffix. Names
-// arriving over the fabric's bundle endpoints are untrusted path
-// components; anything that does not match is rejected before it can
-// touch the filesystem.
+// prefix, the three 16-hex-digit key fingerprints, and the suffix.
+// ReadBundle takes names from its caller (a directory listing, in
+// practice), so anything that does not match is rejected before it can
+// name a path outside the store.
 var bundleNamePat = regexp.MustCompile(`^([a-z]+)-[0-9a-f]{48}\.pfac$`)
 
 // ValidBundleName reports whether name is a well-formed bundle file name
@@ -55,18 +55,6 @@ func ValidBundleName(name string) (Kind, bool) {
 	}
 	k := KindFromString(m[1])
 	return k, k != 0
-}
-
-// Remote is an optional second bundle tier behind the local directory:
-// a peer (in practice the fabric coordinator) that is consulted on local
-// misses and offered every locally written bundle. Both calls are
-// best-effort — Fetch returning false and Push failing silently both
-// just cost a recompute somewhere — and implementations own their own
-// timeouts and retries. Fetched frames are checksum-validated before
-// adoption, so a corrupt peer bundle degrades to a miss.
-type Remote interface {
-	Fetch(name string) ([]byte, bool)
-	Push(name string, data []byte)
 }
 
 // DecodeBucketBounds are the decode-time histogram upper bounds in
@@ -100,10 +88,6 @@ type Stats struct {
 	DecodeCount   int64
 	DecodeSum     float64
 	DecodeBuckets [numDecodeBuckets]int64
-	// RemoteFetches counts bundles adopted from the remote tier on local
-	// misses; RemotePushes counts locally written bundles offered to it.
-	RemoteFetches int64
-	RemotePushes  int64
 }
 
 // entry is one resident bundle.
@@ -129,33 +113,10 @@ type Store struct {
 	seq     uint64
 
 	hits, misses, rejects, writes, evictions int64
-	remoteFetches, remotePushes              int64
 	decCount                                 int64
 	decSum                                   float64
 	decBuckets                               [numDecodeBuckets]int64
-
-	remote  Remote        // set once before concurrent use; nil = local only
-	pushSem chan struct{} // bounds in-flight async remote pushes
-	pushWG  sync.WaitGroup
 }
-
-// maxInflightPushes bounds the background remote-push goroutines per
-// store. Pushes past the bound wait their turn rather than drop: a
-// dropped push silently costs every fleet sibling a recompute.
-const maxInflightPushes = 4
-
-// SetRemote installs the remote bundle tier. Call once, before the
-// store is used concurrently.
-func (s *Store) SetRemote(r Remote) {
-	s.remote = r
-	s.pushSem = make(chan struct{}, maxInflightPushes)
-}
-
-// WaitRemote blocks until every background remote push started so far
-// has completed. Bundle delivery is otherwise asynchronous; callers that
-// need ordering against the remote tier (tests, graceful shutdown) wait
-// here.
-func (s *Store) WaitRemote() { s.pushWG.Wait() }
 
 // Open opens (creating if needed) the store rooted at dir with the given
 // byte budget. Pre-existing bundles are recovered into the LRU in
@@ -268,20 +229,6 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 			// Indexed but gone on disk (another process evicted it).
 			s.dropLocked(e)
 		}
-		s.mu.Unlock()
-		// Local miss: try the remote tier before giving up. A fetched
-		// frame is checksum-validated here and adopted locally, so peers
-		// serving bit rot cost nothing but the round-trip.
-		if s.remote != nil {
-			if rdata, rok := s.remote.Fetch(name); rok && CheckFrame(k.Kind, rdata) == nil {
-				s.mu.Lock()
-				s.remoteFetches++
-				s.mu.Unlock()
-				s.writeLocal(name, rdata)
-				return rdata, true
-			}
-		}
-		s.mu.Lock()
 		s.misses++
 		s.mu.Unlock()
 		return nil, false
@@ -342,32 +289,9 @@ func (s *Store) Reject(k Key) {
 // (unique per process and call, so concurrent writers never share a
 // partial file) and renamed into place atomically. Write failures are
 // swallowed — the store is a cache, losing a write only costs a future
-// recompute. Freshly computed bundles are also offered to the remote
-// tier, so fabric siblings (and a restarted fleet) find them without
-// recomputing. The offer is asynchronous — a push is best-effort and
-// pure overhead on the analysis critical path — and bounded by
-// maxInflightPushes; WaitRemote drains it.
+// recompute.
 func (s *Store) Put(k Key, data []byte) {
 	name := k.filename()
-	if !s.writeLocal(name, data) {
-		return
-	}
-	if s.remote != nil {
-		s.mu.Lock()
-		s.remotePushes++
-		s.mu.Unlock()
-		s.pushWG.Add(1)
-		s.pushSem <- struct{}{}
-		go func() {
-			defer func() { <-s.pushSem; s.pushWG.Done() }()
-			s.remote.Push(name, data)
-		}()
-	}
-}
-
-// writeLocal atomically writes one bundle file and indexes it. Returns
-// false if the write failed (and was cleaned up).
-func (s *Store) writeLocal(name string, data []byte) bool {
 	s.mu.Lock()
 	s.seq++
 	seq := s.seq
@@ -376,17 +300,17 @@ func (s *Store) writeLocal(name string, data []byte) bool {
 	tmp := filepath.Join(s.dir, fmt.Sprintf("%s.%d.%d%s", name, os.Getpid(), seq, tmpSuffix))
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
-		return false
+		return
 	}
 	_, werr := f.Write(data)
 	cerr := f.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp)
-		return false
+		return
 	}
 	if err := os.Rename(tmp, filepath.Join(s.dir, name)); err != nil {
 		os.Remove(tmp)
-		return false
+		return
 	}
 
 	s.mu.Lock()
@@ -404,14 +328,13 @@ func (s *Store) writeLocal(name string, data []byte) bool {
 	}
 	s.evictLocked()
 	s.mu.Unlock()
-	return true
 }
 
 // ReadBundle returns the raw frame stored under a bundle file name, for
-// serving to fabric peers. Unlike Get it never consults the remote tier
-// and does not count a miss — it describes what this store has, not what
-// an analysis needed. Malformed names are rejected without touching the
-// filesystem.
+// callers that walk the directory (perfbench's disk-read probe). Unlike
+// Get it does not count a miss — it describes what this store has, not
+// what an analysis needed. Malformed names are rejected without touching
+// the filesystem.
 func (s *Store) ReadBundle(name string) ([]byte, bool) {
 	if _, ok := ValidBundleName(name); !ok {
 		return nil, false
@@ -427,25 +350,6 @@ func (s *Store) ReadBundle(name string) ([]byte, bool) {
 	}
 	s.adoptEntry(name, int64(len(data)))
 	return data, true
-}
-
-// AdoptBundle validates and stores a frame pushed by a peer under a
-// bundle file name. The name must be well-formed, and the frame must
-// carry the name's kind and an intact checksum; anything else returns
-// ErrCorrupt and leaves the store untouched, so a misbehaving worker
-// cannot poison the shared tier with unreadable bytes.
-func (s *Store) AdoptBundle(name string, data []byte) error {
-	kind, ok := ValidBundleName(name)
-	if !ok {
-		return ErrCorrupt
-	}
-	if err := CheckFrame(kind, data); err != nil {
-		return err
-	}
-	if !s.writeLocal(name, data) {
-		return fmt.Errorf("diskcache: adopt %s: write failed", name)
-	}
-	return nil
 }
 
 // dropLocked removes e from the index without touching the filesystem.
@@ -485,7 +389,5 @@ func (s *Store) Stats() Stats {
 		DecodeCount:   s.decCount,
 		DecodeSum:     s.decSum,
 		DecodeBuckets: s.decBuckets,
-		RemoteFetches: s.remoteFetches,
-		RemotePushes:  s.remotePushes,
 	}
 }

@@ -160,7 +160,7 @@ func TestKindStreamRegistered(t *testing.T) {
 	if KindFromString("stream") != KindStream {
 		t.Fatal("KindFromString does not know stream")
 	}
-	if err := CheckFrame(KindStream, EncodeStream(Meta{}, &stream.SetSnapshot{})); err != nil {
-		t.Fatalf("CheckFrame(KindStream): %v", err)
+	if _, err := unframe(KindStream, EncodeStream(Meta{}, &stream.SetSnapshot{})); err != nil {
+		t.Fatalf("unframe(KindStream): %v", err)
 	}
 }

@@ -111,9 +111,8 @@ func Serial() *Engine { return New(Config{Workers: 1}) }
 func (e *Engine) Workers() int { return e.workers }
 
 // Disk returns the persistent artifact store, or nil when the engine
-// runs without one. The fabric layers its bundle exchange on it: the
-// coordinator serves and adopts bundles through the store's name-based
-// endpoints, and workers hang a Remote off it.
+// runs without one. It is for callers that inspect the disk tier
+// directly, such as perfbench's disk-read probe (Store.ReadBundle).
 func (e *Engine) Disk() *diskcache.Store {
 	if e.cache == nil {
 		return nil

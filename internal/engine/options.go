@@ -113,8 +113,8 @@ type Options struct {
 	// analysis the pipeline runs (constant propagation on all tiers,
 	// liveness, available expressions). The zero value is
 	// dataflow.KernelPacked — the allocation-free arena kernels;
-	// dataflow.KernelBoxed is the reference implementation, kept as an
-	// escape hatch and differential baseline. Both backends produce
+	// dataflow.KernelBoxed is the test reference for differential
+	// checks, not a production choice. Both backends produce
 	// pointwise identical facts, so the choice never enters cache keys.
 	Kernel dataflow.Kernel
 }

@@ -73,10 +73,9 @@ type OptionsSpec struct {
 	// any violation fails the job with a check-stage error.
 	Verify bool `json:"verify,omitempty"`
 	// Kernel selects the data-flow solver backend: "packed" (default,
-	// the allocation-free arena kernels) or "boxed" (the reference
-	// implementation) — the same syntax as the CLI's -kernel. Both
-	// produce identical facts; the knob exists for differential testing
-	// and as an escape hatch.
+	// the allocation-free arena kernels) or "boxed" — the same syntax as
+	// the CLI's -kernel. Both produce identical facts. "boxed" is the
+	// test reference for differential checks, not a production choice.
 	Kernel string `json:"kernel,omitempty"`
 	// Feasible runs the feasible-path qualification pass: the branch-
 	// correlation detector computes a sound infeasible-edge set per graph
@@ -132,21 +131,8 @@ type SweepRequest struct {
 	TargetSpec
 	Points    []OptionsSpec `json:"points"`
 	TimeoutMS int64         `json:"timeout_ms,omitempty"`
-	// Distributed shards the sweep — one task per (point, function) —
-	// across the fabric's worker pool instead of running it on the
-	// server's engine. Requires the server to run with -fabric; results
-	// are byte-identical either way.
-	Distributed bool `json:"distributed,omitempty"`
-	// BaselineSource, with Distributed, is a prior version of the
-	// target's source. The coordinator diffs it against the target and
-	// schedules each function's tasks with a priority scaled by its
-	// delta's dirty-stage count, so an edit's recompute frontier is
-	// fanned out first and untouched functions (pure cache replays)
-	// drain last.
-	BaselineSource string `json:"baseline_source,omitempty"`
 	// Live sweeps against the live streamed profile (see
-	// AnalyzeRequest.Live). Mutually exclusive with Distributed — the
-	// live stream is this server's state.
+	// AnalyzeRequest.Live).
 	Live bool `json:"live,omitempty"`
 }
 
@@ -213,9 +199,7 @@ func buildResult(name string, o engine.Options, res *engine.ProgramResult) *Anal
 	return out
 }
 
-// funcSummary projects one function's result onto the wire form. It is
-// the unit of fabric task results: a worker computes exactly this struct,
-// so a distributed sweep assembles the same bytes buildResult produces.
+// funcSummary projects one function's result onto the wire form.
 func funcSummary(fname string, fr *engine.FuncResult) FuncSummary {
 	fs := FuncSummary{
 		Name:         fname,
@@ -410,6 +394,10 @@ func errorBody(err error) ErrorBody {
 	if errors.As(err, &tl) {
 		b.Hint = tl.Hint()
 	}
+	var il *InputLenError
+	if errors.As(err, &il) {
+		b.Hint = il.Hint()
+	}
 	var se *engine.StageError
 	if errors.As(err, &se) {
 		b.Stage = string(se.Stage)
@@ -422,8 +410,8 @@ func errorBody(err error) ErrorBody {
 }
 
 // statusFor maps request-validation errors to HTTP status codes: unknown
-// program names are 404, oversized bodies 413, every other bad input is
-// 400.
+// program names are 404, oversized bodies 413, an over-limit input_len
+// 422, every other bad input is 400.
 func statusFor(err error) int {
 	var ub *bench.UnknownBenchmarkError
 	if errors.As(err, &ub) {
@@ -432,6 +420,10 @@ func statusFor(err error) int {
 	var tl *BodyTooLargeError
 	if errors.As(err, &tl) {
 		return http.StatusRequestEntityTooLarge
+	}
+	var il *InputLenError
+	if errors.As(err, &il) {
+		return http.StatusUnprocessableEntity
 	}
 	return http.StatusBadRequest
 }
@@ -469,14 +461,6 @@ type Health struct {
 	JobsInFlight  int            `json:"jobs_in_flight"`
 	JobsAccepted  int64          `json:"jobs_accepted"`
 	EngineCache   CacheStatsJSON `json:"engine_cache"`
-	Fabric        *FabricHealth  `json:"fabric,omitempty"`
-}
-
-// FabricHealth is the coordinator's queue depth in the /healthz body
-// (present only when the fabric is enabled).
-type FabricHealth struct {
-	TasksPending int `json:"tasks_pending"`
-	TasksLeased  int `json:"tasks_leased"`
 }
 
 // ProgramInfo describes one built-in benchmark (GET /v1/programs).

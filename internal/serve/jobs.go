@@ -61,12 +61,6 @@ type Event struct {
 	Replayed   bool    `json:"replayed,omitempty"`
 	Source     string  `json:"source,omitempty"`
 
-	// With type=task (distributed sweeps): which fabric worker finished
-	// (or lost) one (point, function) task. Requeued marks attempts the
-	// coordinator re-enqueued after a failure or lease expiry.
-	Worker   string `json:"worker,omitempty"`
-	Requeued bool   `json:"requeued,omitempty"`
-
 	Error string `json:"error,omitempty"` // with type=end, failed/canceled
 }
 

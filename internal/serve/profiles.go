@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http"
@@ -392,5 +391,3 @@ func (s *Server) runPointsLive(ctx context.Context, job *Job, rt *resolvedTarget
 	}
 	return nil
 }
-
-var errLiveDistributed = errors.New(`serve: "live" and "distributed" are mutually exclusive — the live stream is this server's state`)

@@ -289,29 +289,6 @@ func TestLiveAnalyzeRequalifiesOnlyDrift(t *testing.T) {
 	}
 }
 
-// TestLiveDistributedRejected: the live stream is server-local state,
-// so live+distributed sweeps are refused up front.
-func TestLiveDistributedRejected(t *testing.T) {
-	srv := mustNew(t, Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer srv.jobs.Shutdown()
-
-	body, err := json.Marshal(SweepRequest{
-		TargetSpec:  TargetSpec{Source: testSrc, Args: []int64{120}},
-		Points:      []OptionsSpec{{CA: 0.97, CR: 0.95}},
-		Live:        true,
-		Distributed: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, data := postJSON(t, ts.URL+"/v1/sweep", body)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("live+distributed status = %d, body %s", resp.StatusCode, data)
-	}
-}
-
 // TestStreamSnapshotPersistence: accumulated counts and per-agent
 // sequence numbers survive a server restart through the diskcache
 // snapshot, so redelivered batches still drop after the restart.

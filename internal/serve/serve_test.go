@@ -586,6 +586,89 @@ func TestOversizedBodies(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsDistributedFields: sweeps once accepted
+// "distributed" and "baseline_source" for sharding across worker
+// processes. The daemon now runs every sweep in process, and the strict
+// decoder refuses both as unknown fields.
+func TestSweepRejectsDistributedFields(t *testing.T) {
+	srv := mustNew(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.jobs.Shutdown()
+
+	for field, body := range map[string]string{
+		"distributed":     `{"program": "compress", "points": [{"ca": 0.97, "cr": 0.95}], "distributed": true}`,
+		"baseline_source": `{"program": "compress", "points": [{"ca": 0.97, "cr": 0.95}], "baseline_source": "func main() {}"}`,
+	} {
+		resp, data := postJSON(t, ts.URL+"/v1/sweep", []byte(body))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400; body %s", field, resp.StatusCode, data)
+			continue
+		}
+		var eb ErrorBody
+		if err := json.Unmarshal(data, &eb); err != nil {
+			t.Fatalf("%s: error body not JSON: %v\n%s", field, err, data)
+		}
+		if want := `unknown field "` + field + `"`; !strings.Contains(eb.Error, want) {
+			t.Errorf("%s: error %q does not name the unknown field", field, eb.Error)
+		}
+	}
+}
+
+// TestInputLenBound: an inline target's input_len above maxInputLen is
+// refused with 422 and a hint on every endpoint that resolves a target,
+// before the daemon allocates the input stream.
+func TestInputLenBound(t *testing.T) {
+	srv := mustNew(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.jobs.Shutdown()
+
+	src, err := json.Marshal(testSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := fmt.Sprintf(`"source": %s, "args": [120], "input_len": %d`, src, maxInputLen+1)
+	wantHint := (&InputLenError{Len: maxInputLen + 1, Limit: maxInputLen}).Hint()
+	for _, tc := range []struct {
+		name string
+		do   func() (*http.Response, []byte)
+	}{
+		{"/v1/analyze", func() (*http.Response, []byte) {
+			return postJSON(t, ts.URL+"/v1/analyze", []byte(`{`+target+`}`))
+		}},
+		{"/v1/sweep", func() (*http.Response, []byte) {
+			return postJSON(t, ts.URL+"/v1/sweep", []byte(`{`+target+`, "points": [{"ca": 0.97, "cr": 0.95}]}`))
+		}},
+		{"GET /v1/profiles", func() (*http.Response, []byte) {
+			return getBody(t, ts.URL+streamQuery(fmt.Sprintf("input_len=%d", maxInputLen+1)))
+		}},
+	} {
+		resp, data := tc.do()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status = %d, want 422; body %s", tc.name, resp.StatusCode, data)
+			continue
+		}
+		var eb ErrorBody
+		if err := json.Unmarshal(data, &eb); err != nil {
+			t.Fatalf("%s: error body not JSON: %v\n%s", tc.name, err, data)
+		}
+		if eb.Hint != wantHint || eb.RequestID == "" {
+			t.Errorf("%s: error body %+v, want hint %q and a request id", tc.name, eb, wantHint)
+		}
+	}
+
+	// The limit itself is accepted.
+	resp, data := postJSON(t, ts.URL+"/v1/analyze?wait=1",
+		[]byte(fmt.Sprintf(`{"source": %s, "args": [120], "input_len": %d}`, src, maxInputLen)))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("input_len at the limit: status = %d: %s", resp.StatusCode, data)
+	}
+	if job := decodeJob(t, data); job.State != JobDone {
+		t.Fatalf("input_len at the limit: job state = %q (%+v)", job.State, job.Error)
+	}
+}
+
 // --- Sweep + events stream ------------------------------------------------
 
 func TestSweepAndEventStream(t *testing.T) {
@@ -1018,5 +1101,35 @@ func TestRestartWarmStartsFromDisk(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Errorf("restarted server returned a different result:\n%s\n---\n%s", a, b)
+	}
+}
+
+func TestJobResultEndpointStates(t *testing.T) {
+	srv := mustNew(t, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.jobs.Shutdown()
+
+	resp, _ := getBody(t, ts.URL+"/v1/jobs/job-999/result")
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("result of unknown job = %d, want 404", resp.StatusCode)
+	}
+
+	// An analyze job's result endpoint returns the bare AnalyzeResult.
+	resp, data := postJSON(t, ts.URL+"/v1/analyze?wait=1", analyzeBody(t))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze = %d: %s", resp.StatusCode, data)
+	}
+	job := decodeJob(t, data)
+	resp, rdata := getBody(t, fmt.Sprintf("%s/v1/jobs/%s/result", ts.URL, job.ID))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("result = %d: %s", resp.StatusCode, rdata)
+	}
+	var ar AnalyzeResult
+	if err := json.Unmarshal(rdata, &ar); err != nil {
+		t.Fatalf("result payload is not an AnalyzeResult: %v\n%s", err, rdata)
+	}
+	if ar.Program == "" || len(ar.Functions) == 0 {
+		t.Fatalf("result payload empty: %s", rdata)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"pathflow/internal/bl"
 	"pathflow/internal/cfg"
 	"pathflow/internal/engine"
-	"pathflow/internal/fabric"
 	"pathflow/internal/interp"
 	"pathflow/internal/lang"
 )
@@ -48,16 +47,6 @@ type Config struct {
 	// DefaultTimeout is the per-job deadline applied when a request
 	// does not set timeout_ms; 0 means no deadline.
 	DefaultTimeout time.Duration
-	// Fabric mounts the distributed-analysis coordinator (the
-	// /fabric/v1/* endpoints) and enables "distributed": true sweeps.
-	// Workers join with `pathflow worker -join`.
-	Fabric bool
-	// FabricLeaseTTL is how long a worker lease survives without a
-	// heartbeat (0 means the fabric default, 10s).
-	FabricLeaseTTL time.Duration
-	// FabricMaxAttempts bounds per-task attempts (0 means the fabric
-	// default, 3).
-	FabricMaxAttempts int
 }
 
 // Server is the long-running analysis service. One engine — and
@@ -80,10 +69,6 @@ type Server struct {
 	streamsMu sync.Mutex
 	streams   map[string]*targetStream
 
-	// fabric is the distributed-analysis coordinator, or nil when
-	// Config.Fabric is off.
-	fabric *fabric.Coordinator
-
 	// hookStage, when non-nil, observes every engine StageEvent after
 	// the server's own bookkeeping. Test seam; set before serving.
 	hookStage func(engine.StageEvent)
@@ -100,10 +85,9 @@ type progEntry struct {
 }
 
 // progMemo memoizes training profiles keyed by the full target spec,
-// single-flight so overlapping requests share one training run. It is
-// used by the server and, independently, by each fabric worker's
-// TaskRunner — a worker pays each program's training run once, which is
-// exactly what the scheduler's affinity preference optimizes for.
+// single-flight so overlapping requests share one training run: every
+// job for a target after the first reuses its profile instead of
+// re-running the interpreter.
 type progMemo struct {
 	mu       sync.Mutex
 	programs map[string]*progEntry
@@ -145,24 +129,11 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/programs", s.handlePrograms)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if cfg.Fabric {
-		s.fabric = fabric.NewCoordinator(fabric.Config{
-			LeaseTTL:    cfg.FabricLeaseTTL,
-			MaxAttempts: cfg.FabricMaxAttempts,
-		}, eng.Disk())
-		s.fabric.Mount(s.mux)
-	}
 	return s, nil
 }
 
-// Fabric exposes the coordinator (nil when Config.Fabric is off).
-func (s *Server) Fabric() *fabric.Coordinator { return s.fabric }
-
 // Engine exposes the shared engine (cumulative CacheStats and friends).
 func (s *Server) Engine() *engine.Engine { return s.eng }
-
-// Jobs exposes the job manager.
-func (s *Server) Jobs() *Manager { return s.jobs }
 
 // Handler returns the service's HTTP handler (request-ID middleware
 // included), for tests and embedding.
@@ -250,11 +221,30 @@ type resolvedTarget struct {
 	fresh func() interp.Options
 }
 
+// maxInputLen bounds an inline target's input_len: the training run
+// allocates that many input values up front. The largest named
+// benchmark reads 16384, so 1<<20 leaves 64x headroom while a client can
+// no longer make the daemon allocate an arbitrary slice.
+const maxInputLen = 1 << 20
+
+// InputLenError reports an input_len over maxInputLen; it maps to 422.
+type InputLenError struct {
+	Len, Limit int
+}
+
+func (e *InputLenError) Error() string {
+	return fmt.Sprintf("serve: input_len %d exceeds %d", e.Len, e.Limit)
+}
+
+// Hint tells the client the accepted range.
+func (e *InputLenError) Hint() string {
+	return fmt.Sprintf("input_len must be at most %d (0 or omitted means 4096)", e.Limit)
+}
+
 // resolveTarget validates the spec and compiles (or looks up) the
-// program. The server calls it synchronously at submit time so bad
-// requests fail with 400/404 before a job is created (the expensive
-// training run happens later, inside the job); fabric workers call it
-// per leased task.
+// program. Handlers call it synchronously at submit time so bad
+// requests fail with 400/404/422 before a job is created; the expensive
+// training run happens later, inside the job.
 func resolveTarget(spec *TargetSpec) (*resolvedTarget, error) {
 	switch {
 	case spec.Program != "" && spec.Source != "":
@@ -282,6 +272,13 @@ func resolveTarget(spec *TargetSpec) (*resolvedTarget, error) {
 			fresh: fresh,
 		}, nil
 	}
+	inputLen := spec.InputLen
+	if inputLen <= 0 {
+		inputLen = 4096
+	}
+	if inputLen > maxInputLen {
+		return nil, &InputLenError{Len: inputLen, Limit: maxInputLen}
+	}
 	prog, err := lang.Compile(spec.Source)
 	if err != nil {
 		return nil, fmt.Errorf("serve: compiling inline source: %w", err)
@@ -289,10 +286,6 @@ func resolveTarget(spec *TargetSpec) (*resolvedTarget, error) {
 	seed := spec.Seed
 	if seed == 0 {
 		seed = 1
-	}
-	inputLen := spec.InputLen
-	if inputLen <= 0 {
-		inputLen = 4096
 	}
 	args := append([]int64(nil), spec.Args...)
 	fresh := func() interp.Options {
@@ -314,16 +307,6 @@ func resolveTarget(spec *TargetSpec) (*resolvedTarget, error) {
 // same target share one training run). The second return is the compute
 // cost in milliseconds; the third reports a memo hit.
 func (m *progMemo) trainProfile(rt *resolvedTarget) (*bl.ProgramProfile, float64, bool, error) {
-	return m.trainProfileVia(rt, func() (*bl.ProgramProfile, error) {
-		pp, _, err := bl.ProfileProgram(rt.prog, rt.fresh())
-		return pp, err
-	})
-}
-
-// trainProfileVia is trainProfile with the compute step swapped out —
-// the fabric worker path consults the coordinator's profile exchange
-// before falling back to a local training run.
-func (m *progMemo) trainProfileVia(rt *resolvedTarget, compute func() (*bl.ProgramProfile, error)) (*bl.ProgramProfile, float64, bool, error) {
 	m.mu.Lock()
 	e, ok := m.programs[rt.key]
 	if ok {
@@ -336,7 +319,7 @@ func (m *progMemo) trainProfileVia(rt *resolvedTarget, compute func() (*bl.Progr
 	m.mu.Unlock()
 
 	t0 := time.Now()
-	e.train, e.err = compute()
+	e.train, _, e.err = bl.ProfileProgram(rt.prog, rt.fresh())
 	e.profileMS = durMS(time.Since(t0))
 	close(e.ready)
 	if e.err != nil {
@@ -523,32 +506,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if req.Distributed {
-		if req.Live {
-			writeError(w, requestID(r), http.StatusBadRequest, errLiveDistributed)
-			return
-		}
-		if s.fabric == nil {
-			writeError(w, requestID(r), http.StatusBadRequest,
-				errors.New(`serve: "distributed" requires the fabric coordinator; start serve with -fabric`))
-			return
-		}
-		var baseline *cfg.Program
-		if req.BaselineSource != "" {
-			baseline, err = lang.Compile(req.BaselineSource)
-			if err != nil {
-				writeError(w, requestID(r), http.StatusBadRequest,
-					fmt.Errorf("serve: compiling baseline_source: %w", err))
-				return
-			}
-		}
-		target := req.TargetSpec
-		job := s.jobs.Submit("sweep", rt.name, s.timeoutFor(req.TimeoutMS), func(ctx context.Context, job *Job) error {
-			return s.runPointsDistributed(ctx, job, rt, target, points, baseline)
-		})
-		s.respondSubmitted(w, r, job)
-		return
-	}
 	run := s.runPoints
 	if req.Live {
 		run = s.runPointsLive
@@ -561,8 +518,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // handleJobResult serves only the deterministic result payload of a
 // finished job — no timings, no cache counters, no job envelope — so two
-// runs of the same request (local or distributed) can be compared
-// byte-for-byte with cmp.
+// runs of the same request can be compared byte-for-byte with cmp.
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	job := s.jobOr404(w, r)
 	if job == nil {
@@ -694,24 +650,16 @@ func (s *Server) handlePrograms(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	inFlight, accepted := s.metrics.snapshot()
-	h := Health{
+	writeJSON(w, http.StatusOK, Health{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.metrics.start).Seconds(),
 		JobsInFlight:  inFlight,
 		JobsAccepted:  accepted,
 		EngineCache:   cacheJSON(s.eng.CacheStats()),
-	}
-	if s.fabric != nil {
-		pending, leased := s.fabric.Depth()
-		h.Fabric = &FabricHealth{TasksPending: pending, TasksLeased: leased}
-	}
-	writeJSON(w, http.StatusOK, h)
+	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.render(w, s.eng.CacheStats())
-	if s.fabric != nil {
-		s.fabric.WriteMetrics(w)
-	}
 }
