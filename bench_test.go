@@ -744,8 +744,8 @@ func BenchmarkAnalyzeKernels(b *testing.B) {
 // BenchmarkStreamingDrift times the streaming ingest → drift → requalify
 // loop against full cold re-analysis. One iteration walks the suite: for
 // each benchmark, four hot-set-flipping counter batches land on a
-// decaying accumulator set (stream.Set) and the program re-analyzes with
-// every function under its classified delta.
+// decaying accumulator set (stream.Set) and the program re-analyzes
+// against the live profile.
 //
 //	cold   fresh engine per benchmark, every round recomputes the whole
 //	       program against the live profile
@@ -763,9 +763,8 @@ func BenchmarkStreamingDrift(b *testing.B) {
 	const rounds = 4
 
 	// runRounds drives one benchmark's drift trajectory on eng: apply
-	// the flip, materialize the live profile, diff, analyze per function
-	// under its delta class. Returns the last round's per-function
-	// results keyed by the round's drifted function.
+	// the flip, materialize the live profile, re-analyze the program.
+	// Returns the last round's drifted function and program result.
 	runRounds := func(b *testing.B, eng *engine.Engine, in *bench.Instance) (string, *engine.ProgramResult) {
 		b.Helper()
 		set := stream.NewSet(in.Prog, in.Train)
@@ -784,22 +783,9 @@ func BenchmarkStreamingDrift(b *testing.B) {
 				b.Fatal(err)
 			}
 			live := set.Profile()
-			deltas := engine.DiffPrograms(in.Prog, in.Prog, prev, live)
-			byName := make(map[string]*engine.Delta, len(deltas))
-			for _, d := range deltas {
-				byName[d.Func] = d
-			}
-			res := &engine.ProgramResult{Prog: in.Prog, Opt: o, Funcs: map[string]*engine.FuncResult{}}
-			for _, name := range in.Prog.Order {
-				class := engine.DeltaCold
-				if d := byName[name]; d != nil {
-					class = d.Class
-				}
-				fr, err := eng.AnalyzeFunc(engine.WithDeltaClass(benchCtx, class), in.Prog.Funcs[name], live.Funcs[name], o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res.Funcs[name] = fr
+			res, err := eng.AnalyzeProgram(benchCtx, in.Prog, live, o)
+			if err != nil {
+				b.Fatal(err)
 			}
 			prev, lastFn, lastRes = live, fn, res
 		}

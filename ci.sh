@@ -4,7 +4,9 @@
 # Runs, in order:
 #   1. go build ./...       every package compiles
 #   2. gofmt -l             no unformatted files
-#   3. go vet ./...         static checks
+#   3. go vet ./...         static checks, then the same in perfbench/
+#                           (a module of its own, so the root vet never
+#                           compiles it; it pins the engine and serve API)
 #   4. lint                 the hand-rolled drift linter (internal/lint):
 #                           Unknown*Error hints must enumerate the full
 #                           current option sets (kernels, clients,
@@ -121,6 +123,7 @@ fi
 
 echo "== vet"
 go vet ./...
+(cd perfbench && go vet ./...)
 
 echo "== lint"
 # Hand-rolled drift linter (internal/lint): every option name the

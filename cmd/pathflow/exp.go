@@ -268,7 +268,7 @@ func expFeasible(ctx context.Context, ins []*bench.Instance) error {
 // expStreaming measures drift-triggered requalification: per benchmark,
 // a cold analysis fills a fresh engine's cache, then four streamed
 // hot-set-flipping counter batches land on a decaying accumulator set
-// and the program re-analyzes under per-function delta classes. The
+// and the program re-analyzes against the live profile. The
 // contract the table makes visible: every round's 'computed' stays far
 // below the cold run's while 'replayed' absorbs the rest — only the
 // drifted function's StageSelect-downstream suffix recomputes.

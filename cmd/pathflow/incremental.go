@@ -25,11 +25,11 @@ func loadProfile(path string, prog *cfg.Program) (*bl.ProgramProfile, error) {
 // analyzeIncremental implements `analyze -baseline <prev source>`: the
 // previous version is compiled, profiled on the same training input and
 // analyzed first — warming the memory tier (and the disk tier, with
-// -cachedir) with every stage bundle it produces — then each function of
-// the current version is diffed against its namesake (engine.DiffFunc)
-// and analyzed under the classified delta, so stages whose Merkle keys
-// survived the edit replay from cache while the dirtied suffix
-// recomputes. The returned deltas drive the replayed/recomputed report.
+// -cachedir) with every stage bundle it produces — then the current
+// version is analyzed on the warm cache, so stages whose Merkle keys
+// survived the edit replay while the dirtied suffix recomputes. Each
+// function is diffed against its namesake (engine.DiffPrograms); the
+// returned deltas drive the replayed/recomputed report.
 //
 // profFile, when set, supplies the current version's training profile;
 // otherwise both versions are profiled on the target's training input.
@@ -47,9 +47,8 @@ func analyzeIncremental(ctx context.Context, eng *engine.Engine, tg *target, bas
 		return nil, nil, fmt.Errorf("profile -baseline %s: %w", baseFile, err)
 	}
 	// Warm start: analyze the previous version so its stage bundles are
-	// resident. Under WithDeltaClass(DeltaCold) every disk bundle is
-	// stamped as a cold write.
-	if _, err := eng.AnalyzeProgram(engine.WithDeltaClass(ctx, engine.DeltaCold), baseProg, baseTrain, o); err != nil {
+	// resident.
+	if _, err := eng.AnalyzeProgram(ctx, baseProg, baseTrain, o); err != nil {
 		return nil, nil, fmt.Errorf("analyze -baseline %s: %w", baseFile, err)
 	}
 
@@ -63,26 +62,11 @@ func analyzeIncremental(ctx context.Context, eng *engine.Engine, tg *target, bas
 		return nil, nil, err
 	}
 
-	deltas := engine.DiffPrograms(baseProg, tg.prog, baseTrain, train)
-	byName := make(map[string]*engine.Delta, len(deltas))
-	for _, d := range deltas {
-		byName[d.Func] = d
+	res, err := eng.AnalyzeProgram(ctx, tg.prog, train, o)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	// Analyze function by function so each runs under its own delta
-	// class (a body edit in one function must not stamp another's
-	// bundles). Serial is fine here: the interesting cost is the
-	// replay/recompute split, not wall-clock.
-	res := &engine.ProgramResult{Prog: tg.prog, Opt: o, Funcs: make(map[string]*engine.FuncResult, len(tg.prog.Order))}
-	for _, name := range tg.prog.Order {
-		fctx := engine.WithDeltaClass(ctx, byName[name].Class)
-		fr, err := eng.AnalyzeFunc(fctx, tg.prog.Funcs[name], train.Funcs[name], o)
-		if err != nil {
-			return nil, nil, err
-		}
-		res.Funcs[name] = fr
-	}
-	return res, deltas, nil
+	return res, engine.DiffPrograms(baseProg, tg.prog, baseTrain, train), nil
 }
 
 // printIncremental renders the per-function incremental report: the
@@ -98,21 +82,12 @@ func printIncremental(baseFile string, deltas []*engine.Delta, res *engine.Progr
 		if fr == nil {
 			continue
 		}
-		var replayed, recomputed int
-		var names []string
-		for _, s := range engine.PipelineStages {
-			sm := fr.Metrics.Stages[s]
-			if sm.Runs == 0 {
-				continue
-			}
-			if sm.CacheHits > 0 {
-				replayed++
-				names = append(names, string(s))
-			} else {
-				recomputed++
-			}
+		replayed, recomputed := fr.Replayed()
+		names := make([]string, len(replayed))
+		for i, s := range replayed {
+			names[i] = string(s)
 		}
 		fmt.Printf("%-12s %-8s %9d %10d  %s\n",
-			d.Func, d.Class, replayed, recomputed, strings.Join(names, ","))
+			d.Func, d.Class, len(replayed), recomputed, strings.Join(names, ","))
 	}
 }

@@ -363,7 +363,7 @@ func cmdAnalyze(args []string) error {
 		}
 		fmt.Printf("%-12s %6d %6d %6d %6d %8d %9s\n",
 			name, fr.Fn.G.NumNodes(), hpg, rhpg, len(fr.Hot), states,
-			fr.Times.Total.Round(10*time.Microsecond))
+			(fr.Metrics.Duration(engine.StageBaseline) + fr.Metrics.Qualification()).Round(10*time.Microsecond))
 		if *showConsts && fr.Qualified() {
 			printConsts(fr)
 		}

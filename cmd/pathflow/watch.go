@@ -17,10 +17,10 @@ import (
 
 // cmdWatch implements `pathflow watch -src file`: continuous
 // re-analysis of a source file under edit. One engine (and artifact
-// cache) lives across rounds; every detected change is diffed against
-// the previous round and each function re-analyzes under its
-// classified delta, so the printed report shows exactly which stages
-// an edit replayed versus recomputed — the interactive form of
+// cache) lives across rounds; every detected change re-analyzes the
+// program on the warm cache and classifies each function against the
+// previous round, so the printed report shows exactly which stages an
+// edit replayed versus recomputed — the interactive form of
 // `analyze -baseline`.
 func cmdWatch(args []string) error {
 	fs := flag.NewFlagSet("watch", flag.ContinueOnError)

@@ -58,8 +58,8 @@ func pipelineComputed(res *engine.ProgramResult) (computed, replayed int) {
 // Streaming measures drift-triggered requalification against streamed
 // profile deltas: per benchmark, a cold analysis fills a fresh engine's
 // cache, then `rounds` hot-set-flipping batches land on a decaying
-// accumulator set and the program re-analyzes under per-function delta
-// classes. The interesting contract — visible in every row — is that a
+// accumulator set and the program re-analyzes against the live profile
+// on the warm cache. The interesting contract — visible in every row — is that a
 // round's Computed stays far below ColdComputed while Replayed absorbs
 // the rest: only the drifted function's StageSelect-downstream suffix
 // recomputes.
@@ -73,7 +73,7 @@ func Streaming(ctx context.Context, instances []*Instance, rounds int) ([]Stream
 		eng := engine.New(engine.Config{Workers: 0, Cache: true})
 
 		t0 := time.Now()
-		res, err := eng.AnalyzeProgram(engine.WithDeltaClass(ctx, engine.DeltaCold), in.Prog, in.Train, o)
+		res, err := eng.AnalyzeProgram(ctx, in.Prog, in.Train, o)
 		if err != nil {
 			return nil, fmt.Errorf("bench %s cold: %w", in.B.Name, err)
 		}
@@ -109,23 +109,10 @@ func Streaming(ctx context.Context, instances []*Instance, rounds int) ([]Stream
 				}
 			}
 
-			deltas := engine.DiffPrograms(in.Prog, in.Prog, prev, live)
-			byName := make(map[string]*engine.Delta, len(deltas))
-			for _, d := range deltas {
-				byName[d.Func] = d
-			}
 			t0 = time.Now()
-			rres := &engine.ProgramResult{Prog: in.Prog, Opt: o, Funcs: map[string]*engine.FuncResult{}}
-			for _, name := range in.Prog.Order {
-				class := engine.DeltaCold
-				if d := byName[name]; d != nil {
-					class = d.Class
-				}
-				fr, err := eng.AnalyzeFunc(engine.WithDeltaClass(ctx, class), in.Prog.Funcs[name], live.Funcs[name], o)
-				if err != nil {
-					return nil, fmt.Errorf("bench %s round %d %s: %w", in.B.Name, round, name, err)
-				}
-				rres.Funcs[name] = fr
+			rres, err := eng.AnalyzeProgram(ctx, in.Prog, live, o)
+			if err != nil {
+				return nil, fmt.Errorf("bench %s round %d: %w", in.B.Name, round, err)
 			}
 			sr.Time = time.Since(t0)
 			sr.Computed, sr.Replayed = pipelineComputed(rres)

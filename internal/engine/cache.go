@@ -30,9 +30,10 @@ const (
 	kindReduced   = "reduced"   // reduced HPG + its solution
 	kindFeasible  = "feasible"  // infeasible-edge set of one graph tier
 
-	// Client-analysis bundles (ClientOut), one per graph tier. Memory
-	// tier only: clients are cheap to recompute relative to their encoded
-	// size, so no disk codec exists for them.
+	// Client-analysis bundles, one per graph tier and client (the
+	// client's bit rides in knob2). Memory tier only: clients are cheap
+	// to recompute relative to their encoded size, so no disk codec
+	// exists for them.
 	kindClientsCFG = "clients-cfg"
 	kindClientsHPG = "clients-hpg"
 	kindClientsRed = "clients-red"
@@ -61,9 +62,9 @@ type cacheKey struct {
 	slice uint64
 	chain uint64
 	knob  uint64 // math.Float64bits of the swept knob (CR, or CA for select)
-	// knob2 is a second, independent knob dimension: the ClientSet bits
-	// for client bundles (zero for the qualification artifacts, which
-	// clients cannot influence).
+	// knob2 is a second, independent knob dimension: the client's
+	// ClientSet bit for client bundles (zero for the qualification
+	// artifacts, which clients cannot influence).
 	knob2 uint64
 }
 
@@ -122,15 +123,15 @@ func (p Provenance) String() string {
 // Cached reports whether the artifact was served from either cache tier.
 func (p Provenance) Cached() bool { return p != SourceComputed }
 
-// cacheEntry is one materialized bundle plus the compute cost of the run
-// that produced it (so cache hits can still report meaningful stage
-// durations). ready is closed once val/cost/err are final, giving
+// cacheEntry is one materialized bundle plus the compute cost of the
+// stage run that produced it (so cache hits can still report meaningful
+// stage durations). ready is closed once val/cost/err are final, giving
 // single-flight semantics: concurrent requests for the same key block on
 // the first computation instead of duplicating it.
 type cacheEntry struct {
 	ready chan struct{}
 	val   any
-	cost  map[StageName]time.Duration
+	cost  time.Duration
 	err   error
 
 	// LRU bookkeeping: set under the cache mutex once the entry is
@@ -203,9 +204,6 @@ type profPrints struct {
 	rec  uint64
 }
 
-// NewCache returns an empty, unbounded, memory-only artifact cache.
-func NewCache() *Cache { return newCache(0, nil) }
-
 // newCache returns a cache with an in-memory byte bound (<= 0 means
 // unbounded) and an optional persistent tier.
 func newCache(maxBytes int64, disk *diskcache.Store) *Cache {
@@ -246,8 +244,8 @@ func (c *Cache) Stats() CacheStats {
 // compute would.
 type diskOps struct {
 	key    diskcache.Key
-	encode func(val any, cost map[StageName]time.Duration) []byte
-	decode func(data []byte) (any, map[StageName]time.Duration, error)
+	encode func(val any, cost time.Duration) []byte
+	decode func(data []byte) (any, time.Duration, error)
 }
 
 // do returns the cached bundle for key: memory first, then disk (when
@@ -261,9 +259,9 @@ type diskOps struct {
 //
 // The returned decode duration is nonzero only for the leader of a
 // disk hit: the wall-clock cost of decoding the payload, reported
-// separately from the bundle's stored compute costs so incremental
+// separately from the bundle's stored compute cost so incremental
 // replay numbers never conflate decode time with stage compute time.
-func (c *Cache) do(key cacheKey, ops *diskOps, compute func() (any, map[StageName]time.Duration, error)) (any, map[StageName]time.Duration, Provenance, time.Duration, error) {
+func (c *Cache) do(key cacheKey, ops *diskOps, compute func() (any, time.Duration, error)) (any, time.Duration, Provenance, time.Duration, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		if e.elem != nil {
@@ -272,7 +270,7 @@ func (c *Cache) do(key cacheKey, ops *diskOps, compute func() (any, map[StageNam
 		c.mu.Unlock()
 		<-e.ready
 		if e.err != nil {
-			return nil, nil, SourceComputed, 0, e.err
+			return nil, 0, SourceComputed, 0, e.err
 		}
 		c.mu.Lock()
 		c.hits++
@@ -310,7 +308,7 @@ func (c *Cache) do(key cacheKey, ops *diskOps, compute func() (any, map[StageNam
 		c.mu.Lock()
 		delete(c.entries, key)
 		c.mu.Unlock()
-		return nil, nil, SourceComputed, 0, e.err
+		return nil, 0, SourceComputed, 0, e.err
 	}
 	if c.disk != nil && ops != nil && prov == SourceComputed {
 		c.disk.Put(ops.key, ops.encode(e.val, e.cost))
@@ -370,18 +368,12 @@ func approxSize(v any) int64 {
 		return sizeProfile(x)
 	case *feasible.Edges:
 		return 48 + int64(len(x.Infeasible))
-	case ClientOut:
-		var n int64 = 32
-		if x.Live != nil {
-			n += sizeBitsetSolution(x.Live.Sol)
-		}
-		if x.Avail != nil {
-			n += sizeBitsetSolution(x.Avail.Sol)
-			// The expression universe is shared across tiers; charge a
-			// nominal per-bundle share rather than its full footprint.
-			n += int64(x.Avail.U.Size()) * 8
-		}
-		return n
+	case *liveness.Result:
+		return 32 + sizeBitsetSolution(x.Sol)
+	case *availexpr.Result:
+		// The expression universe is shared across tiers; charge a
+		// nominal per-bundle share rather than its full footprint.
+		return 32 + sizeBitsetSolution(x.Sol) + int64(x.U.Size())*8
 	case ReduceOut:
 		n := sizeGraph(x.Red.G) + sizeSolution(x.RedSol)
 		n += int64(len(x.Red.Class))*8 + int64(len(x.Red.Rep))*8 + int64(len(x.Red.OrigNode))*8

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -11,9 +10,9 @@ import (
 
 // DeltaClass names the kind of edit DiffFunc found between two versions
 // of a function, from the cheapest (nothing changed) to the most
-// invalidating (the CFG shape moved). The class is provenance only — it
-// is stamped into disk bundles' Meta envelopes and printed by
-// `analyze -baseline` — and never participates in any cache key.
+// invalidating (the CFG shape moved). The class is a report only — it
+// is printed by `analyze -baseline` and `watch` and sent as serve's
+// `delta` events — and never participates in any cache key.
 type DeltaClass string
 
 // The delta classes. Classification picks the *dominant* change — a
@@ -202,26 +201,4 @@ func DiffPrograms(oldProg, newProg *cfg.Program, oldTrain, newTrain *bl.ProgramP
 		out = append(out, DiffFunc(oldFn, newProg.Funcs[name], tp(oldTrain, name), tp(newTrain, name)))
 	}
 	return out
-}
-
-// --- Delta-class provenance plumbing --------------------------------------
-
-// deltaClassKey carries the active delta class through a context.
-type deltaClassKey struct{}
-
-// WithDeltaClass returns a context under which every disk bundle the
-// engine writes is stamped with the given delta class in its Meta
-// envelope — provenance for cache forensics ("which edit produced this
-// bundle?"), never part of any key. Engine calls made without it stamp
-// DeltaCold.
-func WithDeltaClass(ctx context.Context, class DeltaClass) context.Context {
-	return context.WithValue(ctx, deltaClassKey{}, class)
-}
-
-// deltaClassFrom extracts the stamped class, defaulting to DeltaCold.
-func deltaClassFrom(ctx context.Context) string {
-	if c, ok := ctx.Value(deltaClassKey{}).(DeltaClass); ok {
-		return string(c)
-	}
-	return string(DeltaCold)
 }

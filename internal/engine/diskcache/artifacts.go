@@ -20,26 +20,17 @@ import (
 // same convention the in-memory tier uses.
 type Costs map[string]time.Duration
 
-// Meta is the provenance envelope every bundle carries: the per-stage
-// compute costs of the run that produced it, plus the delta class of
-// that run — "cold" for a from-scratch computation, or the edit class
-// ("none", "body", "counts", "shape") of the incremental re-analysis
-// that dirtied and recomputed this stage. The class is provenance only:
-// it never participates in the key, so bundles written by incremental
-// and cold runs of identical inputs interchange freely.
+// Meta is the envelope every bundle carries: the per-stage compute
+// costs of the run that produced it. Nothing in it participates in the
+// key, so bundles written by incremental and cold runs of identical
+// inputs interchange freely.
 type Meta struct {
 	Costs Costs
-	Class string
 }
 
-func encodeMeta(e *enc, m Meta) {
-	encodeCosts(e, m.Costs)
-	e.str(m.Class)
-}
+func encodeMeta(e *enc, m Meta) { encodeCosts(e, m.Costs) }
 
-func decodeMeta(d *dec) Meta {
-	return Meta{Costs: decodeCosts(d), Class: d.str()}
-}
+func decodeMeta(d *dec) Meta { return Meta{Costs: decodeCosts(d)} }
 
 func encodeCosts(e *enc, c Costs) {
 	// Deterministic order is not required (the map is consumed, not

@@ -48,9 +48,9 @@ const (
 	// FormatVersion is the current on-disk format version. Version 2
 	// split the monolithic qualified bundle into per-stage bundles
 	// (automaton/trace/analyze/translate), moved to Merkle-style
-	// (slice, chain) keys, and added the Meta envelope carrying the
-	// delta class of the run that wrote each bundle.
-	FormatVersion = 2
+	// (slice, chain) keys, and added the Meta envelope. Version 3 drops
+	// the delta class from Meta, which now holds per-stage costs only.
+	FormatVersion = 3
 
 	headerLen   = 6 // magic(4) + version(1) + kind(1)
 	checksumLen = 8

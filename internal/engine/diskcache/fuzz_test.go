@@ -77,10 +77,7 @@ func buildCodecFixture(f *testing.F) *codecFixture {
 // forever.
 func FuzzDiskcacheCodec(f *testing.F) {
 	fx := buildCodecFixture(f)
-	meta := diskcache.Meta{
-		Costs: diskcache.Costs{"select": 12345, "trace": 678},
-		Class: "body",
-	}
+	meta := diskcache.Meta{Costs: diskcache.Costs{"select": 12345, "trace": 678}}
 	f.Add(diskcache.EncodeSelect(meta, fx.hot))
 	f.Add(diskcache.EncodeBaseline(meta, fx.base))
 	f.Add(diskcache.EncodeAnalyze(meta, fx.hsol))
@@ -177,13 +174,13 @@ func TestCodecSeedsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := diskcache.Meta{Costs: diskcache.Costs{"automaton": 42}, Class: "none"}
+	meta := diskcache.Meta{Costs: diskcache.Costs{"automaton": 42}}
 	enc := diskcache.EncodeAutomatonBundle(meta, auto)
 	m, a2, err := diskcache.DecodeAutomatonBundle(enc, pr.R)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Class != meta.Class || m.Costs["automaton"] != meta.Costs["automaton"] {
+	if m.Costs["automaton"] != meta.Costs["automaton"] {
 		t.Errorf("meta round-trip: got %+v, want %+v", m, meta)
 	}
 	if a2.NumStates() != auto.NumStates() || a2.NumKeywords() != auto.NumKeywords() {

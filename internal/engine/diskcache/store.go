@@ -204,9 +204,6 @@ func recoverable(path string, size int64) bool {
 	return [4]byte(hdr[:4]) == magic && hdr[4] == FormatVersion
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Get returns the framed payload stored under k, or (nil, false) on a
 // miss. A successful Get is not yet a hit: the caller decodes the
 // payload and reports the outcome via Hit or Reject, so the hit counter

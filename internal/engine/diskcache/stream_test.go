@@ -69,14 +69,10 @@ func streamTestSet(t *testing.T) (*cfg.Program, *stream.Set) {
 
 func TestStreamCodecRoundTrip(t *testing.T) {
 	prog, set := streamTestSet(t)
-	meta := Meta{Class: "profile"}
-	data := EncodeStream(meta, set.Snapshot())
-	gotMeta, restored, err := DecodeStream(data, prog)
+	data := EncodeStream(Meta{}, set.Snapshot())
+	_, restored, err := DecodeStream(data, prog)
 	if err != nil {
 		t.Fatalf("DecodeStream: %v", err)
-	}
-	if gotMeta.Class != meta.Class {
-		t.Fatalf("meta class = %q, want %q", gotMeta.Class, meta.Class)
 	}
 	for _, name := range prog.Order {
 		if !restored.Accumulator(name).Equal(set.Accumulator(name)) {

@@ -3,16 +3,19 @@
 //
 //	select → automaton → trace → analyze → translate → reduce
 //
-// plus the CA = 0 baseline analysis. Each step is an explicit Stage with
-// typed input/output artifacts; the engine owns sequencing, context
-// cancellation, structured per-stage errors (StageError), per-stage
-// metrics (Metrics, generalizing the old ad-hoc Times struct), bounded
-// parallel scheduling across independent functions (Map), and a
-// cross-run artifact cache (Cache) with Merkle-style per-stage keys:
-// every stage's key hashes only the input slice it actually reads (CFG
-// shape, block bodies, per-block instruction counts, recording edges,
-// the training profile) plus the digests of its upstream stage keys —
-// see the table on Cache.keyBaseline and friends.
+// plus the CA = 0 baseline analysis. Every step — and the optional
+// feasibility, client and check stages — runs through one generic
+// cached-stage runner (cached): it checks the context, times the
+// compute into per-stage Metrics, wraps failures in a StageError naming
+// the stage and function, and, when the engine caches, makes the stage
+// one single-flight bundle of the cross-run artifact cache (Cache), in
+// memory and optionally on disk. The engine also owns sequencing and
+// bounded parallel scheduling across independent functions (Map).
+// Cache keys are Merkle-style and per stage: every stage's key hashes
+// only the input slice it actually reads (CFG shape, block bodies,
+// per-block instruction counts, recording edges, the training profile)
+// plus the digests of its upstream stage keys — see the table on
+// Cache.keyBaseline and friends.
 //
 // Two reuse stories fall out of the slice keys. Parameter sweeps — the
 // harness's Figures 9/11/12 and the CR ablation — recompute only the
@@ -28,17 +31,19 @@ package engine
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"pathflow/internal/automaton"
 	"pathflow/internal/availexpr"
 	"pathflow/internal/bl"
 	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
-	"pathflow/internal/dataflow"
+	"pathflow/internal/dataflow/oracle"
 	"pathflow/internal/engine/diskcache"
 	"pathflow/internal/feasible"
 	"pathflow/internal/interp"
+	"pathflow/internal/liveness"
+	"pathflow/internal/profile"
+	"pathflow/internal/reduce"
 	"pathflow/internal/trace"
 )
 
@@ -139,16 +144,16 @@ func (e *Engine) AnalyzeFunc(ctx context.Context, fn *cfg.Func, train *bl.Profil
 }
 
 func (e *Engine) analyzeFunc(ctx context.Context, fn *cfg.Func, train *bl.Profile, o Options) (*FuncResult, error) {
-	m := newMetrics(ctx, fn.Name)
+	iv := e.invoke(ctx, fn, train, o)
 	var hot []bl.Path
 	if train != nil && o.CA > 0 {
 		var err error
-		hot, err = e.selectHot(ctx, fn, train, o.CA, m)
+		hot, err = iv.selectHot()
 		if err != nil {
 			return nil, err
 		}
 	}
-	return e.analyzeFuncHot(ctx, fn, train, hot, o, m)
+	return iv.run(hot)
 }
 
 // AnalyzeFuncHot runs the pipeline with an explicitly chosen hot-path
@@ -159,508 +164,284 @@ func (e *Engine) AnalyzeFuncHot(ctx context.Context, fn *cfg.Func, train *bl.Pro
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	return e.analyzeFuncHot(ctx, fn, train, hot, o, newMetrics(ctx, fn.Name))
+	return e.invoke(ctx, fn, train, o).run(hot)
 }
 
-func (e *Engine) analyzeFuncHot(ctx context.Context, fn *cfg.Func, train *bl.Profile, hot []bl.Path, o Options, m *Metrics) (*FuncResult, error) {
-	res := &FuncResult{Fn: fn, Opt: o, Train: train, Metrics: m}
-	start := time.Now()
-	nv := fn.NumVars()
+func (e *Engine) invoke(ctx context.Context, fn *cfg.Func, train *bl.Profile, o Options) *invocation {
+	return &invocation{ctx: ctx, e: e, fn: fn, train: train, o: o, m: newMetrics(ctx, fn.Name)}
+}
+
+// run takes the invocation from the baseline to the reduced tier for
+// the given hot set (none: the CA = 0 baseline only).
+func (iv *invocation) run(hot []bl.Path) (*FuncResult, error) {
+	fn, o, c := iv.fn, iv.o, iv.e.cache
+	res := &FuncResult{Fn: fn, Opt: o, Train: iv.train, Metrics: iv.m}
+	var err error
 
 	// Feasibility runs before the baseline so the CFG tier (and every
 	// client on it) already analyzes through the pruned view.
-	var feasCFG *feasible.Edges
 	if o.Feasible {
-		var err error
-		feasCFG, err = e.feasibleTier(ctx, fn, fn.G, nv, m, func() cacheKey {
-			return e.cache.keyFeasibleCFG(fn)
-		})
+		res.FeasCFG, err = iv.feasibleTier(fn.G, func() cacheKey { return c.keyFeasibleCFG(fn) })
 		if err != nil {
 			return nil, err
 		}
-		res.FeasCFG = feasCFG
 	}
-
-	sol, err := e.baseline(ctx, fn, o.Kernel, feasCFG, m)
-	if err != nil {
+	if res.OrigSol, err = iv.baseline(res.FeasCFG); err != nil {
 		return nil, err
 	}
-	res.OrigSol = sol
 
 	// CFG-tier client analyses run whether or not qualification will:
 	// they are the baseline the HPG/rHPG tiers are compared against, and
 	// the only tier at CA = 0.
 	if o.Clients != 0 {
-		in := ClientIn{G: fn.G, NumVars: nv, Guide: sol.Sol, Kernel: o.Kernel}
 		if o.Clients.Has(ClientAvailExpr) {
-			in.U = availexpr.NewUniverse(fn.G, nv)
-			res.AvailU = in.U
+			res.AvailU = availexpr.NewUniverse(fn.G, fn.NumVars())
 		}
-		co, err := e.clientTier(ctx, fn, func() cacheKey {
-			key := cacheKey{kind: kindClientsCFG, slice: e.cache.funcFP(fn).full()}
-			if feasCFG.Mask() != nil {
-				key.chain = e.cache.keyFeasibleCFG(fn).digest()
+		res.LiveCFG, res.AvailCFG, err = iv.clientTier(fn.G, res.OrigSol, res.AvailU, func() cacheKey {
+			key := cacheKey{kind: kindClientsCFG, slice: c.funcFP(fn).full()}
+			if res.FeasCFG.Mask() != nil {
+				key.chain = c.keyFeasibleCFG(fn).digest()
 			}
 			return key
-		}, in, o.Clients, m)
-		if err != nil {
-			return nil, err
-		}
-		res.LiveCFG, res.AvailCFG = co.Live, co.Avail
-		if co.Avail != nil {
-			res.AvailU = co.Avail.U
-		}
-	}
-
-	res.Hot = hot
-	if len(hot) == 0 || train == nil {
-		res.Hot = nil
-		return e.finalize(ctx, fn, res, o, m, start)
-	}
-
-	// The qualification chain runs as four independently cached stages:
-	// each replays from the cache tiers when its Merkle key survives the
-	// edit (or sweep point) that brought us here, and recomputes
-	// otherwise — the unit of reuse is the stage, not the chain.
-	a, err := e.automatonStage(ctx, fn, train, hot, m)
-	if err != nil {
-		return nil, err
-	}
-	h, err := e.traceStage(ctx, fn, train, hot, a, m)
-	if err != nil {
-		return nil, err
-	}
-	var feasHPG *feasible.Edges
-	if o.Feasible {
-		feasHPG, err = e.feasibleTier(ctx, fn, h.G, nv, m, func() cacheKey {
-			return e.cache.keyFeasibleHPG(fn, train, hot)
 		})
 		if err != nil {
 			return nil, err
 		}
-		res.FeasHPG = feasHPG
+		if res.AvailCFG != nil {
+			res.AvailU = res.AvailCFG.U
+		}
 	}
-	hsol, err := e.analyzeStage(ctx, fn, train, hot, h, o.Kernel, feasHPG, m)
-	if err != nil {
-		return nil, err
-	}
-	hprof, err := e.translateStage(ctx, fn, train, hot, h, m)
-	if err != nil {
-		return nil, err
-	}
-	res.Auto, res.HPG, res.HPGSol, res.HPGProf = a, h, hsol, hprof
 
-	r, err := e.reduced(ctx, fn, train, hot, h, hsol, hprof, o, m)
+	if len(hot) == 0 || iv.train == nil {
+		return iv.finalize(res)
+	}
+	res.Hot = hot
+
+	// The qualification chain runs as independently cached stages: each
+	// replays from the cache tiers when its Merkle key survives the edit
+	// (or sweep point) that brought us here, and recomputes otherwise —
+	// the unit of reuse is the stage, not the chain.
+	if res.Auto, err = iv.automaton(hot); err != nil {
+		return nil, err
+	}
+	if res.HPG, err = iv.trace(hot, res.Auto); err != nil {
+		return nil, err
+	}
+	if o.Feasible {
+		res.FeasHPG, err = iv.feasibleTier(res.HPG.G, func() cacheKey { return c.keyFeasibleHPG(fn, iv.train, hot) })
+		if err != nil {
+			return nil, err
+		}
+	}
+	if res.HPGSol, err = iv.analyze(hot, res.HPG, res.FeasHPG); err != nil {
+		return nil, err
+	}
+	if res.HPGProf, err = iv.translate(hot, res.HPG); err != nil {
+		return nil, err
+	}
+	r, err := iv.reduce(hot, res.HPG, res.HPGSol, res.HPGProf)
 	if err != nil {
 		return nil, err
 	}
 	res.Red, res.RedSol = r.Red, r.RedSol
 
 	if o.Clients != 0 {
-		in := ClientIn{G: h.G, NumVars: nv, Guide: hsol.Sol, U: res.AvailU, Kernel: o.Kernel}
-		co, err := e.clientTier(ctx, fn, func() cacheKey {
+		res.LiveHPG, res.AvailHPG, err = iv.clientTier(res.HPG.G, res.HPGSol, res.AvailU, func() cacheKey {
 			return cacheKey{kind: kindClientsHPG,
-				chain: e.cache.keyAnalyzeMasked(fn, train, hot, feasHPG.Mask() != nil).digest()}
-		}, in, o.Clients, m)
+				chain: c.keyAnalyzeMasked(fn, iv.train, hot, res.FeasHPG.Mask() != nil).digest()}
+		})
 		if err != nil {
 			return nil, err
 		}
-		res.LiveHPG, res.AvailHPG = co.Live, co.Avail
-
-		in = ClientIn{G: r.Red.G, NumVars: nv, Guide: r.RedSol.Sol, U: res.AvailU, Kernel: o.Kernel}
-		co, err = e.clientTier(ctx, fn, func() cacheKey {
+		res.LiveRed, res.AvailRed, err = iv.clientTier(r.Red.G, r.RedSol, res.AvailU, func() cacheKey {
 			return cacheKey{kind: kindClientsRed,
-				chain: e.cache.keyReduceFeasible(fn, train, hot, o.CR, o.Feasible).digest()}
-		}, in, o.Clients, m)
+				chain: c.keyReduceFeasible(fn, iv.train, hot, o.CR, o.Feasible).digest()}
+		})
 		if err != nil {
 			return nil, err
 		}
-		res.LiveRed, res.AvailRed = co.Live, co.Avail
 	}
-	return e.finalize(ctx, fn, res, o, m, start)
+	return iv.finalize(res)
 }
 
-// finalize optionally runs the differential-oracle check stage, then
-// stamps the timing projections. With Options.Verify set, any oracle
-// violation fails the whole pipeline with a StageError for the check
-// stage (the reports stay attached to the error's FuncResult-less
-// context; use `pathflow check` or CheckFuncResult for a non-fatal
-// inspection).
-func (e *Engine) finalize(ctx context.Context, fn *cfg.Func, res *FuncResult, o Options, m *Metrics, start time.Time) (*FuncResult, error) {
-	if o.Verify {
-		reports, err := runStage(ctx, CheckStage, fn.Name, m, CheckIn{Res: res})
+// finalize optionally runs the differential-oracle check stage. With
+// Options.Verify set, any oracle violation fails the whole pipeline with
+// a StageError for the check stage (use `pathflow check` or
+// CheckFuncResult for a non-fatal inspection).
+func (iv *invocation) finalize(res *FuncResult) (*FuncResult, error) {
+	if iv.o.Verify {
+		var err error
+		res.Oracle, err = cached(iv, StageCheck, nil, nil, func() ([]*oracle.Report, error) {
+			reports := CheckFuncResult(res)
+			return reports, OracleErr(reports)
+		})
 		if err != nil {
 			return nil, err
 		}
-		res.Oracle = reports
-		if verr := OracleErr(reports); verr != nil {
-			return nil, &StageError{Stage: StageCheck, Func: fn.Name, Err: verr}
+	}
+	return res, nil
+}
+
+// clientTier runs the requested client analyses on one graph tier,
+// guided by the tier's constant-propagation solution. Each client is
+// its own memory-tier bundle under the tier's key, with the client's
+// bit in knob2: clients are cheap to recompute relative to their
+// encoded size, and the disk tier's value is in the expensive
+// qualification artifacts they derive from.
+func (iv *invocation) clientTier(g *cfg.Graph, guide *constprop.Result, u *availexpr.Universe, key func() cacheKey) (live *liveness.Result, avail *availexpr.Result, err error) {
+	keyFor := func(c ClientSet) func() cacheKey {
+		return func() cacheKey {
+			k := key()
+			k.knob2 = uint64(c)
+			return k
 		}
 	}
-	return finish(res, start), nil
-}
-
-func finish(res *FuncResult, start time.Time) *FuncResult {
-	res.Metrics.Wall = time.Since(start)
-	res.Times = res.Metrics.Times()
-	return res
-}
-
-// clientTier computes (or fetches) the requested client analyses for
-// one graph tier. mkKey builds the tier's cache key (deferred so the
-// cache-disabled path never touches fingerprint machinery); the client
-// set lands in knob2, the key dimension reserved for it. Client bundles
-// live in the memory cache tier only (no disk codec): they are cheap to
-// recompute relative to their encoded size, and the disk tier's value
-// is in the expensive qualification artifacts they derive from.
-func (e *Engine) clientTier(ctx context.Context, fn *cfg.Func, mkKey func() cacheKey, in ClientIn, cs ClientSet, m *Metrics) (ClientOut, error) {
-	if e.cache == nil || cs == 0 {
-		return e.runClients(ctx, fn, in, cs, m)
-	}
-	key := mkKey()
-	key.knob2 = uint64(cs)
-	v, cost, src, dec, err := e.cache.do(key, nil, func() (any, map[StageName]time.Duration, error) {
-		mm := NewMetrics()
-		out, err := e.runClients(ctx, fn, in, cs, mm)
-		return out, costs(mm), err
-	})
-	if err != nil {
-		return ClientOut{}, err
-	}
-	m.merge(cost, src, dec)
-	return v.(ClientOut), nil
-}
-
-// runClients executes the enabled client stages for one tier.
-func (e *Engine) runClients(ctx context.Context, fn *cfg.Func, in ClientIn, cs ClientSet, m *Metrics) (ClientOut, error) {
-	var out ClientOut
-	if cs.Has(ClientLiveness) {
-		lv, err := runStage(ctx, LivenessStage, fn.Name, m, in)
+	k := iv.o.Kernel
+	if iv.o.Clients.Has(ClientLiveness) {
+		live, err = cached(iv, StageLiveness, keyFor(ClientLiveness), nil, func() (*liveness.Result, error) {
+			return liveness.AnalyzeWith(g, iv.fn.NumVars(), guide.Sol, k), nil
+		})
 		if err != nil {
-			return ClientOut{}, err
+			return nil, nil, err
 		}
-		out.Live = lv
 	}
-	if cs.Has(ClientAvailExpr) {
-		av, err := runStage(ctx, AvailExprStage, fn.Name, m, in)
+	if iv.o.Clients.Has(ClientAvailExpr) {
+		avail, err = cached(iv, StageAvailExpr, keyFor(ClientAvailExpr), nil, func() (*availexpr.Result, error) {
+			return availexpr.AnalyzeWith(g, u, guide.Sol, k), nil
+		})
 		if err != nil {
-			return ClientOut{}, err
+			return nil, nil, err
 		}
-		out.Avail = av
 	}
-	return out, nil
+	return live, avail, nil
 }
 
-// selectHot computes (or fetches) the hot-path set at coverage CA. A CR
-// sweep re-selects an identical set at every point; caching it matters
-// most for path-heavy functions (go's profile runs tens of thousands of
-// paths through the selection sort).
-func (e *Engine) selectHot(ctx context.Context, fn *cfg.Func, train *bl.Profile, ca float64, m *Metrics) ([]bl.Path, error) {
-	in := SelectIn{Fn: fn, Train: train, CA: ca}
-	if e.cache == nil {
-		return runStage(ctx, SelectStage, fn.Name, m, in)
-	}
-	key := e.cache.keySelect(fn, train, ca)
-	ops := e.diskOps(ctx, key, diskcache.KindSelect,
-		func(v any, meta diskcache.Meta) []byte {
-			return diskcache.EncodeSelect(meta, v.([]bl.Path))
-		},
-		func(data []byte) (any, map[StageName]time.Duration, error) {
-			meta, hot, err := diskcache.DecodeSelect(data, fn.G)
-			if err != nil {
-				return nil, nil, err
-			}
-			return hot, costsFromDisk(meta.Costs), nil
+// selectHot picks the minimal hot-path set covering CA of the training
+// run's dynamic instructions. A CR sweep re-selects an identical set at
+// every point; caching it matters most for path-heavy functions (go's
+// profile runs tens of thousands of paths through the selection sort).
+func (iv *invocation) selectHot() ([]bl.Path, error) {
+	fn, train, ca := iv.fn, iv.train, iv.o.CA
+	return cached(iv, StageSelect, func() cacheKey { return iv.e.cache.keySelect(fn, train, ca) },
+		&codec[[]bl.Path]{diskcache.KindSelect, diskcache.EncodeSelect,
+			func(b []byte) (diskcache.Meta, []bl.Path, error) { return diskcache.DecodeSelect(b, fn.G) }},
+		func() ([]bl.Path, error) { return profile.SelectHot(train, fn.G, ca), nil })
+}
+
+// feasibleTier detects the infeasible edges of one graph tier.
+func (iv *invocation) feasibleTier(g *cfg.Graph, key func() cacheKey) (*feasible.Edges, error) {
+	return cached(iv, StageFeasible, key,
+		&codec[*feasible.Edges]{diskcache.KindFeasible,
+			func(meta diskcache.Meta, ed *feasible.Edges) []byte {
+				return diskcache.EncodeFeasible(meta, ed.Infeasible)
+			},
+			func(b []byte) (diskcache.Meta, *feasible.Edges, error) {
+				meta, mask, err := diskcache.DecodeFeasible(b, g)
+				return meta, feasible.FromMask(mask), err
+			}},
+		func() (*feasible.Edges, error) { return feasible.Detect(g, iv.fn.NumVars()), nil })
+}
+
+// baseline runs Wegman-Zadek on the original graph: the CA = 0
+// solution, masked by the CFG tier's feasibility artifact when one was
+// computed.
+func (iv *invocation) baseline(feas *feasible.Edges) (*constprop.Result, error) {
+	fn, mask := iv.fn, feas.Mask()
+	return cached(iv, StageBaseline, func() cacheKey {
+		key := iv.e.cache.keyBaseline(fn)
+		if mask != nil {
+			key.chain = iv.e.cache.keyFeasibleCFG(fn).digest()
+		}
+		return key
+	}, &codec[*constprop.Result]{diskcache.KindBaseline, diskcache.EncodeBaseline,
+		func(b []byte) (diskcache.Meta, *constprop.Result, error) {
+			return diskcache.DecodeBaseline(b, fn.G, fn.NumVars())
+		}},
+		func() (*constprop.Result, error) {
+			return constprop.AnalyzeMasked(fn.G, fn.NumVars(), true, iv.o.Kernel, mask), nil
 		})
-	v, cost, src, dec, err := e.cache.do(key, ops, func() (any, map[StageName]time.Duration, error) {
-		mm := NewMetrics()
-		hot, err := runStage(ctx, SelectStage, fn.Name, mm, in)
-		return hot, costs(mm), err
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.merge(cost, src, dec)
-	return v.([]bl.Path), nil
 }
 
-// feasibleTier computes (or fetches) the infeasible-edge set of one
-// graph tier. mkKey builds the tier's cache key (deferred so the
-// cache-disabled path never touches fingerprint machinery).
-func (e *Engine) feasibleTier(ctx context.Context, fn *cfg.Func, g *cfg.Graph, nv int, m *Metrics, mkKey func() cacheKey) (*feasible.Edges, error) {
-	in := FeasibleIn{G: g, NumVars: nv}
-	if e.cache == nil {
-		return runStage(ctx, FeasibleStage, fn.Name, m, in)
-	}
-	key := mkKey()
-	ops := e.diskOps(ctx, key, diskcache.KindFeasible,
-		func(v any, meta diskcache.Meta) []byte {
-			return diskcache.EncodeFeasible(meta, v.(*feasible.Edges).Infeasible)
-		},
-		func(data []byte) (any, map[StageName]time.Duration, error) {
-			meta, mask, err := diskcache.DecodeFeasible(data, g)
-			if err != nil {
-				return nil, nil, err
-			}
-			return feasible.FromMask(mask), costsFromDisk(meta.Costs), nil
-		})
-	v, cost, src, dec, err := e.cache.do(key, ops, func() (any, map[StageName]time.Duration, error) {
-		mm := NewMetrics()
-		ed, err := runStage(ctx, FeasibleStage, fn.Name, mm, in)
-		return ed, costs(mm), err
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.merge(cost, src, dec)
-	return v.(*feasible.Edges), nil
+// automaton builds the Aho-Corasick qualification automaton over the
+// trimmed hot paths. Its key chains the hot-set fingerprint
+// (output-addressed), so any route to the same hot set — a different
+// CA, an explicit AnalyzeFuncHot set, a counts-only edit that
+// re-selects identically — shares the bundle.
+func (iv *invocation) automaton(hot []bl.Path) (*automaton.Automaton, error) {
+	fn, train := iv.fn, iv.train
+	return cached(iv, StageAutomaton, func() cacheKey { return iv.e.cache.keyAutomaton(fn, train, hot) },
+		&codec[*automaton.Automaton]{diskcache.KindAutomaton, diskcache.EncodeAutomatonBundle,
+			func(b []byte) (diskcache.Meta, *automaton.Automaton, error) {
+				return diskcache.DecodeAutomatonBundle(b, train.R)
+			}},
+		func() (*automaton.Automaton, error) { return automaton.New(fn.G, train.R, hot) })
 }
 
-// baseline computes (or fetches) the CA = 0 Wegman-Zadek solution,
-// masked by the CFG tier's feasibility artifact when one was computed.
-func (e *Engine) baseline(ctx context.Context, fn *cfg.Func, kern dataflow.Kernel, feas *feasible.Edges, m *Metrics) (*constprop.Result, error) {
-	in := AnalyzeIn{G: fn.G, NumVars: fn.NumVars(), Kernel: kern, Infeasible: feas.Mask()}
-	if e.cache == nil {
-		return runStage(ctx, BaselineStage, fn.Name, m, in)
-	}
-	key := e.cache.keyBaseline(fn)
-	if in.Infeasible != nil {
-		key.chain = e.cache.keyFeasibleCFG(fn).digest()
-	}
-	ops := e.diskOps(ctx, key, diskcache.KindBaseline,
-		func(v any, meta diskcache.Meta) []byte {
-			return diskcache.EncodeBaseline(meta, v.(*constprop.Result))
-		},
-		func(data []byte) (any, map[StageName]time.Duration, error) {
-			meta, sol, err := diskcache.DecodeBaseline(data, fn.G, fn.NumVars())
-			if err != nil {
-				return nil, nil, err
-			}
-			return sol, costsFromDisk(meta.Costs), nil
-		})
-	v, cost, src, dec, err := e.cache.do(key, ops, func() (any, map[StageName]time.Duration, error) {
-		mm := NewMetrics()
-		sol, err := runStage(ctx, BaselineStage, fn.Name, mm, in)
-		return sol, costs(mm), err
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.merge(cost, src, dec)
-	return v.(*constprop.Result), nil
-}
-
-// automatonStage computes (or fetches) the Aho-Corasick qualification
-// automaton. Its key chains the hot-set fingerprint (output-addressed),
-// so any route to the same hot set — a different CA, an explicit
-// AnalyzeFuncHot set, a counts-only edit that re-selects identically —
-// shares the bundle.
-func (e *Engine) automatonStage(ctx context.Context, fn *cfg.Func, train *bl.Profile, hot []bl.Path, m *Metrics) (*automaton.Automaton, error) {
-	in := AutomatonIn{Fn: fn, R: train.R, Hot: hot}
-	if e.cache == nil {
-		return runStage(ctx, AutomatonStage, fn.Name, m, in)
-	}
-	key := e.cache.keyAutomaton(fn, train, hot)
-	ops := e.diskOps(ctx, key, diskcache.KindAutomaton,
-		func(v any, meta diskcache.Meta) []byte {
-			return diskcache.EncodeAutomatonBundle(meta, v.(*automaton.Automaton))
-		},
-		func(data []byte) (any, map[StageName]time.Duration, error) {
-			meta, a, err := diskcache.DecodeAutomatonBundle(data, train.R)
-			if err != nil {
-				return nil, nil, err
-			}
-			return a, costsFromDisk(meta.Costs), nil
-		})
-	v, cost, src, dec, err := e.cache.do(key, ops, func() (any, map[StageName]time.Duration, error) {
-		mm := NewMetrics()
-		a, err := runStage(ctx, AutomatonStage, fn.Name, mm, in)
-		return a, costs(mm), err
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.merge(cost, src, dec)
-	return v.(*automaton.Automaton), nil
-}
-
-// traceStage computes (or fetches) the Holley-Rosen traced HPG. Its
+// trace applies Holley-Rosen data-flow tracing, producing the HPG. Its
 // slice includes block bodies (the HPG copies them into its nodes), so
 // a body edit recomputes it; the decode attaches the stored graph
 // structure to the live function and automaton via trace.Assemble.
-func (e *Engine) traceStage(ctx context.Context, fn *cfg.Func, train *bl.Profile, hot []bl.Path, a *automaton.Automaton, m *Metrics) (*trace.HPG, error) {
-	in := TraceIn{Fn: fn, Auto: a}
-	if e.cache == nil {
-		return runStage(ctx, TraceStage, fn.Name, m, in)
-	}
-	key := e.cache.keyTrace(fn, train, hot)
-	ops := e.diskOps(ctx, key, diskcache.KindTrace,
-		func(v any, meta diskcache.Meta) []byte {
-			return diskcache.EncodeTrace(meta, v.(*trace.HPG))
-		},
-		func(data []byte) (any, map[StageName]time.Duration, error) {
-			meta, h, err := diskcache.DecodeTrace(data, fn, a)
-			if err != nil {
-				return nil, nil, err
-			}
-			return h, costsFromDisk(meta.Costs), nil
+func (iv *invocation) trace(hot []bl.Path, a *automaton.Automaton) (*trace.HPG, error) {
+	fn := iv.fn
+	return cached(iv, StageTrace, func() cacheKey { return iv.e.cache.keyTrace(fn, iv.train, hot) },
+		&codec[*trace.HPG]{diskcache.KindTrace, diskcache.EncodeTrace,
+			func(b []byte) (diskcache.Meta, *trace.HPG, error) { return diskcache.DecodeTrace(b, fn, a) }},
+		func() (*trace.HPG, error) { return trace.Build(fn, a) })
+}
+
+// analyze runs Wegman-Zadek on the HPG. Pure chain key: its only input
+// is the trace stage's output (and the HPG tier's feasibility mask).
+func (iv *invocation) analyze(hot []bl.Path, h *trace.HPG, feas *feasible.Edges) (*constprop.Result, error) {
+	fn, mask := iv.fn, feas.Mask()
+	return cached(iv, StageAnalyze, func() cacheKey { return iv.e.cache.keyAnalyzeMasked(fn, iv.train, hot, mask != nil) },
+		&codec[*constprop.Result]{diskcache.KindAnalyze, diskcache.EncodeAnalyze,
+			func(b []byte) (diskcache.Meta, *constprop.Result, error) {
+				return diskcache.DecodeAnalyze(b, h.G, fn.NumVars())
+			}},
+		func() (*constprop.Result, error) {
+			return constprop.AnalyzeMasked(h.G, fn.NumVars(), true, iv.o.Kernel, mask), nil
 		})
-	v, cost, src, dec, err := e.cache.do(key, ops, func() (any, map[StageName]time.Duration, error) {
-		mm := NewMetrics()
-		h, err := runStage(ctx, TraceStage, fn.Name, mm, in)
-		return h, costs(mm), err
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.merge(cost, src, dec)
-	return v.(*trace.HPG), nil
 }
 
-// analyzeStage computes (or fetches) the Wegman-Zadek solution on the
-// HPG. Pure chain key: its only input is the trace stage's output.
-func (e *Engine) analyzeStage(ctx context.Context, fn *cfg.Func, train *bl.Profile, hot []bl.Path, h *trace.HPG, kern dataflow.Kernel, feas *feasible.Edges, m *Metrics) (*constprop.Result, error) {
-	in := AnalyzeIn{G: h.G, NumVars: fn.NumVars(), Kernel: kern, Infeasible: feas.Mask()}
-	if e.cache == nil {
-		return runStage(ctx, AnalyzeStage, fn.Name, m, in)
-	}
-	key := e.cache.keyAnalyzeMasked(fn, train, hot, in.Infeasible != nil)
-	ops := e.diskOps(ctx, key, diskcache.KindAnalyze,
-		func(v any, meta diskcache.Meta) []byte {
-			return diskcache.EncodeAnalyze(meta, v.(*constprop.Result))
-		},
-		func(data []byte) (any, map[StageName]time.Duration, error) {
-			meta, sol, err := diskcache.DecodeAnalyze(data, h.G, fn.NumVars())
+// translate re-expresses the training profile on the HPG (Lemma 2). Its
+// slice is shape + profile but *not* block bodies: an HPG's node/edge
+// structure depends only on the CFG shape and the automaton, so a
+// body-only edit replays the translation onto the freshly traced
+// (body-updated) HPG — the stored bundle's edge IDs still line up.
+func (iv *invocation) translate(hot []bl.Path, h *trace.HPG) (*bl.Profile, error) {
+	fn, train := iv.fn, iv.train
+	return cached(iv, StageTranslate, func() cacheKey { return iv.e.cache.keyTranslate(fn, train, hot) },
+		&codec[*bl.Profile]{diskcache.KindTranslate, diskcache.EncodeTranslate,
+			func(b []byte) (diskcache.Meta, *bl.Profile, error) { return diskcache.DecodeTranslate(b, h.G) }},
+		func() (*bl.Profile, error) { return profile.Translate(train, fn.G, h) })
+}
+
+// reduce minimizes the HPG at cutoff CR and re-analyzes the quotient.
+// Pure chain key over the analyze and translate stages plus the CR
+// knob. Under Options.Feasible it re-detects on the quotient graph and
+// re-analyzes through the pruned view (the reduced tier's mask is
+// recomputed rather than projected — Detect is deterministic and the
+// quotient is a different graph than the HPG it came from).
+func (iv *invocation) reduce(hot []bl.Path, h *trace.HPG, hsol *constprop.Result, hprof *bl.Profile) (ReduceOut, error) {
+	fn, o := iv.fn, iv.o
+	return cached(iv, StageReduce, func() cacheKey { return iv.e.cache.keyReduceFeasible(fn, iv.train, hot, o.CR, o.Feasible) },
+		&codec[ReduceOut]{diskcache.KindReduced,
+			func(meta diskcache.Meta, r ReduceOut) []byte { return diskcache.EncodeReduced(meta, r.Red, r.RedSol) },
+			func(b []byte) (diskcache.Meta, ReduceOut, error) {
+				meta, red, sol, err := diskcache.DecodeReduced(b, h)
+				return meta, ReduceOut{Red: red, RedSol: sol}, err
+			}},
+		func() (ReduceOut, error) {
+			red, err := reduce.Reduce(h, hsol, hprof, reduce.Options{CR: o.CR})
 			if err != nil {
-				return nil, nil, err
+				return ReduceOut{}, err
 			}
-			return sol, costsFromDisk(meta.Costs), nil
-		})
-	v, cost, src, dec, err := e.cache.do(key, ops, func() (any, map[StageName]time.Duration, error) {
-		mm := NewMetrics()
-		sol, err := runStage(ctx, AnalyzeStage, fn.Name, mm, in)
-		return sol, costs(mm), err
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.merge(cost, src, dec)
-	return v.(*constprop.Result), nil
-}
-
-// translateStage computes (or fetches) the training profile translated
-// onto the HPG (Lemma 2). Its slice is shape + profile but *not* block
-// bodies: an HPG's node/edge structure depends only on the CFG shape
-// and the automaton, so a body-only edit replays the translation onto
-// the freshly traced (body-updated) HPG — the stored bundle's edge IDs
-// still line up.
-func (e *Engine) translateStage(ctx context.Context, fn *cfg.Func, train *bl.Profile, hot []bl.Path, h *trace.HPG, m *Metrics) (*bl.Profile, error) {
-	in := TranslateIn{Prof: train, Orig: fn.G, Overlay: h}
-	if e.cache == nil {
-		return runStage(ctx, TranslateStage, fn.Name, m, in)
-	}
-	key := e.cache.keyTranslate(fn, train, hot)
-	ops := e.diskOps(ctx, key, diskcache.KindTranslate,
-		func(v any, meta diskcache.Meta) []byte {
-			return diskcache.EncodeTranslate(meta, v.(*bl.Profile))
-		},
-		func(data []byte) (any, map[StageName]time.Duration, error) {
-			meta, hp, err := diskcache.DecodeTranslate(data, h.G)
-			if err != nil {
-				return nil, nil, err
+			var mask []bool
+			if o.Feasible {
+				mask = feasible.Detect(red.G, fn.NumVars()).Mask()
 			}
-			return hp, costsFromDisk(meta.Costs), nil
+			return ReduceOut{Red: red, RedSol: constprop.AnalyzeMasked(red.G, fn.NumVars(), true, o.Kernel, mask)}, nil
 		})
-	v, cost, src, dec, err := e.cache.do(key, ops, func() (any, map[StageName]time.Duration, error) {
-		mm := NewMetrics()
-		hp, err := runStage(ctx, TranslateStage, fn.Name, mm, in)
-		return hp, costs(mm), err
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.merge(cost, src, dec)
-	return v.(*bl.Profile), nil
-}
-
-// reduced computes (or fetches) the reduced HPG and its solution. Pure
-// chain key over the analyze and translate stages plus the CR knob.
-func (e *Engine) reduced(ctx context.Context, fn *cfg.Func, train *bl.Profile, hot []bl.Path, h *trace.HPG, hsol *constprop.Result, hprof *bl.Profile, o Options, m *Metrics) (ReduceOut, error) {
-	in := ReduceIn{HPG: h, Sol: hsol, Prof: hprof, CR: o.CR, NumVars: fn.NumVars(), Kernel: o.Kernel, Feasible: o.Feasible}
-	if e.cache == nil {
-		return runStage(ctx, ReduceStage, fn.Name, m, in)
-	}
-	key := e.cache.keyReduceFeasible(fn, train, hot, o.CR, o.Feasible)
-	ops := e.diskOps(ctx, key, diskcache.KindReduced,
-		func(v any, meta diskcache.Meta) []byte {
-			r := v.(ReduceOut)
-			return diskcache.EncodeReduced(meta, r.Red, r.RedSol)
-		},
-		func(data []byte) (any, map[StageName]time.Duration, error) {
-			meta, red, sol, err := diskcache.DecodeReduced(data, h)
-			if err != nil {
-				return nil, nil, err
-			}
-			return ReduceOut{Red: red, RedSol: sol}, costsFromDisk(meta.Costs), nil
-		})
-	v, cost, src, dec, err := e.cache.do(key, ops, func() (any, map[StageName]time.Duration, error) {
-		mm := NewMetrics()
-		r, err := runStage(ctx, ReduceStage, fn.Name, mm, in)
-		return r, costs(mm), err
-	})
-	if err != nil {
-		return ReduceOut{}, err
-	}
-	m.merge(cost, src, dec)
-	return v.(ReduceOut), nil
-}
-
-func costs(m *Metrics) map[StageName]time.Duration {
-	out := make(map[StageName]time.Duration, len(m.Stages))
-	for s, sm := range m.Stages {
-		out[s] = sm.Duration
-	}
-	return out
-}
-
-// diskOps assembles the persistent-tier plumbing for one cache key, or
-// returns nil when no disk tier is attached. The disk key reuses the
-// in-memory key's (slice, chain, knob) fingerprints so the two tiers
-// always agree on identity, and every write is stamped with the
-// context's delta class (WithDeltaClass) as provenance.
-func (e *Engine) diskOps(ctx context.Context, key cacheKey, kind diskcache.Kind,
-	encode func(v any, meta diskcache.Meta) []byte,
-	decode func(data []byte) (any, map[StageName]time.Duration, error)) *diskOps {
-	if e.cache == nil || e.cache.disk == nil {
-		return nil
-	}
-	class := deltaClassFrom(ctx)
-	return &diskOps{
-		key: diskcache.Key{Kind: kind, Slice: key.slice, Chain: key.chain, Knob: key.knob},
-		encode: func(v any, cost map[StageName]time.Duration) []byte {
-			return encode(v, diskcache.Meta{Costs: costsToDisk(cost), Class: class})
-		},
-		decode: decode,
-	}
-}
-
-// costsToDisk and costsFromDisk translate stage-cost maps across the
-// engine/diskcache boundary (diskcache cannot import engine's StageName
-// without a cycle, so bundles carry plain strings).
-func costsToDisk(m map[StageName]time.Duration) diskcache.Costs {
-	out := make(diskcache.Costs, len(m))
-	for s, d := range m {
-		out[string(s)] = d
-	}
-	return out
-}
-
-func costsFromDisk(c diskcache.Costs) map[StageName]time.Duration {
-	out := make(map[StageName]time.Duration, len(c))
-	for s, d := range c {
-		out[StageName(s)] = d
-	}
-	return out
 }
 
 // AnalyzeProgram runs the pipeline on every function of prog using the

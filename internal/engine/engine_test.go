@@ -261,10 +261,11 @@ func TestCacheSharesBaselineAcrossPoints(t *testing.T) {
 	if hits == 0 {
 		t.Error("post-sweep analysis recorded no per-function cache hits")
 	}
-	// Times must still be populated on hits so Figure 12 ratios work.
+	// Stage costs must still be populated on hits so Figure 12 ratios
+	// work.
 	fr := res.Funcs["main"]
-	if fr.Times.Analysis <= 0 {
-		t.Errorf("cache hit reported zero analyze cost: %+v", fr.Times)
+	if fr.Metrics.Duration(engine.StageAnalyze) <= 0 {
+		t.Errorf("cache hit reported zero analyze cost: %+v", fr.Metrics.Stages)
 	}
 }
 
@@ -295,27 +296,45 @@ func TestAnalyzeFuncMatchesPaperExample(t *testing.T) {
 
 // --- Satellite: cancellation ---------------------------------------------
 
+// TestCancelledContextStopsAnalysis: on every engine — uncached,
+// memory-cached and disk-cached — a cancelled context fails the first
+// stage with a StageError that names the stage and the function and
+// still unwraps to context.Canceled.
 func TestCancelledContextStopsAnalysis(t *testing.T) {
 	prog, train := fixture(t)
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	eng := engine.New(engine.Config{Workers: 4})
-	_, err := eng.AnalyzeProgram(cctx, prog, train, engine.DefaultOptions())
-	if err == nil {
-		t.Fatal("analysis succeeded under a cancelled context")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("errors.Is(err, Canceled) = false: %v", err)
-	}
-	var se *engine.StageError
-	if !errors.As(err, &se) {
-		t.Fatalf("error %v is not a StageError", err)
-	}
-	if se.Stage == "" || se.Func == "" {
-		t.Errorf("StageError missing provenance: %+v", se)
-	}
-	if !strings.Contains(err.Error(), string(se.Stage)) {
-		t.Errorf("message %q does not name the owning stage", err)
+	for _, tc := range []struct {
+		name string
+		cfg  engine.Config
+	}{
+		{"uncached", engine.Config{Workers: 4}},
+		{"memory", engine.Config{Workers: 4, Cache: true}},
+		{"disk", engine.Config{Workers: 4, CacheDir: t.TempDir()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := engine.Open(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = eng.AnalyzeProgram(cctx, prog, train, engine.DefaultOptions())
+			if err == nil {
+				t.Fatal("analysis succeeded under a cancelled context")
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("errors.Is(err, Canceled) = false: %v", err)
+			}
+			var se *engine.StageError
+			if !errors.As(err, &se) {
+				t.Fatalf("error %v is not a StageError", err)
+			}
+			if se.Stage == "" || prog.Funcs[se.Func] == nil {
+				t.Errorf("StageError missing provenance: %+v", se)
+			}
+			if !strings.Contains(err.Error(), string(se.Stage)) || !strings.Contains(err.Error(), se.Func) {
+				t.Errorf("message %q does not name the owning stage and function", err)
+			}
+		})
 	}
 }
 

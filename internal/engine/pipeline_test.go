@@ -56,7 +56,7 @@ func TestAnalyzeFuncFullPipeline(t *testing.T) {
 	if fr.FinalOverlay() == nil {
 		t.Error("FinalOverlay should be non-nil")
 	}
-	if fr.Times.Total <= 0 || fr.Times.Qualified() <= 0 {
+	if fr.Metrics.Qualification() <= 0 {
 		t.Error("timings not recorded")
 	}
 }

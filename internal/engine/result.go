@@ -57,10 +57,26 @@ type FuncResult struct {
 	// CheckFuncResult).
 	Oracle []*oracle.Report
 
-	// Times is the legacy per-stage timing projection; Metrics is the
-	// full per-stage record, including cache hits.
-	Times   Times
+	// Metrics is the per-stage record, including cache hits.
 	Metrics *Metrics
+}
+
+// Replayed splits the pipeline stages this result ran into those served
+// from either cache tier (replayed, in execution order) and the number
+// recomputed.
+func (r *FuncResult) Replayed() (replayed []StageName, recomputed int) {
+	for _, s := range PipelineStages {
+		sm := r.Metrics.Stages[s]
+		if sm.Runs == 0 {
+			continue
+		}
+		if sm.CacheHits > 0 {
+			replayed = append(replayed, s)
+		} else {
+			recomputed++
+		}
+	}
+	return replayed, recomputed
 }
 
 // FinalLive returns the liveness result on FinalGraph (nil when the
@@ -194,11 +210,9 @@ func (pr *ProgramResult) Stats() Stats {
 	var s Stats
 	for _, fr := range pr.Funcs {
 		s.OrigNodes += fr.Fn.G.NumNodes()
-		s.BaselineTime += fr.Times.Baseline
-		s.QualifiedTime += fr.Times.Qualified()
-		if fr.Metrics != nil {
-			s.CacheHits += fr.Metrics.CacheHits()
-		}
+		s.BaselineTime += fr.Metrics.Duration(StageBaseline)
+		s.QualifiedTime += fr.Metrics.Qualification()
+		s.CacheHits += fr.Metrics.CacheHits()
 		if fr.Train != nil {
 			s.TrainPaths += fr.Train.NumPaths()
 		}

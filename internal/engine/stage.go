@@ -5,18 +5,11 @@ import (
 	"fmt"
 	"time"
 
-	"pathflow/internal/automaton"
-	"pathflow/internal/availexpr"
 	"pathflow/internal/bl"
 	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
-	"pathflow/internal/dataflow"
-	"pathflow/internal/dataflow/oracle"
-	"pathflow/internal/feasible"
-	"pathflow/internal/liveness"
-	"pathflow/internal/profile"
+	"pathflow/internal/engine/diskcache"
 	"pathflow/internal/reduce"
-	"pathflow/internal/trace"
 )
 
 // StageName identifies one stage of the qualification pipeline.
@@ -82,230 +75,83 @@ func (e *StageError) Error() string {
 
 func (e *StageError) Unwrap() error { return e.Err }
 
-// Stage is one typed pipeline step: a pure function from its input
-// artifact to its output artifact. Stages never observe engine state;
-// the engine owns sequencing, cancellation, caching and metrics.
-type Stage[In, Out any] struct {
-	Name StageName
-	Run  func(In) (Out, error)
+// invocation is one function's trip through the pipeline: what every
+// stage call of it shares.
+type invocation struct {
+	ctx   context.Context
+	e     *Engine
+	fn    *cfg.Func
+	train *bl.Profile
+	o     Options
+	m     *Metrics
 }
 
-// runStage executes st under ctx, records its duration into m, and wraps
-// any failure (including cancellation observed before the stage starts)
-// in a *StageError naming the stage and function.
-func runStage[In, Out any](ctx context.Context, st Stage[In, Out], fname string, m *Metrics, in In) (Out, error) {
-	var zero Out
-	if err := ctx.Err(); err != nil {
-		return zero, &StageError{Stage: st.Name, Func: fname, Err: err}
+// codec is a stage's disk-tier encoding: the bundle kind and the two
+// directions of its artifact codec. decode closes over the live objects
+// (graph, recording-edge set, HPG) a revived artifact must point at.
+type codec[T any] struct {
+	kind   diskcache.Kind
+	encode func(diskcache.Meta, T) []byte
+	decode func([]byte) (diskcache.Meta, T, error)
+}
+
+// cached runs one stage of iv's function and records it in iv.m. The
+// compute runs only after a context check, is timed, and any failure
+// comes back as a *StageError naming the stage and the function.
+//
+// With the engine's cache on and a non-nil key, the stage is one
+// single-flight cache bundle: memory first, then the disk tier when cd
+// is non-nil (decoded, or written through after a compute), then
+// compute. Otherwise it computes directly. key is a thunk so the
+// uncached path never touches fingerprint machinery.
+func cached[T any](iv *invocation, stage StageName, key func() cacheKey, cd *codec[T], compute func() (T, error)) (T, error) {
+	var zero T
+	run := func() (any, time.Duration, error) {
+		if err := iv.ctx.Err(); err != nil {
+			return zero, 0, &StageError{Stage: stage, Func: iv.fn.Name, Err: err}
+		}
+		t0 := time.Now()
+		v, err := compute()
+		if err != nil {
+			return zero, 0, &StageError{Stage: stage, Func: iv.fn.Name, Err: err}
+		}
+		return v, time.Since(t0), nil
 	}
-	t0 := time.Now()
-	out, err := st.Run(in)
-	m.add(st.Name, time.Since(t0), 0, SourceComputed)
+	if iv.e.cache == nil || key == nil {
+		v, d, err := run()
+		if err != nil {
+			return zero, err
+		}
+		iv.m.add(stage, d, 0, SourceComputed)
+		return v.(T), nil
+	}
+	k := key()
+	var ops *diskOps
+	if cd != nil && iv.e.cache.disk != nil {
+		ops = &diskOps{
+			key: diskcache.Key{Kind: cd.kind, Slice: k.slice, Chain: k.chain, Knob: k.knob},
+			encode: func(v any, d time.Duration) []byte {
+				return cd.encode(diskcache.Meta{Costs: diskcache.Costs{string(stage): d}}, v.(T))
+			},
+			decode: func(data []byte) (any, time.Duration, error) {
+				meta, v, err := cd.decode(data)
+				return v, meta.Costs[string(stage)], err
+			},
+		}
+	}
+	v, d, src, decode, err := iv.e.cache.do(k, ops, run)
 	if err != nil {
-		return zero, &StageError{Stage: st.Name, Func: fname, Err: err}
+		return zero, err
 	}
-	return out, nil
-}
-
-// --- Typed stage artifacts ----------------------------------------------
-
-// SelectIn feeds hot-path selection.
-type SelectIn struct {
-	Fn    *cfg.Func
-	Train *bl.Profile
-	CA    float64
-}
-
-// AutomatonIn feeds qualification-automaton construction.
-type AutomatonIn struct {
-	Fn  *cfg.Func
-	R   map[cfg.EdgeID]bool
-	Hot []bl.Path
-}
-
-// TraceIn feeds Holley-Rosen data-flow tracing.
-type TraceIn struct {
-	Fn   *cfg.Func
-	Auto *automaton.Automaton
-}
-
-// AnalyzeIn feeds Wegman-Zadek constant propagation (baseline and HPG).
-// Kernel selects the solver backend (packed arenas by default).
-// Infeasible, when non-nil, is the tier's feasibility mask: the solve
-// withholds facts along marked edges (Options.Feasible).
-type AnalyzeIn struct {
-	G          *cfg.Graph
-	NumVars    int
-	Kernel     dataflow.Kernel
-	Infeasible []bool
-}
-
-// FeasibleIn feeds the branch-correlation feasibility analysis for one
-// graph tier.
-type FeasibleIn struct {
-	G       *cfg.Graph
-	NumVars int
-}
-
-// TranslateIn feeds profile translation onto an overlay graph.
-type TranslateIn struct {
-	Prof    *bl.Profile
-	Orig    *cfg.Graph
-	Overlay profile.Overlay
-}
-
-// ReduceIn feeds reduction; NumVars is needed to re-analyze the
-// quotient. Feasible re-runs feasibility detection on the quotient
-// graph and re-analyzes through the pruned view (the reduced tier's
-// mask is recomputed rather than projected — Detect is deterministic
-// and the quotient is a different graph than the HPG it came from).
-type ReduceIn struct {
-	HPG      *trace.HPG
-	Sol      *constprop.Result
-	Prof     *bl.Profile
-	CR       float64
-	NumVars  int
-	Kernel   dataflow.Kernel
-	Feasible bool
+	iv.m.add(stage, d, decode, src)
+	return v.(T), nil
 }
 
 // ReduceOut is the reduction artifact: the quotient graph and its
-// re-analyzed solution.
+// re-analyzed solution, cached together as one bundle.
 type ReduceOut struct {
 	Red    *reduce.Reduced
 	RedSol *constprop.Result
-}
-
-// ClientIn feeds the optional client analyses on one graph tier. Guide
-// is the tier's constant-propagation solution: liveness is conditioned
-// on its executable sub-graph (dead legs keep nothing alive), and
-// available expressions intersects only over executable in-edges. U is
-// the expression universe shared across tiers (required for
-// ClientAvailExpr).
-type ClientIn struct {
-	G       *cfg.Graph
-	NumVars int
-	Guide   *dataflow.Solution
-	U       *availexpr.Universe
-	Kernel  dataflow.Kernel
-}
-
-// ClientOut bundles one tier's client-analysis results (fields are nil
-// for clients that were not requested).
-type ClientOut struct {
-	Live  *liveness.Result
-	Avail *availexpr.Result
-}
-
-// CheckIn feeds the differential oracle with a completed result.
-type CheckIn struct {
-	Res *FuncResult
-}
-
-// --- The stages ----------------------------------------------------------
-
-// BaselineStage runs Wegman-Zadek on the original graph (the CA = 0
-// baseline, independent of every knob).
-var BaselineStage = Stage[AnalyzeIn, *constprop.Result]{
-	Name: StageBaseline,
-	Run: func(in AnalyzeIn) (*constprop.Result, error) {
-		return constprop.AnalyzeMasked(in.G, in.NumVars, true, in.Kernel, in.Infeasible), nil
-	},
-}
-
-// FeasibleStage detects infeasible edges on one graph tier.
-var FeasibleStage = Stage[FeasibleIn, *feasible.Edges]{
-	Name: StageFeasible,
-	Run: func(in FeasibleIn) (*feasible.Edges, error) {
-		return feasible.Detect(in.G, in.NumVars), nil
-	},
-}
-
-// SelectStage picks the minimal hot-path set covering CA of the training
-// run's dynamic instructions.
-var SelectStage = Stage[SelectIn, []bl.Path]{
-	Name: StageSelect,
-	Run: func(in SelectIn) ([]bl.Path, error) {
-		return profile.SelectHot(in.Train, in.Fn.G, in.CA), nil
-	},
-}
-
-// AutomatonStage builds the Aho-Corasick qualification automaton over the
-// trimmed hot paths.
-var AutomatonStage = Stage[AutomatonIn, *automaton.Automaton]{
-	Name: StageAutomaton,
-	Run: func(in AutomatonIn) (*automaton.Automaton, error) {
-		return automaton.New(in.Fn.G, in.R, in.Hot)
-	},
-}
-
-// TraceStage applies Holley-Rosen data-flow tracing, producing the HPG.
-var TraceStage = Stage[TraceIn, *trace.HPG]{
-	Name: StageTrace,
-	Run: func(in TraceIn) (*trace.HPG, error) {
-		return trace.Build(in.Fn, in.Auto)
-	},
-}
-
-// AnalyzeStage runs Wegman-Zadek on the HPG.
-var AnalyzeStage = Stage[AnalyzeIn, *constprop.Result]{
-	Name: StageAnalyze,
-	Run: func(in AnalyzeIn) (*constprop.Result, error) {
-		return constprop.AnalyzeMasked(in.G, in.NumVars, true, in.Kernel, in.Infeasible), nil
-	},
-}
-
-// TranslateStage re-expresses the training profile on the HPG (Lemma 2).
-var TranslateStage = Stage[TranslateIn, *bl.Profile]{
-	Name: StageTranslate,
-	Run: func(in TranslateIn) (*bl.Profile, error) {
-		return profile.Translate(in.Prof, in.Orig, in.Overlay)
-	},
-}
-
-// ReduceStage minimizes the HPG at cutoff CR and re-analyzes the quotient.
-var ReduceStage = Stage[ReduceIn, ReduceOut]{
-	Name: StageReduce,
-	Run: func(in ReduceIn) (ReduceOut, error) {
-		red, err := reduce.Reduce(in.HPG, in.Sol, in.Prof, reduce.Options{CR: in.CR})
-		if err != nil {
-			return ReduceOut{}, err
-		}
-		var mask []bool
-		if in.Feasible {
-			mask = feasible.Detect(red.G, in.NumVars).Mask()
-		}
-		return ReduceOut{Red: red, RedSol: constprop.AnalyzeMasked(red.G, in.NumVars, true, in.Kernel, mask)}, nil
-	},
-}
-
-// LivenessStage runs guided live-variable analysis (backward) on one
-// graph tier.
-var LivenessStage = Stage[ClientIn, *liveness.Result]{
-	Name: StageLiveness,
-	Run: func(in ClientIn) (*liveness.Result, error) {
-		return liveness.AnalyzeWith(in.G, in.NumVars, in.Guide, in.Kernel), nil
-	},
-}
-
-// AvailExprStage runs guided available-expressions analysis (forward)
-// on one graph tier.
-var AvailExprStage = Stage[ClientIn, *availexpr.Result]{
-	Name: StageAvailExpr,
-	Run: func(in ClientIn) (*availexpr.Result, error) {
-		return availexpr.AnalyzeWith(in.G, in.U, in.Guide, in.Kernel), nil
-	},
-}
-
-// CheckStage runs the precision differential oracle over a completed
-// result; see CheckFuncResult. Violations are reported in the returned
-// slice, not as a stage error — the engine decides whether they are
-// fatal (Options.Verify) or informational (`pathflow check`).
-var CheckStage = Stage[CheckIn, []*oracle.Report]{
-	Name: StageCheck,
-	Run: func(in CheckIn) ([]*oracle.Report, error) {
-		return CheckFuncResult(in.Res), nil
-	},
 }
 
 // --- Metrics -------------------------------------------------------------
@@ -341,19 +187,15 @@ func (sm StageMetrics) Computed() int { return sm.Runs - sm.CacheHits }
 // serving layer exports).
 func (sm StageMetrics) DecodeNanos() int64 { return sm.Decode.Nanoseconds() }
 
-// Metrics generalizes the old ad-hoc Times struct: per-stage durations,
-// run/hit counts, and the actual wall-clock of the pipeline invocation.
+// Metrics is the per-stage record of one pipeline invocation: compute
+// and decode durations, run and hit counts.
 type Metrics struct {
 	Stages map[StageName]StageMetrics
-	// Wall is the observed wall-clock time of this pipeline invocation
-	// (cache hits make it smaller than the summed stage durations).
-	Wall time.Duration
 
 	// observe, when set (WithStageObserver), is invoked for every stage
-	// execution recorded into this record — direct runs and cache-hit
-	// merges alike. The cache's leader computes into a private Metrics
-	// with no observer and then merges, so each artifact is reported to
-	// each requester exactly once.
+	// execution recorded into this record — fresh computes and cache hits
+	// alike. cached records a stage once the cache tiers have answered,
+	// so each artifact is reported to each requester exactly once.
 	observe func(s StageName, d, decode time.Duration, src Provenance)
 }
 
@@ -374,32 +216,6 @@ func (m *Metrics) add(s StageName, d, decode time.Duration, src Provenance) {
 	m.Stages[s] = sm
 	if m.observe != nil {
 		m.observe(s, d, decode, src)
-	}
-}
-
-// merge folds a recorded cost map into m, attributing every entry to the
-// given provenance. decode is the wall-clock spent decoding the bundle
-// from the persistent tier (nonzero only for the leader of a disk hit);
-// it is attributed to the earliest pipeline stage present in cost — each
-// disk bundle carries exactly one pipeline stage, so in practice the
-// whole decode lands on the stage that owns the bundle and is never
-// folded into any stage's Duration.
-func (m *Metrics) merge(cost map[StageName]time.Duration, src Provenance, decode time.Duration) {
-	var decodeStage StageName
-	if decode > 0 {
-		for _, s := range StageOrder {
-			if _, ok := cost[s]; ok {
-				decodeStage = s
-				break
-			}
-		}
-	}
-	for s, d := range cost {
-		if s == decodeStage {
-			m.add(s, d, decode, src)
-		} else {
-			m.add(s, d, 0, src)
-		}
 	}
 }
 
@@ -426,35 +242,14 @@ func (m *Metrics) DiskHits() int {
 	return n
 }
 
-// Times projects the metrics onto the legacy Times struct: Baseline,
-// Automaton, Trace, Analysis (HPG), Reduce (translate + reduce +
-// quotient re-analysis), and Total as the sum of compute costs, exactly
-// the spans the pre-engine pipeline timed.
-func (m *Metrics) Times() Times {
-	t := Times{
-		Baseline:  m.Duration(StageBaseline),
-		Automaton: m.Duration(StageAutomaton),
-		Trace:     m.Duration(StageTrace),
-		Analysis:  m.Duration(StageAnalyze),
-		Reduce:    m.Duration(StageTranslate) + m.Duration(StageReduce),
+// Qualification returns the summed compute cost of the stages that
+// qualification adds on top of the baseline — automaton, trace,
+// analyze, translate and reduce — the paper's Figure 12 numerator.
+// Selection is not included.
+func (m *Metrics) Qualification() time.Duration {
+	var d time.Duration
+	for _, s := range []StageName{StageAutomaton, StageTrace, StageAnalyze, StageTranslate, StageReduce} {
+		d += m.Duration(s)
 	}
-	t.Total = t.Baseline + t.Automaton + t.Trace + t.Analysis + t.Reduce
-	return t
-}
-
-// Times records wall-clock durations of the pipeline stages (the legacy
-// pre-engine shape, kept for the harness and CLI).
-type Times struct {
-	Baseline  time.Duration // Wegman-Zadek on the original graph
-	Automaton time.Duration
-	Trace     time.Duration
-	Analysis  time.Duration // qualified analysis on the HPG
-	Reduce    time.Duration
-	Total     time.Duration
-}
-
-// Qualified returns the extra time qualification added on top of the
-// baseline analysis (the paper's Figure 12 numerator).
-func (t Times) Qualified() time.Duration {
-	return t.Automaton + t.Trace + t.Analysis + t.Reduce
+	return d
 }

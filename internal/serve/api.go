@@ -118,10 +118,10 @@ type AnalyzeRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Live analyzes against the target's live streamed profile
 	// (POST /v1/profiles deltas merged into the decaying accumulators)
-	// instead of the training snapshot. Each function runs under the
-	// delta class its drift implies, so undrifted functions replay from
+	// instead of the training snapshot. Undrifted functions replay from
 	// cache and drifted ones recompute only the selection-downstream
-	// suffix.
+	// suffix; the job sends each function's delta class as a `delta`
+	// event.
 	Live bool `json:"live,omitempty"`
 }
 

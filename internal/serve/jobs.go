@@ -26,11 +26,6 @@ const (
 	JobCanceled JobState = "canceled"
 )
 
-// terminal reports whether s is an end state.
-func (s JobState) terminal() bool {
-	return s == JobDone || s == JobFailed || s == JobCanceled
-}
-
 // Event is one line of a job's NDJSON/SSE stream.
 type Event struct {
 	// Type is "state" (lifecycle transition), "profile" (training run
@@ -378,17 +373,6 @@ func (m *Manager) List() []*Job {
 		out[i] = m.jobs[id]
 	}
 	return out
-}
-
-// InFlight counts jobs that have not reached a terminal state.
-func (m *Manager) InFlight() int {
-	n := 0
-	for _, j := range m.List() {
-		if !j.State().terminal() {
-			n++
-		}
-	}
-	return n
 }
 
 // Shutdown cancels every job context and waits for all jobs to reach a

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"hash/fnv"
 	"net/http"
@@ -22,10 +21,9 @@ import (
 // This file is the streaming-profile side of the service: the
 // POST /v1/profiles ingestion endpoint feeding per-target decaying
 // accumulator sets (internal/profile/stream), drift detection against
-// the profile the cached artifacts were built from, and the live-
-// profile analyze path that re-analyzes under per-function delta
-// classes so only drifted functions recompute their StageSelect-
-// downstream artifacts while the rest replay from cache.
+// the profile the cached artifacts were built from, and the baseline
+// the live-profile analyze path (runPoints with live set) diffs against
+// and advances.
 
 // targetStream is one analysis target's live profile state: the
 // decaying accumulator set plus the program profile (and CA) the last
@@ -323,71 +321,4 @@ func (s *Server) handleProfileState(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// --- Live-profile analysis --------------------------------------------------
-
-// runPointsLive is runPoints against the live streamed profile instead
-// of the training snapshot. Each function is diffed against the
-// profile the cached artifacts were built from (engine.DiffPrograms on
-// the unchanged program) and analyzed under its own delta class, so an
-// undrifted function replays every stage from cache while a drifted
-// one recomputes exactly the StageSelect-downstream suffix its new
-// counts dirty. Functions run serially — one function's delta class
-// must not stamp another's bundles.
-func (s *Server) runPointsLive(ctx context.Context, job *Job, rt *resolvedTarget, points []engine.Options) error {
-	t0 := time.Now()
-	ts, train, err := s.streamFor(rt)
-	if err != nil {
-		return err
-	}
-	job.events.append(Event{Type: "profile", Job: job.id, Time: time.Now(), Cached: true})
-	live := ts.set.Profile()
-	prev, _ := ts.baseline(train)
-	deltas := engine.DiffPrograms(rt.prog, rt.prog, prev, live)
-	byName := make(map[string]*engine.Delta, len(deltas))
-	for _, d := range deltas {
-		byName[d.Func] = d
-		job.events.append(Event{
-			Type: "delta", Job: job.id, Time: time.Now(),
-			Func: d.Func, Stage: string(d.Class),
-		})
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-
-	jm := &JobMetrics{ProfileCached: true}
-	var results []*AnalyzeResult
-	for i, o := range points {
-		octx := engine.WithStageObserver(ctx, s.observer(job, i))
-		res := &engine.ProgramResult{
-			Prog:  rt.prog,
-			Opt:   o,
-			Funcs: make(map[string]*engine.FuncResult, len(rt.prog.Order)),
-		}
-		for _, name := range rt.prog.Order {
-			class := engine.DeltaCold
-			if d := byName[name]; d != nil {
-				class = d.Class
-			}
-			fctx := engine.WithDeltaClass(octx, class)
-			fr, err := s.eng.AnalyzeFunc(fctx, rt.prog.Funcs[name], live.Funcs[name], o)
-			if err != nil {
-				return err
-			}
-			res.Funcs[name] = fr
-		}
-		jm.addProgram(res)
-		results = append(results, buildResult(rt.name, o, res))
-	}
-	ts.setAnalyzed(live, points[len(points)-1].CA)
-	jm.WallMS = durMS(time.Since(t0))
-	jm.EngineCache = cacheJSON(s.eng.CacheStats())
-	if job.kind == "sweep" {
-		job.setResult(nil, results, jm)
-	} else {
-		job.setResult(results[0], nil, jm)
-	}
-	return nil
 }

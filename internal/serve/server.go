@@ -359,26 +359,53 @@ func (s *Server) observer(job *Job, point int) func(engine.StageEvent) {
 }
 
 // runPoints is the job body shared by analyze (one point) and sweep
-// (many): profile once, then run each point under a stage observer,
-// accumulating deterministic results and nondeterministic metrics.
-func (s *Server) runPoints(ctx context.Context, job *Job, rt *resolvedTarget, points []engine.Options) error {
+// (many): fetch the profile once, then run each point under a stage
+// observer, accumulating deterministic results and nondeterministic
+// metrics. The profile is the training run's (memoized per program), or
+// with live the target's merged streamed profile. A live job also sends
+// one `delta` event per function — its edit class against the profile
+// the cached artifacts were built from (engine.DiffPrograms on the
+// unchanged program) — and then records the live profile as that
+// baseline. The warm cache does the rest: an undrifted function replays
+// every stage, a drifted one recomputes the suffix its new counts dirty.
+func (s *Server) runPoints(ctx context.Context, job *Job, rt *resolvedTarget, points []engine.Options, live bool) error {
 	t0 := time.Now()
-	train, profMS, memoHit, err := s.memo.trainProfile(rt)
-	if err != nil {
-		return err
+	jm := &JobMetrics{ProfileCached: true}
+	var (
+		train *bl.ProgramProfile
+		ts    *targetStream
+		err   error
+	)
+	if live {
+		var base *bl.ProgramProfile
+		if ts, base, err = s.streamFor(rt); err != nil {
+			return err
+		}
+		job.events.append(Event{Type: "profile", Job: job.id, Time: time.Now(), Cached: true})
+		train = ts.set.Profile()
+		prev, _ := ts.baseline(base)
+		for _, d := range engine.DiffPrograms(rt.prog, rt.prog, prev, train) {
+			job.events.append(Event{
+				Type: "delta", Job: job.id, Time: time.Now(),
+				Func: d.Func, Stage: string(d.Class),
+			})
+		}
+	} else {
+		if train, jm.ProfileMS, jm.ProfileCached, err = s.memo.trainProfile(rt); err != nil {
+			return err
+		}
+		s.metrics.observeProfile(time.Duration(jm.ProfileMS*float64(time.Millisecond)), jm.ProfileCached)
+		job.events.append(Event{
+			Type: "profile", Job: job.id, Time: time.Now(),
+			DurationMS: jm.ProfileMS, Cached: jm.ProfileCached,
+		})
 	}
-	s.metrics.observeProfile(time.Duration(profMS*float64(time.Millisecond)), memoHit)
-	job.events.append(Event{
-		Type: "profile", Job: job.id, Time: time.Now(),
-		DurationMS: profMS, Cached: memoHit,
-	})
 	if err := ctx.Err(); err != nil {
 		// The training run is not cancellable; honor a cancellation that
 		// arrived while it ran before starting the engine.
 		return err
 	}
 
-	jm := &JobMetrics{ProfileMS: profMS, ProfileCached: memoHit}
 	var results []*AnalyzeResult
 	for i, o := range points {
 		octx := engine.WithStageObserver(ctx, s.observer(job, i))
@@ -388,6 +415,9 @@ func (s *Server) runPoints(ctx context.Context, job *Job, rt *resolvedTarget, po
 		}
 		jm.addProgram(res)
 		results = append(results, buildResult(rt.name, o, res))
+	}
+	if live {
+		ts.setAnalyzed(train, points[len(points)-1].CA)
 	}
 	jm.WallMS = durMS(time.Since(t0))
 	jm.EngineCache = cacheJSON(s.eng.CacheStats())
@@ -468,12 +498,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, requestID(r), http.StatusBadRequest, err)
 		return
 	}
-	run := s.runPoints
-	if req.Live {
-		run = s.runPointsLive
-	}
 	job := s.jobs.Submit("analyze", rt.name, s.timeoutFor(req.TimeoutMS), func(ctx context.Context, job *Job) error {
-		return run(ctx, job, rt, []engine.Options{o})
+		return s.runPoints(ctx, job, rt, []engine.Options{o}, req.Live)
 	})
 	s.respondSubmitted(w, r, job)
 }
@@ -506,12 +532,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	run := s.runPoints
-	if req.Live {
-		run = s.runPointsLive
-	}
 	job := s.jobs.Submit("sweep", rt.name, s.timeoutFor(req.TimeoutMS), func(ctx context.Context, job *Job) error {
-		return run(ctx, job, rt, points)
+		return s.runPoints(ctx, job, rt, points, req.Live)
 	})
 	s.respondSubmitted(w, r, job)
 }

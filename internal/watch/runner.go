@@ -159,7 +159,7 @@ func (r *Runner) initial(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	res, err := r.eng.AnalyzeProgram(engine.WithDeltaClass(ctx, engine.DeltaCold), prog, train, r.cfg.Options)
+	res, err := r.eng.AnalyzeProgram(ctx, prog, train, r.cfg.Options)
 	if err != nil {
 		return err
 	}
@@ -170,30 +170,21 @@ func (r *Runner) initial(ctx context.Context) error {
 	return nil
 }
 
-// round re-analyzes after a change: diff against the previous round,
-// analyze each function under its classified delta, advance the
-// baseline.
+// round re-analyzes after a change: re-analyze the program (the warm
+// cache replays every stage whose key survived), classify each function
+// against the previous round, advance the baseline.
 func (r *Runner) round(ctx context.Context) error {
 	prog, train, err := r.load()
 	if err != nil {
 		return err
 	}
-	deltas := engine.DiffPrograms(r.prevProg, prog, r.prevTrain, train)
-	byName := make(map[string]*engine.Delta, len(deltas))
-	for _, d := range deltas {
-		byName[d.Func] = d
-	}
 	r.rounds++
-	for _, name := range prog.Order {
-		class := engine.DeltaCold
-		if d := byName[name]; d != nil {
-			class = d.Class
-		}
-		fr, err := r.eng.AnalyzeFunc(engine.WithDeltaClass(ctx, class), prog.Funcs[name], train.Funcs[name], r.cfg.Options)
-		if err != nil {
-			return err
-		}
-		r.emit(r.rounds, name, class, r.requalify(name, class, prog, train), fr)
+	res, err := r.eng.AnalyzeProgram(ctx, prog, train, r.cfg.Options)
+	if err != nil {
+		return err
+	}
+	for _, d := range engine.DiffPrograms(r.prevProg, prog, r.prevTrain, train) {
+		r.emit(r.rounds, d.Func, d.Class, r.requalify(d.Func, d.Class, prog, train), res.Funcs[d.Func])
 	}
 	r.prevProg, r.prevTrain = prog, train
 	return nil
@@ -227,19 +218,10 @@ func (r *Runner) emit(round int, name string, class engine.DeltaClass, requalify
 		return
 	}
 	ev := Event{Round: round, Func: name, Class: class, Requalify: requalify}
-	if fr != nil && fr.Metrics != nil {
-		for _, s := range engine.PipelineStages {
-			sm := fr.Metrics.Stages[s]
-			if sm.Runs == 0 {
-				continue
-			}
-			if sm.CacheHits > 0 {
-				ev.Replayed++
-				ev.ReplayedStages = append(ev.ReplayedStages, string(s))
-			} else {
-				ev.Recomputed++
-			}
-		}
+	replayed, recomputed := fr.Replayed()
+	for _, s := range replayed {
+		ev.ReplayedStages = append(ev.ReplayedStages, string(s))
 	}
+	ev.Replayed, ev.Recomputed = len(replayed), recomputed
 	r.cfg.OnEvent(ev)
 }

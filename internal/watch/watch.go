@@ -3,10 +3,10 @@
 // dependency — hashing a handful of files every few hundred ms is
 // cheap and portable) detects changes to the source and the optional
 // saved-profile file; each change triggers the same incremental
-// machinery as `analyze -baseline` — engine.DiffPrograms classifies
-// every function's edit, each function re-analyzes under its own delta
-// class, and the runner streams per-function replay/recompute events
-// so the caller sees exactly what the edit cost.
+// machinery as `analyze -baseline` — the program re-analyzes on the
+// warm cache, engine.DiffPrograms classifies every function's edit, and
+// the runner streams per-function replay/recompute events so the caller
+// sees exactly what the edit cost.
 package watch
 
 import (
