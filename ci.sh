@@ -73,6 +73,10 @@
 #                           allocate at most a tenth of the B/op of
 #                           BenchmarkDetect/reference (the boxed fold
 #                           it replaced) over the named programs' graphs
+#                           — then the codec gate: BenchmarkDecodeSolution
+#                           must report the same allocs/op for a 10-node
+#                           and a 1000-node solution bundle, so disk
+#                           decoding allocates per bundle, never per row
 #   9. check smoke          `pathflow check` over examples/hotpath.pf
 #                           and all seven benchmarks on the default
 #                           packed kernels: the precision differential
@@ -202,6 +206,20 @@ echo "$detect_out" | awk '
     END {
         if (pb == "" || rb == "") { print "detect gate: BenchmarkDetect lines missing" > "/dev/stderr"; exit 1 }
         if (pb * 10 > rb) { printf "detect gate: packed %s B/op, reference %s B/op; want at most a tenth\n", pb, rb > "/dev/stderr"; exit 1 }
+    }'
+
+echo "== codec gate"
+# Decoding a constant-propagation solution from disk validates the kind
+# column once and copies it into a fresh arena: the same bundle shape at
+# 10 and at 1000 nodes must allocate equally often.
+codec_out=$(go test -run '^$' -bench '^BenchmarkDecodeSolution$' -benchmem -benchtime 200x ./internal/engine/diskcache/)
+echo "$codec_out"
+echo "$codec_out" | awk '
+    /BenchmarkDecodeSolution\/nodes=10-/   { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") sa = $i }
+    /BenchmarkDecodeSolution\/nodes=1000-/ { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") la = $i }
+    END {
+        if (sa == "" || la == "") { print "codec gate: BenchmarkDecodeSolution lines missing" > "/dev/stderr"; exit 1 }
+        if (sa != la) { printf "codec gate: allocs/op %s at 10 nodes, %s at 1000\n", sa, la > "/dev/stderr"; exit 1 }
     }'
 
 tmpdir=$(mktemp -d)

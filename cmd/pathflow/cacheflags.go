@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"pathflow/internal/engine"
 )
@@ -71,24 +72,38 @@ func parseSize(s string) (int64, error) {
 }
 
 // provTracker aggregates per-stage artifact provenance (computed /
-// memory / disk) across a run, for `exp -v`.
+// memory / disk) across a run, for `exp -v`, with the compute time of
+// the computed runs and the decode time of the disk hits.
 type provTracker struct {
-	mu     sync.Mutex
-	counts map[engine.StageName]*[3]int
+	mu    sync.Mutex
+	stats map[engine.StageName]*provStats
+}
+
+// provStats is one stage's row of the provenance table.
+type provStats struct {
+	counts  [3]int // indexed by engine.Provenance
+	compute time.Duration
+	decode  time.Duration
 }
 
 // install wires the tracker into ctx as a stage observer.
 func (p *provTracker) install(ctx context.Context) context.Context {
-	p.counts = map[engine.StageName]*[3]int{}
+	p.stats = map[engine.StageName]*provStats{}
 	return engine.WithStageObserver(ctx, func(ev engine.StageEvent) {
 		p.mu.Lock()
-		c := p.counts[ev.Stage]
-		if c == nil {
-			c = new([3]int)
-			p.counts[ev.Stage] = c
+		st := p.stats[ev.Stage]
+		if st == nil {
+			st = new(provStats)
+			p.stats[ev.Stage] = st
 		}
-		if int(ev.Source) < len(c) {
-			c[ev.Source]++
+		if int(ev.Source) < len(st.counts) {
+			st.counts[ev.Source]++
+		}
+		switch ev.Source {
+		case engine.SourceComputed:
+			st.compute += ev.Duration
+		case engine.SourceDisk:
+			st.decode += ev.Decode
 		}
 		p.mu.Unlock()
 	})
@@ -98,18 +113,20 @@ func (p *provTracker) install(ctx context.Context) context.Context {
 func (p *provTracker) print() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.counts) == 0 {
+	if len(p.stats) == 0 {
 		return
 	}
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	fmt.Printf("\nper-stage cache provenance:\n")
-	fmt.Printf("%-10s %9s %9s %9s\n", "stage", "computed", "memory", "disk")
+	fmt.Printf("%-10s %9s %9s %9s %11s %10s\n", "stage", "computed", "memory", "disk", "compute ms", "decode ms")
 	for _, s := range engine.StageOrder {
-		c := p.counts[s]
-		if c == nil {
+		st := p.stats[s]
+		if st == nil {
 			continue
 		}
-		fmt.Printf("%-10s %9d %9d %9d\n", s,
-			c[engine.SourceComputed], c[engine.SourceMemory], c[engine.SourceDisk])
+		c := st.counts
+		fmt.Printf("%-10s %9d %9d %9d %11.1f %10.1f\n", s,
+			c[engine.SourceComputed], c[engine.SourceMemory], c[engine.SourceDisk], ms(st.compute), ms(st.decode))
 	}
 }
 

@@ -91,6 +91,7 @@ func Feasible(ctx context.Context, instances []*Instance) ([]FeasibleRow, error)
 			// Unmasked CFG baselines — the common yardstick of all three
 			// columns.
 			cpBase := fr.OrigSol
+			cpBoxed := cpBase.Boxed()
 			ivBase := intervals.AnalyzeClamped(g, nv, thr, true)
 			lvBase := fr.LiveCFG
 			if lvBase == nil {
@@ -113,7 +114,7 @@ func Feasible(ctx context.Context, instances []*Instance) ([]FeasibleRow, error)
 			lvF := liveness.Analyze(g, nv, cpF.Sol)
 			avF := availexpr.Analyze(g, u, cpF.Sol)
 			row.SolveTime += time.Since(t0)
-			cpRepF := oracle.Check("constprop", "cfg", cpLat, cpBase.Sol, cpF.Sol, oracle.Identity)
+			cpRepF := oracle.Check("constprop", "cfg", cpLat, cpBoxed, cpF.Boxed(), oracle.Identity)
 			ivRepF := oracle.Check("intervals", "cfg", ivLat, ivBase.Sol, ivF.Sol, oracle.Identity)
 			lvRepF := oracle.Check("liveness", "cfg", lvLat, lvBase.Sol, lvF.Sol, oracle.Identity)
 			avRepF := oracle.Check("availexpr", "cfg", avLat, avBase.Sol, avF.Sol, oracle.Identity)
@@ -145,7 +146,7 @@ func Feasible(ctx context.Context, instances []*Instance) ([]FeasibleRow, error)
 			if avR == nil {
 				avR = availexpr.Analyze(red.G, u, fr.RedSol.Sol)
 			}
-			cp.FreqOnly += improvedVertices(oracle.Check("constprop", "rhpg", cpLat, cpBase.Sol, fr.RedSol.Sol, orig))
+			cp.FreqOnly += improvedVertices(oracle.Check("constprop", "rhpg", cpLat, cpBoxed, fr.RedSol.Boxed(), orig))
 			iv.FreqOnly += improvedVertices(oracle.Check("intervals", "rhpg", ivLat, ivBase.Sol, ivR.Sol, orig))
 			lv.FreqOnly += improvedVertices(oracle.Check("liveness", "rhpg", lvLat, lvBase.Sol, lvR.Sol, orig))
 			av.FreqOnly += improvedVertices(oracle.Check("availexpr", "rhpg", avLat, avBase.Sol, avR.Sol, orig))
@@ -162,7 +163,7 @@ func Feasible(ctx context.Context, instances []*Instance) ([]FeasibleRow, error)
 			lvB := liveness.Analyze(red.G, nv, cpB.Sol)
 			avB := availexpr.Analyze(red.G, u, cpB.Sol)
 			row.SolveTime += time.Since(t0)
-			cp.Both += improvedVertices(cpRepF, oracle.Check("constprop", "rhpg", cpLat, cpBase.Sol, cpB.Sol, orig))
+			cp.Both += improvedVertices(cpRepF, oracle.Check("constprop", "rhpg", cpLat, cpBoxed, cpB.Boxed(), orig))
 			iv.Both += improvedVertices(ivRepF, oracle.Check("intervals", "rhpg", ivLat, ivBase.Sol, ivB.Sol, orig))
 			lv.Both += improvedVertices(lvRepF, oracle.Check("liveness", "rhpg", lvLat, lvBase.Sol, lvB.Sol, orig))
 			av.Both += improvedVertices(avRepF, oracle.Check("availexpr", "rhpg", avLat, avBase.Sol, avB.Sol, orig))

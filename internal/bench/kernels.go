@@ -139,7 +139,7 @@ func kernelDifferential(name string, kg AnalyzeGraph) (checked, violations int, 
 	aeB := availexpr.Analyze(kg.G, u, guide)
 	aeP := availexpr.AnalyzePacked(kg.G, u, guide)
 	for _, d := range []diff{
-		{"constprop", &constprop.Problem{NumVars: kg.NumVars, Conditional: true}, cpB.Sol, cpP.Sol},
+		{"constprop", &constprop.Problem{NumVars: kg.NumVars, Conditional: true}, cpB.Boxed(), cpP.Boxed()},
 		{"intervals", &intervals.Problem{NumVars: kg.NumVars, Conditional: true}, ivB.Sol, ivP.Sol},
 		{"liveness", &liveness.Problem{NumVars: kg.NumVars, Guide: guide}, lvB.Sol, lvP.Sol},
 		{"availexpr", &availexpr.Problem{U: u, Guide: guide}, aeB.Sol, aeP.Sol},

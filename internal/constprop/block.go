@@ -74,15 +74,10 @@ func NewBlock(instrs []ir.Instr) *Block {
 	return b
 }
 
-// Project appends env's values at the block's inputs to dst. A nil env
-// stands for the all-⊤ environment of a node the analysis never reached.
+// Project appends env's values at the block's inputs to dst.
 func (b *Block) Project(dst []Value, env Env) []Value {
 	for _, r := range b.Inputs {
-		if env == nil {
-			dst = append(dst, Value{Kind: Top})
-		} else {
-			dst = append(dst, env[r])
-		}
+		dst = append(dst, env[r])
 	}
 	return dst
 }

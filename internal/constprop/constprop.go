@@ -18,6 +18,7 @@ import (
 
 	"pathflow/internal/cfg"
 	"pathflow/internal/dataflow"
+	"pathflow/internal/dataflow/kernel"
 	"pathflow/internal/ir"
 )
 
@@ -282,40 +283,84 @@ func (p *Problem) Transfer(g *cfg.Graph, n cfg.NodeID, in dataflow.Fact, out []d
 	}
 }
 
-// Result bundles a solved constant-propagation problem with its graph.
+// Result is a solved constant-propagation problem over G, held in the
+// packed solver's own representation: Rows is a kernel.KV arena whose
+// row n is node n's entry environment, one (kind, value) cell per
+// register, normalized (value 0 unless Const). The rows of nodes the
+// analysis never reached are all ⊤, so meets over vertex sets treat them
+// as the identity, as the reduction algorithm requires. Sol carries the
+// rest of the solution — Reached, EdgeExecutable, Iterations and Pops —
+// and never boxed facts (Sol.In is nil); Value reads one cell, EnvAt
+// boxes one row, and Boxed rebuilds the whole boxed solution for the
+// oracle and the reference checks.
 type Result struct {
-	G   *cfg.Graph
-	Sol *dataflow.Solution
+	G    *cfg.Graph
+	Sol  *dataflow.Solution
+	Rows kernel.KV
 }
 
-// Analyze runs constant propagation over g. conditional selects the
-// Wegman-Zadek algorithm (true) or plain iterative propagation (false).
+// Analyze runs constant propagation over g on the boxed reference
+// solver. conditional selects the Wegman-Zadek algorithm (true) or plain
+// iterative propagation (false).
 func Analyze(g *cfg.Graph, numVars int, conditional bool) *Result {
-	p := &Problem{NumVars: numVars, Conditional: conditional}
-	return &Result{G: g, Sol: dataflow.Solve(g, p)}
+	return AnalyzeBoxedMasked(g, numVars, conditional, nil)
 }
 
 // AnalyzeBoxedMasked runs boxed constant propagation with the given
-// infeasible-edge mask (nil behaves like Analyze).
+// infeasible-edge mask (nil behaves like Analyze). The boxed facts are
+// packed into the same rows the packed solver fills.
 func AnalyzeBoxedMasked(g *cfg.Graph, numVars int, conditional bool, infeasible []bool) *Result {
 	p := &Problem{NumVars: numVars, Conditional: conditional, Infeasible: infeasible}
-	return &Result{G: g, Sol: dataflow.Solve(g, p)}
-}
-
-// EnvAt returns the environment at node n's entry; unreached nodes yield
-// the all-⊤ environment (so meets over vertex sets treat them as the
-// identity, as the reduction algorithm requires).
-func (r *Result) EnvAt(n cfg.NodeID) Env {
-	if !r.Sol.Reached[n] {
-		// Size from any reached env; fall back to empty.
-		for _, f := range r.Sol.In {
-			if f != nil {
-				return NewEnv(len(f.(Env)), Top)
+	sol := dataflow.Solve(g, p)
+	r := &Result{G: g, Sol: sol, Rows: kernel.KV{Width: numVars}}
+	r.Rows.Grow(g.NumNodes())
+	for n, f := range sol.In {
+		if f == nil {
+			continue
+		}
+		k, v := r.Rows.Row(n)
+		for i, x := range f.(Env) {
+			k[i] = uint8(x.Kind)
+			if x.Kind == Const {
+				v[i] = x.K
 			}
 		}
-		return nil
 	}
-	return r.Sol.In[n].(Env)
+	sol.In = nil
+	return r
+}
+
+// Value returns register reg's lattice value at node n's entry (⊤ when
+// n is unreached).
+func (r *Result) Value(n cfg.NodeID, reg ir.Var) Value {
+	i := int(n)*r.Rows.Width + int(reg)
+	return Value{Kind: Kind(r.Rows.Kind[i]), K: r.Rows.Val[i]}
+}
+
+// EnvAt boxes the environment at node n's entry into a fresh Env;
+// unreached nodes yield the all-⊤ environment.
+func (r *Result) EnvAt(n cfg.NodeID) Env {
+	k, v := r.Rows.Row(int(n))
+	e := make(Env, len(k))
+	for i := range k {
+		e[i] = Value{Kind: Kind(k[i]), K: v[i]}
+	}
+	return e
+}
+
+// Boxed returns a copy of the solution with In filled: one boxed Env per
+// reached node, nil elsewhere — the form the differential oracle and the
+// boxed reference compare. It is the one place facts are boxed in bulk,
+// so only check and reference paths call it.
+func (r *Result) Boxed() *dataflow.Solution {
+	sol := *r.Sol
+	sol.In = make([]dataflow.Fact, len(sol.Reached))
+	for n, reached := range sol.Reached {
+		if reached {
+			sol.In[n] = r.EnvAt(cfg.NodeID(n))
+		}
+	}
+	return &sol
 }
 
 // InstrValues returns the lattice value of each instruction's destination

@@ -136,16 +136,6 @@ func (d *packedDomain) Transfer(n cfg.NodeID, in, scratch int, slots []int8) {
 	}
 }
 
-// env boxes row r into a standard Env.
-func (d *packedDomain) env(r int) Env {
-	k, v := d.cells.Row(r)
-	e := make(Env, len(k))
-	for i := range k {
-		e[i] = Value{Kind: Kind(k[i]), K: v[i]}
-	}
-	return e
-}
-
 // PackedSolver builds a reusable kernel solver for constant propagation
 // over g: every Run() re-solves from scratch without allocating. The
 // allocs-per-op gate in ci.sh benchmarks exactly this entry point;
@@ -177,15 +167,25 @@ func solvePacked(g *cfg.Graph, numVars int, conditional bool, infeasible []bool)
 	d := newPackedDomain(g, numVars, conditional, infeasible)
 	s := kernel.NewSolver(g, d)
 	s.Run()
-	return &Result{G: g, Sol: s.Materialize(func(row int) dataflow.Fact { return d.env(row) })}
+	// The solver is discarded, so the Result takes its slices as they
+	// are: the per-node rows (unreached rows were never written and stay
+	// ⊤) and the reachability view.
+	rows := g.NumNodes() * numVars
+	return &Result{
+		G: g,
+		Sol: &dataflow.Solution{
+			Reached:        s.Reached,
+			EdgeExecutable: s.EdgeExecutable,
+			Iterations:     s.Iterations,
+			Pops:           s.Pops,
+		},
+		Rows: kernel.KV{Width: numVars, Kind: d.cells.Kind[:rows:rows], Val: d.cells.Val[:rows:rows]},
+	}
 }
 
 // AnalyzeWith dispatches Analyze on the requested kernel backend.
 func AnalyzeWith(g *cfg.Graph, numVars int, conditional bool, k dataflow.Kernel) *Result {
-	if k == dataflow.KernelBoxed {
-		return Analyze(g, numVars, conditional)
-	}
-	return AnalyzePacked(g, numVars, conditional)
+	return AnalyzeMasked(g, numVars, conditional, k, nil)
 }
 
 // AnalyzeMasked dispatches constant propagation on the requested kernel

@@ -26,7 +26,7 @@ func TestPackedMatchesBoxed(t *testing.T) {
 				boxed := Analyze(fn.G, nv, conditional)
 				packed := AnalyzePacked(fn.G, nv, conditional)
 				lat := &Problem{NumVars: nv, Conditional: conditional}
-				rep := oracle.Differential("constprop", name, lat, boxed.Sol, packed.Sol)
+				rep := oracle.Differential("constprop", name, lat, boxed.Boxed(), packed.Boxed())
 				if err := rep.Err(); err != nil {
 					t.Errorf("seed %d func %s conditional=%t: %v", seed, name, conditional, err)
 				}
@@ -48,7 +48,7 @@ func TestAnalyzeWithDispatch(t *testing.T) {
 	packed := AnalyzeWith(fn.G, nv, true, dataflow.KernelPacked)
 	boxed := AnalyzeWith(fn.G, nv, true, dataflow.KernelBoxed)
 	lat := &Problem{NumVars: nv, Conditional: true}
-	if err := oracle.Differential("constprop", name, lat, boxed.Sol, packed.Sol).Err(); err != nil {
+	if err := oracle.Differential("constprop", name, lat, boxed.Boxed(), packed.Boxed()).Err(); err != nil {
 		t.Error(err)
 	}
 }

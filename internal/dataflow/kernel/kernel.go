@@ -28,6 +28,11 @@
 // A Solver is built once per graph and can Run repeatedly with zero
 // allocations — the property the BenchmarkAnalyzeKernels allocs gate in
 // ci.sh locks down.
+//
+// Constant propagation keeps the solved arena as its result: its
+// per-node KV rows are the artifact the engine caches and the disk
+// codec writes, so it never boxes facts. The other clients still box
+// through Materialize.
 package kernel
 
 import (
@@ -386,9 +391,9 @@ func (s *Solver) narrow() {
 
 // Materialize assembles a standard boxed Solution from the solved state:
 // fact boxes row n for every reached node (called once per node, after
-// Run). This is the single boundary where the packed path allocates, and
-// it keeps everything downstream of a client — oracle projections,
-// guided analyses, disk codecs — unchanged.
+// Run). It is the boundary where the liveness, available-expressions and
+// interval clients allocate, keeping their boxed consumers unchanged.
+// Constant propagation does not call it: its Result keeps the rows.
 func (s *Solver) Materialize(fact func(row int) dataflow.Fact) *dataflow.Solution {
 	sol := &dataflow.Solution{
 		In:             make([]dataflow.Fact, len(s.Reached)),

@@ -45,7 +45,7 @@ func TestMorePreciseSolutionPasses(t *testing.T) {
 	plain := constprop.Analyze(g, 2, false)
 	cond := constprop.Analyze(g, 2, true)
 	p := &constprop.Problem{NumVars: 2}
-	rep := Check("constprop", "same-graph", p, plain.Sol, cond.Sol, Identity)
+	rep := Check("constprop", "same-graph", p, plain.Boxed(), cond.Boxed(), Identity)
 	if !rep.OK() {
 		t.Fatalf("conditional ⊒ plain should hold: %v", rep.Err())
 	}
@@ -68,7 +68,7 @@ func TestLessPreciseSolutionFails(t *testing.T) {
 	// Swapped: plain pretends to be the derived solution. It reaches the
 	// dead else-leg (reachability violation) and merges 7 ∧ 8 = ⊥ at the
 	// join (fact violation).
-	rep := Check("constprop", "same-graph", p, cond.Sol, plain.Sol, Identity)
+	rep := Check("constprop", "same-graph", p, cond.Boxed(), plain.Boxed(), Identity)
 	if rep.OK() {
 		t.Fatal("plain ⊒ conditional must not hold")
 	}
@@ -92,7 +92,7 @@ func TestIdenticalSolutionPasses(t *testing.T) {
 	g := condGraph(t)
 	cond := constprop.Analyze(g, 2, true)
 	p := &constprop.Problem{NumVars: 2}
-	rep := Check("constprop", "same-graph", p, cond.Sol, cond.Sol, Identity)
+	rep := Check("constprop", "same-graph", p, cond.Boxed(), cond.Boxed(), Identity)
 	if !rep.OK() {
 		t.Fatalf("solution not ⊒ itself: %v", rep.Err())
 	}

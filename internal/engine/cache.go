@@ -401,13 +401,8 @@ func sizeSolution(r *constprop.Result) int64 {
 	if r == nil {
 		return 0
 	}
-	n := int64(96) + int64(len(r.Sol.Reached)) + int64(len(r.Sol.EdgeExecutable))
-	for _, f := range r.Sol.In {
-		if env, ok := f.(constprop.Env); ok {
-			n += 16 + int64(len(env))*24
-		}
-	}
-	return n
+	return int64(96) + int64(len(r.Sol.Reached)) + int64(len(r.Sol.EdgeExecutable)) +
+		int64(len(r.Rows.Kind))*9
 }
 
 // sizeBitsetSolution estimates the footprint of a bit-vector client

@@ -87,10 +87,11 @@ func CheckFuncResult(fr *FuncResult) []*oracle.Report {
 		baseAvail = availexpr.Analyze(fr.Fn.G, u, fr.OrigSol.Sol)
 	}
 
+	base := fr.OrigSol.Boxed()
 	var reports []*oracle.Report
 	for _, t := range tiers {
 		reports = append(reports,
-			oracle.Check("constprop", t.name, cpLat, fr.OrigSol.Sol, t.csol.Sol, t.orig))
+			oracle.Check("constprop", t.name, cpLat, base, t.csol.Boxed(), t.orig))
 
 		iv := intervals.AnalyzeClamped(t.g, nv, thr, true)
 		reports = append(reports,
@@ -180,7 +181,7 @@ func checkFeasible(fr *FuncResult, nv int, thr []int64,
 
 		unmasked := constprop.AnalyzeWith(t.g, nv, true, fr.Opt.Kernel)
 		reports = append(reports,
-			oracle.Check("constprop", graph, cpLat, unmasked.Sol, t.masked.Sol, oracle.Identity))
+			oracle.Check("constprop", graph, cpLat, unmasked.Boxed(), t.masked.Boxed(), oracle.Identity))
 
 		ivMasked := intervals.AnalyzeClampedMasked(t.g, nv, thr, true, mask)
 		ivUnmasked := intervals.AnalyzeClamped(t.g, nv, thr, true)

@@ -1,6 +1,7 @@
 package diskcache
 
 import (
+	"slices"
 	"time"
 
 	"pathflow/internal/automaton"
@@ -8,6 +9,7 @@ import (
 	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
 	"pathflow/internal/dataflow"
+	"pathflow/internal/dataflow/kernel"
 	"pathflow/internal/ir"
 	"pathflow/internal/reduce"
 	"pathflow/internal/trace"
@@ -40,11 +42,7 @@ func encodeCosts(e *enc, c Costs) {
 	for s := range c {
 		names = append(names, s)
 	}
-	for i := 1; i < len(names); i++ { // insertion sort; ≤ 7 stages
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	slices.Sort(names)
 	e.u64(uint64(len(names)))
 	for _, s := range names {
 		e.str(s)
@@ -66,113 +64,134 @@ func decodeCosts(d *dec) Costs {
 	return c
 }
 
+// --- Index columns ------------------------------------------------------
+
+// encodeIDs writes a length-prefixed column of non-negative indices.
+func encodeIDs[T ~int | ~int32](e *enc, v []T) {
+	e.u64(uint64(len(v)))
+	for _, x := range v {
+		e.u64(uint64(x))
+	}
+}
+
+// decodeIDs reads a column encodeIDs wrote, every index below bound; an
+// empty column decodes as nil.
+func decodeIDs[T ~int | ~int32](d *dec, bound int) []T {
+	n := d.sliceLen()
+	if n == 0 {
+		return nil
+	}
+	v := make([]T, n)
+	for i := range v {
+		x := d.u64()
+		if x >= uint64(bound) {
+			d.fail()
+			return nil
+		}
+		v[i] = T(x)
+	}
+	return v
+}
+
 // --- Hot-path sets --------------------------------------------------------
 
 func encodeHot(e *enc, hot []bl.Path) {
 	e.u64(uint64(len(hot)))
 	for _, p := range hot {
-		e.u64(uint64(len(p.Edges)))
-		for _, eid := range p.Edges {
-			e.i64(int64(eid))
-		}
+		encodeIDs(e, p.Edges)
 	}
 }
 
 func decodeHot(d *dec, g *cfg.Graph) []bl.Path {
-	n := d.sliceLen()
-	hot := make([]bl.Path, 0, n)
-	for i := 0; i < n; i++ {
-		m := d.sliceLen()
-		edges := make([]cfg.EdgeID, m)
-		for j := 0; j < m; j++ {
-			eid := d.i64()
-			if eid < 0 || eid >= int64(g.NumEdges()) {
-				d.fail()
-				return nil
-			}
-			edges[j] = cfg.EdgeID(eid)
-		}
-		hot = append(hot, bl.Path{Edges: edges})
+	hot := make([]bl.Path, d.sliceLen())
+	for i := range hot {
+		hot[i].Edges = decodeIDs[cfg.EdgeID](d, g.NumEdges())
 	}
 	return hot
 }
 
 // --- Data-flow solutions --------------------------------------------------
 
-// encodeSolution writes a constant-propagation solution without its
-// graph (the graph is either caller-owned — the baseline runs on the
-// original function — or encoded alongside in the same bundle).
+// encodeSolution writes a constant-propagation solution as columns,
+// without its graph (the graph is either caller-owned — the baseline
+// runs on the original function — or rebuilt by the bundle's decoder):
+//
+//	nodes, edges, width  uvarints: the shape the decoder checks
+//	reached              one bit per node
+//	kinds                width kind bytes per reached node, in node order
+//	values               one varint per Const cell, in kind order
+//	executable           one bit per edge
+//	iterations, pops     uvarints
+//
+// Unreached rows are all ⊤ and non-Const cells hold 0, so neither needs
+// storing.
 func encodeSolution(e *enc, r *constprop.Result) {
-	sol := r.Sol
+	sol, rows := r.Sol, &r.Rows
+	w := rows.Width
 	e.u64(uint64(len(sol.Reached)))
-	for i, reached := range sol.Reached {
-		e.bool(reached)
-		env, _ := sol.In[i].(constprop.Env)
-		if env == nil {
-			e.bool(false)
-			continue
-		}
-		e.bool(true)
-		e.u64(uint64(len(env)))
-		for _, v := range env {
-			e.byte(byte(v.Kind))
-			e.i64(v.K)
-		}
-	}
 	e.u64(uint64(len(sol.EdgeExecutable)))
-	for _, x := range sol.EdgeExecutable {
-		e.bool(x)
+	e.u64(uint64(w))
+	e.bits(sol.Reached)
+	for n, reached := range sol.Reached {
+		if reached {
+			e.b = append(e.b, rows.Kind[n*w:(n+1)*w]...)
+		}
 	}
-	e.int(sol.Iterations)
+	for i, k := range rows.Kind {
+		if k == uint8(constprop.Const) {
+			e.i64(rows.Val[i])
+		}
+	}
+	e.bits(sol.EdgeExecutable)
+	e.u64(uint64(sol.Iterations))
+	e.u64(uint64(sol.Pops))
 }
 
 // decodeSolution reads a solution and attaches it to g, validating that
-// the recorded shape matches the graph's.
+// the recorded shape matches the graph's. Decoding allocates per
+// bundle, never per row: the kind column is validated in one pass and
+// copied row by row into a fresh arena.
 func decodeSolution(d *dec, g *cfg.Graph, numVars int) *constprop.Result {
-	nNodes := d.sliceLen()
-	if d.err != nil || nNodes != g.NumNodes() {
+	n, ne := g.NumNodes(), g.NumEdges()
+	if d.u64() != uint64(n) || d.u64() != uint64(ne) || d.u64() != uint64(numVars) {
 		d.fail()
 		return nil
 	}
-	sol := &dataflow.Solution{
-		In:      make([]dataflow.Fact, nNodes),
-		Reached: make([]bool, nNodes),
-	}
-	for i := 0; i < nNodes; i++ {
-		sol.Reached[i] = d.bool()
-		if !d.bool() {
-			continue
+	reached := d.bits(n)
+	live := 0
+	for _, r := range reached {
+		if r {
+			live++
 		}
-		m := d.sliceLen()
-		if d.err != nil || m != numVars {
-			d.fail()
-			return nil
-		}
-		env := make(constprop.Env, m)
-		for j := 0; j < m; j++ {
-			k := constprop.Kind(d.byte())
-			if k > constprop.Bottom {
-				d.fail()
-				return nil
-			}
-			env[j] = constprop.Value{Kind: k, K: d.i64()}
-		}
-		sol.In[i] = env
 	}
-	nEdges := d.sliceLen()
-	if d.err != nil || nEdges != g.NumEdges() {
-		d.fail()
-		return nil
-	}
-	sol.EdgeExecutable = make([]bool, nEdges)
-	for i := 0; i < nEdges; i++ {
-		sol.EdgeExecutable[i] = d.bool()
-	}
-	sol.Iterations = d.int()
+	kinds := d.raw(live * numVars)
 	if d.err != nil {
 		return nil
 	}
-	return &constprop.Result{G: g, Sol: sol}
+	for _, k := range kinds {
+		if k > uint8(constprop.Bottom) {
+			d.fail()
+			return nil
+		}
+	}
+	r := &constprop.Result{G: g, Rows: kernel.KV{Width: numVars}}
+	r.Rows.Grow(n)
+	for node, ok := range reached {
+		if ok {
+			copy(r.Rows.Kind[node*numVars:(node+1)*numVars], kinds)
+			kinds = kinds[numVars:]
+		}
+	}
+	for i, k := range r.Rows.Kind {
+		if k == uint8(constprop.Const) {
+			r.Rows.Val[i] = d.i64()
+		}
+	}
+	r.Sol = &dataflow.Solution{Reached: reached, EdgeExecutable: d.bits(ne), Iterations: int(d.u64()), Pops: int(d.u64())}
+	if d.err != nil {
+		return nil
+	}
+	return r
 }
 
 // --- Graphs ---------------------------------------------------------------
@@ -275,23 +294,16 @@ func decodeGraph(d *dec, numVars int) *cfg.Graph {
 // encodeProfile writes a Ball-Larus profile in canonical (sorted) order.
 func encodeProfile(e *enc, pr *bl.Profile) {
 	e.str(pr.FuncName)
-	redges := cfg.SortedEdgeIDs(pr.R)
-	e.u64(uint64(len(redges)))
-	for _, eid := range redges {
-		e.i64(int64(eid))
-	}
+	encodeIDs(e, cfg.SortedEdgeIDs(pr.R))
 	keys := make([]string, 0, len(pr.Entries))
 	for k := range pr.Entries {
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	slices.Sort(keys)
 	e.u64(uint64(len(keys)))
 	for _, k := range keys {
 		ent := pr.Entries[k]
-		e.u64(uint64(len(ent.Path.Edges)))
-		for _, eid := range ent.Path.Edges {
-			e.i64(int64(eid))
-		}
+		encodeIDs(e, ent.Path.Edges)
 		e.i64(ent.Count)
 	}
 }
@@ -299,29 +311,14 @@ func encodeProfile(e *enc, pr *bl.Profile) {
 // decodeProfile reads a profile whose edge IDs must lie within g.
 func decodeProfile(d *dec, g *cfg.Graph) *bl.Profile {
 	name := d.str()
-	nR := d.sliceLen()
-	R := make(map[cfg.EdgeID]bool, nR)
-	for i := 0; i < nR; i++ {
-		eid := d.i64()
-		if eid < 0 || eid >= int64(g.NumEdges()) {
-			d.fail()
-			return nil
-		}
-		R[cfg.EdgeID(eid)] = true
+	R := map[cfg.EdgeID]bool{}
+	for _, eid := range decodeIDs[cfg.EdgeID](d, g.NumEdges()) {
+		R[eid] = true
 	}
 	pr := bl.NewProfile(name, R)
 	nEntries := d.sliceLen()
 	for i := 0; i < nEntries; i++ {
-		m := d.sliceLen()
-		edges := make([]cfg.EdgeID, m)
-		for j := 0; j < m; j++ {
-			eid := d.i64()
-			if eid < 0 || eid >= int64(g.NumEdges()) {
-				d.fail()
-				return nil
-			}
-			edges[j] = cfg.EdgeID(eid)
-		}
+		edges := decodeIDs[cfg.EdgeID](d, g.NumEdges())
 		count := d.i64()
 		if d.err != nil || count < 0 {
 			d.fail()
@@ -333,14 +330,6 @@ func decodeProfile(d *dec, g *cfg.Graph) *bl.Profile {
 		return nil
 	}
 	return pr
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // --- Automata -------------------------------------------------------------
@@ -394,46 +383,59 @@ func decodeAutomaton(d *dec, R map[cfg.EdgeID]bool) *automaton.Automaton {
 
 // --- Bundles --------------------------------------------------------------
 
-// EncodeSelect frames a hot-path selection bundle.
-func EncodeSelect(meta Meta, hot []bl.Path) []byte {
+// encodeBundle frames a kind bundle: meta, then body's payload.
+func encodeBundle(kind Kind, meta Meta, body func(*enc)) []byte {
 	var e enc
 	encodeMeta(&e, meta)
-	encodeHot(&e, hot)
-	return frame(KindSelect, e.b)
+	body(&e)
+	return frame(kind, e.b)
+}
+
+// decodeBundle unframes a kind bundle, reads its meta and decodes the
+// rest with body, which must consume the payload exactly. body reports
+// a semantic defect through d.fail.
+func decodeBundle[T any](kind Kind, data []byte, body func(d *dec) T) (Meta, T, error) {
+	var zero T
+	payload, err := unframe(kind, data)
+	if err != nil {
+		return Meta{}, zero, err
+	}
+	d := &dec{b: payload}
+	meta := decodeMeta(d)
+	v := body(d)
+	if err := d.done(); err != nil {
+		return Meta{}, zero, err
+	}
+	return meta, v, nil
+}
+
+// EncodeSelect frames a hot-path selection bundle.
+func EncodeSelect(meta Meta, hot []bl.Path) []byte {
+	return encodeBundle(KindSelect, meta, func(e *enc) { encodeHot(e, hot) })
 }
 
 // DecodeSelect decodes a selection bundle; edge IDs are validated
 // against the function's graph.
 func DecodeSelect(data []byte, g *cfg.Graph) (Meta, []bl.Path, error) {
-	payload, err := unframe(KindSelect, data)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	d := &dec{b: payload}
-	meta := decodeMeta(d)
-	hot := decodeHot(d, g)
-	if err := d.done(); err != nil {
-		return Meta{}, nil, err
-	}
-	return meta, hot, nil
+	return decodeBundle(KindSelect, data, func(d *dec) []bl.Path { return decodeHot(d, g) })
 }
 
 // EncodeBaseline frames a CA = 0 baseline-solution bundle.
 func EncodeBaseline(meta Meta, sol *constprop.Result) []byte {
-	return encodeSolutionBundle(KindBaseline, meta, sol)
+	return encodeBundle(KindBaseline, meta, func(e *enc) { encodeSolution(e, sol) })
 }
 
 // DecodeBaseline decodes a baseline bundle against the function's own
 // graph (which the solution is re-attached to).
 func DecodeBaseline(data []byte, g *cfg.Graph, numVars int) (Meta, *constprop.Result, error) {
-	return decodeSolutionBundle(KindBaseline, data, g, numVars)
+	return decodeBundle(KindBaseline, data, func(d *dec) *constprop.Result { return decodeSolution(d, g, numVars) })
 }
 
 // EncodeAnalyze frames the HPG analysis bundle: the Wegman-Zadek
 // solution on the traced graph, without the graph itself (the trace
 // bundle owns the graph; the decoder re-attaches).
 func EncodeAnalyze(meta Meta, sol *constprop.Result) []byte {
-	return encodeSolutionBundle(KindAnalyze, meta, sol)
+	return encodeBundle(KindAnalyze, meta, func(e *enc) { encodeSolution(e, sol) })
 }
 
 // DecodeAnalyze decodes an analyze bundle against the live HPG graph it
@@ -441,53 +443,19 @@ func EncodeAnalyze(meta Meta, sol *constprop.Result) []byte {
 // the Merkle chain guarantees the shapes agree, and the decoder
 // re-validates them).
 func DecodeAnalyze(data []byte, g *cfg.Graph, numVars int) (Meta, *constprop.Result, error) {
-	return decodeSolutionBundle(KindAnalyze, data, g, numVars)
-}
-
-func encodeSolutionBundle(kind Kind, meta Meta, sol *constprop.Result) []byte {
-	var e enc
-	encodeMeta(&e, meta)
-	encodeSolution(&e, sol)
-	return frame(kind, e.b)
-}
-
-func decodeSolutionBundle(kind Kind, data []byte, g *cfg.Graph, numVars int) (Meta, *constprop.Result, error) {
-	payload, err := unframe(kind, data)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	d := &dec{b: payload}
-	meta := decodeMeta(d)
-	sol := decodeSolution(d, g, numVars)
-	if err := d.done(); err != nil {
-		return Meta{}, nil, err
-	}
-	return meta, sol, nil
+	return decodeBundle(KindAnalyze, data, func(d *dec) *constprop.Result { return decodeSolution(d, g, numVars) })
 }
 
 // EncodeAutomatonBundle frames a qualification-automaton bundle.
 func EncodeAutomatonBundle(meta Meta, a *automaton.Automaton) []byte {
-	var e enc
-	encodeMeta(&e, meta)
-	encodeAutomaton(&e, a)
-	return frame(KindAutomaton, e.b)
+	return encodeBundle(KindAutomaton, meta, func(e *enc) { encodeAutomaton(e, a) })
 }
 
 // DecodeAutomatonBundle decodes an automaton bundle, rebuilding the
 // automaton against recording set R (owned by the training profile the
 // bundle was keyed by).
 func DecodeAutomatonBundle(data []byte, R map[cfg.EdgeID]bool) (Meta, *automaton.Automaton, error) {
-	payload, err := unframe(KindAutomaton, data)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	d := &dec{b: payload}
-	meta := decodeMeta(d)
-	auto := decodeAutomaton(d, R)
-	if err := d.done(); err != nil {
-		return Meta{}, nil, err
-	}
-	return meta, auto, nil
+	return decodeBundle(KindAutomaton, data, func(d *dec) *automaton.Automaton { return decodeAutomaton(d, R) })
 }
 
 // EncodeTrace frames a traced-HPG bundle: the traced graph plus its
@@ -495,218 +463,104 @@ func DecodeAutomatonBundle(data []byte, R map[cfg.EdgeID]bool) (Meta, *automaton
 // automaton is not re-encoded — the trace key chains the automaton key,
 // so the decoder receives the same automaton the graph was traced with.
 func EncodeTrace(meta Meta, h *trace.HPG) []byte {
-	var e enc
-	encodeMeta(&e, meta)
-	encodeGraph(&e, h.G)
-	for _, v := range h.OrigNode {
-		e.i64(int64(v))
-	}
-	for _, q := range h.State {
-		e.i64(int64(q))
-	}
-	for _, eid := range h.OrigEdge {
-		e.i64(int64(eid))
-	}
-	return frame(KindTrace, e.b)
+	return encodeBundle(KindTrace, meta, func(e *enc) {
+		encodeGraph(e, h.G)
+		for _, v := range h.OrigNode {
+			e.i64(int64(v))
+		}
+		for _, q := range h.State {
+			e.i64(int64(q))
+		}
+		for _, eid := range h.OrigEdge {
+			e.i64(int64(eid))
+		}
+	})
 }
 
 // DecodeTrace decodes a trace bundle for fn, reassembling the HPG
 // around the supplied automaton with full revalidation.
 func DecodeTrace(data []byte, fn *cfg.Func, a *automaton.Automaton) (Meta, *trace.HPG, error) {
-	payload, err := unframe(KindTrace, data)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	d := &dec{b: payload}
-	meta := decodeMeta(d)
-	g := decodeGraph(d, fn.NumVars())
-	if d.err != nil {
-		return Meta{}, nil, d.err
-	}
-	origNode := make([]cfg.NodeID, g.NumNodes())
-	for i := range origNode {
-		origNode[i] = cfg.NodeID(d.i64())
-	}
-	state := make([]automaton.State, g.NumNodes())
-	for i := range state {
-		state[i] = automaton.State(d.i64())
-	}
-	origEdge := make([]cfg.EdgeID, g.NumEdges())
-	for i := range origEdge {
-		origEdge[i] = cfg.EdgeID(d.i64())
-	}
-	if err := d.done(); err != nil {
-		return Meta{}, nil, err
-	}
-	h, err := trace.Assemble(fn, a, g, origNode, state, origEdge)
-	if err != nil {
-		return Meta{}, nil, ErrCorrupt
-	}
-	return meta, h, nil
+	return decodeBundle(KindTrace, data, func(d *dec) *trace.HPG {
+		g := decodeGraph(d, fn.NumVars())
+		if d.err != nil {
+			return nil
+		}
+		origNode := make([]cfg.NodeID, g.NumNodes())
+		for i := range origNode {
+			origNode[i] = cfg.NodeID(d.i64())
+		}
+		state := make([]automaton.State, g.NumNodes())
+		for i := range state {
+			state[i] = automaton.State(d.i64())
+		}
+		origEdge := make([]cfg.EdgeID, g.NumEdges())
+		for i := range origEdge {
+			origEdge[i] = cfg.EdgeID(d.i64())
+		}
+		if d.err != nil {
+			return nil
+		}
+		h, err := trace.Assemble(fn, a, g, origNode, state, origEdge)
+		if err != nil {
+			d.fail()
+		}
+		return h
+	})
 }
 
 // EncodeTranslate frames a translated-profile bundle (the training
 // profile re-expressed on the HPG, Lemma 2).
 func EncodeTranslate(meta Meta, prof *bl.Profile) []byte {
-	var e enc
-	encodeMeta(&e, meta)
-	encodeProfile(&e, prof)
-	return frame(KindTranslate, e.b)
+	return encodeBundle(KindTranslate, meta, func(e *enc) { encodeProfile(e, prof) })
 }
 
 // DecodeTranslate decodes a translate bundle against the live HPG graph
 // whose edges the profile's paths traverse.
 func DecodeTranslate(data []byte, g *cfg.Graph) (Meta, *bl.Profile, error) {
-	payload, err := unframe(KindTranslate, data)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	d := &dec{b: payload}
-	meta := decodeMeta(d)
-	prof := decodeProfile(d, g)
-	if err := d.done(); err != nil {
-		return Meta{}, nil, err
-	}
-	return meta, prof, nil
+	return decodeBundle(KindTranslate, data, func(d *dec) *bl.Profile { return decodeProfile(d, g) })
 }
 
-// EncodeReduced frames a reduction bundle: the quotient graph with its
-// HPG bookkeeping and the re-analyzed solution.
+// EncodeReduced frames a reduction bundle: the partition the reduction
+// chose (class vector, hot vertices and weights) and the re-analyzed
+// solution. The quotient graph is not stored; the decoder rebuilds it
+// from the partition.
 func EncodeReduced(meta Meta, red *reduce.Reduced, sol *constprop.Result) []byte {
-	var e enc
-	encodeMeta(&e, meta)
-	encodeGraph(&e, red.G)
-	e.u64(uint64(len(red.Class)))
-	for _, c := range red.Class {
-		e.int(c)
-	}
-	e.u64(uint64(len(red.Members)))
-	for _, ms := range red.Members {
-		e.u64(uint64(len(ms)))
-		for _, m := range ms {
-			e.i64(int64(m))
+	return encodeBundle(KindReduced, meta, func(e *enc) {
+		encodeIDs(e, red.Class)
+		encodeIDs(e, red.Hot)
+		e.u64(uint64(len(red.Weights)))
+		for _, w := range red.Weights {
+			e.i64(w)
 		}
-	}
-	e.u64(uint64(len(red.Rep)))
-	for _, r := range red.Rep {
-		e.i64(int64(r))
-	}
-	for _, v := range red.OrigNode {
-		e.i64(int64(v))
-	}
-	for _, eid := range red.OrigEdge {
-		e.i64(int64(eid))
-	}
-	recording := cfg.SortedEdgeIDs(red.Recording)
-	e.u64(uint64(len(recording)))
-	for _, eid := range recording {
-		e.i64(int64(eid))
-	}
-	e.u64(uint64(len(red.Hot)))
-	for _, h := range red.Hot {
-		e.i64(int64(h))
-	}
-	e.u64(uint64(len(red.Weights)))
-	for _, w := range red.Weights {
-		e.i64(w)
-	}
-	encodeSolution(&e, sol)
-	return frame(KindReduced, e.b)
+		encodeSolution(e, sol)
+	})
 }
 
-// DecodeReduced decodes a reduction bundle against the HPG it quotients.
+// DecodeReduced decodes a reduction bundle against the HPG it quotients,
+// rebuilding the quotient with reduce.Assemble, which rejects any class
+// vector that is not a congruence of h in canonical numbering.
 func DecodeReduced(data []byte, h *trace.HPG) (Meta, *reduce.Reduced, *constprop.Result, error) {
-	payload, err := unframe(KindReduced, data)
+	var red *reduce.Reduced
+	meta, sol, err := decodeBundle(KindReduced, data, func(d *dec) *constprop.Result {
+		nodes := h.G.NumNodes()
+		class := decodeIDs[int](d, nodes)
+		hot := decodeIDs[cfg.NodeID](d, nodes)
+		weights := make([]int64, d.sliceLen())
+		for i := range weights {
+			weights[i] = d.i64()
+		}
+		if d.err != nil || len(weights) != nodes {
+			d.fail()
+			return nil
+		}
+		var err error
+		if red, err = reduce.Assemble(h, class, hot, weights); err != nil {
+			d.fail()
+			return nil
+		}
+		return decodeSolution(d, red.G, h.Fn.NumVars())
+	})
 	if err != nil {
-		return Meta{}, nil, nil, err
-	}
-	numVars := h.Fn.NumVars()
-	d := &dec{b: payload}
-	meta := decodeMeta(d)
-	g := decodeGraph(d, numVars)
-	if d.err != nil {
-		return Meta{}, nil, nil, d.err
-	}
-	red := &reduce.Reduced{H: h, G: g, Recording: map[cfg.EdgeID]bool{}}
-	nClass := d.sliceLen()
-	if d.err != nil || nClass != h.G.NumNodes() {
-		return Meta{}, nil, nil, ErrCorrupt
-	}
-	red.Class = make([]int, nClass)
-	nClasses := g.NumNodes() // one rHPG node per class
-	for i := 0; i < nClass; i++ {
-		c := d.int()
-		if c < 0 || c >= nClasses {
-			return Meta{}, nil, nil, ErrCorrupt
-		}
-		red.Class[i] = c
-	}
-	nMembers := d.sliceLen()
-	red.Members = make([][]cfg.NodeID, nMembers)
-	for i := 0; i < nMembers; i++ {
-		m := d.sliceLen()
-		ms := make([]cfg.NodeID, m)
-		for j := 0; j < m; j++ {
-			v := d.i64()
-			if v < 0 || v >= int64(h.G.NumNodes()) {
-				return Meta{}, nil, nil, ErrCorrupt
-			}
-			ms[j] = cfg.NodeID(v)
-		}
-		red.Members[i] = ms
-	}
-	nRep := d.sliceLen()
-	red.Rep = make([]cfg.NodeID, nRep)
-	for i := 0; i < nRep; i++ {
-		v := d.i64()
-		if v < 0 || v >= int64(g.NumNodes()) {
-			return Meta{}, nil, nil, ErrCorrupt
-		}
-		red.Rep[i] = cfg.NodeID(v)
-	}
-	red.OrigNode = make([]cfg.NodeID, g.NumNodes())
-	for i := range red.OrigNode {
-		v := d.i64()
-		if v < 0 || v >= int64(h.Fn.G.NumNodes()) {
-			return Meta{}, nil, nil, ErrCorrupt
-		}
-		red.OrigNode[i] = cfg.NodeID(v)
-	}
-	red.OrigEdge = make([]cfg.EdgeID, g.NumEdges())
-	for i := range red.OrigEdge {
-		v := d.i64()
-		if v < 0 || v >= int64(h.Fn.G.NumEdges()) {
-			return Meta{}, nil, nil, ErrCorrupt
-		}
-		red.OrigEdge[i] = cfg.EdgeID(v)
-	}
-	nRec := d.sliceLen()
-	for i := 0; i < nRec; i++ {
-		v := d.i64()
-		if v < 0 || v >= int64(g.NumEdges()) {
-			return Meta{}, nil, nil, ErrCorrupt
-		}
-		red.Recording[cfg.EdgeID(v)] = true
-	}
-	nHot := d.sliceLen()
-	red.Hot = make([]cfg.NodeID, nHot)
-	for i := 0; i < nHot; i++ {
-		v := d.i64()
-		if v < 0 || v >= int64(h.G.NumNodes()) {
-			return Meta{}, nil, nil, ErrCorrupt
-		}
-		red.Hot[i] = cfg.NodeID(v)
-	}
-	nW := d.sliceLen()
-	if d.err != nil || nW != h.G.NumNodes() {
-		return Meta{}, nil, nil, ErrCorrupt
-	}
-	red.Weights = make([]int64, nW)
-	for i := 0; i < nW; i++ {
-		red.Weights[i] = d.i64()
-	}
-	sol := decodeSolution(d, g, numVars)
-	if err := d.done(); err != nil {
 		return Meta{}, nil, nil, err
 	}
 	return meta, red, sol, nil
@@ -718,34 +572,20 @@ func DecodeReduced(data []byte, h *trace.HPG) (Meta, *reduce.Reduced, *constprop
 // by cfg.EdgeID). The graph itself is not stored: the decoder validates
 // the mask's length against the live graph it re-attaches to.
 func EncodeFeasible(meta Meta, mask []bool) []byte {
-	var e enc
-	encodeMeta(&e, meta)
-	e.u64(uint64(len(mask)))
-	for _, b := range mask {
-		e.bool(b)
-	}
-	return frame(KindFeasible, e.b)
+	return encodeBundle(KindFeasible, meta, func(e *enc) {
+		e.u64(uint64(len(mask)))
+		e.bits(mask)
+	})
 }
 
 // DecodeFeasible decodes a feasibility bundle against the tier's graph;
 // a mask whose length disagrees with the graph's edge count is corrupt.
 func DecodeFeasible(data []byte, g *cfg.Graph) (Meta, []bool, error) {
-	payload, err := unframe(KindFeasible, data)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	d := &dec{b: payload}
-	meta := decodeMeta(d)
-	n := d.sliceLen()
-	if d.err != nil || n != g.NumEdges() {
-		return Meta{}, nil, ErrCorrupt
-	}
-	mask := make([]bool, n)
-	for i := range mask {
-		mask[i] = d.bool()
-	}
-	if err := d.done(); err != nil {
-		return Meta{}, nil, err
-	}
-	return meta, mask, nil
+	return decodeBundle(KindFeasible, data, func(d *dec) []bool {
+		if d.u64() != uint64(g.NumEdges()) {
+			d.fail()
+			return nil
+		}
+		return d.bits(g.NumEdges())
+	})
 }

@@ -5,20 +5,23 @@
 //
 // The package has three layers:
 //
-//   - codec.go:     a compact versioned binary codec (varint fields, a
-//     fixed header with a format-version byte, and a trailing FNV-64a
-//     checksum). Any framing defect — bad magic, unknown version, kind
-//     mismatch, truncation, bit flips — is reported as ErrCorrupt and
-//     treated by the store as a miss, never as an error. A cache file is
-//     untrusted input: other processes share the directory, older
-//     binaries leave their formats behind, and disks rot. So the frame
-//     checksum and the decoders' length bounds stay on every read, and
-//     FuzzDiskcacheCodec feeds them arbitrary bytes.
+//   - codec.go:     a compact versioned binary codec (varint fields and
+//     raw byte columns, a fixed header with a format-version byte, and
+//     a trailing CRC-32C checksum). Any framing defect — bad magic,
+//     unknown version, kind mismatch, truncation, bit flips — is
+//     reported as ErrCorrupt and treated by the store as a miss, never
+//     as an error. A cache file is untrusted input: other processes
+//     share the directory, older binaries leave their formats behind,
+//     and disks rot. So the frame checksum and the decoders' length
+//     bounds stay on every read, and FuzzDiskcacheCodec feeds them
+//     arbitrary bytes.
 //   - artifacts.go: encoders/decoders for the per-stage bundles the
-//     engine caches (hot sets, automata, HPG graphs, data-flow
-//     solutions, translated profiles, reduced graphs), each carrying
-//     the per-stage compute costs of the run that produced it so cache
-//     hits still report meaningful durations.
+//     engine caches (hot sets, automata, HPG graphs, constant-propagation
+//     solutions written as columns of their packed rows, translated
+//     profiles, and reductions stored as their partition and rebuilt by
+//     reduce.Assemble), each carrying the per-stage compute costs of the
+//     run that produced it so cache hits still report meaningful
+//     durations.
 //   - store.go:     the on-disk store itself — one file per bundle,
 //     atomic O_EXCL-temp + rename writes, a size-bounded LRU with
 //     recovery of pre-existing entries at open, and hit/miss/evict/
@@ -32,7 +35,7 @@ package diskcache
 import (
 	"encoding/binary"
 	"errors"
-	"hash/fnv"
+	"hash/crc32"
 	"math"
 )
 
@@ -50,11 +53,18 @@ const (
 	// (automaton/trace/analyze/translate), moved to Merkle-style
 	// (slice, chain) keys, and added the Meta envelope. Version 3 drops
 	// the delta class from Meta, which now holds per-stage costs only.
-	FormatVersion = 3
+	// Version 4 writes solutions as columns (reached bits, kind bytes,
+	// Const values, executable bits, iterations and pops), stores a
+	// reduced bundle as its partition instead of its quotient graph, and
+	// checksums frames with CRC-32C instead of FNV-64a.
+	FormatVersion = 4
 
 	headerLen   = 6 // magic(4) + version(1) + kind(1)
-	checksumLen = 8
+	checksumLen = 4
 )
+
+// castagnoli is the CRC-32C table behind the frame checksum.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // magic identifies a pathflow artifact-cache file.
 var magic = [4]byte{'P', 'F', 'A', 'C'}
@@ -110,9 +120,7 @@ func frame(kind Kind, payload []byte) []byte {
 	out = append(out, magic[:]...)
 	out = append(out, FormatVersion, byte(kind))
 	out = append(out, payload...)
-	h := fnv.New64a()
-	h.Write(out) //nolint:errcheck // fnv never fails
-	return binary.LittleEndian.AppendUint64(out, h.Sum64())
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
 }
 
 // unframe validates the envelope and returns the payload. Every defect
@@ -125,9 +133,7 @@ func unframe(kind Kind, data []byte) ([]byte, error) {
 		return nil, ErrCorrupt
 	}
 	body, sum := data[:len(data)-checksumLen], data[len(data)-checksumLen:]
-	h := fnv.New64a()
-	h.Write(body) //nolint:errcheck
-	if binary.LittleEndian.Uint64(sum) != h.Sum64() {
+	if binary.LittleEndian.Uint32(sum) != crc32.Checksum(body, castagnoli) {
 		return nil, ErrCorrupt
 	}
 	return body[headerLen:], nil
@@ -166,6 +172,23 @@ func (e *enc) bool(v bool) {
 func (e *enc) str(s string) {
 	e.u64(uint64(len(s)))
 	e.b = append(e.b, s...)
+}
+
+// bits appends v as a bit column, eight entries per byte, low bit first.
+func (e *enc) bits(v []bool) {
+	var b byte
+	for i, x := range v {
+		if x {
+			b |= 1 << (i % 8)
+		}
+		if i%8 == 7 {
+			e.b = append(e.b, b)
+			b = 0
+		}
+	}
+	if len(v)%8 != 0 {
+		e.b = append(e.b, b)
+	}
 }
 
 // --- Primitive reader -----------------------------------------------------
@@ -226,18 +249,38 @@ func (d *dec) bool() bool { return d.byte() != 0 }
 
 func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
 
-func (d *dec) str() string {
-	n := d.u64()
+func (d *dec) str() string { return string(d.raw(int(d.u64()))) }
+
+// raw returns the next n payload bytes without copying them.
+func (d *dec) raw(n int) []byte {
 	if d.err != nil {
-		return ""
+		return nil
 	}
-	if n > uint64(len(d.b)-d.off) {
+	if n < 0 || n > len(d.b)-d.off {
 		d.fail()
-		return ""
+		return nil
 	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
+	b := d.b[d.off : d.off+n]
+	d.off += n
+	return b
+}
+
+// bits reads an n-entry bit column; padding bits in its last byte must
+// be zero, so every accepted column has one encoding.
+func (d *dec) bits(n int) []bool {
+	raw := d.raw((n + 7) / 8)
+	if d.err != nil {
+		return nil
+	}
+	if n%8 != 0 && raw[len(raw)-1]>>(n%8) != 0 {
+		d.fail()
+		return nil
+	}
+	v := make([]bool, n)
+	for i := range v {
+		v[i] = raw[i/8]>>(i%8)&1 != 0
+	}
+	return v
 }
 
 // sliceLen reads a length prefix and bounds-checks it against the

@@ -123,7 +123,7 @@ func solOf(r *constprop.Result) *dataflow.Solution {
 	if r == nil {
 		return nil
 	}
-	return r.Sol
+	return r.Boxed()
 }
 
 func lvSolOf(r *liveness.Result) *dataflow.Solution {

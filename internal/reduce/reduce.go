@@ -99,13 +99,14 @@ func Reduce(h *trace.HPG, sol *constprop.Result, hpgProf *bl.Profile, opt Option
 	// Scratch shared by every evaluation below.
 	in := make([]constprop.Value, 0, maxInputs)
 	vals := make([]constprop.Value, maxInstrs)
-	// inputsAt projects the solution at n onto its block's inputs.
+	// inputsAt projects the solution at n onto its block's inputs,
+	// reading the solved rows cell by cell (unreached rows are ⊤).
 	inputsAt := func(n cfg.NodeID) []constprop.Value {
-		var env constprop.Env
-		if sol.Reached(n) {
-			env = sol.EnvAt(n)
+		x := in[:0]
+		for _, r := range blockOf(n).Inputs {
+			x = append(x, sol.Value(n, r))
 		}
-		return blockOf(n).Project(in[:0], env)
+		return x
 	}
 	// nonLocal evaluates b with its inputs holding x and sets in m the
 	// bits of the candidates (b.Candidates) that come out constant.
@@ -275,13 +276,31 @@ func meetInto(dst, a, b []constprop.Value) {
 // (numClasses classes) of h: it refines the partition to a congruence
 // and builds the reduced graph over the refined classes.
 func quotient(h *trace.HPG, weights []int64, hotList []cfg.NodeID, class []int, numClasses int) (*Reduced, error) {
+	class, _ = refine(h.G, class, numClasses)
+	return Assemble(h, class, hotList, weights)
+}
+
+// Assemble performs step 4: it builds the reduced graph of h over the
+// partition class, one rHPG node per class, and records hot and weights
+// as the selection that produced it. class must number its classes
+// densely in order of first member (the form step 3 produces, so no
+// class is empty), every class must hold duplicates of one original
+// vertex, and the partition must be a congruence. Any other vector is an
+// error, so the disk codec rebuilds stored partitions through here too.
+func Assemble(h *trace.HPG, class []int, hot []cfg.NodeID, weights []int64) (*Reduced, error) {
 	g := h.G
-	numVars := h.Fn.NumVars()
-
-	// Step 3: refine to the coarsest congruence (DFA minimization).
-	class, numClasses = refine(g, class, numClasses)
-
-	// Step 4: build the quotient graph.
+	if len(class) != g.NumNodes() {
+		return nil, fmt.Errorf("reduce: %d class entries for %d nodes", len(class), g.NumNodes())
+	}
+	numClasses := 0
+	for n, c := range class {
+		if c < 0 || c > numClasses {
+			return nil, fmt.Errorf("reduce: node %d has class %d, want at most %d", n, c, numClasses)
+		}
+		if c == numClasses {
+			numClasses++
+		}
+	}
 	red := &Reduced{
 		H:         h,
 		G:         &cfg.Graph{Name: g.Name + "#reduced"},
@@ -289,21 +308,23 @@ func quotient(h *trace.HPG, weights []int64, hotList []cfg.NodeID, class []int, 
 		Members:   make([][]cfg.NodeID, numClasses),
 		Rep:       make([]cfg.NodeID, numClasses),
 		Recording: map[cfg.EdgeID]bool{},
-		Hot:       hotList,
+		Hot:       hot,
 		Weights:   weights,
 	}
 	for _, nd := range g.Nodes {
 		red.Members[class[nd.ID]] = append(red.Members[class[nd.ID]], nd.ID)
 	}
-	for c := range red.Members {
-		if len(red.Members[c]) == 0 {
-			return nil, fmt.Errorf("reduce: empty class %d", c)
-		}
-		leader := red.Members[c][0]
+	for c, ms := range red.Members {
+		leader := ms[0]
 		ov := h.OrigNode[leader]
+		for _, m := range ms[1:] {
+			if h.OrigNode[m] != ov || len(g.Node(m).Out) != len(g.Node(leader).Out) {
+				return nil, fmt.Errorf("reduce: class %d mixes duplicates of different vertices", c)
+			}
+		}
 		origNd := h.Fn.G.Node(ov)
 		name := g.Node(leader).Name
-		if len(red.Members[c]) > 1 {
+		if len(ms) > 1 {
 			// The paper's Figure 8 drops state numbers from merged
 			// vertices.
 			name = origNd.Name
@@ -343,7 +364,7 @@ func quotient(h *trace.HPG, weights []int64, hotList []cfg.NodeID, class []int, 
 			}
 		}
 	}
-	if err := red.G.Validate(numVars); err != nil {
+	if err := red.G.Validate(h.Fn.NumVars()); err != nil {
 		return nil, fmt.Errorf("reduce: produced invalid graph: %w", err)
 	}
 	return red, nil
