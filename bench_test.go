@@ -327,7 +327,7 @@ func BenchmarkTracingVsTupling(b *testing.B) {
 						if err != nil {
 							b.Fatal(err)
 						}
-						constprop.Analyze(h.G, fn.NumVars(), true)
+						constprop.AnalyzeBoxed(h.G, fn.NumVars(), true)
 					}
 				}
 			}
@@ -603,7 +603,7 @@ func BenchmarkEngineIncremental(b *testing.B) {
 		}
 		d := engine.DiffFunc(in.Prog.Funcs[target], fn, in.Train.Funcs[target], in.Train.Funcs[target])
 		if d.Class != engine.DeltaBody {
-			b.Fatalf("%s/%s: edit classified %q, want body (%s)", in.B.Name, target, d.Class, d)
+			b.Fatalf("%s/%s: edit classified %q, want body", in.B.Name, target, d.Class)
 		}
 		edited[i] = prog
 	}
@@ -710,7 +710,7 @@ func BenchmarkAnalyzeKernels(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, g := range graphs {
-				constprop.Analyze(g.G, g.NumVars, true)
+				constprop.AnalyzeBoxed(g.G, g.NumVars, true)
 			}
 		}
 		b.ReportMetric(float64(nodes), "nodes")

@@ -10,7 +10,9 @@
 #   4. lint                 the hand-rolled drift linter (internal/lint):
 #                           Unknown*Error hints must enumerate the full
 #                           current option sets (kernels, clients,
-#                           benchmarks)
+#                           benchmarks), and no non-test file outside
+#                           internal/engine and the four client
+#                           packages reaches the boxed solvers
 #   5. go test ./...        the full test suite (incl. the golden gate
 #                           internal/bench/testdata/metrics.golden.json)
 #   6. go test -race        the concurrency-bearing packages under the
@@ -37,8 +39,10 @@
 #                           also runs from pooled workers
 #   7. fuzz smoke           10s of coverage-guided fuzzing per target
 #                           (FuzzDiskcacheCodec: corrupt cache files
-#                           never panic; FuzzDelta: dirty-set
-#                           predictions stay sound on random edits;
+#                           never panic; FuzzDelta: incremental results
+#                           equal cold ones on random edits, and each
+#                           function's delta class agrees with the
+#                           replay the run observed;
 #                           FuzzKernelEquivalence: the packed arena
 #                           kernels match the boxed reference pointwise,
 #                           iteration counts included, on full pipeline
@@ -83,7 +87,10 @@
 #                           oracle must report zero violations (exit
 #                           status is the gate) — then `check
 #                           -feasible` over all seven (packed) plus
-#                           boxed on m88ksim: the extended gate
+#                           -kernel=boxed on m88ksim, which the engine
+#                           alone turns into a whole pipeline and
+#                           oracle run on the boxed reference solvers:
+#                           the extended gate
 #                           (masked facts pointwise >= unmasked on
 #                           every tier, no executed edge pruned)
 #  10. baseline smoke       end-to-end incremental re-analysis:
@@ -150,7 +157,8 @@ go test -race ./internal/engine/ ./internal/engine/diskcache/ ./internal/bench/ 
 echo "== fuzz smoke"
 # Short coverage-guided runs on top of the checked-in seed corpora: the
 # codec must treat arbitrary bytes as at worst a silent cache miss,
-# Delta's dirty-set prediction must stay sound on random program edits,
+# incremental re-analysis must match a cold one and agree with each
+# edit's delta class on random program edits,
 # and the packed kernels must stay pointwise identical to the boxed
 # reference across full pipeline runs.
 go test -run '^$' -fuzz '^FuzzDiskcacheCodec$' -fuzztime 10s ./internal/engine/diskcache/

@@ -25,7 +25,6 @@ func cmdExp(args []string) error {
 	workers := fs.Int("workers", 0, "parallel function analyses (0 = NumCPU)")
 	nocache := fs.Bool("nocache", false, "disable the cross-run artifact cache")
 	verbose := fs.Bool("v", false, "print per-stage cache provenance (computed/memory/disk) with compute and decode times after the run")
-	kernelFlag := fs.String("kernel", "packed", "data-flow solver backend: packed (the production kernels); boxed is the test reference, not a production choice")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (after the experiment) to this file")
 	cflags := addCacheFlags(fs, "")
@@ -33,13 +32,9 @@ func cmdExp(args []string) error {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: pathflow exp [-workers n] [-nocache] [-cachedir dir] [-cachemax size] [-kernel packed|boxed] [-cpuprofile f] [-memprofile f] [-v] <table1|table2|fig7|fig9|fig10|fig11|fig12|ablation|clients|kernels|feasible|streaming|all>")
+		return fmt.Errorf("usage: pathflow exp [-workers n] [-nocache] [-cachedir dir] [-cachemax size] [-cpuprofile f] [-memprofile f] [-v] <table1|table2|fig7|fig9|fig10|fig11|fig12|ablation|clients|feasible|streaming|all>")
 	}
 	what := fs.Arg(0)
-	kern, err := engine.ParseKernel(*kernelFlag)
-	if err != nil {
-		return err
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -86,19 +81,16 @@ func cmdExp(args []string) error {
 	if err != nil {
 		return err
 	}
-	for _, in := range ins {
-		in.Kernel = kern
-	}
 	exps := map[string]func(context.Context, []*bench.Instance) error{
 		"table1": expTable1, "table2": expTable2, "fig7": expFig7,
 		"fig9": expFig9, "fig10": expFig10, "fig11": expFig11,
 		"fig12": expFig12, "ablation": expAblation, "clients": expClients,
-		"kernels": expKernels, "feasible": expFeasible, "streaming": expStreaming,
+		"feasible": expFeasible, "streaming": expStreaming,
 	}
 	switch {
 	case what == "all":
 		for _, f := range []func(context.Context, []*bench.Instance) error{
-			expTable1, expFig7, expFig9, expFig10, expFig11, expFig12, expTable2, expAblation, expClients, expKernels, expFeasible, expStreaming,
+			expTable1, expFig7, expFig9, expFig10, expFig11, expFig12, expTable2, expAblation, expClients, expFeasible, expStreaming,
 		} {
 			if err := f(ctx, ins); err != nil {
 				return err
@@ -478,29 +470,6 @@ func expFig12(ctx context.Context, ins []*bench.Instance) error {
 			fmt.Printf(" %7.2fx", p.TimeRatio)
 		}
 		fmt.Println()
-	}
-	return nil
-}
-
-// expKernels compares the packed arena kernels against the boxed
-// reference solver on every benchmark's analysis-tier graphs, with the
-// oracle's differential gate asserting pointwise-identical solutions
-// for all four clients before any timing is believed.
-func expKernels(ctx context.Context, ins []*bench.Instance) error {
-	rows, err := bench.Kernels(ctx, ins)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Kernel backends: boxed reference vs packed arena kernels")
-	fmt.Println("(constant propagation over each benchmark's analyze-stage graphs;")
-	fmt.Println(" 'checked' vertices passed the 4-client pointwise differential gate;")
-	fmt.Println(" speedup = boxed/packed)")
-	fmt.Printf("%-10s %7s %12s %12s %8s %9s\n",
-		"Program", "nodes", "boxed", "packed", "speedup", "checked")
-	for _, r := range rows {
-		fmt.Printf("%-10s %7d %12s %12s %7.2fx %9d\n",
-			r.Name, r.Nodes, r.Boxed.Round(10*time.Microsecond), r.Packed.Round(10*time.Microsecond),
-			r.Speedup, r.Checked)
 	}
 	return nil
 }

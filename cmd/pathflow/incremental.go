@@ -70,9 +70,8 @@ func analyzeIncremental(ctx context.Context, eng *engine.Engine, tg *target, bas
 }
 
 // printIncremental renders the per-function incremental report: the
-// classified delta, the dirty-set prediction, and what actually
-// happened — how many pipeline stages were served from cache (replayed)
-// versus recomputed.
+// classified delta and what actually happened — how many pipeline
+// stages were served from cache (replayed) versus recomputed.
 func printIncremental(baseFile string, deltas []*engine.Delta, res *engine.ProgramResult) {
 	fmt.Printf("\nincremental re-analysis vs %s:\n", baseFile)
 	fmt.Printf("%-12s %-8s %9s %10s  %s\n",

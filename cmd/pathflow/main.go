@@ -118,7 +118,7 @@ commands:
   opt     <bench>|-src f [...]   optimize and compare modeled run time
   check   <bench>|-src f [...]   run the precision differential oracle
                                  (every client, every graph tier)
-  exp     <table1|table2|fig7|fig9|fig10|fig11|fig12|ablation|clients|kernels|feasible|all>
+  exp     <table1|table2|fig7|fig9|fig10|fig11|fig12|ablation|clients|feasible|streaming|all>
                                  regenerate the paper's tables and figures
   watch   -src f [...]           watch a source file (and optional saved
                                  profile) and re-analyze incrementally on

@@ -84,7 +84,7 @@ func main() {
 	fmt.Printf("%-22s %16s %16s\n", "client", "baseline (dyn)", "qualified (dyn)")
 
 	// Constant propagation.
-	cBase := constprop.Analyze(fn.G, fn.NumVars(), true)
+	cBase := constprop.AnalyzePacked(fn.G, fn.NumVars(), true)
 	cQual := fr.RedSol
 	fmt.Printf("%-22s %16d %16d\n", "non-local constants",
 		countConst(fn, fn.G, cBase, baseFreq), countConst(fn, g, cQual, qualFreq))
@@ -97,8 +97,8 @@ func main() {
 	fmt.Printf("%-22s %16d %16d\n", "definite signs", sb, sq)
 
 	// Range analysis.
-	iBase := intervals.Analyze(fn.G, fn.NumVars(), true)
-	iQual := intervals.Analyze(g, fn.NumVars(), true)
+	iBase := intervals.AnalyzePacked(fn.G, fn.NumVars(), true)
+	iQual := intervals.AnalyzePacked(g, fn.NumVars(), true)
 	_, ib := intervals.BoundedCount(fn.G, iBase, baseFreq)
 	_, iq := intervals.BoundedCount(g, iQual, qualFreq)
 	fmt.Printf("%-22s %16d %16d\n", "bounded ranges", ib, iq)

@@ -70,7 +70,7 @@ func main() {
 	fmt.Printf("%d vertices: %s\n", h.G.NumNodes(), strings.Join(names, " "))
 	fmt.Printf("reducible? original=%v traced=%v\n\n", fn.G.Reducible(), h.G.Reducible())
 
-	sol := constprop.Analyze(h.G, fn.NumVars(), true)
+	sol := constprop.AnalyzePacked(h.G, fn.NumVars(), true)
 	fmt.Println("new constants on the HPG (none exist in the original graph):")
 	printConsts(h.G, sol, fn.VarNames, fn.NumVars())
 	fmt.Println()
@@ -117,7 +117,7 @@ func main() {
 	fmt.Printf("reduced graph: %d vertices (HPG had %d, original %d)\n\n",
 		red.G.NumNodes(), h.G.NumNodes(), fn.G.NumNodes())
 
-	rsol := constprop.Analyze(red.G, fn.NumVars(), true)
+	rsol := constprop.AnalyzePacked(red.G, fn.NumVars(), true)
 	fmt.Println("constants preserved on the reduced graph:")
 	printConsts(red.G, rsol, fn.VarNames, fn.NumVars())
 }

@@ -94,7 +94,7 @@ func main() {
 	}
 
 	// The baseline Wegman-Zadek analysis finds none of these.
-	base := constprop.Analyze(fr.Fn.G, fr.Fn.NumVars(), true)
+	base := constprop.AnalyzePacked(fr.Fn.G, fr.Fn.NumVars(), true)
 	n := 0
 	for _, nd := range fr.Fn.G.Nodes {
 		flags := constprop.ConstFlags(fr.Fn.G, nd.ID, base.EnvAt(nd.ID), fr.Fn.NumVars(), true)

@@ -229,10 +229,11 @@ type Result struct {
 	Sol *dataflow.Solution
 }
 
-// Analyze runs available-expressions over g using the shared universe u.
-// guide, when non-nil, restricts propagation to a prior forward
-// solution's executable sub-graph.
-func Analyze(g *cfg.Graph, u *Universe, guide *dataflow.Solution) *Result {
+// AnalyzeBoxed runs available-expressions over g using the shared
+// universe u on the boxed reference solver, the test oracle for
+// AnalyzePacked. guide, when non-nil, restricts propagation to a prior
+// forward solution's executable sub-graph.
+func AnalyzeBoxed(g *cfg.Graph, u *Universe, guide *dataflow.Solution) *Result {
 	p := &Problem{U: u, Guide: guide}
 	return &Result{G: g, U: u, P: p, Sol: dataflow.Solve(g, p)}
 }

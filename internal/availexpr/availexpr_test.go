@@ -39,7 +39,7 @@ func TestStraightLineRedundancyAndKill(t *testing.T) {
 	if u.Size() != 2 { // a+b and x+x
 		t.Fatalf("universe size = %d, want 2", u.Size())
 	}
-	r := Analyze(g, u, nil)
+	r := AnalyzeBoxed(g, u, nil)
 	flags := r.Redundant(n)
 	want := []bool{false, false, false, true, false, false, false, false}
 	for i, w := range want {
@@ -97,7 +97,7 @@ func TestMustJoin(t *testing.T) {
 	// Both legs compute a+b: the join's recomputation is redundant.
 	g, j := diamond(t, true, false)
 	u := NewUniverse(g, 5)
-	r := Analyze(g, u, nil)
+	r := AnalyzeBoxed(g, u, nil)
 	if !r.Redundant(j)[0] {
 		t.Error("a+b computed on both legs but join recomputation not redundant")
 	}
@@ -105,7 +105,7 @@ func TestMustJoin(t *testing.T) {
 	// Only the taken leg computes it: intersection kills it at the join.
 	g, j = diamond(t, false, false)
 	u = NewUniverse(g, 5)
-	r = Analyze(g, u, nil)
+	r = AnalyzeBoxed(g, u, nil)
 	if r.Redundant(j)[0] {
 		t.Error("a+b available after one-leg computation; must-join broken")
 	}
@@ -117,12 +117,12 @@ func TestGuidedMustJoinRecoversHotLeg(t *testing.T) {
 	// intersection and the join's recomputation becomes redundant.
 	g, j := diamond(t, false, true)
 	u := NewUniverse(g, 5)
-	plain := Analyze(g, u, nil)
+	plain := AnalyzeBoxed(g, u, nil)
 	if plain.Redundant(j)[0] {
 		t.Fatal("unguided analysis should not see through the branch")
 	}
-	cp := constprop.Analyze(g, 5, true)
-	guided := Analyze(g, u, cp.Sol)
+	cp := constprop.AnalyzeBoxed(g, 5, true)
+	guided := AnalyzeBoxed(g, u, cp.Sol)
 	if !guided.Redundant(j)[0] {
 		t.Error("guided analysis missed availability along the only executable leg")
 	}
@@ -138,8 +138,8 @@ func TestGuidedMustJoinRecoversHotLeg(t *testing.T) {
 func TestUnreachedNodeHasNoFact(t *testing.T) {
 	g, _ := diamond(t, true, true)
 	u := NewUniverse(g, 5)
-	cp := constprop.Analyze(g, 5, true)
-	r := Analyze(g, u, cp.Sol)
+	cp := constprop.AnalyzeBoxed(g, 5, true)
+	r := AnalyzeBoxed(g, u, cp.Sol)
 	// The else node (id from construction: entry=0? use name lookup).
 	for _, nd := range g.Nodes {
 		if nd.Name == "f" {

@@ -87,8 +87,8 @@ func (d *packedDomain) Transfer(n cfg.NodeID, in, scratch int, slots []int8) {
 }
 
 // AnalyzePacked runs available-expressions on the packed bitset kernel
-// using the shared universe u. The solution is pointwise equal to
-// Analyze's.
+// using the shared universe u: the production solver. The solution is
+// pointwise equal to AnalyzeBoxed's.
 func AnalyzePacked(g *cfg.Graph, u *Universe, guide *dataflow.Solution) *Result {
 	d := newPackedDomain(g, u, guide)
 	s := kernel.NewSolver(g, d)
@@ -99,12 +99,4 @@ func AnalyzePacked(g *cfg.Graph, u *Universe, guide *dataflow.Solution) *Result 
 	// The boxed path hangs the Problem off the result for callers that
 	// re-run TransferBlock; give them the same view.
 	return &Result{G: g, U: u, P: &Problem{U: u, Guide: guide}, Sol: sol}
-}
-
-// AnalyzeWith dispatches Analyze on the requested kernel backend.
-func AnalyzeWith(g *cfg.Graph, u *Universe, guide *dataflow.Solution, k dataflow.Kernel) *Result {
-	if k == dataflow.KernelBoxed {
-		return Analyze(g, u, guide)
-	}
-	return AnalyzePacked(g, u, guide)
 }

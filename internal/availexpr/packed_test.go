@@ -25,10 +25,10 @@ func TestPackedMatchesBoxed(t *testing.T) {
 			u := NewUniverse(fn.G, nv)
 			guides := map[string]*dataflow.Solution{
 				"unguided": nil,
-				"guided":   constprop.Analyze(fn.G, nv, true).Sol,
+				"guided":   constprop.AnalyzeBoxed(fn.G, nv, true).Sol,
 			}
 			for mode, guide := range guides {
-				boxed := Analyze(fn.G, u, guide)
+				boxed := AnalyzeBoxed(fn.G, u, guide)
 				packed := AnalyzePacked(fn.G, u, guide)
 				lat := &Problem{U: u, Guide: guide}
 				rep := oracle.Differential("availexpr", name, lat, boxed.Sol, packed.Sol)

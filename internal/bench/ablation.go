@@ -174,11 +174,11 @@ func Ranges(ctx context.Context, instances []*Instance) ([]RangesRow, error) {
 			fr := res.Funcs[name]
 			fn := in.Prog.Funcs[name]
 			refProf := in.Ref.Funcs[name]
-			base := intervals.Analyze(fn.G, fn.NumVars(), true)
+			base := intervals.AnalyzePacked(fn.G, fn.NumVars(), true)
 			_, bd := intervals.BoundedCount(fn.G, base, profile.NodeFrequencies(refProf, fn.G))
 			row.BaseDyn += bd
 			g := fr.FinalGraph()
-			qual := intervals.Analyze(g, fn.NumVars(), true)
+			qual := intervals.AnalyzePacked(g, fn.NumVars(), true)
 			ep, err := fr.TranslateEval(refProf)
 			if err != nil {
 				return nil, err
@@ -295,7 +295,7 @@ func Propagation(ctx context.Context, instances []*Instance) ([]PropRow, error) 
 				return nil, err
 			}
 			freq := profile.NodeFrequencies(ep, g)
-			plain := constprop.Analyze(g, fn.NumVars(), false)
+			plain := constprop.AnalyzePacked(g, fn.NumVars(), false)
 			row.PlainDyn += classify.SiteConstDyn(g, plain, freq, fn.NumVars(), false)
 			row.CondDyn += classify.SiteConstDyn(g, fr.FinalSol(), freq, fn.NumVars(), false)
 		}

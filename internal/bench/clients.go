@@ -47,23 +47,11 @@ func Clients(ctx context.Context, instances []*Instance) ([]ClientsRow, error) {
 			refProf := in.Ref.Funcs[name]
 			baseFreq := profile.NodeFrequencies(refProf, fn.G)
 
-			baseLive := fr.LiveCFG
-			if baseLive == nil {
-				baseLive = liveness.Analyze(fn.G, fn.NumVars(), fr.OrigSol.Sol)
-			}
-			s, d := liveness.DeadStoreCount(fn.G, baseLive, baseFreq)
+			s, d := liveness.DeadStoreCount(fn.G, fr.LiveCFG, baseFreq)
 			row.LiveBase += s
 			row.LiveBaseDyn += d
 
-			u := fr.AvailU
-			if u == nil {
-				u = availexpr.NewUniverse(fn.G, fn.NumVars())
-			}
-			baseAvail := fr.AvailCFG
-			if baseAvail == nil {
-				baseAvail = availexpr.Analyze(fn.G, u, fr.OrigSol.Sol)
-			}
-			s, d = availexpr.RedundantCount(fn.G, baseAvail, baseFreq)
+			s, d = availexpr.RedundantCount(fn.G, fr.AvailCFG, baseFreq)
 			row.AvailBase += s
 			row.AvailBaseDyn += d
 
@@ -74,19 +62,11 @@ func Clients(ctx context.Context, instances []*Instance) ([]ClientsRow, error) {
 			g := fr.FinalGraph()
 			qualFreq := profile.NodeFrequencies(ep, g)
 
-			qualLive := fr.FinalLive()
-			if qualLive == nil {
-				qualLive = liveness.Analyze(g, fn.NumVars(), fr.FinalSol().Sol)
-			}
-			s, d = liveness.DeadStoreCount(g, qualLive, qualFreq)
+			s, d = liveness.DeadStoreCount(g, fr.FinalLive(), qualFreq)
 			row.LiveQual += s
 			row.LiveQualDyn += d
 
-			qualAvail := fr.FinalAvail()
-			if qualAvail == nil {
-				qualAvail = availexpr.Analyze(g, u, fr.FinalSol().Sol)
-			}
-			s, d = availexpr.RedundantCount(g, qualAvail, qualFreq)
+			s, d = availexpr.RedundantCount(g, fr.FinalAvail(), qualFreq)
 			row.AvailQual += s
 			row.AvailQualDyn += d
 		}

@@ -83,9 +83,6 @@ func Feasible(ctx context.Context, instances []*Instance) ([]FeasibleRow, error)
 			ivLat := &intervals.ClampedProblem{NumVars: nv, Conditional: true, T: thr}
 			lvLat := &liveness.Problem{NumVars: nv}
 			u := fr.AvailU
-			if u == nil {
-				u = availexpr.NewUniverse(g, nv)
-			}
 			avLat := &availexpr.Problem{U: u}
 
 			// Unmasked CFG baselines — the common yardstick of all three
@@ -93,14 +90,7 @@ func Feasible(ctx context.Context, instances []*Instance) ([]FeasibleRow, error)
 			cpBase := fr.OrigSol
 			cpBoxed := cpBase.Boxed()
 			ivBase := intervals.AnalyzeClamped(g, nv, thr, true)
-			lvBase := fr.LiveCFG
-			if lvBase == nil {
-				lvBase = liveness.Analyze(g, nv, cpBase.Sol)
-			}
-			avBase := fr.AvailCFG
-			if avBase == nil {
-				avBase = availexpr.Analyze(g, u, cpBase.Sol)
-			}
+			lvBase, avBase := fr.LiveCFG, fr.AvailCFG
 
 			// Feasibility only: prune the original CFG, re-solve, compare
 			// in place.
@@ -109,10 +99,10 @@ func Feasible(ctx context.Context, instances []*Instance) ([]FeasibleRow, error)
 			row.DetectTime += time.Since(t0)
 			row.InfeasibleCFG += feas.Count
 			t0 = time.Now()
-			cpF := constprop.AnalyzeMasked(g, nv, true, in.Kernel, feas.Mask())
+			cpF := constprop.AnalyzeMasked(g, nv, true, feas.Mask())
 			ivF := intervals.AnalyzeClampedMasked(g, nv, thr, true, feas.Mask())
-			lvF := liveness.Analyze(g, nv, cpF.Sol)
-			avF := availexpr.Analyze(g, u, cpF.Sol)
+			lvF := liveness.AnalyzePacked(g, nv, cpF.Sol)
+			avF := availexpr.AnalyzePacked(g, u, cpF.Sol)
 			row.SolveTime += time.Since(t0)
 			cpRepF := oracle.Check("constprop", "cfg", cpLat, cpBoxed, cpF.Boxed(), oracle.Identity)
 			ivRepF := oracle.Check("intervals", "cfg", ivLat, ivBase.Sol, ivF.Sol, oracle.Identity)
@@ -138,14 +128,7 @@ func Feasible(ctx context.Context, instances []*Instance) ([]FeasibleRow, error)
 			// Frequency only: the engine's unmasked reduced-tier
 			// solutions vs the CFG.
 			ivR := intervals.AnalyzeClamped(red.G, nv, thr, true)
-			lvR := fr.LiveRed
-			if lvR == nil {
-				lvR = liveness.Analyze(red.G, nv, fr.RedSol.Sol)
-			}
-			avR := fr.AvailRed
-			if avR == nil {
-				avR = availexpr.Analyze(red.G, u, fr.RedSol.Sol)
-			}
+			lvR, avR := fr.LiveRed, fr.AvailRed
 			cp.FreqOnly += improvedVertices(oracle.Check("constprop", "rhpg", cpLat, cpBoxed, fr.RedSol.Boxed(), orig))
 			iv.FreqOnly += improvedVertices(oracle.Check("intervals", "rhpg", ivLat, ivBase.Sol, ivR.Sol, orig))
 			lv.FreqOnly += improvedVertices(oracle.Check("liveness", "rhpg", lvLat, lvBase.Sol, lvR.Sol, orig))
@@ -158,10 +141,10 @@ func Feasible(ctx context.Context, instances []*Instance) ([]FeasibleRow, error)
 			row.DetectTime += time.Since(t0)
 			row.InfeasibleRed += feasR.Count
 			t0 = time.Now()
-			cpB := constprop.AnalyzeMasked(red.G, nv, true, in.Kernel, feasR.Mask())
+			cpB := constprop.AnalyzeMasked(red.G, nv, true, feasR.Mask())
 			ivB := intervals.AnalyzeClampedMasked(red.G, nv, thr, true, feasR.Mask())
-			lvB := liveness.Analyze(red.G, nv, cpB.Sol)
-			avB := availexpr.Analyze(red.G, u, cpB.Sol)
+			lvB := liveness.AnalyzePacked(red.G, nv, cpB.Sol)
+			avB := availexpr.AnalyzePacked(red.G, u, cpB.Sol)
 			row.SolveTime += time.Since(t0)
 			cp.Both += improvedVertices(cpRepF, oracle.Check("constprop", "rhpg", cpLat, cpBoxed, cpB.Boxed(), orig))
 			iv.Both += improvedVertices(ivRepF, oracle.Check("intervals", "rhpg", ivLat, ivBase.Sol, ivB.Sol, orig))

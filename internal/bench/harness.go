@@ -9,7 +9,6 @@ import (
 	"pathflow/internal/bl"
 	"pathflow/internal/cfg"
 	"pathflow/internal/classify"
-	"pathflow/internal/dataflow"
 	"pathflow/internal/engine"
 	"pathflow/internal/interp"
 	"pathflow/internal/machine"
@@ -35,12 +34,6 @@ func DefaultEngine() *engine.Engine {
 type Instance struct {
 	B   *Benchmark
 	Eng *engine.Engine
-
-	// Kernel selects the data-flow solver backend every analysis this
-	// instance runs uses (zero value: the packed arena kernels). Set it
-	// before the first Analyze call — it participates in the memo key,
-	// but both backends produce identical results by contract.
-	Kernel dataflow.Kernel
 
 	Prog *cfg.Program
 	// Train and Ref are the path profiles of the train and ref runs.
@@ -91,8 +84,7 @@ func Load(b *Benchmark, eng *engine.Engine) (*Instance, error) {
 
 // Analyze runs (or returns the memoized) pipeline at the given options.
 func (in *Instance) Analyze(ctx context.Context, o engine.Options) (*engine.ProgramResult, error) {
-	o.Kernel = in.Kernel
-	key := fmt.Sprintf("%.6f/%.6f/%d/%t/%s/%t", o.CA, o.CR, o.Clients, o.Verify, o.Kernel, o.Feasible)
+	key := fmt.Sprintf("%.6f/%.6f/%d/%t/%t", o.CA, o.CR, o.Clients, o.Verify, o.Feasible)
 	in.mu.Lock()
 	if r, ok := in.analyses[key]; ok {
 		in.mu.Unlock()
@@ -107,6 +99,35 @@ func (in *Instance) Analyze(ctx context.Context, o engine.Options) (*engine.Prog
 	in.analyses[key] = r
 	in.mu.Unlock()
 	return r, nil
+}
+
+// AnalyzeGraph is one graph the analyze stage solves, with enough
+// context to re-run every client on it. Exported so the root kernel
+// benchmark times exactly the graph set the engine analyzes.
+type AnalyzeGraph struct {
+	Func    string
+	G       *cfg.Graph
+	NumVars int
+}
+
+// AnalyzeGraphs returns the analysis-tier graph set for in at the
+// paper's recommended operating point (CA=0.97, CR=0.95): the HPG of
+// every qualified function, the original CFG otherwise.
+func AnalyzeGraphs(ctx context.Context, in *Instance) ([]AnalyzeGraph, error) {
+	res, err := in.Analyze(ctx, engine.Options{CA: 0.97, CR: 0.95})
+	if err != nil {
+		return nil, err
+	}
+	var graphs []AnalyzeGraph
+	for _, name := range in.Prog.Order {
+		fr := res.Funcs[name]
+		g := fr.Fn.G
+		if fr.Qualified() {
+			g = fr.HPG.G
+		}
+		graphs = append(graphs, AnalyzeGraph{Func: name, G: g, NumVars: in.Prog.Funcs[name].NumVars()})
+	}
+	return graphs, nil
 }
 
 // EvalMetrics summarizes one analysis under the ref profile.

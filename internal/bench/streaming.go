@@ -67,7 +67,6 @@ func Streaming(ctx context.Context, instances []*Instance, rounds int) ([]Stream
 	o := engine.Options{CA: 0.97, CR: 0.95}
 	var rows []StreamingRow
 	for _, in := range instances {
-		o.Kernel = in.Kernel
 		// A dedicated engine: other experiments may have warmed in.Eng,
 		// which would understate the cold cost the rounds compare against.
 		eng := engine.New(engine.Config{Workers: 0, Cache: true})

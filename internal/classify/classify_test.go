@@ -29,7 +29,7 @@ func qualify(t *testing.T, fn *cfg.Func, pr *bl.Profile, ca float64) (*trace.HPG
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h, constprop.Analyze(h.G, fn.NumVars(), true)
+	return h, constprop.AnalyzeBoxed(h.G, fn.NumVars(), true)
 }
 
 func profileOf(t *testing.T, prog *cfg.Program, inputs []ir.Value) *bl.Profile {
@@ -49,7 +49,7 @@ func classifyExample(t *testing.T, ca float64) (*Report, *trace.HPG) {
 	rep := Classify(Input{
 		Fn:              f,
 		EvalProfile:     pr,
-		OrigSol:         constprop.Analyze(f.G, f.NumVars(), true),
+		OrigSol:         constprop.AnalyzeBoxed(f.G, f.NumVars(), true),
 		Overlay:         h,
 		OverlaySol:      hsol,
 		OverlayOrigNode: func(n cfg.NodeID) cfg.NodeID { return h.OrigNode[n] },
@@ -93,7 +93,7 @@ func TestClassifyWithoutOverlay(t *testing.T) {
 	rep := Classify(Input{
 		Fn:          f,
 		EvalProfile: pr,
-		OrigSol:     constprop.Analyze(f.G, f.NumVars(), true),
+		OrigSol:     constprop.AnalyzeBoxed(f.G, f.NumVars(), true),
 	})
 	// Without qualification nothing is Partial; x, i, n become Dynamic
 	// (they are not always-tainted: b and the constants are clean).
@@ -128,7 +128,7 @@ func main() {
 	rep := Classify(Input{
 		Fn:              fn,
 		EvalProfile:     pr,
-		OrigSol:         constprop.Analyze(fn.G, fn.NumVars(), true),
+		OrigSol:         constprop.AnalyzeBoxed(fn.G, fn.NumVars(), true),
 		Overlay:         h,
 		OverlaySol:      hsol,
 		OverlayOrigNode: func(n cfg.NodeID) cfg.NodeID { return h.OrigNode[n] },
@@ -164,7 +164,7 @@ func main() {
 	rep := Classify(Input{
 		Fn:              fn,
 		EvalProfile:     pr,
-		OrigSol:         constprop.Analyze(fn.G, fn.NumVars(), true),
+		OrigSol:         constprop.AnalyzeBoxed(fn.G, fn.NumVars(), true),
 		Overlay:         h,
 		OverlaySol:      hsol,
 		OverlayOrigNode: func(n cfg.NodeID) cfg.NodeID { return h.OrigNode[n] },
@@ -236,7 +236,7 @@ func TestSiteConstDynOnExample(t *testing.T) {
 		t.Errorf("HPG non-local const dyn = %d, want 400", got)
 	}
 	// Baseline on the original graph: zero non-local constants.
-	origSol := constprop.Analyze(f.G, f.NumVars(), true)
+	origSol := constprop.AnalyzeBoxed(f.G, f.NumVars(), true)
 	ofreq := profile.NodeFrequencies(pr, f.G)
 	if base := SiteConstDyn(f.G, origSol, ofreq, f.NumVars(), true); base != 0 {
 		t.Errorf("original non-local const dyn = %d, want 0", base)

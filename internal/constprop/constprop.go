@@ -299,16 +299,16 @@ type Result struct {
 	Rows kernel.KV
 }
 
-// Analyze runs constant propagation over g on the boxed reference
-// solver. conditional selects the Wegman-Zadek algorithm (true) or plain
-// iterative propagation (false).
-func Analyze(g *cfg.Graph, numVars int, conditional bool) *Result {
+// AnalyzeBoxed runs constant propagation over g on the boxed reference
+// solver, the test oracle for AnalyzePacked. conditional selects the
+// Wegman-Zadek algorithm (true) or plain iterative propagation (false).
+func AnalyzeBoxed(g *cfg.Graph, numVars int, conditional bool) *Result {
 	return AnalyzeBoxedMasked(g, numVars, conditional, nil)
 }
 
 // AnalyzeBoxedMasked runs boxed constant propagation with the given
-// infeasible-edge mask (nil behaves like Analyze). The boxed facts are
-// packed into the same rows the packed solver fills.
+// infeasible-edge mask (nil behaves like AnalyzeBoxed). The boxed facts
+// are packed into the same rows the packed solver fills.
 func AnalyzeBoxedMasked(g *cfg.Graph, numVars int, conditional bool, infeasible []bool) *Result {
 	p := &Problem{NumVars: numVars, Conditional: conditional, Infeasible: infeasible}
 	sol := dataflow.Solve(g, p)

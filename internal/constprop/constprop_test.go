@@ -63,7 +63,7 @@ func analyzeSrc(t *testing.T, src string, conditional bool) (*cfg.Func, *Result)
 		t.Fatal(err)
 	}
 	f := p.Main()
-	return f, Analyze(f.G, f.NumVars(), conditional)
+	return f, AnalyzeBoxed(f.G, f.NumVars(), conditional)
 }
 
 // varAt finds the named variable's lattice value at the entry of the exit
@@ -212,7 +212,7 @@ func main() { print(f(1)); }`)
 		t.Fatal(err)
 	}
 	f := p.Funcs["f"]
-	r := Analyze(f.G, f.NumVars(), true)
+	r := AnalyzeBoxed(f.G, f.NumVars(), true)
 	env := r.EnvAt(f.G.Exit)
 	if env[f.Params[0]].Kind != Bottom {
 		t.Errorf("param = %v, want ⊥", env[f.Params[0]])
@@ -234,7 +234,7 @@ func TestExampleHPGConstants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Analyze(h.G, f.NumVars(), true)
+	r := AnalyzeBoxed(h.G, f.NumVars(), true)
 
 	byName := map[string]cfg.NodeID{}
 	for _, nd := range h.G.Nodes {
@@ -287,7 +287,7 @@ func TestExampleHPGConstants(t *testing.T) {
 
 	// And in the original graph, x is nowhere constant (Figure 1: only
 	// assignments of constants are constant instructions).
-	ro := Analyze(f.G, f.NumVars(), true)
+	ro := AnalyzeBoxed(f.G, f.NumVars(), true)
 	_, nodes, _ := paperex.Build()
 	valsH := ro.InstrValues(nodes.H)
 	for i, in := range f.G.Node(nodes.H).Instrs {

@@ -56,7 +56,7 @@ func main() {
 		t.Fatal(err)
 	}
 	f := p.Main()
-	r := Analyze(f.G, f.NumVars(), true)
+	r := AnalyzeBoxed(f.G, f.NumVars(), true)
 	foundNonlocal, foundLocalExcluded := false, false
 	for _, nd := range f.G.Nodes {
 		all := ConstFlags(f.G, nd.ID, r.EnvAt(nd.ID), f.NumVars(), false)
@@ -111,7 +111,7 @@ func main() {
 		t.Fatal(err)
 	}
 	f := p.Main()
-	r := Analyze(f.G, f.NumVars(), true)
+	r := AnalyzeBoxed(f.G, f.NumVars(), true)
 	for _, nd := range f.G.Nodes {
 		env := r.EnvAt(nd.ID)
 		if len(env) != f.NumVars() {

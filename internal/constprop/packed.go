@@ -157,8 +157,9 @@ func newPackedDomain(g *cfg.Graph, numVars int, conditional bool, infeasible []b
 	return &packedDomain{g: g, conditional: conditional, infeasible: infeasible, cells: kernel.NewKV(numVars)}
 }
 
-// AnalyzePacked runs constant propagation on the packed SoA kernel. The
-// solution is pointwise equal to Analyze's, iteration counts included.
+// AnalyzePacked runs constant propagation on the packed SoA kernel, the
+// production solver. The solution is pointwise equal to AnalyzeBoxed's,
+// iteration counts included.
 func AnalyzePacked(g *cfg.Graph, numVars int, conditional bool) *Result {
 	return solvePacked(g, numVars, conditional, nil)
 }
@@ -183,19 +184,10 @@ func solvePacked(g *cfg.Graph, numVars int, conditional bool, infeasible []bool)
 	}
 }
 
-// AnalyzeWith dispatches Analyze on the requested kernel backend.
-func AnalyzeWith(g *cfg.Graph, numVars int, conditional bool, k dataflow.Kernel) *Result {
-	return AnalyzeMasked(g, numVars, conditional, k, nil)
-}
-
-// AnalyzeMasked dispatches constant propagation on the requested kernel
-// backend with an infeasible-edge mask: Transfer withholds facts along
-// masked edges, so their targets see fewer meets (or become unreached).
-// A nil mask is exactly AnalyzeWith. Both backends produce pointwise
-// identical masked facts: each skips the withheld slots.
-func AnalyzeMasked(g *cfg.Graph, numVars int, conditional bool, k dataflow.Kernel, infeasible []bool) *Result {
-	if k == dataflow.KernelBoxed {
-		return AnalyzeBoxedMasked(g, numVars, conditional, infeasible)
-	}
+// AnalyzeMasked is AnalyzePacked under an infeasible-edge mask:
+// Transfer withholds facts along masked edges, so their targets see
+// fewer meets (or become unreached). A nil mask is exactly
+// AnalyzePacked; AnalyzeBoxedMasked is its reference.
+func AnalyzeMasked(g *cfg.Graph, numVars int, conditional bool, infeasible []bool) *Result {
 	return solvePacked(g, numVars, conditional, infeasible)
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	. "pathflow/internal/constprop"
-	"pathflow/internal/dataflow"
 	"pathflow/internal/dataflow/oracle"
 	"pathflow/internal/lang"
 	"pathflow/internal/progen"
@@ -23,7 +22,7 @@ func TestPackedMatchesBoxed(t *testing.T) {
 			fn := prog.Funcs[name]
 			nv := fn.NumVars()
 			for _, conditional := range []bool{true, false} {
-				boxed := Analyze(fn.G, nv, conditional)
+				boxed := AnalyzeBoxed(fn.G, nv, conditional)
 				packed := AnalyzePacked(fn.G, nv, conditional)
 				lat := &Problem{NumVars: nv, Conditional: conditional}
 				rep := oracle.Differential("constprop", name, lat, boxed.Boxed(), packed.Boxed())
@@ -35,20 +34,30 @@ func TestPackedMatchesBoxed(t *testing.T) {
 	}
 }
 
-// TestAnalyzeWithDispatch pins the kernel selector: the zero value is
-// the packed path, and both backends agree.
-func TestAnalyzeWithDispatch(t *testing.T) {
+// TestAnalyzeMaskedMatchesBoxed pins the masked packed entry: a nil
+// mask is exactly AnalyzePacked, and under a mask that withholds every
+// third edge it agrees pointwise with the boxed reference.
+func TestAnalyzeMaskedMatchesBoxed(t *testing.T) {
 	prog, err := lang.Compile(progen.Generate(progen.DefaultConfig(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	name := prog.Order[0]
-	fn := prog.Funcs[name]
-	nv := fn.NumVars()
-	packed := AnalyzeWith(fn.G, nv, true, dataflow.KernelPacked)
-	boxed := AnalyzeWith(fn.G, nv, true, dataflow.KernelBoxed)
-	lat := &Problem{NumVars: nv, Conditional: true}
-	if err := oracle.Differential("constprop", name, lat, boxed.Boxed(), packed.Boxed()).Err(); err != nil {
-		t.Error(err)
+	for _, name := range prog.Order {
+		fn := prog.Funcs[name]
+		nv := fn.NumVars()
+		lat := &Problem{NumVars: nv, Conditional: true}
+		unmasked := AnalyzeMasked(fn.G, nv, true, nil)
+		if err := oracle.Differential("constprop", name, lat, AnalyzePacked(fn.G, nv, true).Boxed(), unmasked.Boxed()).Err(); err != nil {
+			t.Errorf("nil mask: %v", err)
+		}
+		mask := make([]bool, fn.G.NumEdges())
+		for e := range mask {
+			mask[e] = e%3 == 0
+		}
+		boxed := AnalyzeBoxedMasked(fn.G, nv, true, mask)
+		packed := AnalyzeMasked(fn.G, nv, true, mask)
+		if err := oracle.Differential("constprop", name, lat, boxed.Boxed(), packed.Boxed()).Err(); err != nil {
+			t.Errorf("masked: %v", err)
+		}
 	}
 }

@@ -207,75 +207,3 @@ func TestNarrowingRecoversLoopExitBoundBackward(t *testing.T) {
 		t.Errorf("In[h] = %d, want refined 9", got)
 	}
 }
-
-// --- Tuner overrides -----------------------------------------------------
-
-// tunedLoop couples cappedLoop with an explicit Tuning override: the
-// promoted *Tuning methods implement Tuner exactly the way client
-// problems embed it (intervals.Problem), nil meaning package defaults.
-type tunedLoop struct {
-	*cappedLoop
-	*Tuning
-}
-
-var _ Tuner = tunedLoop{}
-
-func TestTunerThresholdOverride(t *testing.T) {
-	// Threshold 2: two changes converge naturally...
-	g, h, b, _ := loopGraph(t)
-	p := tunedLoop{&cappedLoop{h: h, b: b, cap: 2, refine: 100}, &Tuning{Threshold: 2, Passes: -1}}
-	sol := Solve(g, p)
-	if p.widenCalls != 0 {
-		t.Errorf("Widen called %d times at exactly the tuned threshold, want 0", p.widenCalls)
-	}
-	if got := sol.In[h].(int); got != 2 {
-		t.Errorf("In[h] = %d, want exact 2", got)
-	}
-
-	// ...while a third crosses the tuned boundary well below the package
-	// default, and narrowing recovers the capped value.
-	g, h, b, _ = loopGraph(t)
-	p = tunedLoop{&cappedLoop{h: h, b: b, cap: 3, refine: 100}, &Tuning{Threshold: 2, Passes: -1}}
-	sol = Solve(g, p)
-	if p.widenCalls == 0 {
-		t.Error("Widen never called one change past the tuned threshold")
-	}
-	if got := sol.In[h].(int); got != 3 {
-		t.Errorf("In[h] = %d, want narrowed 3", got)
-	}
-}
-
-func TestTunerZeroNarrowingPasses(t *testing.T) {
-	// Passes = 0 disables narrowing outright: the widened sentinel must
-	// survive to the solution.
-	g, h, b, _ := loopGraph(t)
-	p := tunedLoop{&cappedLoop{h: h, b: b, cap: 1000, refine: 9}, &Tuning{Threshold: -1, Passes: 0}}
-	sol := Solve(g, p)
-	if p.widenCalls == 0 {
-		t.Fatal("widening never triggered; test is not exercising the passes knob")
-	}
-	if got := sol.In[h].(int); got != counterInf {
-		t.Errorf("In[h] = %d, want the un-narrowed sentinel %d", got, counterInf)
-	}
-}
-
-func TestTunerNegativeFieldsFallBack(t *testing.T) {
-	// Negative fields select the package defaults per-field, so the
-	// exactly-at-threshold behavior of the untuned problem is preserved.
-	g, h, b, _ := loopGraph(t)
-	p := tunedLoop{&cappedLoop{h: h, b: b, cap: WidenThreshold, refine: 100}, &Tuning{Threshold: -1, Passes: -1}}
-	sol := Solve(g, p)
-	if p.widenCalls != 0 {
-		t.Errorf("Widen called %d times with default-selecting overrides, want 0", p.widenCalls)
-	}
-	if got := sol.In[h].(int); got != WidenThreshold {
-		t.Errorf("In[h] = %d, want exact %d", got, WidenThreshold)
-	}
-	if th, pa := TuningOf(p); th != WidenThreshold || pa != NarrowingPasses {
-		t.Errorf("TuningOf = (%d, %d), want package defaults (%d, %d)", th, pa, WidenThreshold, NarrowingPasses)
-	}
-	// A nil *Tuning embeds to defaults too — the zero-cost opt-out.
-	if th, pa := TuningOf(tunedLoop{&cappedLoop{}, nil}); th != WidenThreshold || pa != NarrowingPasses {
-		t.Errorf("TuningOf(nil Tuning) = (%d, %d), want package defaults", th, pa)
-	}
-}

@@ -78,7 +78,8 @@ const (
 	// per graph. The default.
 	KernelPacked Kernel = iota
 	// KernelBoxed solves on the boxed reference implementation in this
-	// package (facts as interface values).
+	// package (facts as interface values). Only internal/engine selects
+	// it, for -kernel=boxed test runs.
 	KernelBoxed
 )
 
@@ -131,7 +132,6 @@ type Widener interface {
 // WidenThreshold is the number of per-node fact changes after which the
 // solver switches from Meet to Widen for widening problems. The small
 // constant trades a little precision for fast convergence, as usual.
-// Problems may override it via Tuner.
 const WidenThreshold = 4
 
 // NarrowingPasses is the number of decreasing re-iterations run after a
@@ -139,66 +139,8 @@ const WidenThreshold = 4
 // its executable predecessors, recovering precision the widening
 // overshot (bounds that a loop exit actually limits). Starting from a
 // sound post-fixpoint, re-application of monotone transfers stays sound,
-// and the fixed pass count bounds the work. Problems may override it via
-// Tuner.
+// and the fixed pass count bounds the work.
 const NarrowingPasses = 2
-
-// Tuner is optionally implemented by widening problems to override the
-// package defaults for the widening threshold and narrowing pass count.
-// Both solver backends (boxed and kernel) consult the same interface, so
-// an override keeps the two paths pointwise equal.
-type Tuner interface {
-	// WidenThreshold returns the per-node change count after which the
-	// solver widens instead of meeting. Negative values select the
-	// package default.
-	WidenThreshold() int
-	// NarrowingPasses returns the number of decreasing re-iterations run
-	// after convergence. Negative values select the package default; 0
-	// disables narrowing.
-	NarrowingPasses() int
-}
-
-// Tuning is a ready-made Tuner for embedding into problem structs: a nil
-// *Tuning yields the package defaults, so `SomeProblem{Tuning: nil}`
-// costs nothing until a caller opts in.
-type Tuning struct {
-	// Threshold overrides WidenThreshold (negative = default).
-	Threshold int
-	// Passes overrides NarrowingPasses (negative = default).
-	Passes int
-}
-
-// WidenThreshold implements Tuner.
-func (t *Tuning) WidenThreshold() int {
-	if t == nil {
-		return WidenThreshold
-	}
-	return t.Threshold
-}
-
-// NarrowingPasses implements Tuner.
-func (t *Tuning) NarrowingPasses() int {
-	if t == nil {
-		return NarrowingPasses
-	}
-	return t.Passes
-}
-
-// TuningOf resolves the effective widening threshold and narrowing pass
-// count for p: the Tuner override when implemented (negative fields fall
-// back per-field), the package defaults otherwise.
-func TuningOf(p any) (threshold, passes int) {
-	threshold, passes = WidenThreshold, NarrowingPasses
-	if t, ok := p.(Tuner); ok {
-		if v := t.WidenThreshold(); v >= 0 {
-			threshold = v
-		}
-		if v := t.NarrowingPasses(); v >= 0 {
-			passes = v
-		}
-	}
-	return threshold, passes
-}
 
 // Solution is the result of Solve.
 type Solution struct {
@@ -249,8 +191,7 @@ type solver struct {
 	dir Direction
 	sol *Solution
 
-	widener           Widener
-	threshold, passes int
+	widener Widener
 
 	ring         *PriorityRing // non-widening problems
 	inQueue      []bool        // widening problems: FIFO membership …
@@ -292,7 +233,6 @@ func newSolver(g *cfg.Graph, p Problem) *solver {
 		s.queue = make([]cfg.NodeID, g.NumNodes()+1)
 	}
 	if s.widener != nil {
-		s.threshold, s.passes = TuningOf(p)
 		s.changes = make([]int, g.NumNodes())
 		// Widen only at loop heads (targets of retreating edges):
 		// widening elsewhere needlessly destroys precision that branch
@@ -412,7 +352,7 @@ func (s *solver) run() {
 			if !p.Equal(merged, sol.In[to]) {
 				if s.widener != nil && s.widenAt[to] {
 					s.changes[to]++
-					if s.changes[to] > s.threshold {
+					if s.changes[to] > WidenThreshold {
 						merged = s.widener.Widen(sol.In[to], merged)
 					}
 				}
@@ -443,7 +383,7 @@ func (s *solver) recomputeOuts(n cfg.NodeID) {
 	s.outValid[n] = true
 }
 
-// narrow runs the configured number of decreasing re-iterations over the
+// narrow runs NarrowingPasses decreasing re-iterations over the
 // reached nodes in reverse postorder (reverse RPO backward, i.e.
 // approximately exit-first), replacing (not accumulating) each node's
 // fact with the meet over the facts its executable neighbors currently
@@ -451,7 +391,7 @@ func (s *solver) recomputeOuts(n cfg.NodeID) {
 // node and invalidated when the node's own fact narrows.
 func (s *solver) narrow() {
 	g, p, sol := s.g, s.p, s.sol
-	if s.passes > 0 && s.outFacts == nil {
+	if s.outFacts == nil {
 		s.outFacts = make([]Fact, g.NumEdges())
 		s.outValid = make([]bool, g.NumNodes())
 	}
@@ -460,7 +400,7 @@ func (s *solver) narrow() {
 		stop = g.Exit
 	}
 	order := s.dfs.RPOOrder
-	for pass := 0; pass < s.passes; pass++ {
+	for pass := 0; pass < NarrowingPasses; pass++ {
 		for i := range s.outValid {
 			s.outValid[i] = false
 		}

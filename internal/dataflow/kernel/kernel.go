@@ -76,15 +76,12 @@ type Domain interface {
 
 // WidenDomain is implemented by packed domains over lattices of
 // unbounded height (intervals). The solver widens at loop heads after
-// the tuned threshold and runs the tuned narrowing passes, mirroring
-// the boxed Widener path.
+// dataflow.WidenThreshold changes and runs dataflow.NarrowingPasses
+// narrowing passes, mirroring the boxed Widener path.
 type WidenDomain interface {
 	Domain
 	// WidenInto extrapolates: row merged = ∇(row old, row merged).
 	WidenInto(old, merged int)
-	// Tune returns the widening threshold and narrowing pass count
-	// (dataflow.TuningOf of the underlying problem).
-	Tune() (widenThreshold, narrowingPasses int)
 }
 
 // Solver runs the worklist algorithm for one (graph, domain) pair. All
@@ -119,13 +116,12 @@ type Solver struct {
 	scratch int // first Transfer scratch row
 	spare   int // widening save / narrowing accumulator row
 
-	threshold, passes int
-	changes           []int32
-	widenAt           []bool
-	rpo               []cfg.NodeID
-	outBase           int    // first narrowing-cache row
-	outValid          []bool // per node: cache rows current
-	outLive           []bool // per edge: cached fact delivered (non-nil)
+	changes  []int32
+	widenAt  []bool
+	rpo      []cfg.NodeID
+	outBase  int    // first narrowing-cache row
+	outValid []bool // per node: cache rows current
+	outLive  []bool // per edge: cached fact delivered (non-nil)
 }
 
 // NewSolver sizes d's arena for g and preallocates all solver state.
@@ -156,7 +152,6 @@ func NewSolver(g *cfg.Graph, d Domain) *Solver {
 	dfs := g.DepthFirst()
 	if wd, ok := d.(WidenDomain); ok {
 		s.wd = wd
-		s.threshold, s.passes = wd.Tune()
 		s.changes = make([]int32, n)
 		s.widenAt = make([]bool, n)
 		for e := range dfs.Retreating {
@@ -234,7 +229,7 @@ func (s *Solver) Run() {
 				d.Copy(s.spare, int(to))
 				if d.Meet(int(to), src) {
 					s.changes[to]++
-					if int(s.changes[to]) > s.threshold {
+					if int(s.changes[to]) > dataflow.WidenThreshold {
 						s.wd.WidenInto(s.spare, int(to))
 					}
 					s.push(to)
@@ -339,7 +334,7 @@ func (s *Solver) narrow() {
 	if s.dir == dataflow.Backward {
 		stop = g.Exit
 	}
-	for pass := 0; pass < s.passes; pass++ {
+	for pass := 0; pass < dataflow.NarrowingPasses; pass++ {
 		for i := range s.outValid {
 			s.outValid[i] = false
 		}

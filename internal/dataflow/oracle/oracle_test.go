@@ -42,8 +42,8 @@ func condGraph(t *testing.T) *cfg.Graph {
 
 func TestMorePreciseSolutionPasses(t *testing.T) {
 	g := condGraph(t)
-	plain := constprop.Analyze(g, 2, false)
-	cond := constprop.Analyze(g, 2, true)
+	plain := constprop.AnalyzeBoxed(g, 2, false)
+	cond := constprop.AnalyzeBoxed(g, 2, true)
 	p := &constprop.Problem{NumVars: 2}
 	rep := Check("constprop", "same-graph", p, plain.Boxed(), cond.Boxed(), Identity)
 	if !rep.OK() {
@@ -62,8 +62,8 @@ func TestMorePreciseSolutionPasses(t *testing.T) {
 
 func TestLessPreciseSolutionFails(t *testing.T) {
 	g := condGraph(t)
-	plain := constprop.Analyze(g, 2, false)
-	cond := constprop.Analyze(g, 2, true)
+	plain := constprop.AnalyzeBoxed(g, 2, false)
+	cond := constprop.AnalyzeBoxed(g, 2, true)
 	p := &constprop.Problem{NumVars: 2}
 	// Swapped: plain pretends to be the derived solution. It reaches the
 	// dead else-leg (reachability violation) and merges 7 ∧ 8 = ⊥ at the
@@ -90,7 +90,7 @@ func TestLessPreciseSolutionFails(t *testing.T) {
 
 func TestIdenticalSolutionPasses(t *testing.T) {
 	g := condGraph(t)
-	cond := constprop.Analyze(g, 2, true)
+	cond := constprop.AnalyzeBoxed(g, 2, true)
 	p := &constprop.Problem{NumVars: 2}
 	rep := Check("constprop", "same-graph", p, cond.Boxed(), cond.Boxed(), Identity)
 	if !rep.OK() {

@@ -46,8 +46,7 @@ const (
 // chain folds in the digests of the stage's upstream cache keys (or the
 // hot-set fingerprint, which is output-addressed), and knob/knob2 carry
 // swept parameters (CA, CR, the client set). See Cache.keyBaseline and
-// friends for the exact composition of every stage's key; Delta
-// mirrors the same table to predict which stages an edit dirties.
+// friends for the exact composition of every stage's key.
 //
 // Because each key hashes only what its stage actually reads plus its
 // upstream keys, an edit re-keys exactly the stages whose inputs (or
@@ -518,8 +517,7 @@ func (c *Cache) profileFP(pr *bl.Profile) profPrints {
 //
 // Each stage's key hashes exactly the input slice it reads plus the
 // digests of its upstream stage keys, forming a Merkle-style dependency
-// chain. The table (mirrored by Delta's dirty-set prediction, so keep
-// the two in sync):
+// chain. The table:
 //
 //	stage      slice                    chain                 knob
 //	baseline   shape + body             —                     —

@@ -80,11 +80,11 @@ func CheckFuncResult(fr *FuncResult) []*oracle.Report {
 	baseIv := intervals.AnalyzeClamped(fr.Fn.G, nv, thr, true)
 	baseLive := fr.LiveCFG
 	if baseLive == nil {
-		baseLive = liveness.Analyze(fr.Fn.G, nv, fr.OrigSol.Sol)
+		baseLive = solveLiveness(fr.Opt.Kernel, fr.Fn.G, nv, fr.OrigSol.Sol)
 	}
 	baseAvail := fr.AvailCFG
 	if baseAvail == nil {
-		baseAvail = availexpr.Analyze(fr.Fn.G, u, fr.OrigSol.Sol)
+		baseAvail = solveAvailExpr(fr.Opt.Kernel, fr.Fn.G, u, fr.OrigSol.Sol)
 	}
 
 	base := fr.OrigSol.Boxed()
@@ -99,14 +99,14 @@ func CheckFuncResult(fr *FuncResult) []*oracle.Report {
 
 		live := t.live
 		if live == nil {
-			live = liveness.Analyze(t.g, nv, t.csol.Sol)
+			live = solveLiveness(fr.Opt.Kernel, t.g, nv, t.csol.Sol)
 		}
 		reports = append(reports,
 			oracle.Check("liveness", t.name, lvLat, baseLive.Sol, live.Sol, t.orig))
 
 		avail := t.avail
 		if avail == nil {
-			avail = availexpr.Analyze(t.g, u, t.csol.Sol)
+			avail = solveAvailExpr(fr.Opt.Kernel, t.g, u, t.csol.Sol)
 		}
 		reports = append(reports,
 			oracle.Check("availexpr", t.name, avLat, baseAvail.Sol, avail.Sol, t.orig))
@@ -179,7 +179,7 @@ func checkFeasible(fr *FuncResult, nv int, thr []int64,
 		mask := t.mask.Mask()
 		graph := t.name + "/feasible"
 
-		unmasked := constprop.AnalyzeWith(t.g, nv, true, fr.Opt.Kernel)
+		unmasked := solveConstprop(fr.Opt.Kernel, t.g, nv, nil)
 		reports = append(reports,
 			oracle.Check("constprop", graph, cpLat, unmasked.Boxed(), t.masked.Boxed(), oracle.Identity))
 
@@ -190,17 +190,17 @@ func checkFeasible(fr *FuncResult, nv int, thr []int64,
 
 		live := t.live
 		if live == nil {
-			live = liveness.Analyze(t.g, nv, t.masked.Sol)
+			live = solveLiveness(fr.Opt.Kernel, t.g, nv, t.masked.Sol)
 		}
-		liveUnmasked := liveness.Analyze(t.g, nv, unmasked.Sol)
+		liveUnmasked := solveLiveness(fr.Opt.Kernel, t.g, nv, unmasked.Sol)
 		reports = append(reports,
 			oracle.Check("liveness", graph, lvLat, liveUnmasked.Sol, live.Sol, oracle.Identity))
 
 		avail := t.avail
 		if avail == nil {
-			avail = availexpr.Analyze(t.g, u, t.masked.Sol)
+			avail = solveAvailExpr(fr.Opt.Kernel, t.g, u, t.masked.Sol)
 		}
-		availUnmasked := availexpr.Analyze(t.g, u, unmasked.Sol)
+		availUnmasked := solveAvailExpr(fr.Opt.Kernel, t.g, u, unmasked.Sol)
 		reports = append(reports,
 			oracle.Check("availexpr", graph, avLat, availUnmasked.Sol, avail.Sol, oracle.Identity))
 

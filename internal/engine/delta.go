@@ -1,9 +1,6 @@
 package engine
 
 import (
-	"fmt"
-	"strings"
-
 	"pathflow/internal/bl"
 	"pathflow/internal/cfg"
 )
@@ -45,70 +42,37 @@ const (
 )
 
 // Delta is the classified difference between two versions of one
-// function (plus their training profiles) and the per-stage dirtiness it
-// implies. The dirty-set prediction mirrors the per-stage cache-key
-// table in cache.go exactly:
-//
-//	stage      dirty iff
-//	baseline   shape ∨ body
-//	select     shape ∨ counts ∨ prof
-//	automaton  shape ∨ rec ∨ dirty(select)
-//	trace      shape ∨ body ∨ dirty(automaton)
-//	analyze    dirty(trace)
-//	translate  shape ∨ prof ∨ dirty(automaton)
-//	reduce     dirty(analyze) ∨ dirty(translate)
-//
-// Soundness: each stage's cache key hashes exactly the slices in its
-// row plus its ancestors' keys, so "every slice bit clean and every
-// ancestor clean" implies the key is bit-identical — and the pipeline
-// is a pure function of the key's inputs, so the cached artifact equals
-// what a recompute would produce. The prediction is conservative in one
-// place: a dirty select marks the automaton dirty even though selection
-// may re-pick the identical hot set, in which case the engine's
-// output-addressed automaton key still hits at run time (the prediction
-// under-promises, never over-promises). The prediction assumes the
-// analysis knobs (CA, CR) are held fixed across the two versions.
+// function (plus their training profiles). It reports the edit; it does
+// not predict which stages replay — the cache keys decide that at run
+// time, and FuncResult.Replayed reports what actually replayed.
 type Delta struct {
 	// Func is the function name (taken from the new version).
 	Func string
 	// Class is the dominant edit class.
 	Class DeltaClass
-	// The per-slice change bits the class was derived from.
-	Shape, Counts, Body, Prof, Rec bool
-
-	dirty map[StageName]bool
 }
 
 // DiffFunc classifies the edit between two versions of a function and
 // their training profiles. oldFn may be nil (no prior version): the
-// delta is DeltaCold with every stage dirty. Either profile may be nil
-// (the training run never reached the function).
+// delta is DeltaCold. Either profile may be nil (the training run never
+// reached the function).
 func DiffFunc(oldFn, newFn *cfg.Func, oldTrain, newTrain *bl.Profile) *Delta {
 	d := &Delta{Func: newFn.Name}
-	if oldFn == nil {
-		d.Class = DeltaCold
-		d.Shape, d.Counts, d.Body, d.Prof, d.Rec = true, true, true, true, true
-		d.compute()
-		return d
-	}
-	d.Shape = FingerprintShape(oldFn) != FingerprintShape(newFn)
-	d.Counts = FingerprintCounts(oldFn) != FingerprintCounts(newFn)
-	d.Body = FingerprintBody(oldFn) != FingerprintBody(newFn)
-	d.Prof = profFingerprint(oldTrain) != profFingerprint(newTrain)
-	d.Rec = recFingerprint(oldTrain) != recFingerprint(newTrain)
 	switch {
-	case d.Shape:
+	case oldFn == nil:
+		d.Class = DeltaCold
+	case FingerprintShape(oldFn) != FingerprintShape(newFn):
 		d.Class = DeltaShape
-	case d.Counts:
+	case FingerprintCounts(oldFn) != FingerprintCounts(newFn):
 		d.Class = DeltaCounts
-	case d.Body:
+	case FingerprintBody(oldFn) != FingerprintBody(newFn):
 		d.Class = DeltaBody
-	case d.Prof || d.Rec:
+	case profFingerprint(oldTrain) != profFingerprint(newTrain) ||
+		recFingerprint(oldTrain) != recFingerprint(newTrain):
 		d.Class = DeltaProfile
 	default:
 		d.Class = DeltaNone
 	}
-	d.compute()
 	return d
 }
 
@@ -124,62 +88,6 @@ func recFingerprint(pr *bl.Profile) uint64 {
 		return 0
 	}
 	return FingerprintRecording(pr.R)
-}
-
-// compute fills the dirty map from the change bits; see the table on
-// Delta.
-func (d *Delta) compute() {
-	dirty := map[StageName]bool{}
-	dirty[StageBaseline] = d.Shape || d.Body
-	dirty[StageSelect] = d.Shape || d.Counts || d.Prof
-	dirty[StageAutomaton] = d.Shape || d.Rec || dirty[StageSelect]
-	dirty[StageTrace] = d.Shape || d.Body || dirty[StageAutomaton]
-	dirty[StageAnalyze] = dirty[StageTrace]
-	dirty[StageTranslate] = d.Shape || d.Prof || dirty[StageAutomaton]
-	dirty[StageReduce] = dirty[StageAnalyze] || dirty[StageTranslate]
-	d.dirty = dirty
-}
-
-// Dirty reports whether the edit (or an upstream consequence of it)
-// re-keys stage s, forcing a recompute. Stages outside the cached
-// pipeline (clients, check) report false.
-func (d *Delta) Dirty(s StageName) bool { return d.dirty[s] }
-
-// DirtyStages returns the pipeline stages the edit re-keys, in
-// execution order.
-func (d *Delta) DirtyStages() []StageName { return d.filter(true) }
-
-// ReplayStages returns the pipeline stages whose cache keys survive the
-// edit — a warm cache serves them without recomputing — in execution
-// order.
-func (d *Delta) ReplayStages() []StageName { return d.filter(false) }
-
-func (d *Delta) filter(dirty bool) []StageName {
-	var out []StageName
-	for _, s := range StageOrder {
-		if v, ok := d.dirty[s]; ok && v == dirty {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// String renders the delta compactly, e.g.
-// "f: body (replay select,automaton,translate; recompute baseline,trace,analyze,reduce)".
-func (d *Delta) String() string {
-	names := func(ss []StageName) string {
-		strs := make([]string, len(ss))
-		for i, s := range ss {
-			strs[i] = string(s)
-		}
-		return strings.Join(strs, ",")
-	}
-	replay := d.ReplayStages()
-	if len(replay) == 0 {
-		return fmt.Sprintf("%s: %s (recompute all)", d.Func, d.Class)
-	}
-	return fmt.Sprintf("%s: %s (replay %s; recompute %s)",
-		d.Func, d.Class, names(replay), names(d.DirtyStages()))
 }
 
 // DiffPrograms diffs every function of the new program against its

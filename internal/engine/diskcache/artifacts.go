@@ -15,54 +15,19 @@ import (
 	"pathflow/internal/trace"
 )
 
-// Costs records the per-stage compute cost of the run that produced a
-// bundle, keyed by stage name. It rides inside every bundle so a disk
-// hit can still report the stage durations the artifact originally cost
-// (keeping Figure 12-style cost ratios meaningful under caching), the
-// same convention the in-memory tier uses.
-type Costs map[string]time.Duration
-
-// Meta is the envelope every bundle carries: the per-stage compute
-// costs of the run that produced it. Nothing in it participates in the
-// key, so bundles written by incremental and cold runs of identical
-// inputs interchange freely.
+// Meta is the envelope every bundle carries: the compute cost of the
+// stage run that produced it, so a disk hit can still report the stage
+// duration the artifact originally cost (keeping Figure 12-style cost
+// ratios meaningful under caching), the same convention the in-memory
+// tier uses. Nothing in it participates in the key, so bundles written
+// by incremental and cold runs of identical inputs interchange freely.
 type Meta struct {
-	Costs Costs
+	Cost time.Duration
 }
 
-func encodeMeta(e *enc, m Meta) { encodeCosts(e, m.Costs) }
+func encodeMeta(e *enc, m Meta) { e.i64(int64(m.Cost)) }
 
-func decodeMeta(d *dec) Meta { return Meta{Costs: decodeCosts(d)} }
-
-func encodeCosts(e *enc, c Costs) {
-	// Deterministic order is not required (the map is consumed, not
-	// hashed), but sorting costs nothing at these sizes and keeps
-	// payloads reproducible for debugging. Stage names are short.
-	names := make([]string, 0, len(c))
-	for s := range c {
-		names = append(names, s)
-	}
-	slices.Sort(names)
-	e.u64(uint64(len(names)))
-	for _, s := range names {
-		e.str(s)
-		e.i64(int64(c[s]))
-	}
-}
-
-func decodeCosts(d *dec) Costs {
-	n := d.sliceLen()
-	c := make(Costs, n)
-	for i := 0; i < n; i++ {
-		s := d.str()
-		v := d.i64()
-		if d.err != nil {
-			return nil
-		}
-		c[s] = time.Duration(v)
-	}
-	return c
-}
+func decodeMeta(d *dec) Meta { return Meta{Cost: time.Duration(d.i64())} }
 
 // --- Index columns ------------------------------------------------------
 

@@ -56,8 +56,10 @@ const (
 	// Version 4 writes solutions as columns (reached bits, kind bytes,
 	// Const values, executable bits, iterations and pops), stores a
 	// reduced bundle as its partition instead of its quotient graph, and
-	// checksums frames with CRC-32C instead of FNV-64a.
-	FormatVersion = 4
+	// checksums frames with CRC-32C instead of FNV-64a. Version 5
+	// replaces Meta's stage-name-keyed cost map with the one cost a
+	// bundle ever carries.
+	FormatVersion = 5
 
 	headerLen   = 6 // magic(4) + version(1) + kind(1)
 	checksumLen = 4

@@ -44,8 +44,8 @@ func buildCodecFixture(f *testing.F) *codecFixture {
 	if err != nil {
 		f.Fatal(err)
 	}
-	base := constprop.Analyze(fn.G, fn.NumVars(), true)
-	hsol := constprop.Analyze(hpg.G, fn.NumVars(), true)
+	base := constprop.AnalyzeBoxed(fn.G, fn.NumVars(), true)
+	hsol := constprop.AnalyzeBoxed(hpg.G, fn.NumVars(), true)
 	hprof, err := profile.Translate(pr, fn.G, hpg)
 	if err != nil {
 		f.Fatal(err)
@@ -54,7 +54,7 @@ func buildCodecFixture(f *testing.F) *codecFixture {
 	if err != nil {
 		f.Fatal(err)
 	}
-	rsol := constprop.Analyze(red.G, fn.NumVars(), true)
+	rsol := constprop.AnalyzeBoxed(red.G, fn.NumVars(), true)
 	return &codecFixture{
 		fn: fn, pr: pr, hot: hot, auto: auto, hpg: hpg,
 		base: base, hsol: hsol, hprof: hprof, red: red, rsol: rsol,
@@ -77,7 +77,7 @@ func buildCodecFixture(f *testing.F) *codecFixture {
 // forever.
 func FuzzDiskcacheCodec(f *testing.F) {
 	fx := buildCodecFixture(f)
-	meta := diskcache.Meta{Costs: diskcache.Costs{"select": 12345, "trace": 678}}
+	meta := diskcache.Meta{Cost: 12345}
 	f.Add(diskcache.EncodeSelect(meta, fx.hot))
 	f.Add(diskcache.EncodeBaseline(meta, fx.base))
 	f.Add(diskcache.EncodeAnalyze(meta, fx.hsol))
@@ -174,13 +174,13 @@ func TestCodecSeedsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := diskcache.Meta{Costs: diskcache.Costs{"automaton": 42}}
+	meta := diskcache.Meta{Cost: 42}
 	enc := diskcache.EncodeAutomatonBundle(meta, auto)
 	m, a2, err := diskcache.DecodeAutomatonBundle(enc, pr.R)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Costs["automaton"] != meta.Costs["automaton"] {
+	if m != meta {
 		t.Errorf("meta round-trip: got %+v, want %+v", m, meta)
 	}
 	if a2.NumStates() != auto.NumStates() || a2.NumKeywords() != auto.NumKeywords() {

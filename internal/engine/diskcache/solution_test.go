@@ -76,7 +76,7 @@ func sameSolution(t *testing.T, label string, g *cfg.Graph, numVars int, got, wa
 // codec on all three graph tiers, and requires the boxed reference
 // solver's result to encode to the same bytes as the packed one.
 func TestSolutionBundleRoundTrip(t *testing.T) {
-	meta := diskcache.Meta{Costs: diskcache.Costs{"analyze": 7}}
+	meta := diskcache.Meta{Cost: 7}
 	tiers := 0
 	for name, res := range benchResults(t) {
 		for _, fname := range res.Prog.Order {
@@ -90,7 +90,7 @@ func TestSolutionBundleRoundTrip(t *testing.T) {
 				t.Fatalf("%s cfg: %v", label, err)
 			}
 			sameSolution(t, label+" cfg", fr.Fn.G, nv, got, fr.OrigSol)
-			if boxed := diskcache.EncodeBaseline(meta, constprop.Analyze(fr.Fn.G, nv, true)); !bytes.Equal(boxed, data) {
+			if boxed := diskcache.EncodeBaseline(meta, constprop.AnalyzeBoxed(fr.Fn.G, nv, true)); !bytes.Equal(boxed, data) {
 				t.Fatalf("%s cfg: boxed and packed solutions encode differently", label)
 			}
 			tiers++
@@ -104,7 +104,7 @@ func TestSolutionBundleRoundTrip(t *testing.T) {
 				t.Fatalf("%s hpg: %v", label, err)
 			}
 			sameSolution(t, label+" hpg", fr.HPG.G, nv, got, fr.HPGSol)
-			if boxed := diskcache.EncodeAnalyze(meta, constprop.Analyze(fr.HPG.G, nv, true)); !bytes.Equal(boxed, data) {
+			if boxed := diskcache.EncodeAnalyze(meta, constprop.AnalyzeBoxed(fr.HPG.G, nv, true)); !bytes.Equal(boxed, data) {
 				t.Fatalf("%s hpg: boxed and packed solutions encode differently", label)
 			}
 
@@ -114,7 +114,7 @@ func TestSolutionBundleRoundTrip(t *testing.T) {
 				t.Fatalf("%s rhpg: %v", label, err)
 			}
 			sameSolution(t, label+" rhpg", red.G, nv, got, fr.RedSol)
-			if boxed := diskcache.EncodeReduced(meta, fr.Red, constprop.Analyze(fr.Red.G, nv, true)); !bytes.Equal(boxed, data) {
+			if boxed := diskcache.EncodeReduced(meta, fr.Red, constprop.AnalyzeBoxed(fr.Red.G, nv, true)); !bytes.Equal(boxed, data) {
 				t.Fatalf("%s rhpg: boxed and packed solutions encode differently", label)
 			}
 			tiers += 2
@@ -128,7 +128,7 @@ func TestSolutionBundleRoundTrip(t *testing.T) {
 // field, and a class vector that is out of range, leaves a class empty
 // or is not a congruence to decode as ErrCorrupt.
 func TestReducedBundleRebuildsQuotient(t *testing.T) {
-	meta := diskcache.Meta{Costs: diskcache.Costs{"reduce": 3}}
+	meta := diskcache.Meta{Cost: 3}
 	corrupt := map[string]int{}
 	for name, res := range benchResults(t) {
 		for _, fname := range res.Prog.Order {
@@ -251,7 +251,7 @@ func BenchmarkDecodeSolution(b *testing.B) {
 	for _, n := range []int{10, 1000} {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
 			g, nv := chain(n)
-			data := diskcache.EncodeAnalyze(diskcache.Meta{Costs: diskcache.Costs{"analyze": 1}}, constprop.AnalyzePacked(g, nv, true))
+			data := diskcache.EncodeAnalyze(diskcache.Meta{Cost: 1}, constprop.AnalyzePacked(g, nv, true))
 			b.ReportAllocs()
 			b.SetBytes(int64(len(data)))
 			b.ResetTimer()

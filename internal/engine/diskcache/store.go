@@ -57,14 +57,12 @@ func ValidBundleName(name string) (Kind, bool) {
 	return k, k != 0
 }
 
-// DecodeBucketBounds are the decode-time histogram upper bounds in
-// seconds: decades from a microsecond to ten seconds, matching the
-// serving layer's stage histograms so the two are comparable on one
-// dashboard.
-var DecodeBucketBounds = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
-
-// numDecodeBuckets keeps the Stats array in sync with DecodeBucketBounds.
-const numDecodeBuckets = 8
+// BucketBounds are the time-histogram upper bounds in seconds: decades
+// from a microsecond (baseline on a tiny function) to ten seconds
+// (trace/reduce on go at full coverage). The decode-time histogram here
+// and the serving layer's stage histograms both use them, so the two
+// are comparable on one dashboard.
+var BucketBounds = [...]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
 
 // Stats is a snapshot of the store's counters.
 type Stats struct {
@@ -84,10 +82,10 @@ type Stats struct {
 	Entries int
 	Bytes   int64
 	// Decode-time histogram over disk hits (seconds, cumulative counts
-	// per DecodeBucketBounds entry).
+	// per BucketBounds entry).
 	DecodeCount   int64
 	DecodeSum     float64
-	DecodeBuckets [numDecodeBuckets]int64
+	DecodeBuckets [len(BucketBounds)]int64
 }
 
 // entry is one resident bundle.
@@ -115,7 +113,7 @@ type Store struct {
 	hits, misses, rejects, writes, evictions int64
 	decCount                                 int64
 	decSum                                   float64
-	decBuckets                               [numDecodeBuckets]int64
+	decBuckets                               [len(BucketBounds)]int64
 }
 
 // Open opens (creating if needed) the store rooted at dir with the given
@@ -259,7 +257,7 @@ func (s *Store) Hit(decode time.Duration) {
 	s.hits++
 	s.decCount++
 	s.decSum += sec
-	for i, ub := range DecodeBucketBounds {
+	for i, ub := range BucketBounds {
 		if sec <= ub {
 			s.decBuckets[i]++
 		}

@@ -24,8 +24,8 @@
 // an edited function re-keys exactly the stages whose input slices (or
 // ancestors) the edit touched, so a warm cache replays the clean stages
 // and recomputes only the dirtied suffix. DiffFunc classifies an edit
-// (Delta) and predicts the replay/recompute split ahead of time;
-// `pathflow analyze -baseline` reports it.
+// (Delta); `pathflow analyze -baseline` reports the class beside the
+// replay/recompute split the run observed.
 package engine
 
 import (
@@ -299,7 +299,7 @@ func (iv *invocation) clientTier(g *cfg.Graph, guide *constprop.Result, u *avail
 	k := iv.o.Kernel
 	if iv.o.Clients.Has(ClientLiveness) {
 		live, err = cached(iv, StageLiveness, keyFor(ClientLiveness), nil, func() (*liveness.Result, error) {
-			return liveness.AnalyzeWith(g, iv.fn.NumVars(), guide.Sol, k), nil
+			return solveLiveness(k, g, iv.fn.NumVars(), guide.Sol), nil
 		})
 		if err != nil {
 			return nil, nil, err
@@ -307,7 +307,7 @@ func (iv *invocation) clientTier(g *cfg.Graph, guide *constprop.Result, u *avail
 	}
 	if iv.o.Clients.Has(ClientAvailExpr) {
 		avail, err = cached(iv, StageAvailExpr, keyFor(ClientAvailExpr), nil, func() (*availexpr.Result, error) {
-			return availexpr.AnalyzeWith(g, u, guide.Sol, k), nil
+			return solveAvailExpr(k, g, u, guide.Sol), nil
 		})
 		if err != nil {
 			return nil, nil, err
@@ -358,7 +358,7 @@ func (iv *invocation) baseline(feas *feasible.Edges) (*constprop.Result, error) 
 			return diskcache.DecodeBaseline(b, fn.G, fn.NumVars())
 		}},
 		func() (*constprop.Result, error) {
-			return constprop.AnalyzeMasked(fn.G, fn.NumVars(), true, iv.o.Kernel, mask), nil
+			return solveConstprop(iv.o.Kernel, fn.G, fn.NumVars(), mask), nil
 		})
 }
 
@@ -399,7 +399,7 @@ func (iv *invocation) analyze(hot []bl.Path, h *trace.HPG, feas *feasible.Edges)
 				return diskcache.DecodeAnalyze(b, h.G, fn.NumVars())
 			}},
 		func() (*constprop.Result, error) {
-			return constprop.AnalyzeMasked(h.G, fn.NumVars(), true, iv.o.Kernel, mask), nil
+			return solveConstprop(iv.o.Kernel, h.G, fn.NumVars(), mask), nil
 		})
 }
 
@@ -440,7 +440,7 @@ func (iv *invocation) reduce(hot []bl.Path, h *trace.HPG, hsol *constprop.Result
 			if o.Feasible {
 				mask = feasible.Detect(red.G, fn.NumVars()).Mask()
 			}
-			return ReduceOut{Red: red, RedSol: constprop.AnalyzeMasked(red.G, fn.NumVars(), true, o.Kernel, mask)}, nil
+			return ReduceOut{Red: red, RedSol: solveConstprop(o.Kernel, red.G, fn.NumVars(), mask)}, nil
 		})
 }
 

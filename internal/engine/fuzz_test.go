@@ -54,14 +54,13 @@ func fuzzProfile(prog *cfg.Program, seed uint64) (*bl.ProgramProfile, error) {
 	return train, err
 }
 
-// FuzzDelta is the dirty-set soundness fuzzer: for arbitrary pairs of
+// FuzzDelta is the incremental-replay fuzzer: for arbitrary pairs of
 // generated programs — unrelated, constant-mutated, input-shifted, or
 // identical — incremental re-analysis on a cache warmed by the old
 // version must be byte-identical to a cold analysis of the new version,
-// and every stage Delta predicts as replayable must actually be served
-// from the cache. This is the load-bearing guarantee behind
-// `analyze -baseline`: the prediction may under-promise (a dirty stage
-// can still hit via output-addressed keys) but must never over-promise.
+// and every function's Delta class must agree with the replay observed
+// on that run. This is the load-bearing guarantee behind
+// `analyze -baseline`.
 func FuzzDelta(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint8(0), uint64(5))  // unrelated programs
 	f.Add(uint64(3), uint64(4), uint8(1), uint64(5))  // constant mutation
@@ -122,25 +121,24 @@ func FuzzDelta(f *testing.F) {
 			t.Fatalf("incremental result differs from cold recompute\nold source:\n%s\nnew source:\n%s", srcA, srcB)
 		}
 
+		// Each class must agree with the replay the run observed: an
+		// untouched function replays every pipeline stage it ran, and a
+		// shape edit (or a function with no prior version) recomputes
+		// its baseline.
 		for _, d := range engine.DiffPrograms(progA, progB, trainA, trainB) {
-			// Class-level invariants.
+			fr := res.Funcs[d.Func]
 			switch d.Class {
 			case engine.DeltaNone:
-				if len(d.DirtyStages()) != 0 {
-					t.Errorf("%s: class none but dirty stages predicted (%s)", d.Func, d)
+				for _, s := range engine.PipelineStages {
+					if sm := fr.Metrics.Stages[s]; sm.CacheHits != sm.Runs {
+						t.Errorf("%s/%s: class none but %d/%d runs hit the cache\nold:\n%s\nnew:\n%s",
+							d.Func, s, sm.CacheHits, sm.Runs, srcA, srcB)
+					}
 				}
 			case engine.DeltaShape, engine.DeltaCold:
-				if len(d.ReplayStages()) != 0 {
-					t.Errorf("%s: class %s but replays predicted (%s)", d.Func, d.Class, d)
-				}
-			}
-			// Soundness: predicted-replay stages must be cache hits.
-			fr := res.Funcs[d.Func]
-			for _, s := range engine.PipelineStages {
-				sm := fr.Metrics.Stages[s]
-				if !d.Dirty(s) && sm.Runs > 0 && sm.CacheHits != sm.Runs {
-					t.Errorf("%s/%s: predicted replay but %d/%d runs hit the cache (%s)\nold:\n%s\nnew:\n%s",
-						d.Func, s, sm.CacheHits, sm.Runs, d, srcA, srcB)
+				if sm := fr.Metrics.Stages[engine.StageBaseline]; sm.Runs == 0 || sm.CacheHits != 0 {
+					t.Errorf("%s: class %s but baseline was not recomputed (%d/%d runs hit)",
+						d.Func, d.Class, sm.CacheHits, sm.Runs)
 				}
 			}
 		}

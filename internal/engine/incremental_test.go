@@ -79,8 +79,8 @@ func replayedStages(fr *engine.FuncResult) []engine.StageName {
 // For every edit class, re-analyzing the edited program on a cache warmed
 // by the base version must (a) produce results byte-identical to a cold
 // analysis of the edited program, (b) classify the edit as expected, and
-// (c) be sound: every stage Delta predicts as replayable is actually
-// served from the cache (predicted-clean keys must not have moved).
+// (c) replay exactly the pipeline stages whose cache keys the edit left
+// in place.
 func TestIncrementalEditClasses(t *testing.T) {
 	o := engine.Options{CA: 0.97, CR: 0.95}
 	cases := []struct {
@@ -90,8 +90,8 @@ func TestIncrementalEditClasses(t *testing.T) {
 		seed uint64
 		// want maps function name to the expected delta class.
 		want map[string]engine.DeltaClass
-		// wantReplay, when non-nil, pins the predicted replay set per
-		// function (nil entries mean "don't care").
+		// wantReplay pins the observed replay set per function
+		// (functions not named are not checked).
 		wantReplay map[string][]engine.StageName
 	}{
 		{
@@ -109,13 +109,15 @@ func TestIncrementalEditClasses(t *testing.T) {
 		},
 		{
 			// An inserted instruction: per-block counts move (selection's
-			// slice), so the prediction conservatively recomputes the
-			// whole qualification chain.
+			// slice), so selection re-runs. It re-picks the same hot set,
+			// and the hot-set-addressed automaton and translation replay.
 			name: "counts",
 			src:  strings.Replace(incrBase, "i = i + 1;", "i = i + 1; i = i + 0;", 1),
 			arg:  60, seed: 7,
-			want:       map[string]engine.DeltaClass{"helper": engine.DeltaNone, "main": engine.DeltaCounts},
-			wantReplay: map[string][]engine.StageName{"main": nil},
+			want: map[string]engine.DeltaClass{"helper": engine.DeltaNone, "main": engine.DeltaCounts},
+			wantReplay: map[string][]engine.StageName{
+				"main": {engine.StageAutomaton, engine.StageTranslate},
+			},
 		},
 		{
 			// A new branch: the CFG shape itself moves and everything
@@ -129,13 +131,15 @@ func TestIncrementalEditClasses(t *testing.T) {
 		{
 			// Untouched source, new training input: helper's branch
 			// distribution shifts (profile class) while main's paths are
-			// input-independent and replay completely.
+			// input-independent and replay completely. helper re-selects
+			// the same hot set, so only select, translate and reduce
+			// (which read the profile) recompute.
 			name: "profile",
 			src:  incrBase,
 			arg:  60, seed: 11,
 			want: map[string]engine.DeltaClass{"helper": engine.DeltaProfile, "main": engine.DeltaNone},
 			wantReplay: map[string][]engine.StageName{
-				"helper": {engine.StageBaseline},
+				"helper": {engine.StageBaseline, engine.StageAutomaton, engine.StageTrace, engine.StageAnalyze},
 				"main":   append([]engine.StageName(nil), engine.PipelineStages...),
 			},
 		},
@@ -173,25 +177,11 @@ func TestIncrementalEditClasses(t *testing.T) {
 			}
 			for _, d := range deltas {
 				if want, ok := tc.want[d.Func]; ok && d.Class != want {
-					t.Errorf("%s classified %q, want %q (%s)", d.Func, d.Class, want, d)
+					t.Errorf("%s classified %q, want %q", d.Func, d.Class, want)
 				}
 				if want, ok := tc.wantReplay[d.Func]; ok {
-					if got := stageNames(d.ReplayStages()); got != stageNames(want) {
-						t.Errorf("%s predicted replay [%s], want [%s]", d.Func, got, stageNames(want))
-					}
-				}
-				if !strings.Contains(d.String(), string(d.Class)) {
-					t.Errorf("Delta.String() %q does not name the class", d)
-				}
-
-				// Soundness: a predicted-replay stage must be a cache hit
-				// (its key, by construction, did not move).
-				fr := res.Funcs[d.Func]
-				for _, s := range engine.PipelineStages {
-					sm := fr.Metrics.Stages[s]
-					if !d.Dirty(s) && sm.Runs > 0 && sm.CacheHits != sm.Runs {
-						t.Errorf("%s/%s: predicted replay but %d/%d runs hit the cache (%s)",
-							d.Func, s, sm.CacheHits, sm.Runs, d)
+					if got := stageNames(replayedStages(res.Funcs[d.Func])); got != stageNames(want) {
+						t.Errorf("%s replayed [%s], want [%s]", d.Func, got, stageNames(want))
 					}
 				}
 			}
@@ -223,19 +213,12 @@ func TestIncrementalEditClasses(t *testing.T) {
 	}
 }
 
-// TestDiffFuncCold: with no prior version every stage is dirty and the
-// class is DeltaCold.
+// TestDiffFuncCold: with no prior version the class is DeltaCold.
 func TestDiffFuncCold(t *testing.T) {
 	prog, train := incrProfile(t, incrBase, 60, 7)
 	d := engine.DiffFunc(nil, prog.Funcs["main"], nil, train.Funcs["main"])
 	if d.Class != engine.DeltaCold {
 		t.Errorf("cold diff classified %q", d.Class)
-	}
-	if got := d.ReplayStages(); len(got) != 0 {
-		t.Errorf("cold diff predicts replays: %s", stageNames(got))
-	}
-	if got := d.DirtyStages(); len(got) != len(engine.PipelineStages) {
-		t.Errorf("cold diff dirty set [%s], want all pipeline stages", stageNames(got))
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"pathflow/internal/availexpr"
+	"pathflow/internal/bench"
+	"pathflow/internal/bl"
 	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
 	"pathflow/internal/dataflow"
@@ -47,76 +49,102 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if err != nil {
 			t.Skip("training run did not terminate in budget")
 		}
-
-		run := func(k dataflow.Kernel) *engine.ProgramResult {
-			o := engine.Options{CA: 0.97, CR: 0.95, Clients: engine.ClientsAll, Kernel: k}
-			res, err := engine.New(engine.Config{Workers: 1}).AnalyzeProgram(ctx, prog, train, o)
-			if err != nil {
-				t.Fatalf("%s analysis failed: %v", k, err)
-			}
-			return res
-		}
-		boxed := run(dataflow.KernelBoxed)
-		packed := run(dataflow.KernelPacked)
-
-		if a, b := summarize(boxed), summarize(packed); a != b {
-			t.Fatalf("packed summary differs from boxed\nboxed:\n%s\npacked:\n%s", a, b)
-		}
-
-		check := func(fn, client, tier string, lat oracle.Lattice, b, p *dataflow.Solution) {
-			t.Helper()
-			if (b == nil) != (p == nil) {
-				t.Fatalf("%s/%s/%s: solution presence differs (boxed %v, packed %v)", fn, client, tier, b != nil, p != nil)
-			}
-			if b == nil {
-				return
-			}
-			if err := oracle.Differential(client, tier, lat, b, p).Err(); err != nil {
-				t.Errorf("func %s tier %s: %v", fn, tier, err)
-			}
-		}
-		for _, name := range prog.Order {
-			bfr, pfr := boxed.Funcs[name], packed.Funcs[name]
-			nv := prog.Funcs[name].NumVars()
-			if bfr.Qualified() != pfr.Qualified() {
-				t.Fatalf("func %s: qualification differs between kernels", name)
-			}
-
-			cpLat := &constprop.Problem{NumVars: nv, Conditional: true}
-			lvLat := &liveness.Problem{NumVars: nv}
-			aeLat := &availexpr.Problem{U: bfr.AvailU}
-			ivLat := &intervals.Problem{NumVars: nv, Conditional: true}
-
-			type tier struct {
-				name string
-				g    *cfg.Graph
-			}
-			tiers := []tier{{"cfg", bfr.Fn.G}}
-			if bfr.Qualified() {
-				tiers = append(tiers, tier{"hpg", bfr.HPG.G}, tier{"rhpg", bfr.Red.G})
-			}
-
-			cpSols := [][2]*constprop.Result{{bfr.OrigSol, pfr.OrigSol}, {bfr.HPGSol, pfr.HPGSol}, {bfr.RedSol, pfr.RedSol}}
-			lvSols := [][2]*liveness.Result{{bfr.LiveCFG, pfr.LiveCFG}, {bfr.LiveHPG, pfr.LiveHPG}, {bfr.LiveRed, pfr.LiveRed}}
-			aeSols := [][2]*availexpr.Result{{bfr.AvailCFG, pfr.AvailCFG}, {bfr.AvailHPG, pfr.AvailHPG}, {bfr.AvailRed, pfr.AvailRed}}
-			for i, tr := range tiers {
-				if b, p := cpSols[i][0], cpSols[i][1]; b != nil || p != nil {
-					check(name, "constprop", tr.name, cpLat, solOf(b), solOf(p))
-				}
-				if b, p := lvSols[i][0], lvSols[i][1]; b != nil || p != nil {
-					check(name, "liveness", tr.name, lvLat, lvSolOf(b), lvSolOf(p))
-				}
-				if b, p := aeSols[i][0], aeSols[i][1]; b != nil || p != nil {
-					check(name, "availexpr", tr.name, aeLat, aeSolOf(b), aeSolOf(p))
-				}
-				// Intervals is not an engine client; solve both backends
-				// directly on each tier graph to cover the widening path.
-				ivB := intervals.AnalyzeWith(tr.g, nv, true, dataflow.KernelBoxed)
-				ivP := intervals.AnalyzeWith(tr.g, nv, true, dataflow.KernelPacked)
-				check(name, "intervals", tr.name, ivLat, ivB.Sol, ivP.Sol)
-			}
-		}
+		kernelEquivalence(t, prog, train)
 	})
+}
+
+// TestKernelEquivalenceBenchmarks runs FuzzKernelEquivalence's
+// differential over the paper's 7 named benchmarks with their training
+// profiles: every tier (CFG, HPG, rHPG), every client, boxed vs packed.
+func TestKernelEquivalenceBenchmarks(t *testing.T) {
+	for _, b := range bench.All() {
+		t.Run(b.Name, func(t *testing.T) {
+			prog, err := b.Program()
+			if err != nil {
+				t.Fatal(err)
+			}
+			train, _, err := bl.ProfileProgram(prog, b.TrainOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			kernelEquivalence(t, prog, train)
+		})
+	}
+}
+
+// kernelEquivalence analyzes prog under both kernels on cache-less
+// engines and requires pointwise-identical solutions on every tier and
+// client.
+func kernelEquivalence(t *testing.T, prog *cfg.Program, train *bl.ProgramProfile) {
+	t.Helper()
+	run := func(k dataflow.Kernel) *engine.ProgramResult {
+		o := engine.Options{CA: 0.97, CR: 0.95, Clients: engine.ClientsAll, Kernel: k}
+		res, err := engine.New(engine.Config{Workers: 1}).AnalyzeProgram(ctx, prog, train, o)
+		if err != nil {
+			t.Fatalf("%s analysis failed: %v", k, err)
+		}
+		return res
+	}
+	boxed := run(dataflow.KernelBoxed)
+	packed := run(dataflow.KernelPacked)
+
+	if a, b := summarize(boxed), summarize(packed); a != b {
+		t.Fatalf("packed summary differs from boxed\nboxed:\n%s\npacked:\n%s", a, b)
+	}
+
+	check := func(fn, client, tier string, lat oracle.Lattice, b, p *dataflow.Solution) {
+		t.Helper()
+		if (b == nil) != (p == nil) {
+			t.Fatalf("%s/%s/%s: solution presence differs (boxed %v, packed %v)", fn, client, tier, b != nil, p != nil)
+		}
+		if b == nil {
+			return
+		}
+		if err := oracle.Differential(client, tier, lat, b, p).Err(); err != nil {
+			t.Errorf("func %s tier %s: %v", fn, tier, err)
+		}
+	}
+	for _, name := range prog.Order {
+		bfr, pfr := boxed.Funcs[name], packed.Funcs[name]
+		nv := prog.Funcs[name].NumVars()
+		if bfr.Qualified() != pfr.Qualified() {
+			t.Fatalf("func %s: qualification differs between kernels", name)
+		}
+
+		cpLat := &constprop.Problem{NumVars: nv, Conditional: true}
+		lvLat := &liveness.Problem{NumVars: nv}
+		aeLat := &availexpr.Problem{U: bfr.AvailU}
+		ivLat := &intervals.Problem{NumVars: nv, Conditional: true}
+
+		type tier struct {
+			name string
+			g    *cfg.Graph
+		}
+		tiers := []tier{{"cfg", bfr.Fn.G}}
+		if bfr.Qualified() {
+			tiers = append(tiers, tier{"hpg", bfr.HPG.G}, tier{"rhpg", bfr.Red.G})
+		}
+
+		cpSols := [][2]*constprop.Result{{bfr.OrigSol, pfr.OrigSol}, {bfr.HPGSol, pfr.HPGSol}, {bfr.RedSol, pfr.RedSol}}
+		lvSols := [][2]*liveness.Result{{bfr.LiveCFG, pfr.LiveCFG}, {bfr.LiveHPG, pfr.LiveHPG}, {bfr.LiveRed, pfr.LiveRed}}
+		aeSols := [][2]*availexpr.Result{{bfr.AvailCFG, pfr.AvailCFG}, {bfr.AvailHPG, pfr.AvailHPG}, {bfr.AvailRed, pfr.AvailRed}}
+		for i, tr := range tiers {
+			if b, p := cpSols[i][0], cpSols[i][1]; b != nil || p != nil {
+				check(name, "constprop", tr.name, cpLat, solOf(b), solOf(p))
+			}
+			if b, p := lvSols[i][0], lvSols[i][1]; b != nil || p != nil {
+				check(name, "liveness", tr.name, lvLat, lvSolOf(b), lvSolOf(p))
+			}
+			if b, p := aeSols[i][0], aeSols[i][1]; b != nil || p != nil {
+				check(name, "availexpr", tr.name, aeLat, aeSolOf(b), aeSolOf(p))
+			}
+			// Intervals is not an engine client; solve both backends
+			// directly on each tier graph to cover the widening path.
+			ivB := intervals.AnalyzeBoxed(tr.g, nv, true)
+			ivP := intervals.AnalyzePacked(tr.g, nv, true)
+			check(name, "intervals", tr.name, ivLat, ivB.Sol, ivP.Sol)
+		}
+	}
 }
 
 func solOf(r *constprop.Result) *dataflow.Solution {

@@ -110,12 +110,14 @@ type Options struct {
 	// exposed but frequency alone cannot remove.
 	Feasible bool
 	// Kernel selects the data-flow solver backend for every client
-	// analysis the pipeline runs (constant propagation on all tiers,
-	// liveness, available expressions). The zero value is
-	// dataflow.KernelPacked — the allocation-free arena kernels;
-	// dataflow.KernelBoxed is the test reference for differential
-	// checks, not a production choice. Both backends produce
-	// pointwise identical facts, so the choice never enters cache keys.
+	// analysis the pipeline and its check oracle run (constant
+	// propagation on all tiers, liveness, available expressions); the
+	// engine's solve* functions are the only place it is read. The
+	// zero value is dataflow.KernelPacked — the allocation-free arena
+	// kernels; dataflow.KernelBoxed is the test reference for
+	// differential checks, not a production choice. Both backends
+	// produce pointwise identical facts, so the choice never enters
+	// cache keys.
 	Kernel dataflow.Kernel
 }
 

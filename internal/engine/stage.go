@@ -55,7 +55,7 @@ var StageOrder = []StageName{
 
 // PipelineStages is the prefix of StageOrder that forms the cached
 // qualification pipeline — the stages with per-stage Merkle cache keys,
-// and the domain of Delta's dirty-set prediction. Clients and the check
+// and the stages FuncResult.Replayed reports on. Clients and the check
 // oracle are excluded (memory-tier-only and uncached respectively).
 var PipelineStages = StageOrder[:7]
 
@@ -131,11 +131,11 @@ func cached[T any](iv *invocation, stage StageName, key func() cacheKey, cd *cod
 		ops = &diskOps{
 			key: diskcache.Key{Kind: cd.kind, Slice: k.slice, Chain: k.chain, Knob: k.knob},
 			encode: func(v any, d time.Duration) []byte {
-				return cd.encode(diskcache.Meta{Costs: diskcache.Costs{string(stage): d}}, v.(T))
+				return cd.encode(diskcache.Meta{Cost: d}, v.(T))
 			},
 			decode: func(data []byte) (any, time.Duration, error) {
 				meta, v, err := cd.decode(data)
-				return v, meta.Costs[string(stage)], err
+				return v, meta.Cost, err
 			},
 		}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
-	"pathflow/internal/dataflow"
 	. "pathflow/internal/feasible"
 	"pathflow/internal/interp"
 	"pathflow/internal/ir"
@@ -99,11 +98,11 @@ func TestNestedRetestPrunesInnerElse(t *testing.T) {
 	if printS < 0 {
 		t.Fatal("no print(s) node")
 	}
-	base := constprop.AnalyzeWith(f.G, f.NumVars(), true, dataflow.KernelPacked)
+	base := constprop.AnalyzePacked(f.G, f.NumVars(), true)
 	if base.EnvAt(printS)[s].IsConst() {
 		t.Fatal("baseline already proves s constant; test program is too weak")
 	}
-	masked := constprop.AnalyzeMasked(f.G, f.NumVars(), true, dataflow.KernelPacked, ed.Mask())
+	masked := constprop.AnalyzeMasked(f.G, f.NumVars(), true, ed.Mask())
 	if got := masked.EnvAt(printS)[s]; !got.IsConst() || got.K != 4 {
 		t.Fatalf("masked constprop at print(s): got %v, want const 4", got)
 	}
@@ -158,11 +157,11 @@ func TestNegatedConditionPrunes(t *testing.T) {
 	f := compile(t, negatedRetest).Main()
 	ed := Detect(f.G, f.NumVars())
 	dead := constNode(t, f.G, 3)
-	base := constprop.AnalyzeWith(f.G, f.NumVars(), true, dataflow.KernelPacked)
+	base := constprop.AnalyzePacked(f.G, f.NumVars(), true)
 	if !base.Reached(dead) {
 		t.Fatal("baseline already prunes print(3); test program is too weak")
 	}
-	masked := constprop.AnalyzeMasked(f.G, f.NumVars(), true, dataflow.KernelPacked, ed.Mask())
+	masked := constprop.AnalyzeMasked(f.G, f.NumVars(), true, ed.Mask())
 	if masked.Reached(dead) {
 		t.Fatal("print(3) still reached: negated-condition correlation missed")
 	}
@@ -184,7 +183,7 @@ func TestTruthyCorrelationPrunes(t *testing.T) {
 	f := compile(t, truthyRetest).Main()
 	ed := Detect(f.G, f.NumVars())
 	dead := constNode(t, f.G, 2)
-	masked := constprop.AnalyzeMasked(f.G, f.NumVars(), true, dataflow.KernelPacked, ed.Mask())
+	masked := constprop.AnalyzeMasked(f.G, f.NumVars(), true, ed.Mask())
 	if masked.Reached(dead) {
 		t.Fatal("print(2) still reached: truthiness correlation missed")
 	}

@@ -147,7 +147,7 @@ func analyzeSrc(t *testing.T, src string) (*cfg.Func, *Result) {
 		t.Fatal(err)
 	}
 	f := p.Main()
-	return f, Analyze(f.G, f.NumVars(), true)
+	return f, AnalyzeBoxed(f.G, f.NumVars(), true)
 }
 
 func varIdx(t *testing.T, f *cfg.Func, name string) ir.Var {
@@ -265,7 +265,7 @@ func main() {
 		t.Fatal(err)
 	}
 	fn := prog.Main()
-	sol := Analyze(fn.G, fn.NumVars(), true)
+	sol := AnalyzeBoxed(fn.G, fn.NumVars(), true)
 	vals := make([]ir.Value, 512)
 	x := uint64(99)
 	for i := range vals {

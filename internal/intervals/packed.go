@@ -15,12 +15,11 @@ import (
 // numbering: which registers hold the condition and its comparison's
 // operands depends only on the block, never on the facts.
 type packedDomain struct {
-	g                 *cfg.Graph
-	nv                int
-	conditional       bool
-	infeasible        []bool // optional per-EdgeID feasibility mask; masked slots stay -1
-	spans             *kernel.Span
-	threshold, passes int
+	g           *cfg.Graph
+	nv          int
+	conditional bool
+	infeasible  []bool // optional per-EdgeID feasibility mask; masked slots stay -1
+	spans       *kernel.Span
 
 	plans []refinePlan // per node; set for branches of conditional domains
 	regs  []int32      // the plans' register lists, back to back
@@ -52,7 +51,6 @@ func newPackedDomain(g *cfg.Graph, p *Problem) *packedDomain {
 		infeasible:  p.Infeasible,
 		spans:       kernel.NewSpan(p.NumVars),
 	}
-	d.threshold, d.passes = dataflow.TuningOf(p)
 	if p.Conditional {
 		d.buildPlans()
 	}
@@ -123,7 +121,6 @@ func (d *packedDomain) Direction() dataflow.Direction { return dataflow.Forward 
 func (d *packedDomain) Grow(rows int)                 { d.spans.Grow(rows) }
 func (d *packedDomain) Copy(dst, src int)             { d.spans.Copy(dst, src) }
 func (d *packedDomain) Equal(a, b int) bool           { return d.spans.Equal(a, b) }
-func (d *packedDomain) Tune() (int, int)              { return d.threshold, d.passes }
 
 // Boundary writes the all-⊥ (full-range) environment.
 func (d *packedDomain) Boundary(dst int) {
@@ -309,18 +306,13 @@ func (d *packedDomain) env(r int) Env {
 	return e
 }
 
-// analyzePacked runs range analysis on the packed SoA kernel. The
-// solution is pointwise equal to the boxed solver's for the same
-// Problem, iteration counts included.
-func analyzePacked(g *cfg.Graph, p *Problem) *Result {
-	d := newPackedDomain(g, p)
+// AnalyzePacked runs range analysis on the packed SoA kernel, the
+// production solver. The solution is pointwise equal to AnalyzeBoxed's,
+// iteration counts included.
+func AnalyzePacked(g *cfg.Graph, numVars int, conditional bool) *Result {
+	d := newPackedDomain(g, &Problem{NumVars: numVars, Conditional: conditional})
 	s := kernel.NewSolver(g, d)
 	s.Run()
 	sol := s.Materialize(func(row int) dataflow.Fact { return d.env(row) })
-	return &Result{G: g, Sol: sol, n: p.NumVars}
-}
-
-// AnalyzePacked runs range analysis on the packed SoA kernel.
-func AnalyzePacked(g *cfg.Graph, numVars int, conditional bool) *Result {
-	return analyzePacked(g, &Problem{NumVars: numVars, Conditional: conditional})
+	return &Result{G: g, Sol: sol, n: numVars}
 }

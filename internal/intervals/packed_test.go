@@ -3,7 +3,6 @@ package intervals_test
 import (
 	"testing"
 
-	"pathflow/internal/dataflow"
 	"pathflow/internal/dataflow/oracle"
 	. "pathflow/internal/intervals"
 	"pathflow/internal/lang"
@@ -24,43 +23,12 @@ func TestPackedMatchesBoxed(t *testing.T) {
 			fn := prog.Funcs[name]
 			nv := fn.NumVars()
 			for _, conditional := range []bool{true, false} {
-				boxed := AnalyzeWith(fn.G, nv, conditional, dataflow.KernelBoxed)
+				boxed := AnalyzeBoxed(fn.G, nv, conditional)
 				packed := AnalyzePacked(fn.G, nv, conditional)
 				lat := &Problem{NumVars: nv, Conditional: conditional}
 				rep := oracle.Differential("intervals", name, lat, boxed.Sol, packed.Sol)
 				if err := rep.Err(); err != nil {
 					t.Errorf("seed %d func %s conditional=%t: %v", seed, name, conditional, err)
-				}
-			}
-		}
-	}
-}
-
-// TestPackedMatchesBoxedTuned repeats the differential under Tuner
-// overrides: both backends must honor the same widening threshold and
-// narrowing pass count (including 0 = narrowing disabled).
-func TestPackedMatchesBoxedTuned(t *testing.T) {
-	tunings := []*dataflow.Tuning{
-		{Threshold: 0, Passes: 0},
-		{Threshold: 1, Passes: 5},
-		{Threshold: 10, Passes: 1},
-		{Threshold: -1, Passes: -1}, // explicit defaults
-	}
-	for seed := uint64(1); seed <= 10; seed++ {
-		prog, err := lang.Compile(progen.Generate(progen.DefaultConfig(seed)))
-		if err != nil {
-			t.Fatalf("seed %d: generated program does not compile: %v", seed, err)
-		}
-		for _, name := range prog.Order {
-			fn := prog.Funcs[name]
-			nv := fn.NumVars()
-			for _, tune := range tunings {
-				boxed := AnalyzeTuned(fn.G, nv, true, tune, dataflow.KernelBoxed)
-				packed := AnalyzeTuned(fn.G, nv, true, tune, dataflow.KernelPacked)
-				lat := &Problem{NumVars: nv, Conditional: true}
-				rep := oracle.Differential("intervals", name, lat, boxed.Sol, packed.Sol)
-				if err := rep.Err(); err != nil {
-					t.Errorf("seed %d func %s tuning=%+v: %v", seed, name, *tune, err)
 				}
 			}
 		}

@@ -1,8 +1,13 @@
 package lint
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -81,5 +86,72 @@ func ParseClients(s string) int {
 	}
 	if len(problems) != 1 || !strings.Contains(problems[0], `"sparse"`) {
 		t.Fatalf("want exactly one problem naming \"sparse\", got %v", problems)
+	}
+}
+
+// boxedOwners are the packages allowed to reach the boxed reference
+// solvers in non-test code: the engine, the one place that branches on
+// Options.Kernel, and the four client packages that define them.
+var boxedOwners = map[string]bool{
+	"internal/engine":    true,
+	"internal/constprop": true,
+	"internal/intervals": true,
+	"internal/liveness":  true,
+	"internal/availexpr": true,
+}
+
+// boxedRefs returns file:line for every reference to AnalyzeBoxed,
+// AnalyzeBoxedMasked or dataflow.KernelBoxed in the non-test Go files
+// under root that sit outside boxedOwners.
+func boxedRefs(root string) ([]string, error) {
+	var refs []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || boxedOwners[filepath.ToSlash(filepath.Dir(rel))] {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			x, _ := sel.X.(*ast.Ident)
+			switch {
+			case sel.Sel.Name == "AnalyzeBoxed", sel.Sel.Name == "AnalyzeBoxedMasked",
+				sel.Sel.Name == "KernelBoxed" && x != nil && x.Name == "dataflow":
+				p := fset.Position(sel.Pos())
+				refs = append(refs, filepath.ToSlash(rel)+":"+strconv.Itoa(p.Line))
+			}
+			return true
+		})
+		return nil
+	})
+	return refs, err
+}
+
+// TestBoxedSolversConfined keeps the boxed reference solvers off every
+// production path: outside the engine's kernel dispatch and the client
+// packages, non-test code solves on the packed kernels only.
+func TestBoxedSolversConfined(t *testing.T) {
+	refs, err := boxedRefs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range refs {
+		t.Errorf("%s: boxed reference solver used outside internal/engine and the client packages", r)
 	}
 }

@@ -183,10 +183,11 @@ type Result struct {
 	NumVars int
 }
 
-// Analyze runs live-variable analysis over g. guide, when non-nil,
+// AnalyzeBoxed runs live-variable analysis over g on the boxed reference
+// solver, the test oracle for AnalyzePacked. guide, when non-nil,
 // restricts propagation to the executable sub-graph of a prior forward
 // solution over the same g (see Problem.Guide).
-func Analyze(g *cfg.Graph, numVars int, guide *dataflow.Solution) *Result {
+func AnalyzeBoxed(g *cfg.Graph, numVars int, guide *dataflow.Solution) *Result {
 	p := &Problem{NumVars: numVars, Guide: guide}
 	return &Result{G: g, Sol: dataflow.Solve(g, p), NumVars: numVars}
 }

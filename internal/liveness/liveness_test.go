@@ -39,7 +39,7 @@ func straightLine(t *testing.T) (*cfg.Graph, cfg.NodeID) {
 
 func TestStraightLineDeadStore(t *testing.T) {
 	g, n := straightLine(t)
-	r := Analyze(g, 4, nil)
+	r := AnalyzeBoxed(g, 4, nil)
 	out := r.LiveOut(n)
 	if out == nil || out.Count() != 0 {
 		t.Fatalf("LiveOut(n) = %v, want empty", out)
@@ -88,7 +88,7 @@ func TestTerminatorUsesAreLive(t *testing.T) {
 	if err := g.Validate(1); err != nil {
 		t.Fatal(err)
 	}
-	r := Analyze(g, 1, nil)
+	r := AnalyzeBoxed(g, 1, nil)
 	if got := r.DeadStores(n); got[0] {
 		t.Error("branch condition store marked dead")
 	}
@@ -140,13 +140,13 @@ func guidedGraph(t *testing.T) (*cfg.Graph, cfg.NodeID) {
 func TestGuidedLivenessKillsUnreachableUse(t *testing.T) {
 	g, h := guidedGraph(t)
 
-	plain := Analyze(g, 3, nil)
+	plain := AnalyzeBoxed(g, 3, nil)
 	if flags := plain.DeadStores(h); flags[0] || flags[1] {
 		t.Fatalf("unguided liveness should keep both u and v live: %v", flags)
 	}
 
-	cp := constprop.Analyze(g, 3, true)
-	guided := Analyze(g, 3, cp.Sol)
+	cp := constprop.AnalyzeBoxed(g, 3, true)
+	guided := AnalyzeBoxed(g, 3, cp.Sol)
 	flags := guided.DeadStores(h)
 	if flags[0] {
 		t.Error("u's store marked dead; the taken leg returns it")

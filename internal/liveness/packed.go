@@ -64,7 +64,8 @@ func (d *packedDomain) add(row int, v ir.Var) {
 }
 
 // AnalyzePacked runs live-variable analysis on the packed bitset
-// kernel. The solution is pointwise equal to Analyze's.
+// kernel, the production solver. The solution is pointwise equal to
+// AnalyzeBoxed's.
 func AnalyzePacked(g *cfg.Graph, numVars int, guide *dataflow.Solution) *Result {
 	d := &packedDomain{g: g, bits: kernel.NewBits(numVars), guide: guide}
 	s := kernel.NewSolver(g, d)
@@ -73,12 +74,4 @@ func AnalyzePacked(g *cfg.Graph, numVars int, guide *dataflow.Solution) *Result 
 		return Set(append([]uint64(nil), d.bits.Row(row)...))
 	})
 	return &Result{G: g, Sol: sol, NumVars: numVars}
-}
-
-// AnalyzeWith dispatches Analyze on the requested kernel backend.
-func AnalyzeWith(g *cfg.Graph, numVars int, guide *dataflow.Solution, k dataflow.Kernel) *Result {
-	if k == dataflow.KernelBoxed {
-		return Analyze(g, numVars, guide)
-	}
-	return AnalyzePacked(g, numVars, guide)
 }

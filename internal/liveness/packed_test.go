@@ -25,10 +25,10 @@ func TestPackedMatchesBoxed(t *testing.T) {
 			nv := fn.NumVars()
 			guides := map[string]*dataflow.Solution{
 				"unguided": nil,
-				"guided":   constprop.Analyze(fn.G, nv, true).Sol,
+				"guided":   constprop.AnalyzeBoxed(fn.G, nv, true).Sol,
 			}
 			for mode, guide := range guides {
-				boxed := Analyze(fn.G, nv, guide)
+				boxed := AnalyzeBoxed(fn.G, nv, guide)
 				packed := AnalyzePacked(fn.G, nv, guide)
 				lat := &Problem{NumVars: nv, Guide: guide}
 				rep := oracle.Differential("liveness", name, lat, boxed.Sol, packed.Sol)

@@ -131,7 +131,7 @@ func FoldIntervals(g *cfg.Graph, iv *intervals.Result) int {
 func DeleteDead(g *cfg.Graph, numVars int, guide *dataflow.Solution) int {
 	deleted := 0
 	for {
-		lv := liveness.Analyze(g, numVars, guide)
+		lv := liveness.AnalyzePacked(g, numVars, guide)
 		n := 0
 		for _, nd := range g.Nodes {
 			if len(nd.Instrs) == 0 {
@@ -176,12 +176,12 @@ func OptimizeGraph(g *cfg.Graph, numVars int, ps Passes) (*cfg.Graph, Counts) {
 
 func optimize(g *cfg.Graph, numVars int, ps Passes) Counts {
 	var c Counts
-	sol := constprop.Analyze(g, numVars, true)
+	sol := constprop.AnalyzePacked(g, numVars, true)
 	if ps.Has(PassConst) {
 		c.Const = Fold(g, sol)
 	}
 	if ps.Has(PassInterval) {
-		iv := intervals.Analyze(g, numVars, true)
+		iv := intervals.AnalyzePacked(g, numVars, true)
 		c.Interval = FoldIntervals(g, iv)
 	}
 	if ps.Has(PassDead) {

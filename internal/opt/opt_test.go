@@ -28,7 +28,7 @@ func main() {
 		t.Fatal(err)
 	}
 	f := prog.Main()
-	sol := constprop.Analyze(f.G, f.NumVars(), true)
+	sol := constprop.AnalyzeBoxed(f.G, f.NumVars(), true)
 	n := Fold(f.G, sol)
 	if n == 0 {
 		t.Fatal("nothing folded")
@@ -64,7 +64,7 @@ func main() {
 		t.Fatal(err)
 	}
 	f := prog.Main()
-	sol := constprop.Analyze(f.G, f.NumVars(), true)
+	sol := constprop.AnalyzeBoxed(f.G, f.NumVars(), true)
 	Fold(f.G, sol)
 	inputs := 0
 	for _, nd := range f.G.Nodes {
@@ -151,7 +151,7 @@ func main() {
 		t.Fatal(err)
 	}
 	f := prog.Main()
-	sol := constprop.Analyze(f.G, f.NumVars(), true)
+	sol := constprop.AnalyzeBoxed(f.G, f.NumVars(), true)
 	Fold(f.G, sol)
 	// The dead then-branch keeps its add: the analysis never reached it,
 	// so folding it would be based on the meaningless all-⊤ environment.
@@ -191,9 +191,9 @@ func main() {
 	nv := f.NumVars()
 
 	g := f.G.Clone()
-	sol := constprop.Analyze(g, nv, true)
+	sol := constprop.AnalyzeBoxed(g, nv, true)
 	constFolds := Fold(g, sol)
-	iv := intervals.Analyze(g, nv, true)
+	iv := intervals.AnalyzeBoxed(g, nv, true)
 	ivFolds := FoldIntervals(g, iv)
 	if ivFolds == 0 {
 		t.Fatalf("interval folding found nothing beyond constprop (const folds = %d)", constFolds)
@@ -284,7 +284,7 @@ func main() {
 	}
 
 	guided := f.G.Clone()
-	sol := constprop.Analyze(guided, nv, true)
+	sol := constprop.AnalyzeBoxed(guided, nv, true)
 	if n := DeleteDead(guided, nv, sol.Sol); n == 0 {
 		t.Fatal("guided liveness failed to delete the store feeding the dead leg")
 	}

@@ -184,7 +184,7 @@ func TestConstPropSoundOnRandomPrograms(t *testing.T) {
 		prog := compileRandom(t, seed)
 		sols := map[string]*constprop.Result{}
 		for name, fn := range prog.Funcs {
-			sols[name] = constprop.Analyze(fn.G, fn.NumVars(), true)
+			sols[name] = constprop.AnalyzeBoxed(fn.G, fn.NumVars(), true)
 		}
 		var violation error
 		_, err := interp.Run(prog, interp.Options{

@@ -114,7 +114,7 @@ func reduceInputs(b *testing.B, f *cfg.Func) (*trace.HPG, *constprop.Result, *bl
 	if err != nil {
 		b.Fatal(err)
 	}
-	return h, constprop.Analyze(h.G, f.NumVars(), true), tp
+	return h, constprop.AnalyzeBoxed(h.G, f.NumVars(), true), tp
 }
 
 // BenchmarkReduce reduces one generated function at two register counts.

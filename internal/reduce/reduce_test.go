@@ -39,7 +39,7 @@ func buildReduced(t *testing.T, cr float64) (*cfg.Func, *trace.HPG, *constprop.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol := constprop.Analyze(h.G, f.NumVars(), true)
+	sol := constprop.AnalyzeBoxed(h.G, f.NumVars(), true)
 	tp, err := profile.Translate(pr, f.G, h)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestReductionReproducesFigure8Partition(t *testing.T) {
 
 func TestReducedGraphConstants(t *testing.T) {
 	f, _, _, red, _ := buildReduced(t, 0.6)
-	sol := constprop.Analyze(red.G, f.NumVars(), true)
+	sol := constprop.AnalyzeBoxed(red.G, f.NumVars(), true)
 	byName := map[string]cfg.NodeID{}
 	for _, nd := range red.G.Nodes {
 		byName[nd.Name] = nd.ID
@@ -248,7 +248,7 @@ func TestReduceCR1KeepsAllConstants(t *testing.T) {
 	if len(red.Hot) != 5 {
 		t.Fatalf("hot vertices at CR=1: %d, want 5", len(red.Hot))
 	}
-	sol := constprop.Analyze(red.G, f.NumVars(), true)
+	sol := constprop.AnalyzeBoxed(red.G, f.NumVars(), true)
 	rp := profileOnReduced(t, red)
 	freq := profile.NodeFrequencies(rp, red.G)
 	var weighted int64

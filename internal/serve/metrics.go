@@ -11,27 +11,16 @@ import (
 	"pathflow/internal/engine/diskcache"
 )
 
-// stageBuckets are the histogram upper bounds, in seconds. Pipeline
-// stages on the suite run from microseconds (baseline on a tiny cold
-// function) to seconds (trace/reduce on go at full coverage), so the
-// buckets are decades across that span.
-var stageBuckets = []float64{
-	1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10,
-}
-
 // histogram is a fixed-bucket cumulative histogram (Prometheus
-// semantics: counts[i] counts observations ≤ stageBuckets[i]).
+// semantics: counts[i] counts observations ≤ diskcache.BucketBounds[i]).
 type histogram struct {
-	counts [len8]uint64
+	counts [len(diskcache.BucketBounds)]uint64
 	sum    float64
 	total  uint64
 }
 
-// len8 keeps the array size in sync with stageBuckets.
-const len8 = 8
-
 func (h *histogram) observe(sec float64) {
-	for i, ub := range stageBuckets {
+	for i, ub := range diskcache.BucketBounds {
 		if sec <= ub {
 			h.counts[i]++
 		}
@@ -230,7 +219,7 @@ func (sm *serverMetrics) render(w io.Writer, cache engine.CacheStats) {
 		fmt.Fprintf(w, "pathflow_diskcache_bytes %d\n", d.Bytes)
 		fmt.Fprintf(w, "# HELP pathflow_diskcache_decode_seconds Time to decode disk-tier bundles into live artifacts.\n")
 		fmt.Fprintf(w, "# TYPE pathflow_diskcache_decode_seconds histogram\n")
-		for i, ub := range diskcache.DecodeBucketBounds {
+		for i, ub := range diskcache.BucketBounds {
 			fmt.Fprintf(w, "pathflow_diskcache_decode_seconds_bucket{le=%q} %d\n", fmtBound(ub), d.DecodeBuckets[i])
 		}
 		fmt.Fprintf(w, "pathflow_diskcache_decode_seconds_bucket{le=\"+Inf\"} %d\n", d.DecodeCount)
@@ -294,7 +283,7 @@ func (sm *serverMetrics) render(w io.Writer, cache engine.CacheStats) {
 		if !ok {
 			continue
 		}
-		for i, ub := range stageBuckets {
+		for i, ub := range diskcache.BucketBounds {
 			fmt.Fprintf(w, "pathflow_stage_seconds_bucket{stage=%q,le=%q} %d\n", string(s), fmtBound(ub), h.counts[i])
 		}
 		fmt.Fprintf(w, "pathflow_stage_seconds_bucket{stage=%q,le=\"+Inf\"} %d\n", string(s), h.total)

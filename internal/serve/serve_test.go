@@ -1133,3 +1133,45 @@ func TestJobResultEndpointStates(t *testing.T) {
 		t.Fatalf("result payload empty: %s", rdata)
 	}
 }
+
+// TestMetricsHistogramBuckets pins the bucket lines of both /metrics
+// histograms — stage compute time and disk decode time — which share
+// one list of bounds.
+func TestMetricsHistogramBuckets(t *testing.T) {
+	sm := newServerMetrics()
+	sm.observeStage(engine.StageEvent{Stage: engine.StageTrace, Duration: 3 * time.Millisecond})
+	cache := engine.CacheStats{DiskEnabled: true}
+	cache.Disk.DecodeCount = 2
+	cache.Disk.DecodeBuckets = [8]int64{0, 0, 1, 2, 2, 2, 2, 2}
+	var b strings.Builder
+	sm.render(&b, cache)
+	var got []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.Contains(line, "_bucket{") {
+			got = append(got, line)
+		}
+	}
+	want := []string{
+		`pathflow_diskcache_decode_seconds_bucket{le="1e-06"} 0`,
+		`pathflow_diskcache_decode_seconds_bucket{le="1e-05"} 0`,
+		`pathflow_diskcache_decode_seconds_bucket{le="0.0001"} 1`,
+		`pathflow_diskcache_decode_seconds_bucket{le="0.001"} 2`,
+		`pathflow_diskcache_decode_seconds_bucket{le="0.01"} 2`,
+		`pathflow_diskcache_decode_seconds_bucket{le="0.1"} 2`,
+		`pathflow_diskcache_decode_seconds_bucket{le="1"} 2`,
+		`pathflow_diskcache_decode_seconds_bucket{le="10"} 2`,
+		`pathflow_diskcache_decode_seconds_bucket{le="+Inf"} 2`,
+		`pathflow_stage_seconds_bucket{stage="trace",le="1e-06"} 0`,
+		`pathflow_stage_seconds_bucket{stage="trace",le="1e-05"} 0`,
+		`pathflow_stage_seconds_bucket{stage="trace",le="0.0001"} 0`,
+		`pathflow_stage_seconds_bucket{stage="trace",le="0.001"} 0`,
+		`pathflow_stage_seconds_bucket{stage="trace",le="0.01"} 1`,
+		`pathflow_stage_seconds_bucket{stage="trace",le="0.1"} 1`,
+		`pathflow_stage_seconds_bucket{stage="trace",le="1"} 1`,
+		`pathflow_stage_seconds_bucket{stage="trace",le="10"} 1`,
+		`pathflow_stage_seconds_bucket{stage="trace",le="+Inf"} 1`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("bucket lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

@@ -83,7 +83,7 @@ func BenchmarkAnalyzeHPG(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		constprop.Analyze(h.G, f.NumVars(), true)
+		constprop.AnalyzeBoxed(h.G, f.NumVars(), true)
 	}
 }
 
@@ -93,7 +93,7 @@ func BenchmarkReduceHPG(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sol := constprop.Analyze(h.G, f.NumVars(), true)
+	sol := constprop.AnalyzeBoxed(h.G, f.NumVars(), true)
 	tp, err := profile.Translate(pr, f.G, h)
 	if err != nil {
 		b.Fatal(err)

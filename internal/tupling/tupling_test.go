@@ -26,7 +26,7 @@ func checkAgainstTracing(t *testing.T, fn *cfg.Func, a *automaton.Automaton) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced := constprop.Analyze(h.G, fn.NumVars(), true)
+	traced := constprop.AnalyzeBoxed(h.G, fn.NumVars(), true)
 	tupled := Analyze(fn.G, fn.NumVars(), a, true)
 
 	for _, nd := range h.G.Nodes {
@@ -163,7 +163,7 @@ func TestTupledMergeNeverWorse(t *testing.T) {
 		t.Fatal(err)
 	}
 	tup := Analyze(f.G, f.NumVars(), a, true)
-	plain := constprop.Analyze(f.G, f.NumVars(), true)
+	plain := constprop.AnalyzeBoxed(f.G, f.NumVars(), true)
 	for _, nd := range f.G.Nodes {
 		merged, ok := tup.MergedEnvAt(nd.ID)
 		if !ok {
