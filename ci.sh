@@ -37,7 +37,9 @@
 #                           — and the feasibility detector + drift
 #                           linter (feasible, lint), which the engine
 #                           also runs from pooled workers
-#   7. fuzz smoke           10s of coverage-guided fuzzing per target
+#   7. fuzz smoke           10s of coverage-guided fuzzing per target,
+#                           with input minimization capped at one run
+#                           per new input so the budget goes to fuzzing
 #                           (FuzzDiskcacheCodec: corrupt cache files
 #                           never panic; FuzzDelta: incremental results
 #                           equal cold ones on random edits, and each
@@ -49,7 +51,8 @@
 #                           runs over random programs;
 #                           FuzzFeasibleSoundness: no trace-observed
 #                           edge is ever marked infeasible on random
-#                           correlated-branch programs;
+#                           correlated-branch programs, on the CFG, the
+#                           HPG or the reduced HPG's projected mask;
 #                           FuzzClampedEquivalence: feasible.Detect's
 #                           packed clamped interval solves match the
 #                           boxed ClampedProblem reference on every
@@ -160,23 +163,27 @@ echo "== fuzz smoke"
 # incremental re-analysis must match a cold one and agree with each
 # edit's delta class on random program edits,
 # and the packed kernels must stay pointwise identical to the boxed
-# reference across full pipeline runs.
-go test -run '^$' -fuzz '^FuzzDiskcacheCodec$' -fuzztime 10s ./internal/engine/diskcache/
-go test -run '^$' -fuzz '^FuzzDelta$' -fuzztime 10s ./internal/engine/
-go test -run '^$' -fuzz '^FuzzKernelEquivalence$' -fuzztime 10s ./internal/engine/
-# The branch-correlation detector must never prune an edge a real
-# execution traverses, over programs biased toward correlated re-tests.
-go test -run '^$' -fuzz '^FuzzFeasibleSoundness$' -fuzztime 10s ./internal/feasible/
+# reference across full pipeline runs. -fuzzminimizetime 1x caps the
+# minimization of each new interesting input at one run: left at its
+# default, minimizing can take most of the 10 s and leave the fuzzer
+# idle for the rest.
+go test -run '^$' -fuzz '^FuzzDiskcacheCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/engine/diskcache/
+go test -run '^$' -fuzz '^FuzzDelta$' -fuzztime 10s -fuzzminimizetime 1x ./internal/engine/
+go test -run '^$' -fuzz '^FuzzKernelEquivalence$' -fuzztime 10s -fuzzminimizetime 1x ./internal/engine/
+# The branch-correlation detector and the projection of the HPG mask
+# onto the reduced HPG must never prune an edge a real execution
+# traverses, over programs biased toward correlated re-tests.
+go test -run '^$' -fuzz '^FuzzFeasibleSoundness$' -fuzztime 10s -fuzzminimizetime 1x ./internal/feasible/
 # Detect's packed clamped interval domain must match the boxed
 # ClampedProblem on every tier, with and without Detect's mask.
-go test -run '^$' -fuzz '^FuzzClampedEquivalence$' -fuzztime 10s ./internal/feasible/
+go test -run '^$' -fuzz '^FuzzClampedEquivalence$' -fuzztime 10s -fuzzminimizetime 1x ./internal/feasible/
 # The streaming layer's two wire surfaces: the accumulator algebra must
 # stay commutative/associative (and Decay/Merge must commute) on
 # fuzzer-chosen ingestion histories, and arbitrary bytes thrown at the
 # JSON delta batches and the diskcache snapshot frames must never panic,
 # mutate a set on rejection, or decode to unstable state.
-go test -run '^$' -fuzz '^FuzzAccumulatorMerge$' -fuzztime 10s ./internal/profile/stream/
-go test -run '^$' -fuzz '^FuzzProfileDeltaCodec$' -fuzztime 10s ./internal/profile/stream/
+go test -run '^$' -fuzz '^FuzzAccumulatorMerge$' -fuzztime 10s -fuzzminimizetime 1x ./internal/profile/stream/
+go test -run '^$' -fuzz '^FuzzProfileDeltaCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/profile/stream/
 
 echo "== kernel gate"
 # The packed kernels' steady-state loop must be allocation-free: every
@@ -289,6 +296,10 @@ echo "== serve smoke"
 start_serve() {
     serve_log=$1
     shift
+    # Create the log before the daemon does: the background job opens
+    # its redirect only once it is scheduled, and under set -e a sed on
+    # a missing file would end the script.
+    : >"$serve_log"
     "$tmpdir/pathflow" serve -addr 127.0.0.1:0 "$@" >"$serve_log" 2>&1 &
     serve_pid=$!
     addr=""

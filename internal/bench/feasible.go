@@ -43,11 +43,13 @@ type FeasibleClient struct {
 // FeasibleRow is one benchmark's two-axis ablation.
 type FeasibleRow struct {
 	Name string
-	// InfeasibleCFG / InfeasibleRed count the edges the detector proved
-	// infeasible, summed over the program's original CFGs and over the
-	// qualified functions' reduced graphs.
+	// InfeasibleCFG / InfeasibleRed count the edges proved infeasible,
+	// summed over the program's original CFGs (detected there) and over
+	// the qualified functions' reduced graphs (detected on the HPG and
+	// projected onto the reduced graph, as the engine does).
 	InfeasibleCFG, InfeasibleRed int
-	// DetectTime is the total branch-correlation detection cost;
+	// DetectTime is the total branch-correlation detection cost,
+	// projections included;
 	// SolveTime the total cost of re-solving all four clients on the
 	// pruned views (both tiers).
 	DetectTime, SolveTime time.Duration
@@ -134,10 +136,11 @@ func Feasible(ctx context.Context, instances []*Instance) ([]FeasibleRow, error)
 			lv.FreqOnly += improvedVertices(oracle.Check("liveness", "rhpg", lvLat, lvBase.Sol, lvR.Sol, orig))
 			av.FreqOnly += improvedVertices(oracle.Check("availexpr", "rhpg", avLat, avBase.Sol, avR.Sol, orig))
 
-			// Both axes: prune the reduced graph, re-solve, compare back
-			// to the CFG through the vertex correspondence.
+			// Both axes: prune the reduced graph through the HPG's mask
+			// projected onto it, re-solve, compare back to the CFG
+			// through the vertex correspondence.
 			t0 = time.Now()
-			feasR := feasible.Detect(red.G, nv)
+			feasR := feasible.Project(red, feasible.Detect(fr.HPG.G, nv))
 			row.DetectTime += time.Since(t0)
 			row.InfeasibleRed += feasR.Count
 			t0 = time.Now()

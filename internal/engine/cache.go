@@ -378,6 +378,9 @@ func approxSize(v any) int64 {
 		n += int64(len(x.Red.Class))*8 + int64(len(x.Red.Rep))*8 + int64(len(x.Red.OrigNode))*8
 		n += int64(len(x.Red.OrigEdge))*8 + int64(len(x.Red.Hot))*8 + int64(len(x.Red.Weights))*8
 		n += int64(len(x.Red.Recording)) * 16
+		if x.FeasRed != nil {
+			n += 48 + int64(len(x.FeasRed.Infeasible))
+		}
 		for _, m := range x.Red.Members {
 			n += 24 + int64(len(m))*8
 		}
@@ -627,9 +630,9 @@ func (c *Cache) keyAnalyzeMasked(fn *cfg.Func, train *bl.Profile, hot []bl.Path,
 }
 
 // keyReduceFeasible is the reduce-stage key under Options.Feasible. The
-// reduce stage itself re-detects on the quotient graph, so its output
-// depends on the flag even when the HPG mask is empty — the chain folds
-// in the feasibility key whenever the flag is set.
+// reduce stage projects the HPG tier's mask onto the quotient and its
+// bundle carries the projection, so the chain folds in the HPG
+// feasibility key whenever the flag is set.
 func (c *Cache) keyReduceFeasible(fn *cfg.Func, train *bl.Profile, hot []bl.Path, cr float64, feas bool) cacheKey {
 	k := c.keyReduce(fn, train, hot, cr)
 	if feas {

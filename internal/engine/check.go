@@ -159,11 +159,10 @@ func checkFeasible(fr *FuncResult, nv int, thr []int64,
 		})
 	}
 	if fr.Red != nil && fr.RedSol != nil {
-		// The reduced tier's mask is not retained by the pipeline;
-		// Detect is deterministic, so recomputing reproduces exactly the
-		// mask the reduce stage solved through.
+		// The reduced tier's mask is the HPG mask the reduce stage
+		// projected onto the quotient and solved through.
 		t := ftier{
-			name: "rhpg", g: fr.Red.G, mask: feasible.Detect(fr.Red.G, nv), masked: fr.RedSol,
+			name: "rhpg", g: fr.Red.G, mask: fr.FeasRed, masked: fr.RedSol,
 			live: fr.LiveRed, avail: fr.AvailRed,
 		}
 		if fr.Train != nil {

@@ -45,8 +45,9 @@ import (
 var ErrCorrupt = errors.New("diskcache: corrupt or stale entry")
 
 // Format constants. Version is bumped whenever any bundle encoding
-// changes shape; readers reject every version but their own, so stale
-// entries from older binaries decode as misses and are rewritten.
+// changes shape or meaning; readers reject every version but their own,
+// so stale entries from older binaries decode as misses and are
+// rewritten.
 const (
 	// FormatVersion is the current on-disk format version. Version 2
 	// split the monolithic qualified bundle into per-stage bundles
@@ -58,8 +59,11 @@ const (
 	// reduced bundle as its partition instead of its quotient graph, and
 	// checksums frames with CRC-32C instead of FNV-64a. Version 5
 	// replaces Meta's stage-name-keyed cost map with the one cost a
-	// bundle ever carries.
-	FormatVersion = 5
+	// bundle ever carries. Version 6 keeps every encoding but changes
+	// what a feasible run's reduced bundle holds: its solution is solved
+	// through the HPG mask projected onto the quotient, not through a
+	// mask detected on the quotient itself.
+	FormatVersion = 6
 
 	headerLen   = 6 // magic(4) + version(1) + kind(1)
 	checksumLen = 4

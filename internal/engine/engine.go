@@ -239,11 +239,11 @@ func (iv *invocation) run(hot []bl.Path) (*FuncResult, error) {
 	if res.HPGProf, err = iv.translate(hot, res.HPG); err != nil {
 		return nil, err
 	}
-	r, err := iv.reduce(hot, res.HPG, res.HPGSol, res.HPGProf)
+	r, err := iv.reduce(hot, res.HPG, res.HPGSol, res.HPGProf, res.FeasHPG)
 	if err != nil {
 		return nil, err
 	}
-	res.Red, res.RedSol = r.Red, r.RedSol
+	res.Red, res.RedSol, res.FeasRed = r.Red, r.RedSol, r.FeasRed
 
 	if o.Clients != 0 {
 		res.LiveHPG, res.AvailHPG, err = iv.clientTier(res.HPG.G, res.HPGSol, res.AvailU, func() cacheKey {
@@ -418,29 +418,37 @@ func (iv *invocation) translate(hot []bl.Path, h *trace.HPG) (*bl.Profile, error
 
 // reduce minimizes the HPG at cutoff CR and re-analyzes the quotient.
 // Pure chain key over the analyze and translate stages plus the CR
-// knob. Under Options.Feasible it re-detects on the quotient graph and
-// re-analyzes through the pruned view (the reduced tier's mask is
-// recomputed rather than projected — Detect is deterministic and the
-// quotient is a different graph than the HPG it came from).
-func (iv *invocation) reduce(hot []bl.Path, h *trace.HPG, hsol *constprop.Result, hprof *bl.Profile) (ReduceOut, error) {
+// knob. Under Options.Feasible it projects the HPG tier's mask feas onto
+// the quotient (feasible.Project) and re-analyzes through that pruned
+// view. The projection is a cheap pass over the partition, so the disk
+// bundle does not store it: decoding re-projects from the stored
+// partition.
+func (iv *invocation) reduce(hot []bl.Path, h *trace.HPG, hsol *constprop.Result, hprof *bl.Profile, feas *feasible.Edges) (ReduceOut, error) {
 	fn, o := iv.fn, iv.o
+	project := func(red *reduce.Reduced) *feasible.Edges {
+		if !o.Feasible {
+			return nil
+		}
+		return feasible.Project(red, feas)
+	}
 	return cached(iv, StageReduce, func() cacheKey { return iv.e.cache.keyReduceFeasible(fn, iv.train, hot, o.CR, o.Feasible) },
 		&codec[ReduceOut]{diskcache.KindReduced,
 			func(meta diskcache.Meta, r ReduceOut) []byte { return diskcache.EncodeReduced(meta, r.Red, r.RedSol) },
 			func(b []byte) (diskcache.Meta, ReduceOut, error) {
 				meta, red, sol, err := diskcache.DecodeReduced(b, h)
-				return meta, ReduceOut{Red: red, RedSol: sol}, err
+				if err != nil {
+					return meta, ReduceOut{}, err
+				}
+				return meta, ReduceOut{Red: red, RedSol: sol, FeasRed: project(red)}, nil
 			}},
 		func() (ReduceOut, error) {
 			red, err := reduce.Reduce(h, hsol, hprof, reduce.Options{CR: o.CR})
 			if err != nil {
 				return ReduceOut{}, err
 			}
-			var mask []bool
-			if o.Feasible {
-				mask = feasible.Detect(red.G, fn.NumVars()).Mask()
-			}
-			return ReduceOut{Red: red, RedSol: solveConstprop(o.Kernel, red.G, fn.NumVars(), mask)}, nil
+			feasRed := project(red)
+			sol := solveConstprop(o.Kernel, red.G, fn.NumVars(), feasRed.Mask())
+			return ReduceOut{Red: red, RedSol: sol, FeasRed: feasRed}, nil
 		})
 }
 

@@ -38,10 +38,12 @@ type FuncResult struct {
 	RedSol  *constprop.Result
 
 	// Feasibility artifacts (Options.Feasible): the infeasible-edge sets
-	// of the CFG and HPG tiers. The reduced tier's mask is recomputed on
-	// demand (feasible.Detect is deterministic) rather than stored.
+	// of the CFG and HPG tiers, detected on each graph, and of the
+	// reduced tier, projected from FeasHPG (feasible.Project); FeasRed
+	// is nil when qualification did not run.
 	FeasCFG *feasible.Edges
 	FeasHPG *feasible.Edges
+	FeasRed *feasible.Edges
 
 	// Client analyses (Options.Clients), one result per graph tier; HPG
 	// and Red entries are nil when qualification did not run, and every

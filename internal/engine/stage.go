@@ -9,6 +9,7 @@ import (
 	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
 	"pathflow/internal/engine/diskcache"
+	"pathflow/internal/feasible"
 	"pathflow/internal/reduce"
 )
 
@@ -147,11 +148,14 @@ func cached[T any](iv *invocation, stage StageName, key func() cacheKey, cd *cod
 	return v.(T), nil
 }
 
-// ReduceOut is the reduction artifact: the quotient graph and its
-// re-analyzed solution, cached together as one bundle.
+// ReduceOut is the reduction artifact: the quotient graph, its
+// re-analyzed solution and, under Options.Feasible, the HPG mask
+// projected onto it that the solution was solved through, cached
+// together as one bundle.
 type ReduceOut struct {
-	Red    *reduce.Reduced
-	RedSol *constprop.Result
+	Red     *reduce.Reduced
+	RedSol  *constprop.Result
+	FeasRed *feasible.Edges
 }
 
 // --- Metrics -------------------------------------------------------------

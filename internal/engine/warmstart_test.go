@@ -1,14 +1,20 @@
 package engine_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"pathflow/internal/bl"
 	"pathflow/internal/engine"
 	"pathflow/internal/engine/diskcache"
+	"pathflow/internal/feasible"
+	"pathflow/internal/interp"
+	"pathflow/internal/ir"
+	"pathflow/internal/lang"
 )
 
 // sweepAll runs every sweep point through eng and concatenates the
@@ -96,6 +102,101 @@ func TestDiskWarmMatchesColdAndMemoryWarm(t *testing.T) {
 	}
 	if disk == 0 {
 		t.Error("disk-warm analysis recorded no per-function disk hits")
+	}
+}
+
+// feasibleSrc re-tests q < 88 after the two legs of the first test
+// merge. On the CFG the merge kills the correlation, but the hot paths
+// split the legs, so the HPG (and the quotient reduced from it) has a
+// re-test whose contradicted leg is infeasible.
+const feasibleSrc = `
+func main() {
+	n = arg(0);
+	i = 0;
+	t = 0;
+	while (i < n) {
+		q = input() % 100;
+		if (q < 88) { s = 4; } else { s = q; }
+		if (q < 88) { t = t + s; } else { t = t - s; }
+		i = i + 1;
+	}
+	print(t);
+}
+`
+
+// sweepFeasible runs feasibleSrc at three CR points with feasibility on
+// and renders, beside summarize, each qualified function's HPG mask,
+// its reduced-tier mask and its reduced bundle's encoding (partition
+// plus solution), so two runs match only if FeasRed and RedSol are
+// byte-identical. It also returns the number of reduced-tier edges
+// marked infeasible over the sweep.
+func sweepFeasible(t *testing.T, eng *engine.Engine) (string, int) {
+	t.Helper()
+	prog, err := lang.Compile(feasibleSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, _, err := bl.ProfileProgram(prog, interp.Options{
+		Args:  []ir.Value{300},
+		Input: &interp.SliceInput{Values: stream(11)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := func(ed *feasible.Edges) string {
+		if ed == nil {
+			return "nil"
+		}
+		b := make([]byte, len(ed.Infeasible))
+		for e, m := range ed.Infeasible {
+			b[e] = '0'
+			if m {
+				b[e] = '1'
+			}
+		}
+		return string(b)
+	}
+	var sb strings.Builder
+	marked := 0
+	for _, cr := range []float64{0, 0.95, 1} {
+		res, err := eng.AnalyzeProgram(ctx, prog, train, engine.Options{CA: 0.97, CR: cr, Feasible: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb.WriteString(summarize(res))
+		for _, name := range prog.Order {
+			fr := res.Funcs[name]
+			if !fr.Qualified() {
+				continue
+			}
+			fmt.Fprintf(&sb, "  feas hpg=%s red=%s\n", bits(fr.FeasHPG), bits(fr.FeasRed))
+			fmt.Fprintf(&sb, "  reduced %x\n", diskcache.EncodeReduced(diskcache.Meta{}, fr.Red, fr.RedSol))
+			marked += fr.FeasRed.Count
+		}
+	}
+	return sb.String(), marked
+}
+
+// TestDiskWarmFeasibleMatchesCold: with feasibility on, a disk-warm run
+// must reproduce the cold run's reduced-tier mask and solution byte for
+// byte. The reduced bundle stores no mask, so the decode re-projects
+// the HPG mask onto the decoded partition.
+func TestDiskWarmFeasibleMatchesCold(t *testing.T) {
+	cold, marked := sweepFeasible(t, engine.New(engine.Config{Workers: 1}))
+	if marked == 0 {
+		t.Fatal("no reduced-tier edge is infeasible; the comparison proves nothing")
+	}
+	dir := t.TempDir()
+	if got, _ := sweepFeasible(t, mustOpen(t, dir, 1)); got != cold {
+		t.Errorf("disk-backed cold run differs from cacheless run:\n%s\n---\n%s", got, cold)
+	}
+	reader := mustOpen(t, dir, 1)
+	if got, _ := sweepFeasible(t, reader); got != cold {
+		t.Errorf("disk-warm run differs from cold run:\n%s\n---\n%s", got, cold)
+	}
+	st := reader.CacheStats().Disk
+	if st.Hits == 0 || st.Rejects != 0 {
+		t.Errorf("disk-warm run: %d hits, %d rejects; want hits and no rejects", st.Hits, st.Rejects)
 	}
 }
 

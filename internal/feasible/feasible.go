@@ -33,12 +33,25 @@
 // is pruned only when the branch outcome is implied on *all* such
 // paths. The lattice evidence inherits the soundness of the underlying
 // analyses. Both arguments are independent of the graph tier, so
-// running Detect per tier (CFG, HPG, reduced HPG) keeps the oracle's
-// cross-tier refinement guarantee: an HPG copy's incoming paths are a
-// subset of its original vertex's, so its must-facts are a superset and
-// every leg pruned on the CFG is pruned on its copies. The empirical
-// backstop is oracle.CheckTraces: no edge observed in a recorded
-// training or evaluation run may ever be in the mask.
+// running Detect on the CFG and on the HPG keeps the oracle's cross-tier
+// refinement guarantee: an HPG copy's incoming paths are a subset of
+// its original vertex's, so its must-facts are a superset and every leg
+// pruned on the CFG is pruned on its copies.
+//
+// The reduced HPG is not detected again: Project carries the HPG's mask
+// over to it. Reduction refines its partition to a congruence (all
+// members of a class have their slot-s successors in one class), so the
+// rHPG is a quotient of the HPG and every execution's HPG lift maps,
+// under reduce.Reduced.Class, onto its rHPG lift. An rHPG edge (class A,
+// slot s) can thus only be taken if some HPG edge (x, s) with x in A is,
+// and when the HPG mask marks all of them, none is. The projection is
+// also at least as strong as Detect on the quotient: round by round,
+// Detect's facts on the rHPG, pulled back through Class, satisfy the
+// HPG's constraints, so Detect on the HPG marks every member edge of an
+// edge Detect on the rHPG would mark (TestProjectedMaskContainsDetected
+// keeps Detect on the rHPG as that reference).
+// The empirical backstop is oracle.CheckTraces: no edge observed in a
+// recorded training or evaluation run may ever be in the mask.
 package feasible
 
 import (
@@ -46,6 +59,7 @@ import (
 	"pathflow/internal/constprop"
 	"pathflow/internal/intervals"
 	"pathflow/internal/ir"
+	"pathflow/internal/reduce"
 )
 
 // Edges is the feasibility artifact for one graph: the sound
@@ -129,6 +143,33 @@ func FromMask(mask []bool) *Edges {
 		}
 	}
 	return ed
+}
+
+// Project returns the infeasible-edge set of red's quotient graph
+// implied by hpg, the mask of the HPG red was reduced from: the rHPG
+// edge in slot s of class A's representative is infeasible exactly when
+// the slot-s out-edge of every member of A is infeasible in hpg (see the
+// package comment for why that is sound). A nil or empty hpg projects
+// to an empty set, whose Mask is nil.
+func Project(red *reduce.Reduced, hpg *Edges) *Edges {
+	mask := make([]bool, len(red.G.Edges))
+	if hpg.Mask() == nil {
+		return FromMask(mask)
+	}
+	hg := red.H.G
+	for c, members := range red.Members {
+		for s, e := range red.G.Node(red.Rep[c]).Out {
+			all := true
+			for _, m := range members {
+				if !hpg.Infeasible[hg.Node(m).Out[s]] {
+					all = false
+					break
+				}
+			}
+			mask[e] = all
+		}
+	}
+	return FromMask(mask)
 }
 
 // --- Canonical branch predicates ------------------------------------------

@@ -271,7 +271,8 @@ func TestNoExecutedEdgeMasked(t *testing.T) {
 }
 
 // Detect must be deterministic — the engine caches and fingerprints its
-// result, and the oracle recomputes it for the reduced tier.
+// result, and the reduced tier's mask is projected from the HPG's on
+// every compute and every disk decode.
 func TestDetectDeterministic(t *testing.T) {
 	f := compile(t, nestedRetest).Main()
 	a := Detect(f.G, f.NumVars())

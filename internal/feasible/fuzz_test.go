@@ -31,13 +31,16 @@ func fuzzInput(seed uint64) *interp.SliceInput {
 }
 
 // FuzzFeasibleSoundness is the empirical falsifier for the
-// branch-correlation detector: over random generated programs — biased
-// toward the correlated nested re-tests the detector exists to prove
-// (progen.Config.Correlated) — no edge a recorded training run actually
-// traversed may ever be marked infeasible. The static gates certify the
-// mask against the analyses' own semantics; this one certifies it
-// against real executions, so a detector bug that fools every lattice
-// still trips on the first run through a pruned edge.
+// branch-correlation detector and the projection: over random generated
+// programs — biased toward the correlated nested re-tests the detector
+// exists to prove (progen.Config.Correlated) — no edge a recorded
+// training run actually traversed may ever be marked infeasible, on the
+// CFG (Detect), on the HPG (Detect, against the run translated onto it)
+// or on the reduced HPG (the HPG mask projected onto it, against the run
+// translated onto the quotient). The static gates certify the masks
+// against the analyses' own semantics; this one certifies them against
+// real executions, so a detector or projection bug that fools every
+// lattice still trips on the first run through a pruned edge.
 func FuzzFeasibleSoundness(f *testing.F) {
 	f.Add(uint64(1), uint64(5))
 	f.Add(uint64(2), uint64(3))
@@ -63,15 +66,35 @@ func FuzzFeasibleSoundness(f *testing.F) {
 		if err != nil {
 			t.Skip("training run did not terminate in budget")
 		}
-		for name, fn := range prog.Funcs {
-			feas := feasible.Detect(fn.G, fn.NumVars())
-			pr := train.Funcs[name]
-			if pr == nil || feas.Count == 0 {
+		eng := engine.New(engine.Config{Workers: 1})
+		res, err := eng.AnalyzeProgram(context.Background(), prog, train, engine.Options{CA: 0.97, CR: 0.95, Feasible: true})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		type tier struct {
+			name string
+			g    *cfg.Graph
+			prof *bl.Profile
+			mask *feasible.Edges
+		}
+		for _, name := range prog.Order {
+			fr := res.Funcs[name]
+			if fr.Train == nil {
 				continue
 			}
-			counts := profile.EdgeCounts(pr, fn.G)
-			if err := oracle.CheckTraces("feasible", name, counts, feas.Infeasible).Err(); err != nil {
-				t.Errorf("seed %d func %s: %v", seed, name, err)
+			tiers := []tier{{"cfg", fr.Fn.G, fr.Train, fr.FeasCFG}}
+			if fr.Qualified() {
+				rp, err := fr.TranslateEval(fr.Train)
+				if err != nil {
+					t.Fatalf("seed %d func %s: translating the training run: %v", seed, name, err)
+				}
+				tiers = append(tiers, tier{"hpg", fr.HPG.G, fr.HPGProf, fr.FeasHPG}, tier{"rhpg", fr.Red.G, rp, fr.FeasRed})
+			}
+			for _, tr := range tiers {
+				counts := profile.EdgeCounts(tr.prof, tr.g)
+				if err := oracle.CheckTraces("feasible", name+"/"+tr.name, counts, tr.mask.Infeasible).Err(); err != nil {
+					t.Errorf("seed %d func %s: %v", seed, name, err)
+				}
 			}
 		}
 	})

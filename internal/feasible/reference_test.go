@@ -132,24 +132,35 @@ func correlatedGraphs(tb testing.TB) []refGraph {
 	return correlatedSet
 }
 
+// correlatedProgram compiles the progen program biased toward
+// correlated re-tests (Correlated=40) for seed and profiles its
+// training run.
+func correlatedProgram(seed uint64) (*cfg.Program, *bl.ProgramProfile, error) {
+	gen := progen.DefaultConfig(seed)
+	gen.Correlated = 40
+	prog, err := lang.Compile(progen.Generate(gen))
+	if err != nil {
+		return nil, nil, fmt.Errorf("seed %d: %w", seed, err)
+	}
+	train, _, err := bl.ProfileProgram(prog, interp.Options{
+		Args:     []ir.Value{3, 7, 11},
+		Input:    &interp.SliceInput{Values: bench.InputValues(seed, 64)},
+		MaxSteps: 2_000_000,
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("seed %d: training run: %w", seed, err)
+	}
+	return prog, train, nil
+}
+
 func buildCorrelatedGraphs() ([]refGraph, error) {
 	eng := engine.New(engine.Config{Workers: 1})
 	seen := map[*cfg.Graph]bool{}
 	var out []refGraph
 	for seed := uint64(1); seed <= 12; seed++ {
-		gen := progen.DefaultConfig(seed)
-		gen.Correlated = 40
-		prog, err := lang.Compile(progen.Generate(gen))
+		prog, train, err := correlatedProgram(seed)
 		if err != nil {
-			return nil, fmt.Errorf("seed %d: %w", seed, err)
-		}
-		train, _, err := bl.ProfileProgram(prog, interp.Options{
-			Args:     []ir.Value{3, 7, 11},
-			Input:    &interp.SliceInput{Values: bench.InputValues(seed, 64)},
-			MaxSteps: 2_000_000,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("seed %d: training run: %w", seed, err)
+			return nil, err
 		}
 		for _, ca := range []float64{0.75, 0.97, 1} {
 			res, err := eng.AnalyzeProgram(context.Background(), prog, train, engine.Options{CA: ca, CR: 0.95, Feasible: true})
