@@ -275,13 +275,14 @@ echo "== baseline smoke"
 # Incremental re-analysis end to end: dump a benchmark's source, apply a
 # one-block constant edit, and re-analyze against the original as the
 # -baseline. The edited function must classify as a body delta that
-# replays select/automaton/translate (3 stages) and recomputes 4.
+# replays select/automaton/translate (3 stages) and recomputes 5
+# (baseline, trace, analyze, weigh, reduce).
 "$tmpdir/pathflow" source li >"$tmpdir/li.pf"
 sed 's/heap = 262144;/heap = 262145;/' "$tmpdir/li.pf" >"$tmpdir/edited.pf"
 cmp -s "$tmpdir/li.pf" "$tmpdir/edited.pf" && {
     echo "baseline smoke: edit did not change the source" >&2; exit 1; }
 "$tmpdir/pathflow" analyze -src "$tmpdir/edited.pf" -baseline "$tmpdir/li.pf" >"$tmpdir/incr.txt"
-grep -Eq '^main +body +3 +4 +select,automaton,translate$' "$tmpdir/incr.txt" || {
+grep -Eq '^main +body +3 +5 +select,automaton,translate$' "$tmpdir/incr.txt" || {
     echo "baseline smoke: body edit did not replay select/automaton/translate" >&2
     cat "$tmpdir/incr.txt" >&2; exit 1; }
 grep -Eq '^eval +none ' "$tmpdir/incr.txt" || {
@@ -341,8 +342,10 @@ grep -q '"qualified": true' "$tmpdir/job.json" || {
 # A repeated identical request must be served from the shared cache.
 curl -fsS -X POST "http://$addr/v1/analyze?wait=1" \
     -H 'Content-Type: application/json' \
-    -d '{"program": "compress"}' | grep -q '"profile_cached": true' || {
-    echo "serve smoke: repeat request missed the shared cache" >&2; exit 1; }
+    -d '{"program": "compress"}' >"$tmpdir/repeat.json"
+grep -q '"profile_cached": true' "$tmpdir/repeat.json" || {
+    echo "serve smoke: repeat request missed the shared cache" >&2
+    cat "$tmpdir/repeat.json" >&2; exit 1; }
 stop_serve "$tmpdir/serve.log"
 
 # Restart the daemon on the same -cachedir: the repeat request must

@@ -16,6 +16,7 @@ import (
 	"pathflow/internal/engine/diskcache"
 	"pathflow/internal/feasible"
 	"pathflow/internal/liveness"
+	"pathflow/internal/reduce"
 	"pathflow/internal/trace"
 )
 
@@ -27,6 +28,7 @@ const (
 	kindTrace     = "trace"     // traced HPG
 	kindAnalyze   = "analyze"   // Wegman-Zadek on the HPG
 	kindTranslate = "translate" // training profile translated onto the HPG
+	kindWeigh     = "weigh"     // reduction weights and their order
 	kindReduced   = "reduced"   // reduced HPG + its solution
 	kindFeasible  = "feasible"  // infeasible-edge set of one graph tier
 
@@ -45,8 +47,9 @@ const (
 // counts, recording edges, the training profile — whichever apply),
 // chain folds in the digests of the stage's upstream cache keys (or the
 // hot-set fingerprint, which is output-addressed), and knob/knob2 carry
-// swept parameters (CA, CR, the client set). See Cache.keyBaseline and
-// friends for the exact composition of every stage's key.
+// swept parameters (CA, the hot prefix a CR selects, the client set).
+// See Cache.keyBaseline and friends for the exact composition of every
+// stage's key.
 //
 // Because each key hashes only what its stage actually reads plus its
 // upstream keys, an edit re-keys exactly the stages whose inputs (or
@@ -60,7 +63,7 @@ type cacheKey struct {
 	kind  string
 	slice uint64
 	chain uint64
-	knob  uint64 // math.Float64bits of the swept knob (CR, or CA for select)
+	knob  uint64 // the swept knob: math.Float64bits(CA) for select, the hot prefix k for reduce
 	// knob2 is a second, independent knob dimension: the client's
 	// ClientSet bit for client bundles (zero for the qualification
 	// artifacts, which clients cannot influence).
@@ -373,11 +376,13 @@ func approxSize(v any) int64 {
 		// The expression universe is shared across tiers; charge a
 		// nominal per-bundle share rather than its full footprint.
 		return 32 + sizeBitsetSolution(x.Sol) + int64(x.U.Size())*8
+	case *reduce.Weights:
+		return 48 + int64(len(x.W))*8 + int64(len(x.Order))*4
 	case ReduceOut:
+		// Red.Hot and Red.Weights share the weigh bundle's arrays.
 		n := sizeGraph(x.Red.G) + sizeSolution(x.RedSol)
 		n += int64(len(x.Red.Class))*8 + int64(len(x.Red.Rep))*8 + int64(len(x.Red.OrigNode))*8
-		n += int64(len(x.Red.OrigEdge))*8 + int64(len(x.Red.Hot))*8 + int64(len(x.Red.Weights))*8
-		n += int64(len(x.Red.Recording)) * 16
+		n += int64(len(x.Red.OrigEdge))*8 + int64(len(x.Red.Recording))*16
 		if x.FeasRed != nil {
 			n += 48 + int64(len(x.FeasRed.Infeasible))
 		}
@@ -529,15 +534,21 @@ func (c *Cache) profileFP(pr *bl.Profile) profPrints {
 //	trace      shape + body             automaton key         —
 //	analyze    —                        trace key             —
 //	translate  shape + prof             automaton key         —
-//	reduce     —                        analyze+translate     CR
+//	weigh      —                        analyze+translate     —
+//	reduce     —                        weigh key             k
 //	feasible   shape + body (CFG tier)  trace key (HPG tier)  —
 //
 // The Options.Feasible flag has no knob dimension of its own — it rides
 // the Merkle chains instead: a masked baseline or CFG client bundle
 // chains keyFeasibleCFG, a masked analyze bundle chains keyFeasibleHPG,
-// and the feasible-aware reduce key (and through it the reduced client
-// bundles) folds keyFeasibleHPG into its chain, so feasible-on and
-// feasible-off runs can never collide on an artifact that differs.
+// and the weigh key (and through it the reduce key and the reduced
+// client bundles) folds keyFeasibleHPG into its chain, so feasible-on
+// and feasible-off runs can never collide on an artifact that differs.
+//
+// The reduce knob is k, the length of the weight-order prefix that CR
+// makes hot (reduce.HotPrefix), not CR itself: CR reaches the reduction
+// only through k, so every CR value selecting the same prefix shares one
+// reduced bundle.
 //
 // The automaton chains the *hot-set fingerprint* rather than the select
 // key: the hot set is the select stage's output, so addressing by it
@@ -594,13 +605,24 @@ func (c *Cache) keyTranslate(fn *cfg.Func, train *bl.Profile, hot []bl.Path) cac
 	}
 }
 
-func (c *Cache) keyReduce(fn *cfg.Func, train *bl.Profile, hot []bl.Path, cr float64) cacheKey {
-	return cacheKey{
-		kind: kindReduced,
-		chain: hash2(c.keyAnalyze(fn, train, hot).digest(),
-			c.keyTranslate(fn, train, hot).digest()),
-		knob: knobBits(cr),
+// keyWeigh keys the reduction weights: they read the HPG solution and
+// the translated profile, so the chain covers the analyze and translate
+// stages. Under Options.Feasible the weights read the masked HPG
+// solution and the reduce stage downstream projects the HPG mask, so the
+// chain also folds in the HPG feasibility key.
+func (c *Cache) keyWeigh(fn *cfg.Func, train *bl.Profile, hot []bl.Path, feas bool) cacheKey {
+	chain := hash2(c.keyAnalyze(fn, train, hot).digest(), c.keyTranslate(fn, train, hot).digest())
+	if feas {
+		chain = hash2(chain, c.keyFeasibleHPG(fn, train, hot).digest())
 	}
+	return cacheKey{kind: kindWeigh, chain: chain}
+}
+
+// keyReduce keys the reduction with hot prefix k of the order of the
+// weigh bundle keyed weigh (and, through that key, its feasibility
+// mode).
+func keyReduce(weigh cacheKey, k int) cacheKey {
+	return cacheKey{kind: kindReduced, chain: weigh.digest(), knob: uint64(k)}
 }
 
 // keyFeasibleCFG keys the CFG tier's infeasible-edge set: detection
@@ -627,18 +649,6 @@ func (c *Cache) keyAnalyzeMasked(fn *cfg.Func, train *bl.Profile, hot []bl.Path,
 		return c.keyAnalyze(fn, train, hot)
 	}
 	return cacheKey{kind: kindAnalyze, chain: c.keyFeasibleHPG(fn, train, hot).digest()}
-}
-
-// keyReduceFeasible is the reduce-stage key under Options.Feasible. The
-// reduce stage projects the HPG tier's mask onto the quotient and its
-// bundle carries the projection, so the chain folds in the HPG
-// feasibility key whenever the flag is set.
-func (c *Cache) keyReduceFeasible(fn *cfg.Func, train *bl.Profile, hot []bl.Path, cr float64, feas bool) cacheKey {
-	k := c.keyReduce(fn, train, hot, cr)
-	if feas {
-		k.chain = hash2(k.chain, c.keyFeasibleHPG(fn, train, hot).digest())
-	}
-	return k
 }
 
 // FingerprintFunc hashes the full structure of a function: CFG shape,

@@ -485,41 +485,65 @@ func DecodeTranslate(data []byte, g *cfg.Graph) (Meta, *bl.Profile, error) {
 	return decodeBundle(KindTranslate, data, func(d *dec) *bl.Profile { return decodeProfile(d, g) })
 }
 
-// EncodeReduced frames a reduction bundle: the partition the reduction
-// chose (class vector, hot vertices and weights) and the re-analyzed
-// solution. The quotient graph is not stored; the decoder rebuilds it
-// from the partition.
+// EncodeWeigh frames a weighing bundle: one weight per HPG node. The
+// weight order is not stored; the decoder rebuilds it.
+func EncodeWeigh(meta Meta, w *reduce.Weights) []byte {
+	return encodeBundle(KindWeigh, meta, func(e *enc) {
+		e.u64(uint64(len(w.W)))
+		for _, x := range w.W {
+			e.i64(x)
+		}
+	})
+}
+
+// DecodeWeigh decodes a weighing bundle against the HPG graph g it
+// weighs; a weight column whose length disagrees with g's node count,
+// or a negative weight, is corrupt.
+func DecodeWeigh(data []byte, g *cfg.Graph) (Meta, *reduce.Weights, error) {
+	return decodeBundle(KindWeigh, data, func(d *dec) *reduce.Weights {
+		if d.u64() != uint64(g.NumNodes()) {
+			d.fail()
+			return nil
+		}
+		w := make([]int64, g.NumNodes())
+		for i := range w {
+			if w[i] = d.i64(); w[i] < 0 {
+				d.fail()
+				return nil
+			}
+		}
+		if d.err != nil {
+			return nil
+		}
+		return reduce.NewWeights(w)
+	})
+}
+
+// EncodeReduced frames a reduction bundle: the class vector the
+// reduction chose and the re-analyzed solution. Neither the quotient
+// graph nor the hot vertices and weights are stored: the bundle is keyed
+// by the weighing and the hot prefix, and the decoder rebuilds the
+// quotient from those and the partition.
 func EncodeReduced(meta Meta, red *reduce.Reduced, sol *constprop.Result) []byte {
 	return encodeBundle(KindReduced, meta, func(e *enc) {
 		encodeIDs(e, red.Class)
-		encodeIDs(e, red.Hot)
-		e.u64(uint64(len(red.Weights)))
-		for _, w := range red.Weights {
-			e.i64(w)
-		}
 		encodeSolution(e, sol)
 	})
 }
 
-// DecodeReduced decodes a reduction bundle against the HPG it quotients,
+// DecodeReduced decodes a reduction bundle against the HPG it quotients
+// and the weighing w and hot prefix k it was partitioned with,
 // rebuilding the quotient with reduce.Assemble, which rejects any class
 // vector that is not a congruence of h in canonical numbering.
-func DecodeReduced(data []byte, h *trace.HPG) (Meta, *reduce.Reduced, *constprop.Result, error) {
+func DecodeReduced(data []byte, h *trace.HPG, w *reduce.Weights, k int) (Meta, *reduce.Reduced, *constprop.Result, error) {
 	var red *reduce.Reduced
 	meta, sol, err := decodeBundle(KindReduced, data, func(d *dec) *constprop.Result {
-		nodes := h.G.NumNodes()
-		class := decodeIDs[int](d, nodes)
-		hot := decodeIDs[cfg.NodeID](d, nodes)
-		weights := make([]int64, d.sliceLen())
-		for i := range weights {
-			weights[i] = d.i64()
-		}
-		if d.err != nil || len(weights) != nodes {
-			d.fail()
+		class := decodeIDs[int](d, h.G.NumNodes())
+		if d.err != nil {
 			return nil
 		}
 		var err error
-		if red, err = reduce.Assemble(h, class, hot, weights); err != nil {
+		if red, err = reduce.Assemble(h, class, w.Hot(k), w.W); err != nil {
 			d.fail()
 			return nil
 		}

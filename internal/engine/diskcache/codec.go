@@ -18,8 +18,8 @@
 //   - artifacts.go: encoders/decoders for the per-stage bundles the
 //     engine caches (hot sets, automata, HPG graphs, constant-propagation
 //     solutions written as columns of their packed rows, translated
-//     profiles, and reductions stored as their partition and rebuilt by
-//     reduce.Assemble), each carrying the per-stage compute costs of the
+//     profiles, reduction weights, and reductions stored as their
+//     partition and rebuilt by reduce.Assemble), each carrying the per-stage compute costs of the
 //     run that produced it so cache hits still report meaningful
 //     durations.
 //   - store.go:     the on-disk store itself — one file per bundle,
@@ -62,8 +62,11 @@ const (
 	// bundle ever carries. Version 6 keeps every encoding but changes
 	// what a feasible run's reduced bundle holds: its solution is solved
 	// through the HPG mask projected onto the quotient, not through a
-	// mask detected on the quotient itself.
-	FormatVersion = 6
+	// mask detected on the quotient itself. Version 7 adds the weigh
+	// bundle (one weight column per HPG) and drops the hot-vertex and
+	// weight columns from the reduced bundle, which is now keyed by the
+	// weighing and the hot prefix instead of CR.
+	FormatVersion = 7
 
 	headerLen   = 6 // magic(4) + version(1) + kind(1)
 	checksumLen = 4
@@ -93,6 +96,7 @@ const (
 	KindReduced
 	KindFeasible
 	KindStream
+	KindWeigh
 )
 
 func (k Kind) String() string {
@@ -115,6 +119,8 @@ func (k Kind) String() string {
 		return "feasible"
 	case KindStream:
 		return "stream"
+	case KindWeigh:
+		return "weigh"
 	}
 	return "unknown"
 }
@@ -148,7 +154,7 @@ func unframe(kind Kind, data []byte) ([]byte, error) {
 // KindFromString maps a bundle-kind name (the file-name prefix) back to
 // its Kind, or 0 if unknown.
 func KindFromString(s string) Kind {
-	for k := KindBaseline; k <= KindStream; k++ {
+	for k := KindBaseline; k <= KindWeigh; k++ {
 		if k.String() == s {
 			return k
 		}

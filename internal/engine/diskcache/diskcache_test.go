@@ -359,7 +359,7 @@ func TestKindString(t *testing.T) {
 		KindBaseline: "baseline", KindSelect: "select",
 		KindAutomaton: "automaton", KindTrace: "trace",
 		KindAnalyze: "analyze", KindTranslate: "translate",
-		KindReduced: "reduced", Kind(99): "unknown",
+		KindReduced: "reduced", KindWeigh: "weigh", Kind(99): "unknown",
 	} {
 		if got := k.String(); got != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, got, want)

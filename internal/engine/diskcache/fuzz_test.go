@@ -26,6 +26,8 @@ type codecFixture struct {
 	base  *constprop.Result
 	hsol  *constprop.Result
 	hprof *bl.Profile
+	w     *reduce.Weights
+	k     int
 	red   *reduce.Reduced
 	rsol  *constprop.Result
 }
@@ -50,14 +52,16 @@ func buildCodecFixture(f *testing.F) *codecFixture {
 	if err != nil {
 		f.Fatal(err)
 	}
-	red, err := reduce.Reduce(hpg, hsol, hprof, reduce.Options{CR: 0.95})
+	w := reduce.Weigh(hpg, hsol, hprof)
+	k := reduce.HotPrefix(w, 0.95)
+	red, err := reduce.Partition(hpg, hsol, w, k)
 	if err != nil {
 		f.Fatal(err)
 	}
 	rsol := constprop.AnalyzeBoxed(red.G, fn.NumVars(), true)
 	return &codecFixture{
 		fn: fn, pr: pr, hot: hot, auto: auto, hpg: hpg,
-		base: base, hsol: hsol, hprof: hprof, red: red, rsol: rsol,
+		base: base, hsol: hsol, hprof: hprof, w: w, k: k, red: red, rsol: rsol,
 	}
 }
 
@@ -84,6 +88,7 @@ func FuzzDiskcacheCodec(f *testing.F) {
 	f.Add(diskcache.EncodeAutomatonBundle(meta, fx.auto))
 	f.Add(diskcache.EncodeTrace(meta, fx.hpg))
 	f.Add(diskcache.EncodeTranslate(meta, fx.hprof))
+	f.Add(diskcache.EncodeWeigh(meta, fx.w))
 	f.Add(diskcache.EncodeReduced(meta, fx.red, fx.rsol))
 	f.Add([]byte{})
 	f.Add([]byte("PFAC\x02"))
@@ -149,9 +154,19 @@ func FuzzDiskcacheCodec(f *testing.F) {
 				t.Fatal("translate: round-trip is not canonical")
 			}
 		}
-		if m, red, sol, err := diskcache.DecodeReduced(data, fx.hpg); err == nil {
+		if m, w, err := diskcache.DecodeWeigh(data, fx.hpg.G); err == nil {
+			enc1 := diskcache.EncodeWeigh(m, w)
+			m2, w2, err2 := diskcache.DecodeWeigh(enc1, fx.hpg.G)
+			if err2 != nil {
+				t.Fatalf("weigh: re-decode of accepted artifact failed: %v", err2)
+			}
+			if enc2 := diskcache.EncodeWeigh(m2, w2); !bytes.Equal(enc1, enc2) {
+				t.Fatal("weigh: round-trip is not canonical")
+			}
+		}
+		if m, red, sol, err := diskcache.DecodeReduced(data, fx.hpg, fx.w, fx.k); err == nil {
 			enc1 := diskcache.EncodeReduced(m, red, sol)
-			m2, red2, sol2, err2 := diskcache.DecodeReduced(enc1, fx.hpg)
+			m2, red2, sol2, err2 := diskcache.DecodeReduced(enc1, fx.hpg, fx.w, fx.k)
 			if err2 != nil {
 				t.Fatalf("reduced: re-decode of accepted artifact failed: %v", err2)
 			}

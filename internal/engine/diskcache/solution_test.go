@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -108,8 +109,9 @@ func TestSolutionBundleRoundTrip(t *testing.T) {
 				t.Fatalf("%s hpg: boxed and packed solutions encode differently", label)
 			}
 
+			w := reduce.Weigh(fr.HPG, fr.HPGSol, fr.HPGProf)
 			data = diskcache.EncodeReduced(meta, fr.Red, fr.RedSol)
-			_, red, got, err := diskcache.DecodeReduced(data, fr.HPG)
+			_, red, got, err := diskcache.DecodeReduced(data, fr.HPG, w, reduce.HotPrefix(w, fr.Opt.CR))
 			if err != nil {
 				t.Fatalf("%s rhpg: %v", label, err)
 			}
@@ -137,15 +139,17 @@ func TestReducedBundleRebuildsQuotient(t *testing.T) {
 				continue
 			}
 			h, nv := fr.HPG, fr.Fn.NumVars()
+			w := reduce.Weigh(h, fr.HPGSol, fr.HPGProf)
 			for _, cr := range []float64{0, 0.5, 0.95, 1} {
 				label := fmt.Sprintf("%s/%s CR=%v", name, fname, cr)
 				want, err := reduce.Reduce(h, fr.HPGSol, fr.HPGProf, reduce.Options{CR: cr})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
+				k := reduce.HotPrefix(w, cr)
 				sol := constprop.AnalyzePacked(want.G, nv, true)
 				data := diskcache.EncodeReduced(meta, want, sol)
-				_, got, _, err := diskcache.DecodeReduced(data, h)
+				_, got, _, err := diskcache.DecodeReduced(data, h, w, k)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -157,7 +161,7 @@ func TestReducedBundleRebuildsQuotient(t *testing.T) {
 					t.Helper()
 					bad := *want
 					bad.Class = class
-					if _, _, _, err := diskcache.DecodeReduced(diskcache.EncodeReduced(meta, &bad, sol), h); !errors.Is(err, diskcache.ErrCorrupt) {
+					if _, _, _, err := diskcache.DecodeReduced(diskcache.EncodeReduced(meta, &bad, sol), h, w, k); !errors.Is(err, diskcache.ErrCorrupt) {
 						t.Fatalf("%s: %s class vector decoded with err %v, want ErrCorrupt", label, kind, err)
 					}
 					corrupt[kind]++
@@ -189,6 +193,45 @@ func TestReducedBundleRebuildsQuotient(t *testing.T) {
 		}
 	}
 	t.Logf("corrupt class vectors rejected: %v", corrupt)
+}
+
+// TestWeighBundleRoundTrip requires a weigh bundle to decode to the
+// weights, order and total reduce.Weigh computed, and a weight column
+// whose length disagrees with the HPG, or a negative weight, to decode
+// as ErrCorrupt.
+func TestWeighBundleRoundTrip(t *testing.T) {
+	meta := diskcache.Meta{Cost: 5}
+	bundles := 0
+	for name, res := range benchResults(t) {
+		for _, fname := range res.Prog.Order {
+			fr := res.Funcs[fname]
+			if !fr.Qualified() {
+				continue
+			}
+			label := name + "/" + fname
+			want := reduce.Weigh(fr.HPG, fr.HPGSol, fr.HPGProf)
+			m, got, err := diskcache.DecodeWeigh(diskcache.EncodeWeigh(meta, want), fr.HPG.G)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if m != meta || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: decoded weighing differs from the computed one", label)
+			}
+			for kind, w := range map[string][]int64{
+				"short":    want.W[1:],
+				"long":     append(slices.Clone(want.W), 1),
+				"negative": append([]int64{-1}, want.W[1:]...),
+			} {
+				if _, _, err := diskcache.DecodeWeigh(diskcache.EncodeWeigh(meta, &reduce.Weights{W: w}), fr.HPG.G); !errors.Is(err, diskcache.ErrCorrupt) {
+					t.Fatalf("%s: %s weight column decoded with err %v, want ErrCorrupt", label, kind, err)
+				}
+			}
+			bundles++
+		}
+	}
+	if bundles == 0 {
+		t.Fatal("no qualified function to weigh")
+	}
 }
 
 // nonCongruent merges two classes of red whose members duplicate the

@@ -1,9 +1,10 @@
 // Package engine is the staged pipeline engine behind pathflow's
 // qualification pipeline (Ammons & Larus, PLDI 1998):
 //
-//	select → automaton → trace → analyze → translate → reduce
+//	select → automaton → trace → analyze → translate → weigh → reduce
 //
-// plus the CA = 0 baseline analysis. Every step — and the optional
+// plus the CA = 0 baseline analysis (weigh is the CR-independent half
+// of the paper's reduction). Every step — and the optional
 // feasibility, client and check stages — runs through one generic
 // cached-stage runner (cached): it checks the context, times the
 // compute into per-stage Metrics, wraps failures in a StageError naming
@@ -20,7 +21,8 @@
 // Two reuse stories fall out of the slice keys. Parameter sweeps — the
 // harness's Figures 9/11/12 and the CR ablation — recompute only the
 // stages the swept knob can influence (the hot set, not CA, addresses
-// everything downstream of selection). And *incremental re-analysis*:
+// everything downstream of selection, and the hot prefix k, not CR,
+// addresses the reduction). And *incremental re-analysis*:
 // an edited function re-keys exactly the stages whose input slices (or
 // ancestors) the edit touched, so a warm cache replays the clean stages
 // and recomputes only the dirtied suffix. DiffFunc classifies an edit
@@ -31,6 +33,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"pathflow/internal/automaton"
 	"pathflow/internal/availexpr"
@@ -239,7 +242,16 @@ func (iv *invocation) run(hot []bl.Path) (*FuncResult, error) {
 	if res.HPGProf, err = iv.translate(hot, res.HPG); err != nil {
 		return nil, err
 	}
-	r, err := iv.reduce(hot, res.HPG, res.HPGSol, res.HPGProf, res.FeasHPG)
+	// The weigh key chains four upstream keys, and the reduce stage and
+	// the reduced-tier clients chain it in turn: compute it at most once.
+	weighKey := sync.OnceValue(func() cacheKey { return c.keyWeigh(fn, iv.train, hot, o.Feasible) })
+	w, err := iv.weigh(weighKey, res.HPG, res.HPGSol, res.HPGProf)
+	if err != nil {
+		return nil, err
+	}
+	k := reduce.HotPrefix(w, o.CR)
+	reduceKey := func() cacheKey { return keyReduce(weighKey(), k) }
+	r, err := iv.reduce(reduceKey, res.HPG, res.HPGSol, w, k, res.FeasHPG)
 	if err != nil {
 		return nil, err
 	}
@@ -254,8 +266,7 @@ func (iv *invocation) run(hot []bl.Path) (*FuncResult, error) {
 			return nil, err
 		}
 		res.LiveRed, res.AvailRed, err = iv.clientTier(r.Red.G, r.RedSol, res.AvailU, func() cacheKey {
-			return cacheKey{kind: kindClientsRed,
-				chain: c.keyReduceFeasible(fn, iv.train, hot, o.CR, o.Feasible).digest()}
+			return cacheKey{kind: kindClientsRed, chain: reduceKey().digest()}
 		})
 		if err != nil {
 			return nil, err
@@ -416,14 +427,26 @@ func (iv *invocation) translate(hot []bl.Path, h *trace.HPG) (*bl.Profile, error
 		func() (*bl.Profile, error) { return profile.Translate(train, fn.G, h) })
 }
 
-// reduce minimizes the HPG at cutoff CR and re-analyzes the quotient.
-// Pure chain key over the analyze and translate stages plus the CR
-// knob. Under Options.Feasible it projects the HPG tier's mask feas onto
-// the quotient (feasible.Project) and re-analyzes through that pruned
-// view. The projection is a cheap pass over the partition, so the disk
-// bundle does not store it: decoding re-projects from the stored
-// partition.
-func (iv *invocation) reduce(hot []bl.Path, h *trace.HPG, hsol *constprop.Result, hprof *bl.Profile, feas *feasible.Edges) (ReduceOut, error) {
+// weigh computes the CR-independent half of the reduction: the benefit
+// weight of every HPG node and their order. Pure chain key over the
+// analyze and translate stages (and the HPG mask under
+// Options.Feasible), so a CR sweep weighs each HPG once.
+func (iv *invocation) weigh(key func() cacheKey, h *trace.HPG, hsol *constprop.Result, hprof *bl.Profile) (*reduce.Weights, error) {
+	return cached(iv, StageWeigh, key,
+		&codec[*reduce.Weights]{diskcache.KindWeigh, diskcache.EncodeWeigh,
+			func(b []byte) (diskcache.Meta, *reduce.Weights, error) { return diskcache.DecodeWeigh(b, h.G) }},
+		func() (*reduce.Weights, error) { return reduce.Weigh(h, hsol, hprof), nil })
+}
+
+// reduce partitions the HPG with the first k nodes of w's order hot
+// (the prefix the cutoff CR selects) and re-analyzes the quotient. Its
+// key chains the weigh key with k as the knob, so every CR that selects
+// the same prefix shares the bundle. Under Options.Feasible it projects
+// the HPG tier's mask feas onto the quotient (feasible.Project) and
+// re-analyzes through that pruned view. The projection is a cheap pass
+// over the partition, so the disk bundle does not store it: decoding
+// re-projects from the stored partition.
+func (iv *invocation) reduce(key func() cacheKey, h *trace.HPG, hsol *constprop.Result, w *reduce.Weights, k int, feas *feasible.Edges) (ReduceOut, error) {
 	fn, o := iv.fn, iv.o
 	project := func(red *reduce.Reduced) *feasible.Edges {
 		if !o.Feasible {
@@ -431,18 +454,18 @@ func (iv *invocation) reduce(hot []bl.Path, h *trace.HPG, hsol *constprop.Result
 		}
 		return feasible.Project(red, feas)
 	}
-	return cached(iv, StageReduce, func() cacheKey { return iv.e.cache.keyReduceFeasible(fn, iv.train, hot, o.CR, o.Feasible) },
+	return cached(iv, StageReduce, key,
 		&codec[ReduceOut]{diskcache.KindReduced,
 			func(meta diskcache.Meta, r ReduceOut) []byte { return diskcache.EncodeReduced(meta, r.Red, r.RedSol) },
 			func(b []byte) (diskcache.Meta, ReduceOut, error) {
-				meta, red, sol, err := diskcache.DecodeReduced(b, h)
+				meta, red, sol, err := diskcache.DecodeReduced(b, h, w, k)
 				if err != nil {
 					return meta, ReduceOut{}, err
 				}
 				return meta, ReduceOut{Red: red, RedSol: sol, FeasRed: project(red)}, nil
 			}},
 		func() (ReduceOut, error) {
-			red, err := reduce.Reduce(h, hsol, hprof, reduce.Options{CR: o.CR})
+			red, err := reduce.Partition(h, hsol, w, k)
 			if err != nil {
 				return ReduceOut{}, err
 			}

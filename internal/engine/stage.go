@@ -19,9 +19,11 @@ type StageName string
 // The pipeline stages, in execution order. Baseline is the CA = 0
 // Wegman-Zadek analysis of the original graph; the remaining stages are
 // the paper's select → automaton → trace → analyze → translate → reduce
-// chain. Reduce includes the re-analysis of the reduced graph (the paper
-// times them together, and the reduced solution is unusable without the
-// reduced graph).
+// chain, with reduction split in two: weigh is its CR-independent half
+// (the benefit weights and their order, once per HPG), and reduce
+// partitions for the hot prefix the cutoff selects. Reduce includes the
+// re-analysis of the reduced graph (the paper times them together, and
+// the reduced solution is unusable without the reduced graph).
 const (
 	StageBaseline  StageName = "baseline"
 	StageSelect    StageName = "select"
@@ -29,11 +31,12 @@ const (
 	StageTrace     StageName = "trace"
 	StageAnalyze   StageName = "analyze"
 	StageTranslate StageName = "translate"
+	StageWeigh     StageName = "weigh"
 	StageReduce    StageName = "reduce"
 	// StageFeasible is the branch-correlation feasibility analysis
 	// (Options.Feasible), run once per graph tier that needs a fresh
-	// infeasible-edge set (CFG and HPG; the reduced tier recomputes its
-	// mask inside the reduce stage).
+	// infeasible-edge set (CFG and HPG; the reduce stage projects the
+	// HPG mask onto the reduced tier instead of detecting its own).
 	StageFeasible StageName = "feasible"
 	// StageLiveness and StageAvailExpr are the optional client analyses
 	// (Options.Clients), each run on every graph tier the pipeline
@@ -50,7 +53,7 @@ const (
 // lists, so new stages appear everywhere by construction.
 var StageOrder = []StageName{
 	StageBaseline, StageSelect, StageAutomaton, StageTrace,
-	StageAnalyze, StageTranslate, StageReduce,
+	StageAnalyze, StageTranslate, StageWeigh, StageReduce,
 	StageFeasible, StageLiveness, StageAvailExpr, StageCheck,
 }
 
@@ -58,7 +61,7 @@ var StageOrder = []StageName{
 // qualification pipeline — the stages with per-stage Merkle cache keys,
 // and the stages FuncResult.Replayed reports on. Clients and the check
 // oracle are excluded (memory-tier-only and uncached respectively).
-var PipelineStages = StageOrder[:7]
+var PipelineStages = StageOrder[:8]
 
 // StageError is the structured error every pipeline failure is wrapped
 // in: it names the owning stage and the function being analyzed, and
@@ -248,11 +251,11 @@ func (m *Metrics) DiskHits() int {
 
 // Qualification returns the summed compute cost of the stages that
 // qualification adds on top of the baseline — automaton, trace,
-// analyze, translate and reduce — the paper's Figure 12 numerator.
-// Selection is not included.
+// analyze, translate, weigh and reduce — the paper's Figure 12
+// numerator. Selection is not included.
 func (m *Metrics) Qualification() time.Duration {
 	var d time.Duration
-	for _, s := range []StageName{StageAutomaton, StageTrace, StageAnalyze, StageTranslate, StageReduce} {
+	for _, s := range []StageName{StageAutomaton, StageTrace, StageAnalyze, StageTranslate, StageWeigh, StageReduce} {
 		d += m.Duration(s)
 	}
 	return d

@@ -96,12 +96,16 @@ func TestDiskWarmMatchesColdAndMemoryWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk := 0
+	disk, weigh := 0, 0
 	for _, fr := range res.Funcs {
 		disk += fr.Metrics.DiskHits()
+		weigh += fr.Metrics.Stages[engine.StageWeigh].DiskHits
 	}
 	if disk == 0 {
 		t.Error("disk-warm analysis recorded no per-function disk hits")
+	}
+	if weigh == 0 {
+		t.Error("disk-warm analysis decoded no weigh bundle")
 	}
 }
 
@@ -129,8 +133,9 @@ func main() {
 // its reduced-tier mask and its reduced bundle's encoding (partition
 // plus solution), so two runs match only if FeasRed and RedSol are
 // byte-identical. It also returns the number of reduced-tier edges
-// marked infeasible over the sweep.
-func sweepFeasible(t *testing.T, eng *engine.Engine) (string, int) {
+// marked infeasible over the sweep and the number of weigh bundles
+// decoded from disk.
+func sweepFeasible(t *testing.T, eng *engine.Engine) (string, int, int) {
 	t.Helper()
 	prog, err := lang.Compile(feasibleSrc)
 	if err != nil {
@@ -157,7 +162,7 @@ func sweepFeasible(t *testing.T, eng *engine.Engine) (string, int) {
 		return string(b)
 	}
 	var sb strings.Builder
-	marked := 0
+	marked, weighDisk := 0, 0
 	for _, cr := range []float64{0, 0.95, 1} {
 		res, err := eng.AnalyzeProgram(ctx, prog, train, engine.Options{CA: 0.97, CR: cr, Feasible: true})
 		if err != nil {
@@ -166,6 +171,7 @@ func sweepFeasible(t *testing.T, eng *engine.Engine) (string, int) {
 		sb.WriteString(summarize(res))
 		for _, name := range prog.Order {
 			fr := res.Funcs[name]
+			weighDisk += fr.Metrics.Stages[engine.StageWeigh].DiskHits
 			if !fr.Qualified() {
 				continue
 			}
@@ -174,7 +180,7 @@ func sweepFeasible(t *testing.T, eng *engine.Engine) (string, int) {
 			marked += fr.FeasRed.Count
 		}
 	}
-	return sb.String(), marked
+	return sb.String(), marked, weighDisk
 }
 
 // TestDiskWarmFeasibleMatchesCold: with feasibility on, a disk-warm run
@@ -182,21 +188,25 @@ func sweepFeasible(t *testing.T, eng *engine.Engine) (string, int) {
 // byte. The reduced bundle stores no mask, so the decode re-projects
 // the HPG mask onto the decoded partition.
 func TestDiskWarmFeasibleMatchesCold(t *testing.T) {
-	cold, marked := sweepFeasible(t, engine.New(engine.Config{Workers: 1}))
+	cold, marked, _ := sweepFeasible(t, engine.New(engine.Config{Workers: 1}))
 	if marked == 0 {
 		t.Fatal("no reduced-tier edge is infeasible; the comparison proves nothing")
 	}
 	dir := t.TempDir()
-	if got, _ := sweepFeasible(t, mustOpen(t, dir, 1)); got != cold {
+	if got, _, _ := sweepFeasible(t, mustOpen(t, dir, 1)); got != cold {
 		t.Errorf("disk-backed cold run differs from cacheless run:\n%s\n---\n%s", got, cold)
 	}
 	reader := mustOpen(t, dir, 1)
-	if got, _ := sweepFeasible(t, reader); got != cold {
+	got, _, weighDisk := sweepFeasible(t, reader)
+	if got != cold {
 		t.Errorf("disk-warm run differs from cold run:\n%s\n---\n%s", got, cold)
 	}
 	st := reader.CacheStats().Disk
 	if st.Hits == 0 || st.Rejects != 0 {
 		t.Errorf("disk-warm run: %d hits, %d rejects; want hits and no rejects", st.Hits, st.Rejects)
+	}
+	if weighDisk == 0 {
+		t.Error("disk-warm run decoded no weigh bundle")
 	}
 }
 

@@ -28,6 +28,13 @@
 //  4. Replace each class by a representative vertex, producing the
 //     reduced hot path graph (rHPG), and carry the recording edges over
 //     (well-defined: all members project to the same original edge).
+//
+// CR enters only step 1's hot marking, and only through k, the number of
+// vertices taken from the front of the weight order. So the steps split
+// at that point: Weigh computes the weights and their order once per HPG,
+// HotPrefix turns a cutoff into k with a prefix scan, and Partition runs
+// the rest of the algorithm for a given k. Two cutoffs with the same k
+// yield the same reduced graph. Reduce chains the three.
 package reduce
 
 import (
@@ -76,94 +83,121 @@ type Reduced struct {
 }
 
 // Reduce shrinks the HPG h, whose qualified constant-propagation result is
-// sol and whose translated path profile is hpgProf.
+// sol and whose translated path profile is hpgProf: it weighs h, takes
+// the hot prefix for opt.CR and partitions.
 func Reduce(h *trace.HPG, sol *constprop.Result, hpgProf *bl.Profile, opt Options) (*Reduced, error) {
-	g := h.G
-	freq := profile.NodeFrequencies(hpgProf, g)
+	w := Weigh(h, sol, hpgProf)
+	return Partition(h, sol, w, HotPrefix(w, opt.CR))
+}
 
-	// All HPG duplicates of one original vertex share its instruction
-	// list, so each original vertex's block is prepared once.
-	blocks := make([]*constprop.Block, h.Fn.G.NumNodes())
-	maxInputs, maxInstrs := 0, 0
-	for _, nd := range g.Nodes {
-		ov := h.OrigNode[nd.ID]
-		if blocks[ov] != nil {
-			continue
-		}
-		b := constprop.NewBlock(nd.Instrs)
-		blocks[ov] = b
-		maxInputs = max(maxInputs, len(b.Inputs))
-		maxInstrs = max(maxInstrs, len(b.Instrs))
-	}
-	blockOf := func(n cfg.NodeID) *constprop.Block { return blocks[h.OrigNode[n]] }
-	// Scratch shared by every evaluation below.
-	in := make([]constprop.Value, 0, maxInputs)
-	vals := make([]constprop.Value, maxInstrs)
-	// inputsAt projects the solution at n onto its block's inputs,
-	// reading the solved rows cell by cell (unreached rows are ⊤).
-	inputsAt := func(n cfg.NodeID) []constprop.Value {
-		x := in[:0]
-		for _, r := range blockOf(n).Inputs {
-			x = append(x, sol.Value(n, r))
-		}
-		return x
-	}
-	// nonLocal evaluates b with its inputs holding x and sets in m the
-	// bits of the candidates (b.Candidates) that come out constant.
-	nonLocal := func(b *constprop.Block, x []constprop.Value, m constMask) {
-		b.Eval(x, vals)
-		clear(m)
-		for k, i := range b.Candidates {
-			if vals[i].IsConst() {
-				m.set(k)
-			}
-		}
-	}
+// Weights is the CR-independent half of step 1: every HPG node's
+// benefit weight and the nodes in descending weight order. A CR value
+// selects a prefix of Order (HotPrefix), so one Weights serves every
+// cutoff.
+type Weights struct {
+	// W is the benefit weight of each HPG node: its non-local constants
+	// times its profiled frequency.
+	W []int64
+	// Order lists the HPG nodes by descending weight, ties by node ID.
+	Order []cfg.NodeID
+	// Total is the sum of W.
+	Total int64
+}
 
-	// Step 1: weights and hot vertices. masks[n] marks n's non-local
-	// constants, one bit per candidate of its block.
-	weights := make([]int64, g.NumNodes())
-	masks := make([]constMask, g.NumNodes())
-	words := 0
-	for _, nd := range g.Nodes {
-		words += maskWords(len(blockOf(nd.ID).Candidates))
+// NewWeights wraps per-node weights w, rebuilding the weight order.
+func NewWeights(w []int64) *Weights {
+	ws := &Weights{W: w, Order: make([]cfg.NodeID, len(w))}
+	for i, x := range w {
+		ws.Order[i] = cfg.NodeID(i)
+		ws.Total += x
 	}
-	arena := make(constMask, words)
-	var total int64
-	for _, nd := range g.Nodes {
-		b := blockOf(nd.ID)
-		w := maskWords(len(b.Candidates))
-		masks[nd.ID], arena = arena[:w:w], arena[w:]
-		nonLocal(b, inputsAt(nd.ID), masks[nd.ID])
-		weights[nd.ID] = int64(masks[nd.ID].count()) * freq[nd.ID]
-		total += weights[nd.ID]
-	}
-	order := make([]cfg.NodeID, g.NumNodes())
-	for i := range order {
-		order[i] = cfg.NodeID(i)
-	}
-	slices.SortFunc(order, func(a, b cfg.NodeID) int {
-		if weights[a] != weights[b] {
-			return cmp.Compare(weights[b], weights[a])
+	slices.SortFunc(ws.Order, func(a, b cfg.NodeID) int {
+		if w[a] != w[b] {
+			return cmp.Compare(w[b], w[a])
 		}
 		return cmp.Compare(a, b)
 	})
-	hot := make([]bool, g.NumNodes())
-	var hotList []cfg.NodeID
-	goal := opt.CR * float64(total)
+	return ws
+}
+
+// Hot returns the first k nodes of the weight order (nil when k is 0),
+// the hot vertices a cutoff with HotPrefix k selects.
+func (w *Weights) Hot(k int) []cfg.NodeID {
+	if k == 0 {
+		return nil
+	}
+	return w.Order[:k:k]
+}
+
+// Weigh performs the weighing half of step 1 on the HPG h, whose
+// qualified constant-propagation result is sol and whose translated path
+// profile is hpgProf.
+func Weigh(h *trace.HPG, sol *constprop.Result, hpgProf *bl.Profile) *Weights {
+	g := h.G
+	freq := profile.NodeFrequencies(hpgProf, g)
+	bs := prepare(h, sol)
+	var m constMask
+	weights := make([]int64, g.NumNodes())
+	for _, nd := range g.Nodes {
+		b := bs.of(nd.ID)
+		w := maskWords(len(b.Candidates))
+		m = slices.Grow(m[:0], w)[:w]
+		bs.nonLocal(b, bs.inputsAt(nd.ID), m)
+		weights[nd.ID] = int64(m.count()) * freq[nd.ID]
+	}
+	return NewWeights(weights)
+}
+
+// HotPrefix returns k, the number of nodes at the front of w's order
+// that become hot at cutoff cr: nodes are taken in descending weight
+// order until a fraction cr of the total weight is covered, and a node
+// of weight zero is never hot. k is non-decreasing in cr.
+func HotPrefix(w *Weights, cr float64) int {
+	goal := cr * float64(w.Total)
 	var acc float64
-	for _, n := range order {
-		if acc >= goal || weights[n] == 0 {
+	k := 0
+	for _, n := range w.Order {
+		if acc >= goal || w.W[n] == 0 {
 			break
 		}
+		acc += float64(w.W[n])
+		k++
+	}
+	return k
+}
+
+// Partition performs steps 2-4 on h with the first k nodes of w's order
+// hot (k as HotPrefix computes it), returning the reduced graph.
+func Partition(h *trace.HPG, sol *constprop.Result, w *Weights, k int) (*Reduced, error) {
+	g := h.G
+	if len(w.W) != g.NumNodes() || k < 0 || k > len(w.Order) {
+		return nil, fmt.Errorf("reduce: %d weights and hot prefix %d for %d nodes", len(w.W), k, g.NumNodes())
+	}
+	bs := prepare(h, sol)
+	hotList := w.Hot(k)
+
+	// Step 1's hot vertices. masks[n] marks a hot n's non-local
+	// constants, one bit per candidate of its block.
+	hot := make([]bool, g.NumNodes())
+	masks := make([]constMask, g.NumNodes())
+	words := 0
+	for _, n := range hotList {
+		words += maskWords(len(bs.of(n).Candidates))
+	}
+	arena := make(constMask, words)
+	for _, n := range hotList {
+		b := bs.of(n)
+		nw := maskWords(len(b.Candidates))
 		hot[n] = true
-		hotList = append(hotList, n)
-		acc += float64(weights[n])
+		masks[n], arena = arena[:nw:nw], arena[nw:]
+		bs.nonLocal(b, bs.inputsAt(n), masks[n])
 	}
 
 	// Step 2: greedy compatibility partition, per original vertex in
-	// ascending order. A stable sort of order by original vertex groups
-	// the duplicates and keeps each group in descending weight order.
+	// ascending order. A stable sort of the weight order by original
+	// vertex groups the duplicates and keeps each group in descending
+	// weight order.
+	order := slices.Clone(w.Order)
 	slices.SortStableFunc(order, func(a, b cfg.NodeID) int {
 		return cmp.Compare(h.OrigNode[a], h.OrigNode[b])
 	})
@@ -180,21 +214,21 @@ func Reduce(h *trace.HPG, sol *constprop.Result, hpgProf *bl.Profile, opt Option
 	var (
 		sets []set
 		got  constMask
-		meet = make([]constprop.Value, maxInputs)
+		meet = make([]constprop.Value, bs.maxInputs)
 	)
 	for rest := order; len(rest) > 0; {
-		b := blockOf(rest[0])
+		b := bs.of(rest[0])
 		size := 1
 		for size < len(rest) && h.OrigNode[rest[size]] == h.OrigNode[rest[0]] {
 			size++
 		}
 		group := rest[:size]
 		rest = rest[size:]
-		nIn, w := len(b.Inputs), maskWords(len(b.Candidates))
-		got = slices.Grow(got[:0], w)[:w]
+		nIn, nw := len(b.Inputs), maskWords(len(b.Candidates))
+		got = slices.Grow(got[:0], nw)[:nw]
 		sets = sets[:0]
 		for _, n := range group {
-			x := inputsAt(n)
+			x := bs.inputsAt(n)
 			placed := false
 			for si := range sets {
 				s := &sets[si]
@@ -207,7 +241,7 @@ func Reduce(h *trace.HPG, sol *constprop.Result, hpgProf *bl.Profile, opt Option
 				}
 				m := meet[:nIn]
 				meetInto(m, s.meet, x)
-				nonLocal(b, m, got)
+				bs.nonLocal(b, m, got)
 				if !got.contains(s.hotMask) || hot[n] && !got.contains(masks[n]) {
 					continue
 				}
@@ -221,7 +255,7 @@ func Reduce(h *trace.HPG, sol *constprop.Result, hpgProf *bl.Profile, opt Option
 				break
 			}
 			if !placed {
-				s := set{id: numClasses, meet: slices.Clone(x), hasHot: hot[n], hotMask: make(constMask, w)}
+				s := set{id: numClasses, meet: slices.Clone(x), hasHot: hot[n], hotMask: make(constMask, nw)}
 				if hot[n] {
 					copy(s.hotMask, masks[n])
 				}
@@ -231,7 +265,63 @@ func Reduce(h *trace.HPG, sol *constprop.Result, hpgProf *bl.Profile, opt Option
 			}
 		}
 	}
-	return quotient(h, weights, hotList, class, numClasses)
+	return quotient(h, w.W, hotList, class, numClasses)
+}
+
+// blocks holds what steps 1 and 2 evaluate with: each original
+// vertex's prepared block and scratch shared by every evaluation.
+type blocks struct {
+	h         *trace.HPG
+	sol       *constprop.Result
+	byOrig    []*constprop.Block
+	maxInputs int
+	in, vals  []constprop.Value
+}
+
+// prepare builds the blocks of h's original vertices. All HPG
+// duplicates of one original vertex share its instruction list, so each
+// original vertex's block is prepared once.
+func prepare(h *trace.HPG, sol *constprop.Result) *blocks {
+	bs := &blocks{h: h, sol: sol, byOrig: make([]*constprop.Block, h.Fn.G.NumNodes())}
+	maxInstrs := 0
+	for _, nd := range h.G.Nodes {
+		ov := h.OrigNode[nd.ID]
+		if bs.byOrig[ov] != nil {
+			continue
+		}
+		b := constprop.NewBlock(nd.Instrs)
+		bs.byOrig[ov] = b
+		bs.maxInputs = max(bs.maxInputs, len(b.Inputs))
+		maxInstrs = max(maxInstrs, len(b.Instrs))
+	}
+	bs.in = make([]constprop.Value, 0, bs.maxInputs)
+	bs.vals = make([]constprop.Value, maxInstrs)
+	return bs
+}
+
+func (bs *blocks) of(n cfg.NodeID) *constprop.Block { return bs.byOrig[bs.h.OrigNode[n]] }
+
+// inputsAt projects the solution at n onto its block's inputs, reading
+// the solved rows cell by cell (unreached rows are ⊤). The result is
+// scratch, valid until the next call.
+func (bs *blocks) inputsAt(n cfg.NodeID) []constprop.Value {
+	x := bs.in[:0]
+	for _, r := range bs.of(n).Inputs {
+		x = append(x, bs.sol.Value(n, r))
+	}
+	return x
+}
+
+// nonLocal evaluates b with its inputs holding x and sets in m the bits
+// of the candidates (b.Candidates) that come out constant.
+func (bs *blocks) nonLocal(b *constprop.Block, x []constprop.Value, m constMask) {
+	b.Eval(x, bs.vals)
+	clear(m)
+	for k, i := range b.Candidates {
+		if bs.vals[i].IsConst() {
+			m.set(k)
+		}
+	}
 }
 
 // constMask is a bitset over the candidates of one block.

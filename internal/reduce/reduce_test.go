@@ -574,3 +574,74 @@ func TestReduceMatchesFullEnvironmentReference(t *testing.T) {
 	}
 	t.Logf("%d named and %d generated reductions compared", named, compared-named)
 }
+
+// TestPartitionSharesOneWeighing weighs every qualified HPG of the named
+// programs at CA .97 once and partitions it at each CR ∈ {0, 0.1, …, 1}:
+// the hot prefix must not shrink as CR grows, and each partition of the
+// shared weighing must equal a Reduce run from scratch at that CR, so
+// no partition disturbs the weighing the next one reads.
+func TestPartitionSharesOneWeighing(t *testing.T) {
+	ctx := context.Background()
+	eng := engine.New(engine.Config{Workers: 1})
+	compared, distinct := 0, 0
+	for _, b := range bench.All() {
+		in, err := bench.Load(b, eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := in.Analyze(ctx, engine.Options{CA: 0.97, CR: 0.95})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range res.Prog.Order {
+			fr := res.Funcs[name]
+			if fr.HPG == nil {
+				continue
+			}
+			w := Weigh(fr.HPG, fr.HPGSol, fr.HPGProf)
+			prev := -1
+			for i := 0; i <= 10; i++ {
+				cr := float64(i) / 10
+				k := HotPrefix(w, cr)
+				if k < prev {
+					t.Errorf("%s/%s: HotPrefix fell from %d to %d at CR=%.1f", b.Name, name, prev, k, cr)
+				}
+				if k != prev {
+					distinct++
+				}
+				prev = k
+				got, err := Partition(fr.HPG, fr.HPGSol, w, k)
+				if err != nil {
+					t.Fatalf("%s/%s CR=%.1f: %v", b.Name, name, cr, err)
+				}
+				want, err := Reduce(fr.HPG, fr.HPGSol, fr.HPGProf, Options{CR: cr})
+				if err != nil {
+					t.Fatalf("%s/%s CR=%.1f: %v", b.Name, name, cr, err)
+				}
+				if !reflect.DeepEqual(got, want) || got.G.String() != want.G.String() {
+					t.Errorf("%s/%s CR=%.1f: Partition(k=%d) differs from Reduce", b.Name, name, cr, k)
+				}
+				compared++
+			}
+		}
+	}
+	if compared == 0 || distinct == compared {
+		t.Fatalf("%d partitions over %d distinct prefixes; want some CR values to share a prefix", compared, distinct)
+	}
+	t.Logf("%d partitions, %d distinct hot prefixes", compared, distinct)
+}
+
+// TestPartitionRejectsBadPrefix: a hot prefix outside the weight order,
+// or weights for another graph, is an error rather than a panic.
+func TestPartitionRejectsBadPrefix(t *testing.T) {
+	_, h, sol, _, tp := buildReduced(t, 0.95)
+	w := Weigh(h, sol, tp)
+	for _, k := range []int{-1, len(w.Order) + 1} {
+		if _, err := Partition(h, sol, w, k); err == nil {
+			t.Errorf("Partition accepted hot prefix %d of %d nodes", k, len(w.Order))
+		}
+	}
+	if _, err := Partition(h, sol, NewWeights(w.W[1:]), 0); err == nil {
+		t.Error("Partition accepted a weight column shorter than the HPG")
+	}
+}
