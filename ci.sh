@@ -69,7 +69,11 @@
 #                           seeded from testdata/fuzz corpora
 #   8. kernel gate          BenchmarkAnalyzeKernels/resolve — the packed
 #                           solvers' steady-state Run() loop — must
-#                           report exactly 0 allocs/op (BENCH_kernels.json);
+#                           report exactly 0 allocs/op (BENCH_kernels.json),
+#                           and BenchmarkClampedResolve — Run() on
+#                           Detect's pre-built clamped interval solvers,
+#                           unmasked and masked — exactly 0 B/op and
+#                           0 allocs/op;
 #                           and BenchmarkReduce
 #                           must report the same allocs/op, and B/op
 #                           within 5%, for one generated function at 10
@@ -194,6 +198,15 @@ kernels=$(go test -run '^$' -bench '^BenchmarkAnalyzeKernels$' -benchmem -bencht
 echo "$kernels"
 echo "$kernels" | grep -Eq 'AnalyzeKernels/resolve.*[^0-9]0 B/op[[:space:]]+0 allocs/op' || {
     echo "kernel gate: resolve path is not allocation-free" >&2; exit 1; }
+# Detect's clamped interval solvers re-solve inside their index arenas
+# too: Run() on pre-built solvers over the named programs' graph tiers,
+# unmasked and masked, must report exactly 0 B/op and 0 allocs/op.
+clamped=$(go test -run '^$' -bench '^BenchmarkClampedResolve$' -benchmem -benchtime 20x ./internal/feasible/)
+echo "$clamped"
+for cfg in unmasked masked; do
+    echo "$clamped" | grep -Eq "ClampedResolve/$cfg-.*[^0-9]0 B/op[[:space:]]+0 allocs/op" || {
+        echo "kernel gate: clamped $cfg resolve path is not allocation-free" >&2; exit 1; }
+done
 
 # Reduction's allocations must not depend on the register count: the
 # same generated function and profile at 10 and at 1000 registers must

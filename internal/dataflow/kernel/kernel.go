@@ -406,16 +406,6 @@ func (s *Solver) Materialize(fact func(row int) dataflow.Fact) *dataflow.Solutio
 	return sol
 }
 
-// Rows returns the total arena rows NewSolver would request for a
-// domain over g (exported for domain constructors that want to size
-// side arrays, e.g. per-row token buffers).
-func Rows(g *cfg.Graph, widening bool) int {
-	if widening {
-		return g.NumNodes() + 4 + g.NumEdges()
-	}
-	return g.NumNodes() + 4
-}
-
 // String identifies the solver for debugging.
 func (s *Solver) String() string {
 	return fmt.Sprintf("kernel.Solver(%s, %d nodes)", s.dir, len(s.Reached))

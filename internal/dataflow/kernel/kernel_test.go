@@ -260,13 +260,3 @@ func TestSolverRunAllocFree(t *testing.T) {
 		t.Errorf("Solver.Run allocates %.1f objects/op, want 0", allocs)
 	}
 }
-
-func TestRows(t *testing.T) {
-	g, _ := loopBranchGraph(t)
-	if got, want := kernel.Rows(g, false), g.NumNodes()+4; got != want {
-		t.Errorf("Rows(plain) = %d, want %d", got, want)
-	}
-	if got, want := kernel.Rows(g, true), g.NumNodes()+4+g.NumEdges(); got != want {
-		t.Errorf("Rows(widening) = %d, want %d", got, want)
-	}
-}

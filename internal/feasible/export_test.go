@@ -9,6 +9,6 @@ const MaxRounds = maxRounds
 // summaries built once, as Detect builds them: each call runs the
 // must-availability fixpoint under mask and reports whether it grew.
 func Syntactic(g *cfg.Graph, numVars int) func(mask []bool) bool {
-	info := buildNodeInfo(g, numVars)
+	info, _ := buildNodeInfo(g, numVars)
 	return func(mask []bool) bool { return syntacticFixpoint(g, info, mask) }
 }

@@ -103,7 +103,7 @@ const maxRounds = 3
 // re-runs them and reads their executable edges; no fact is boxed.
 func Detect(g *cfg.Graph, numVars int) *Edges {
 	mask := make([]bool, len(g.Edges))
-	info := buildNodeInfo(g, numVars)
+	info, anyGens := buildNodeInfo(g, numVars)
 	wz := constprop.PackedSolverMasked(g, numVars, true, mask)
 	iv := intervals.ClampedSolver(g, numVars, intervals.Thresholds(g), true, mask)
 
@@ -121,7 +121,9 @@ func Detect(g *cfg.Graph, numVars int) *Edges {
 	}
 
 	fold()
-	for round := 0; round < maxRounds; round++ {
+	// With no branch asserting a predicate, the syntactic pass can
+	// prune nothing: skip it.
+	for round := 0; anyGens && round < maxRounds; round++ {
 		if !syntacticFixpoint(g, info, mask) {
 			break
 		}
@@ -287,30 +289,58 @@ const holderCap = 2
 // with operands resolved to the registers still holding their values at
 // block exit — killed incoming facts never alias them, so a surviving
 // fact and a generated fact with the same key constrain the same
-// runtime value.
-func buildNodeInfo(g *cfg.Graph, numVars int) []nodeInfo {
+// runtime value. The pass's maps are cleared and reused from node to
+// node, and every node's kill list is a window of one shared array. It
+// also reports whether any branch asserts a predicate at all: when none
+// does, the syntactic pass can prune nothing.
+func buildNodeInfo(g *cfg.Graph, numVars int) ([]nodeInfo, bool) {
 	type cmpDef struct {
 		op     ir.Op
 		ta, tb int32
 	}
 	out := make([]nodeInfo, len(g.Nodes))
+	kills := make([]int64, 0, g.NumInstrs())
+	anyGens := false
 	tok := make([]int32, numVars)
+	cmps := map[int32]cmpDef{}
+	consts := map[int32]int64{}
+	constTok := map[int64]int32{}
+	var ops []operand
+	// resolve maps a value token to operands: its literal, or the
+	// registers still holding it at block exit. The result is scratch,
+	// valid until the next call.
+	resolve := func(t int32) []operand {
+		ops = ops[:0]
+		if k, ok := consts[t]; ok {
+			return append(ops, operand{isConst: true, v: k})
+		}
+		for r := range tok {
+			if tok[r] == t {
+				ops = append(ops, operand{v: int64(r)})
+				if len(ops) == holderCap {
+					break
+				}
+			}
+		}
+		return ops
+	}
 	for _, nd := range g.Nodes {
 		ni := &out[nd.ID]
 		for i := range tok {
 			tok[i] = int32(i)
 		}
 		next := int32(numVars)
-		cmps := map[int32]cmpDef{}
-		consts := map[int32]int64{}
-		constTok := map[int64]int32{}
+		clear(cmps)
+		clear(consts)
+		clear(constTok)
 		fresh := func() int32 { t := next; next++; return t }
+		k0 := len(kills)
 		for i := range nd.Instrs {
 			in := &nd.Instrs[i]
 			if !in.HasDst() {
 				continue
 			}
-			ni.kill = append(ni.kill, int64(in.Dst))
+			kills = append(kills, int64(in.Dst))
 			switch in.Op {
 			case ir.Const:
 				t, ok := constTok[in.K]
@@ -338,29 +368,17 @@ func buildNodeInfo(g *cfg.Graph, numVars int) []nodeInfo {
 				tok[in.Dst] = fresh()
 			}
 		}
+		ni.kill = kills[k0:len(kills):len(kills)]
 		if nd.Kind != cfg.TermBranch || !nd.Cond.Valid() {
 			continue
 		}
-		// resolve maps a value token to operands: its literal, or the
-		// registers still holding it at block exit.
-		resolve := func(t int32) []operand {
-			if k, ok := consts[t]; ok {
-				return []operand{{isConst: true, v: k}}
-			}
-			var ops []operand
-			for r := range tok {
-				if tok[r] == t {
-					ops = append(ops, operand{v: int64(r)})
-					if len(ops) == holderCap {
-						break
-					}
-				}
-			}
-			return ops
-		}
 		ct := tok[nd.Cond]
 		if cd, ok := cmps[ct]; ok {
-			for _, a := range resolve(cd.ta) {
+			// resolve's scratch holds one list at a time: copy the
+			// left operands before resolving the right ones.
+			var as [holderCap]operand
+			na := copy(as[:], resolve(cd.ta))
+			for _, a := range as[:na] {
 				for _, b := range resolve(cd.tb) {
 					if key, pos, ok := canon(cd.op, a, b); ok {
 						ni.gens = append(ni.gens, genFact{key: key, pos: pos})
@@ -375,8 +393,9 @@ func buildNodeInfo(g *cfg.Graph, numVars int) []nodeInfo {
 				ni.gens = append(ni.gens, genFact{key: predKey{base: predTruthy, ak: opReg, a: o.v}, pos: true})
 			}
 		}
+		anyGens = anyGens || len(ni.gens) > 0
 	}
-	return out
+	return out, anyGens
 }
 
 func negateCmp(op ir.Op) ir.Op {

@@ -3,6 +3,9 @@ package feasible_test
 import (
 	"context"
 	"fmt"
+	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,6 +14,7 @@ import (
 	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
 	"pathflow/internal/dataflow"
+	"pathflow/internal/dataflow/kernel"
 	"pathflow/internal/dataflow/oracle"
 	"pathflow/internal/engine"
 	. "pathflow/internal/feasible"
@@ -261,6 +265,80 @@ func TestClampedSolverMatchesBoxed(t *testing.T) {
 	}
 }
 
+// TestClampedWriteSetCoversTransfer: on every graph tier, unmasked and
+// under Detect's mask, the clamped Transfer — the packed domain's slot
+// rows and the boxed ClampedProblem's out-facts alike — changes no
+// register outside the node's static write set W(n), the registers the
+// packed domain confines its work to.
+func TestClampedWriteSetCoversTransfer(t *testing.T) {
+	for _, rg := range referenceGraphs(t) {
+		thr := intervals.Thresholds(rg.g)
+		for _, mask := range [][]bool{nil, Detect(rg.g, rg.nv).Infeasible} {
+			if err := intervals.CheckClampedWriteSets(rg.g, rg.nv, thr, true, mask); err != nil {
+				t.Errorf("%s (masked=%t): %v", rg.label, mask != nil, err)
+			}
+		}
+	}
+}
+
+// saturatingSrc puts literals at both saturating ends of int64, so that
+// addSat rounds their k±1 thresholds into ±∞ and the threshold set has
+// members next to both infinities. The front end lowers a negative
+// literal to Neg of a positive one, so the literals near math.MinInt64
+// are spelled as placeholders that saturatingGraph rewrites.
+const saturatingSrc = `
+func main() {
+	x = input();
+	y = input();
+	if (x > 9223372036854775806) { print(x); }
+	z = x + 9223372036854775807;
+	if (z < 9223372036854775807) { print(z); }
+	i = 9223372036854775800;
+	while (i < 9223372036854775806) { i = i + 1; }
+	if (y < 4001) { print(y); }
+	w = y - 9223372036854775807;
+	if (w > 4001) { print(w); }
+	j = 4003;
+	while (j > 4002) { j = j - 1; }
+	print(x + y + i + j);
+}`
+
+// saturatingGraph compiles saturatingSrc and rewrites its placeholder
+// literals to the values next to math.MinInt64.
+func saturatingGraph(t *testing.T) *cfg.Func {
+	f := compile(t, saturatingSrc).Main()
+	low := map[ir.Value]ir.Value{4001: math.MinInt64 + 1, 4002: math.MinInt64, 4003: math.MinInt64 + 5}
+	for _, nd := range f.G.Nodes {
+		for i := range nd.Instrs {
+			if in := &nd.Instrs[i]; in.Op == ir.Const {
+				if k, ok := low[in.K]; ok {
+					in.K = k
+				}
+			}
+		}
+	}
+	return f
+}
+
+// TestClampedSolverMatchesBoxedAtSaturatingEnds holds the packed
+// clamped domain to the boxed ClampedProblem when the thresholds crowd
+// both ends of int64, unmasked and under Detect's mask.
+func TestClampedSolverMatchesBoxedAtSaturatingEnds(t *testing.T) {
+	f := saturatingGraph(t)
+	g, nv := f.G, f.NumVars()
+	thr := intervals.Thresholds(g)
+	for _, k := range []int64{math.MinInt64 + 1, math.MinInt64 + 2, math.MaxInt64 - 1, math.MaxInt64 - 2} {
+		if !slices.Contains(thr, k) {
+			t.Fatalf("thresholds %v lack %d", thr, k)
+		}
+	}
+	checkClampedMatchesBoxed(t, "saturating unmasked", g, nv, thr, nil)
+	checkClampedMatchesBoxed(t, "saturating masked", g, nv, thr, Detect(g, nv).Infeasible)
+	if err := intervals.CheckClampedWriteSets(g, nv, thr, true, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 // BenchmarkDetect runs Detect over the named programs' 71 graph tiers,
 // on the packed kernel and on the boxed reference fold. ci.sh gates
 // packed B/op at no more than a tenth of the reference's.
@@ -282,4 +360,37 @@ func BenchmarkDetect(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkClampedResolve re-solves pre-built intervals.ClampedSolvers
+// over the named programs' 71 graph tiers, unmasked and under Detect's
+// mask: the steady-state loop each of Detect's folds runs. ci.sh gates
+// both configurations on exactly 0 B/op and 0 allocs/op.
+func BenchmarkClampedResolve(b *testing.B) {
+	graphs := namedGraphs(b)
+	for _, masked := range []bool{false, true} {
+		name := "unmasked"
+		if masked {
+			name = "masked"
+		}
+		b.Run(name, func(b *testing.B) {
+			solvers := make([]*kernel.Solver, len(graphs))
+			for i, rg := range graphs {
+				var mask []bool
+				if masked {
+					mask = Detect(rg.g, rg.nv).Infeasible
+				}
+				solvers[i] = intervals.ClampedSolver(rg.g, rg.nv, intervals.Thresholds(rg.g), true, mask)
+				solvers[i].Run() // warm: arenas sized before the timer starts
+			}
+			runtime.GC() // collect the set-up garbage outside the timed loop
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, s := range solvers {
+					s.Run()
+				}
+			}
+		})
+	}
 }

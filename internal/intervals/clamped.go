@@ -1,6 +1,8 @@
 package intervals
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"pathflow/internal/cfg"
@@ -124,64 +126,351 @@ func (p *ClampedProblem) Transfer(g *cfg.Graph, n cfg.NodeID, in dataflow.Fact, 
 	}
 }
 
-// clampedDomain is ClampedProblem on the packed kernel: packedDomain's
-// span rows, Transfer and Meet, with every cell a Transfer changed
-// rounded outward to T. It wraps rather than embeds packedDomain so it
-// does not inherit WidenInto/Tune: a kernel.WidenDomain would make the
-// solver widen and switch to FIFO order, which ClampedProblem never
-// does.
+// clampedDomain is ClampedProblem on the packed kernel, on an arena of
+// its own: a cell is an icell, the indices of its bounds in the
+// threshold set T, 8 B per register. Node rows only ever hold
+// threshold-bounded cells — Boundary writes ±∞, every Transfer result
+// is rounded outward to T, and the hull of two thresholds is a
+// threshold — so the indices lose nothing, and since T is sorted,
+// Meet, Copy and Equal run on the indices exactly as they would on the
+// bounds. The domain does not implement kernel.WidenDomain: that would
+// make the solver widen and switch to FIFO order, which ClampedProblem
+// never does.
 //
-// Clamping only what changed is exact. Node rows only ever hold
-// threshold-bounded cells — Boundary writes ±∞, scratch rows are
-// clamped before the solver copies or meets them in, and the hull of
-// two thresholds is a threshold — and Clamp leaves a threshold bound
-// where it is, so a bound the Transfer left equal to its input bound is
-// already what ClampedProblem's whole-environment clamp would make of
-// it.
+// Transfer never rounds the whole environment. A block can only change
+// the registers of its static write set W(n) — its instructions'
+// destinations and the registers its branch plan refines — so Transfer
+// copies the input index row into each slot row it fills and rewrites
+// only W(n). The block and the refinement run unclamped on an int64
+// overlay holding W(n) and the registers the block reads, exactly as
+// Problem.Transfer runs them, and each W(n) cell is stored back rounded
+// outward to T. That is ClampedProblem's whole-environment clamp: a
+// register outside W(n) keeps its input cell, already on T, and Clamp
+// leaves a threshold bound where it is.
+//
+// The overlay also keeps each register's index pair while it is known
+// (clean): a loaded register has its input indices, a Const result its
+// literal's (precomputed), a Copy its source's. Only a register another
+// instruction or the refinement changed costs a lookup in T.
 type clampedDomain struct {
-	p *packedDomain
-	t []int64
+	g                   *cfg.Graph
+	nv                  int
+	conditional         bool
+	infeasible          []bool // optional per-EdgeID feasibility mask; masked slots stay -1
+	t                   []int64
+	fullCell, emptyCell icell   // (−∞, +∞) and the empty interval (+∞, −∞)
+	rows                []icell // the arena: row r is rows[r*nv : (r+1)*nv]
+	branchPlans                 // set for conditional domains
+
+	nodes []clampedNode // per node
+	sets  []int32       // the nodes' register lists, back to back
+	kidx  []icell       // each Const instruction's literal, rounded to T
+
+	// The overlay, indexed by register: only the registers of the node
+	// in Transfer are meaningful.
+	lo, hi []int64
+	ix     []icell       // a clean register's index pair, or dirty
+	saved  []overlayCell // the plan registers at block exit, for each leg
+}
+
+// icell is one clamped interval as the indices of its bounds in T,
+// the lower in the high half. The empty interval is (len(T)−1, 0), T's
+// (+∞, −∞): lo > hi marks it, as in the span rows, and raw cell
+// comparison is lattice equality.
+type icell uint64
+
+func mkcell(lo, hi uint32) icell { return icell(lo)<<32 | icell(hi) }
+func (c icell) lo() uint32       { return uint32(c >> 32) }
+func (c icell) hi() uint32       { return uint32(c) }
+func (c icell) empty() bool      { return c.lo() > c.hi() }
+
+// dirty marks an overlay register whose index pair is unknown.
+const dirty = ^icell(0)
+
+// clampedNode locates one node's static register lists in sets:
+// sets[w0:w1] is W(n), sets[w1:r1] the other registers its block or
+// branch reads. kidx[k0:] holds its Const instructions' index pairs.
+type clampedNode struct{ w0, w1, r1, k0 int32 }
+
+type overlayCell struct {
+	lo, hi int64
+	ix     icell
+}
+
+func newClampedDomain(g *cfg.Graph, numVars int, thresholds []int64, conditional bool, infeasible []bool) *clampedDomain {
+	top := uint32(len(thresholds) - 1)
+	d := &clampedDomain{
+		g:           g,
+		nv:          numVars,
+		conditional: conditional,
+		infeasible:  infeasible,
+		t:           thresholds,
+		fullCell:    mkcell(0, top),
+		emptyCell:   mkcell(top, 0),
+		nodes:       make([]clampedNode, len(g.Nodes)),
+		lo:          make([]int64, numVars),
+		hi:          make([]int64, numVars),
+		ix:          make([]icell, numVars),
+	}
+	if conditional {
+		d.branchPlans = buildPlans(g, numVars)
+	}
+	// Each instruction lists at most three registers, each branch its
+	// plan's and its condition.
+	d.sets = make([]int32, 0, 3*g.NumInstrs()+len(d.regs)+len(g.Nodes))
+	// listed[v] is one more than the last node that listed register v.
+	listed := make([]int32, numVars)
+	maxPlan := 0
+	for _, nd := range g.Nodes {
+		stamp := int32(nd.ID) + 1
+		add := func(v int32) {
+			if listed[v] != stamp {
+				listed[v] = stamp
+				d.sets = append(d.sets, v)
+			}
+		}
+		cn := clampedNode{w0: int32(len(d.sets)), k0: int32(len(d.kidx))}
+		for i := range nd.Instrs {
+			in := &nd.Instrs[i]
+			if !in.HasDst() {
+				continue
+			}
+			add(int32(in.Dst))
+			if in.Op == ir.Const {
+				d.kidx = append(d.kidx, mkcell(floorIndex(thresholds, in.K), ceilIndex(thresholds, in.K)))
+			}
+		}
+		branch := conditional && nd.Kind == cfg.TermBranch
+		if branch {
+			pl := d.plans[nd.ID]
+			for _, v := range d.regs[pl.cond0:pl.end] {
+				add(v)
+			}
+			maxPlan = max(maxPlan, int(pl.end-pl.cond0))
+		}
+		cn.w1 = int32(len(d.sets))
+		for i := range nd.Instrs {
+			in := &nd.Instrs[i]
+			switch {
+			case !in.HasDst():
+			case in.Op.IsUnary():
+				add(int32(in.A))
+			case in.Op.IsBinary():
+				add(int32(in.A))
+				add(int32(in.B))
+			}
+		}
+		if branch {
+			add(int32(nd.Cond))
+		}
+		cn.r1 = int32(len(d.sets))
+		d.nodes[nd.ID] = cn
+	}
+	d.saved = make([]overlayCell, maxPlan)
+	return d
 }
 
 func (d *clampedDomain) Direction() dataflow.Direction { return dataflow.Forward }
-func (d *clampedDomain) Grow(rows int)                 { d.p.Grow(rows) }
-func (d *clampedDomain) Boundary(dst int)              { d.p.Boundary(dst) }
-func (d *clampedDomain) Copy(dst, src int)             { d.p.Copy(dst, src) }
-func (d *clampedDomain) Meet(dst, src int) bool        { return d.p.Meet(dst, src) }
-func (d *clampedDomain) Equal(a, b int) bool           { return d.p.Equal(a, b) }
 
-// Transfer runs the range transfer, then clamps, in each scratch row a
-// slot points to, the cells that differ from the input row — and of
-// those only the bounds that changed (an empty input cell is (+∞, −∞),
-// both thresholds too).
-func (d *clampedDomain) Transfer(n cfg.NodeID, in, scratch int, slots []int8) {
-	d.p.Transfer(n, in, scratch, slots)
-	il, ih := d.p.spans.Row(in)
-	t := d.t
-	var done [3]bool
-	for _, sub := range slots {
-		if sub < 0 || done[sub] {
+// Grow ensures the arena holds at least rows rows.
+func (d *clampedDomain) Grow(rows int) {
+	if need := rows * d.nv; len(d.rows) < need {
+		d.rows = make([]icell, need)
+	}
+}
+
+func (d *clampedDomain) row(r int) []icell {
+	o := r * d.nv
+	return d.rows[o : o+d.nv : o+d.nv]
+}
+
+// Boundary writes the all-⊥ (full-range) environment.
+func (d *clampedDomain) Boundary(dst int) {
+	r := d.row(dst)
+	for i := range r {
+		r[i] = d.fullCell
+	}
+}
+
+func (d *clampedDomain) Copy(dst, src int) { copy(d.row(dst), d.row(src)) }
+
+func (d *clampedDomain) Equal(a, b int) bool { return slices.Equal(d.row(a), d.row(b)) }
+
+// Meet hulls src into dst pointwise: an empty src cell leaves dst as it
+// is, an empty dst cell takes src, and otherwise the bound indices
+// spread to cover both.
+func (d *clampedDomain) Meet(dst, src int) bool {
+	dr, sr := d.row(dst), d.row(src)
+	changed := false
+	for i, s := range sr {
+		c := dr[i]
+		if s == c || s.empty() {
 			continue
 		}
-		done[sub] = true
-		lo, hi := d.p.spans.Row(scratch + int(sub))
-		for v := range lo {
-			if lo[v] > hi[v] {
-				continue // empty: nothing to round
+		if !c.empty() {
+			s = mkcell(min(s.lo(), c.lo()), max(s.hi(), c.hi()))
+			if s == c {
+				continue
 			}
-			if lo[v] != il[v] {
-				lo[v] = floorThreshold(t, lo[v])
+		}
+		dr[i] = s
+		changed = true
+	}
+	return changed
+}
+
+// Transfer loads n's registers into the overlay, runs the block there,
+// and stores one slot row per executable leg: scratch row 0 for jumps,
+// returns and unconditional branches, 1 for the taken leg and 2 for the
+// fall-through leg, each refined on the overlay first. Legs the mask
+// withholds are not computed.
+func (d *clampedDomain) Transfer(n cfg.NodeID, in, scratch int, slots []int8) {
+	nd := d.g.Node(n)
+	cn := d.nodes[n]
+	src := d.row(in)
+	t, lo, hi, ix := d.t, d.lo, d.hi, d.ix
+	for _, v := range d.sets[cn.w0:cn.r1] {
+		c := src[v]
+		lo[v], hi[v], ix[v] = t[c.lo()], t[c.hi()], c
+	}
+	k := cn.k0
+	for i := range nd.Instrs {
+		ins := &nd.Instrs[i]
+		if !ins.HasDst() {
+			continue
+		}
+		v := ins.Dst
+		switch ins.Op {
+		case ir.Const:
+			lo[v], hi[v], ix[v] = ins.K, ins.K, d.kidx[k]
+			k++
+		case ir.Copy:
+			lo[v], hi[v], ix[v] = lo[ins.A], hi[ins.A], ix[ins.A]
+		default:
+			put(lo, hi, int(v), evalSpan(ins, lo, hi))
+			ix[v] = dirty
+		}
+	}
+	switch nd.Kind {
+	case cfg.TermJump, cfg.TermReturn:
+		if d.open(nd, 0) {
+			d.store(cn, src, scratch)
+			slots[0] = 0
+		}
+	case cfg.TermBranch:
+		if !d.conditional {
+			o0, o1 := d.open(nd, 0), d.open(nd, 1)
+			if o0 || o1 {
+				d.store(cn, src, scratch)
 			}
-			if hi[v] != ih[v] {
-				hi[v] = ceilThreshold(t, hi[v])
+			if o0 {
+				slots[0] = 0
 			}
+			if o1 {
+				slots[1] = 0
+			}
+			return
+		}
+		c := cell(lo, hi, int(nd.Cond))
+		if c.IsEmpty() {
+			return // no evidence yet
+		}
+		taken := (c.Hi > 0 || c.Lo < 0) && d.open(nd, 0)
+		fall := c.Contains(0) && d.open(nd, 1)
+		if !taken && !fall {
+			return
+		}
+		pl := &d.plans[n]
+		pr := d.regs[pl.cond0:pl.end]
+		sv := d.saved[:len(pr)]
+		for j, v := range pr {
+			sv[j] = overlayCell{lo[v], hi[v], ix[v]}
+		}
+		if taken {
+			d.leg(nd, pr, sv, true)
+			d.store(cn, src, scratch+1)
+			slots[0] = 1
+		}
+		if fall {
+			d.leg(nd, pr, sv, false)
+			d.store(cn, src, scratch+2)
+			slots[1] = 2
+		}
+	case cfg.TermHalt:
+	}
+}
+
+// open reports whether the mask leaves nd's slot-i edge executable.
+func (d *clampedDomain) open(nd *cfg.Node, i int) bool {
+	eid := nd.Out[i]
+	return int(eid) >= len(d.infeasible) || !d.infeasible[eid]
+}
+
+// leg resets the plan registers pr to their block-exit cells sv and
+// refines them for one branch leg, marking dirty those it changed.
+func (d *clampedDomain) leg(nd *cfg.Node, pr []int32, sv []overlayCell, taken bool) {
+	lo, hi, ix := d.lo, d.hi, d.ix
+	for j, v := range pr {
+		lo[v], hi[v], ix[v] = sv[j].lo, sv[j].hi, sv[j].ix
+	}
+	d.refine(nd, lo, hi, taken)
+	for j, v := range pr {
+		if lo[v] != sv[j].lo || hi[v] != sv[j].hi {
+			ix[v] = dirty
 		}
 	}
 }
 
-// floorThreshold returns the largest threshold ≤ k; t is sorted and
-// starts with NegInf.
-func floorThreshold(t []int64, k int64) int64 {
+// store writes row dst: the input row src with every W(n) register
+// replaced by its overlay cell rounded outward to T. A dirty cell's
+// rounding is kept in the overlay, so a second leg reuses it.
+func (d *clampedDomain) store(cn clampedNode, src []icell, dst int) {
+	out := d.row(dst)
+	copy(out, src)
+	for _, v := range d.sets[cn.w0:cn.w1] {
+		c := d.ix[v]
+		if c == dirty {
+			c = d.round(d.lo[v], d.hi[v], src[v])
+			d.ix[v] = c
+		}
+		out[v] = c
+	}
+}
+
+// round is Clamp on indices: the empty cell for lo > hi, else the
+// largest threshold ≤ lo and the smallest ≥ hi. A bound equal to its
+// counterpart in the register's input cell in keeps that index without
+// a search.
+func (d *clampedDomain) round(lo, hi int64, in icell) icell {
+	if lo > hi {
+		return d.emptyCell
+	}
+	t := d.t
+	l, h := in.lo(), in.hi()
+	if t[l] != lo {
+		l = floorIndex(t, lo)
+	}
+	if t[h] != hi {
+		h = ceilIndex(t, hi)
+	}
+	return mkcell(l, h)
+}
+
+// env boxes row r into a standard Env.
+func (d *clampedDomain) env(r int) Env {
+	row := d.row(r)
+	e := make(Env, len(row))
+	for i, c := range row {
+		if !c.empty() {
+			e[i] = Interval{Lo: d.t[c.lo()], Hi: d.t[c.hi()], present: true}
+		}
+	}
+	return e
+}
+
+// floorIndex returns the index of the largest threshold ≤ k; t is
+// sorted and starts with NegInf.
+func floorIndex(t []int64, k int64) uint32 {
 	i, j := 0, len(t)
 	for i < j {
 		h := int(uint(i+j) >> 1)
@@ -191,12 +480,12 @@ func floorThreshold(t []int64, k int64) int64 {
 			j = h
 		}
 	}
-	return t[i-1]
+	return uint32(i - 1)
 }
 
-// ceilThreshold returns the smallest threshold ≥ k; t is sorted and
-// ends with PosInf.
-func ceilThreshold(t []int64, k int64) int64 {
+// ceilIndex returns the index of the smallest threshold ≥ k; t is
+// sorted and ends with PosInf.
+func ceilIndex(t []int64, k int64) uint32 {
 	i, j := 0, len(t)
 	for i < j {
 		h := int(uint(i+j) >> 1)
@@ -206,7 +495,59 @@ func ceilThreshold(t []int64, k int64) int64 {
 			j = h
 		}
 	}
-	return t[i]
+	return uint32(i)
+}
+
+// CheckClampedWriteSets verifies the static write sets the packed
+// clamped domain confines its Transfer to. It solves the analysis over
+// g, runs both the packed Transfer and ClampedProblem's boxed Transfer
+// once more on every reached node's fact, and reports the first
+// out-fact cell that differs from the node's fact in a register outside
+// W(n). The differential tests run it on every graph tier.
+func CheckClampedWriteSets(g *cfg.Graph, numVars int, thresholds []int64, conditional bool, infeasible []bool) error {
+	d := newClampedDomain(g, numVars, thresholds, conditional, infeasible)
+	s := kernel.NewSolver(g, d)
+	s.Run()
+	boxed := &ClampedProblem{NumVars: numVars, Conditional: conditional, T: thresholds, Infeasible: infeasible}
+	scratch := g.NumNodes() // the solver's first Transfer scratch row
+	inW := make([]bool, numVars)
+	for _, nd := range g.Nodes {
+		if !s.Reached[nd.ID] {
+			continue
+		}
+		cn := d.nodes[nd.ID]
+		for _, v := range d.sets[cn.w0:cn.w1] {
+			inW[v] = true
+		}
+		in := d.env(int(nd.ID))
+		slots := make([]int8, len(nd.Out))
+		for i := range slots {
+			slots[i] = -1
+		}
+		d.Transfer(nd.ID, int(nd.ID), scratch, slots)
+		outs := make([]dataflow.Fact, len(nd.Out))
+		boxed.Transfer(g, nd.ID, in, outs)
+		for i := range nd.Out {
+			var facts []Env
+			if slots[i] >= 0 {
+				facts = append(facts, d.env(scratch+int(slots[i])))
+			}
+			if outs[i] != nil {
+				facts = append(facts, outs[i].(Env))
+			}
+			for _, out := range facts {
+				for v := range out {
+					if out[v] != in[v] && !inW[v] {
+						return fmt.Errorf("node %d slot %d: register %d changes from %v to %v outside the write set", nd.ID, i, v, in[v], out[v])
+					}
+				}
+			}
+		}
+		for _, v := range d.sets[cn.w0:cn.w1] {
+			inW[v] = false
+		}
+	}
+	return nil
 }
 
 // ClampedSolver builds a reusable packed solver for the widening-free
@@ -219,11 +560,6 @@ func ClampedSolver(g *cfg.Graph, numVars int, thresholds []int64, conditional bo
 	return kernel.NewSolver(g, newClampedDomain(g, numVars, thresholds, conditional, infeasible))
 }
 
-func newClampedDomain(g *cfg.Graph, numVars int, thresholds []int64, conditional bool, infeasible []bool) *clampedDomain {
-	p := newPackedDomain(g, &Problem{NumVars: numVars, Conditional: conditional, Infeasible: infeasible})
-	return &clampedDomain{p: p, t: thresholds}
-}
-
 // AnalyzeClamped runs the widening-free threshold-lattice range analysis
 // over g. Callers comparing solutions across graph tiers must pass the
 // same threshold set to every tier.
@@ -233,12 +569,13 @@ func AnalyzeClamped(g *cfg.Graph, numVars int, thresholds []int64, conditional b
 
 // AnalyzeClampedMasked is AnalyzeClamped with an infeasible-edge mask
 // (nil behaves like AnalyzeClamped). It solves on the packed kernel and
-// boxes the facts; the solution equals dataflow.Solve over the same
-// ClampedProblem, iteration counts included.
+// boxes the facts, mapping each cell's indices back through T; the
+// solution equals dataflow.Solve over the same ClampedProblem,
+// iteration counts included.
 func AnalyzeClampedMasked(g *cfg.Graph, numVars int, thresholds []int64, conditional bool, infeasible []bool) *Result {
 	d := newClampedDomain(g, numVars, thresholds, conditional, infeasible)
 	s := kernel.NewSolver(g, d)
 	s.Run()
-	sol := s.Materialize(func(row int) dataflow.Fact { return d.p.env(row) })
+	sol := s.Materialize(func(row int) dataflow.Fact { return d.env(row) })
 	return &Result{G: g, Sol: sol, n: numVars}
 }

@@ -20,8 +20,13 @@ type packedDomain struct {
 	conditional bool
 	infeasible  []bool // optional per-EdgeID feasibility mask; masked slots stay -1
 	spans       *kernel.Span
+	branchPlans // set for conditional domains
+}
 
-	plans []refinePlan // per node; set for branches of conditional domains
+// branchPlans holds, per branch node, the registers its comparison
+// refinement reads and clips.
+type branchPlans struct {
+	plans []refinePlan // per node; set for branch nodes
 	regs  []int32      // the plans' register lists, back to back
 }
 
@@ -52,16 +57,15 @@ func newPackedDomain(g *cfg.Graph, p *Problem) *packedDomain {
 		spans:       kernel.NewSpan(p.NumVars),
 	}
 	if p.Conditional {
-		d.buildPlans()
+		d.branchPlans = buildPlans(g, d.nv)
 	}
 	return d
 }
 
 // buildPlans runs refineBranch's block-local value numbering once per
 // branch node and records the registers each refinement touches.
-func (d *packedDomain) buildPlans() {
-	g, nv := d.g, d.nv
-	d.plans = make([]refinePlan, len(g.Nodes))
+func buildPlans(g *cfg.Graph, nv int) branchPlans {
+	d := branchPlans{plans: make([]refinePlan, len(g.Nodes))}
 	tokens := make([]int32, nv)
 	var defs []pdef // defs[tok - nv], one per non-Copy dst instr of the block
 	holders := func(tok int32) {
@@ -115,6 +119,7 @@ func (d *packedDomain) buildPlans() {
 		pl.end = int32(len(d.regs))
 		d.plans[nd.ID] = pl
 	}
+	return d
 }
 
 func (d *packedDomain) Direction() dataflow.Direction { return dataflow.Forward }
@@ -249,8 +254,9 @@ func (d *packedDomain) Transfer(n cfg.NodeID, in, scratch int, slots []int8) {
 	}
 }
 
-// refine is refineBranch over SoA cells, driven by n's plan.
-func (d *packedDomain) refine(nd *cfg.Node, lo, hi []int64, taken bool) {
+// refine is refineBranch over SoA cells, driven by n's plan. It reads
+// and writes only the plan's registers.
+func (d *branchPlans) refine(nd *cfg.Node, lo, hi []int64, taken bool) {
 	pl := &d.plans[nd.ID]
 
 	// The condition itself is 0 on the fall-through leg, non-zero on the

@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"pathflow/internal/bl"
 	"pathflow/internal/cfg"
@@ -102,6 +103,13 @@ type Weights struct {
 	Order []cfg.NodeID
 	// Total is the sum of W.
 	Total int64
+
+	// prep holds the HPG's prepared blocks, which depend only on the
+	// function's instructions: the first Partition builds them, whether
+	// these weights were computed or decoded from disk, and every later
+	// Partition of the HPG shares them.
+	prepOnce sync.Once
+	prep     *prepared
 }
 
 // NewWeights wraps per-node weights w, rebuilding the weight order.
@@ -135,7 +143,7 @@ func (w *Weights) Hot(k int) []cfg.NodeID {
 func Weigh(h *trace.HPG, sol *constprop.Result, hpgProf *bl.Profile) *Weights {
 	g := h.G
 	freq := profile.NodeFrequencies(hpgProf, g)
-	bs := prepare(h, sol)
+	bs := prepare(h).eval(h, sol)
 	var m constMask
 	weights := make([]int64, g.NumNodes())
 	for _, nd := range g.Nodes {
@@ -146,6 +154,14 @@ func Weigh(h *trace.HPG, sol *constprop.Result, hpgProf *bl.Profile) *Weights {
 		weights[nd.ID] = int64(m.count()) * freq[nd.ID]
 	}
 	return NewWeights(weights)
+}
+
+// sharedBlocks returns the prepared blocks of h, the HPG w weighs,
+// building them on first use. Concurrent Partitions of one HPG may
+// call it.
+func (w *Weights) sharedBlocks(h *trace.HPG) *prepared {
+	w.prepOnce.Do(func() { w.prep = prepare(h) })
+	return w.prep
 }
 
 // HotPrefix returns k, the number of nodes at the front of w's order
@@ -167,13 +183,14 @@ func HotPrefix(w *Weights, cr float64) int {
 }
 
 // Partition performs steps 2-4 on h with the first k nodes of w's order
-// hot (k as HotPrefix computes it), returning the reduced graph.
+// hot (k as HotPrefix computes it), returning the reduced graph. w must
+// be h's weights; Partitions for different k may run concurrently.
 func Partition(h *trace.HPG, sol *constprop.Result, w *Weights, k int) (*Reduced, error) {
 	g := h.G
 	if len(w.W) != g.NumNodes() || k < 0 || k > len(w.Order) {
 		return nil, fmt.Errorf("reduce: %d weights and hot prefix %d for %d nodes", len(w.W), k, g.NumNodes())
 	}
-	bs := prepare(h, sol)
+	bs := w.sharedBlocks(h).eval(h, sol)
 	hotList := w.Hot(k)
 
 	// Step 1's hot vertices. masks[n] marks a hot n's non-local
@@ -268,35 +285,48 @@ func Partition(h *trace.HPG, sol *constprop.Result, w *Weights, k int) (*Reduced
 	return quotient(h, w.W, hotList, class, numClasses)
 }
 
-// blocks holds what steps 1 and 2 evaluate with: each original
-// vertex's prepared block and scratch shared by every evaluation.
-type blocks struct {
-	h         *trace.HPG
-	sol       *constprop.Result
-	byOrig    []*constprop.Block
-	maxInputs int
-	in, vals  []constprop.Value
+// prepared holds the immutable half of what steps 1 and 2 evaluate
+// with: each original vertex's block. It is shared across goroutines.
+type prepared struct {
+	byOrig               []*constprop.Block
+	maxInputs, maxInstrs int
 }
 
 // prepare builds the blocks of h's original vertices. All HPG
 // duplicates of one original vertex share its instruction list, so each
 // original vertex's block is prepared once.
-func prepare(h *trace.HPG, sol *constprop.Result) *blocks {
-	bs := &blocks{h: h, sol: sol, byOrig: make([]*constprop.Block, h.Fn.G.NumNodes())}
-	maxInstrs := 0
+func prepare(h *trace.HPG) *prepared {
+	p := &prepared{byOrig: make([]*constprop.Block, h.Fn.G.NumNodes())}
 	for _, nd := range h.G.Nodes {
 		ov := h.OrigNode[nd.ID]
-		if bs.byOrig[ov] != nil {
+		if p.byOrig[ov] != nil {
 			continue
 		}
 		b := constprop.NewBlock(nd.Instrs)
-		bs.byOrig[ov] = b
-		bs.maxInputs = max(bs.maxInputs, len(b.Inputs))
-		maxInstrs = max(maxInstrs, len(b.Instrs))
+		p.byOrig[ov] = b
+		p.maxInputs = max(p.maxInputs, len(b.Inputs))
+		p.maxInstrs = max(p.maxInstrs, len(b.Instrs))
 	}
-	bs.in = make([]constprop.Value, 0, bs.maxInputs)
-	bs.vals = make([]constprop.Value, maxInstrs)
-	return bs
+	return p
+}
+
+// blocks is one evaluation over h's prepared blocks under the solution
+// sol, with scratch of its own.
+type blocks struct {
+	*prepared
+	h        *trace.HPG
+	sol      *constprop.Result
+	in, vals []constprop.Value
+}
+
+func (p *prepared) eval(h *trace.HPG, sol *constprop.Result) *blocks {
+	return &blocks{
+		prepared: p,
+		h:        h,
+		sol:      sol,
+		in:       make([]constprop.Value, 0, p.maxInputs),
+		vals:     make([]constprop.Value, p.maxInstrs),
+	}
 }
 
 func (bs *blocks) of(n cfg.NodeID) *constprop.Block { return bs.byOrig[bs.h.OrigNode[n]] }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"pathflow/internal/automaton"
@@ -643,5 +644,61 @@ func TestPartitionRejectsBadPrefix(t *testing.T) {
 	}
 	if _, err := Partition(h, sol, NewWeights(w.W[1:]), 0); err == nil {
 		t.Error("Partition accepted a weight column shorter than the HPG")
+	}
+}
+
+// TestConcurrentPartitionsShareDecodedBlocks partitions each qualified
+// HPG of the named programs at every CR's hot prefix concurrently, from
+// a Weights rebuilt by NewWeights as a disk decode rebuilds it, so the
+// Partitions race to build the prepared blocks they share. Every result
+// must equal the serial Partition of the original weighing.
+func TestConcurrentPartitionsShareDecodedBlocks(t *testing.T) {
+	ctx := context.Background()
+	eng := engine.New(engine.Config{Workers: 1})
+	compared := 0
+	for _, b := range bench.All() {
+		in, err := bench.Load(b, eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := in.Analyze(ctx, engine.Options{CA: 0.97, CR: 0.95})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range res.Prog.Order {
+			fr := res.Funcs[name]
+			if fr.HPG == nil {
+				continue
+			}
+			w := Weigh(fr.HPG, fr.HPGSol, fr.HPGProf)
+			decoded := NewWeights(w.W)
+			got := make([]*Reduced, 11)
+			errs := make([]error, len(got))
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					got[i], errs[i] = Partition(fr.HPG, fr.HPGSol, decoded, HotPrefix(decoded, float64(i)/10))
+				}(i)
+			}
+			wg.Wait()
+			for i, red := range got {
+				if errs[i] != nil {
+					t.Fatalf("%s/%s CR=%.1f: %v", b.Name, name, float64(i)/10, errs[i])
+				}
+				want, err := Partition(fr.HPG, fr.HPGSol, w, HotPrefix(w, float64(i)/10))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(red, want) {
+					t.Errorf("%s/%s CR=%.1f: concurrent Partition of decoded weights differs", b.Name, name, float64(i)/10)
+				}
+				compared++
+			}
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no qualified function")
 	}
 }
