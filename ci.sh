@@ -111,6 +111,8 @@
 #                           daemon on the same -cachedir and assert the
 #                           repeat request warm-starts from disk
 #                           (pathflow_diskcache_hits_total in /metrics)
+#                           with result bytes equal to the first
+#                           daemon's
 #  12. streaming smoke      streamed profile ingestion end-to-end: warm
 #                           a daemon, POST a hot-set-flipping counter
 #                           batch to /v1/profiles, require the ingest
@@ -304,6 +306,15 @@ grep -Eq '^eval +none ' "$tmpdir/incr.txt" || {
 
 echo "== serve smoke"
 
+# job_result <job json> <outfile>: follow a finished job to its
+# deterministic result payload.
+job_result() {
+    jid=$(sed -n 's/.*"\(job_\)\{0,1\}id": "\([^"]*\)".*/\2/p' "$1" | head -n 1)
+    [ -n "$jid" ] || { echo "smoke: no job id in $1" >&2; cat "$1" >&2; exit 1; }
+    curl -fsS "http://$addr/v1/jobs/$jid/result" >"$2" || {
+        echo "smoke: fetching result of $jid failed" >&2; exit 1; }
+}
+
 # start_serve <logfile> [flags...]: launch the daemon on an ephemeral
 # port with the given extra flags and set $serve_pid/$addr once it is
 # listening.
@@ -359,11 +370,15 @@ curl -fsS -X POST "http://$addr/v1/analyze?wait=1" \
 grep -q '"profile_cached": true' "$tmpdir/repeat.json" || {
     echo "serve smoke: repeat request missed the shared cache" >&2
     cat "$tmpdir/repeat.json" >&2; exit 1; }
+job_result "$tmpdir/job.json" "$tmpdir/job_result.json"
 stop_serve "$tmpdir/serve.log"
 
 # Restart the daemon on the same -cachedir: the repeat request must
 # warm-start from the persistent tier, visible both in the job metrics
-# (stage_disk_hits) and the Prometheus disk-hit counter.
+# (stage_disk_hits) and the Prometheus disk-hit counter, and its result
+# must equal the first daemon's byte for byte: the HPG is rebuilt, not
+# read, so this checks that the decoded bundles attach to the rebuilt
+# graph and give the same facts.
 start_serve "$tmpdir/serve2.log" -cachedir "$tmpdir/cache"
 curl -fsS -X POST "http://$addr/v1/analyze?wait=1" \
     -H 'Content-Type: application/json' \
@@ -380,16 +395,11 @@ if [ -z "$hits" ] || [ "$hits" -eq 0 ]; then
     echo "serve smoke: pathflow_diskcache_hits_total is ${hits:-missing} after restart" >&2
     exit 1
 fi
+job_result "$tmpdir/job2.json" "$tmpdir/job2_result.json"
+cmp -s "$tmpdir/job_result.json" "$tmpdir/job2_result.json" || {
+    echo "serve smoke: restarted daemon's result differs from the first daemon's" >&2
+    diff "$tmpdir/job_result.json" "$tmpdir/job2_result.json" >&2 || true; exit 1; }
 stop_serve "$tmpdir/serve2.log"
-
-# job_result <job json> <outfile>: follow a finished job to its
-# deterministic result payload.
-job_result() {
-    jid=$(sed -n 's/.*"\(job_\)\{0,1\}id": "\([^"]*\)".*/\2/p' "$1" | head -n 1)
-    [ -n "$jid" ] || { echo "smoke: no job id in $1" >&2; cat "$1" >&2; exit 1; }
-    curl -fsS "http://$addr/v1/jobs/$jid/result" >"$2" || {
-        echo "smoke: fetching result of $jid failed" >&2; exit 1; }
-}
 
 echo "== streaming smoke"
 # Streaming ingestion end to end: warm a daemon's cache with a plain

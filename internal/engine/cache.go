@@ -377,7 +377,10 @@ func approxSize(v any) int64 {
 		// nominal per-bundle share rather than its full footprint.
 		return 32 + sizeBitsetSolution(x.Sol) + int64(x.U.Size())*8
 	case *reduce.Weights:
-		return 48 + int64(len(x.W))*8 + int64(len(x.Order))*4
+		// A computed weighing carries the HPG's prepared blocks. A
+		// decoded one gets them at its first Partition, after it is
+		// charged here, so its blocks go uncounted.
+		return 48 + int64(len(x.W))*8 + int64(len(x.Order))*4 + x.PreparedBytes()
 	case ReduceOut:
 		// Red.Hot and Red.Weights share the weigh bundle's arrays.
 		n := sizeGraph(x.Red.G) + sizeSolution(x.RedSol)

@@ -10,7 +10,6 @@ import (
 	"pathflow/internal/constprop"
 	"pathflow/internal/dataflow"
 	"pathflow/internal/dataflow/kernel"
-	"pathflow/internal/ir"
 	"pathflow/internal/reduce"
 	"pathflow/internal/trace"
 )
@@ -78,8 +77,10 @@ func decodeHot(d *dec, g *cfg.Graph) []bl.Path {
 // --- Data-flow solutions --------------------------------------------------
 
 // encodeSolution writes a constant-propagation solution as columns,
-// without its graph (the graph is either caller-owned — the baseline
-// runs on the original function — or rebuilt by the bundle's decoder):
+// without its graph, which the decoder is handed: the original
+// function's graph for the baseline, the HPG trace.Build rebuilds for
+// the analyze bundle, or the quotient the reduced bundle's decoder
+// reassembles from its partition:
 //
 //	nodes, edges, width  uvarints: the shape the decoder checks
 //	reached              one bit per node
@@ -157,101 +158,6 @@ func decodeSolution(d *dec, g *cfg.Graph, numVars int) *constprop.Result {
 		return nil
 	}
 	return r
-}
-
-// --- Graphs ---------------------------------------------------------------
-
-// encodeGraph writes a full cfg.Graph: nodes with instructions and
-// terminators, then edges in ID order. Replaying the edge list through
-// AddEdge reproduces identical Out/In lists and successor slots, because
-// slot order within a node follows global edge-ID order for every graph
-// the pipeline builds.
-func encodeGraph(e *enc, g *cfg.Graph) {
-	e.str(g.Name)
-	e.int(int(g.Entry))
-	e.int(int(g.Exit))
-	e.u64(uint64(len(g.Nodes)))
-	for _, nd := range g.Nodes {
-		e.str(nd.Name)
-		e.byte(byte(nd.Kind))
-		e.i64(int64(nd.Cond))
-		e.i64(int64(nd.Ret))
-		e.u64(uint64(len(nd.Instrs)))
-		for i := range nd.Instrs {
-			in := &nd.Instrs[i]
-			e.byte(byte(in.Op))
-			e.i64(int64(in.Dst))
-			e.i64(int64(in.A))
-			e.i64(int64(in.B))
-			e.i64(in.K)
-			e.str(in.Callee)
-			e.u64(uint64(len(in.Args)))
-			for _, a := range in.Args {
-				e.i64(int64(a))
-			}
-		}
-	}
-	e.u64(uint64(len(g.Edges)))
-	for _, ed := range g.Edges {
-		e.int(int(ed.From))
-		e.int(int(ed.To))
-	}
-}
-
-// decodeGraph reads a graph and validates its structural invariants
-// against numVars (terminator arity, slot consistency, register ranges).
-func decodeGraph(d *dec, numVars int) *cfg.Graph {
-	g := &cfg.Graph{Name: d.str()}
-	entry, exit := d.int(), d.int()
-	nNodes := d.sliceLen()
-	for i := 0; i < nNodes; i++ {
-		id := g.AddNode(d.str())
-		nd := g.Node(id)
-		nd.Kind = cfg.TermKind(d.byte())
-		nd.Cond = ir.Var(d.i64())
-		nd.Ret = ir.Var(d.i64())
-		nInstrs := d.sliceLen()
-		if d.err != nil {
-			return nil
-		}
-		nd.Instrs = make([]ir.Instr, nInstrs)
-		for j := 0; j < nInstrs; j++ {
-			in := &nd.Instrs[j]
-			in.Op = ir.Op(d.byte())
-			in.Dst = ir.Var(d.i64())
-			in.A = ir.Var(d.i64())
-			in.B = ir.Var(d.i64())
-			in.K = d.i64()
-			in.Callee = d.str()
-			nArgs := d.sliceLen()
-			if d.err != nil {
-				return nil
-			}
-			in.Args = make([]ir.Var, nArgs)
-			for k := 0; k < nArgs; k++ {
-				in.Args[k] = ir.Var(d.i64())
-			}
-		}
-	}
-	nEdges := d.sliceLen()
-	for i := 0; i < nEdges; i++ {
-		from, to := d.int(), d.int()
-		if d.err != nil || from < 0 || from >= nNodes || to < 0 || to >= nNodes {
-			d.fail()
-			return nil
-		}
-		g.AddEdge(cfg.NodeID(from), cfg.NodeID(to))
-	}
-	if d.err != nil || entry < 0 || entry >= nNodes || exit < 0 || exit >= nNodes {
-		d.fail()
-		return nil
-	}
-	g.Entry, g.Exit = cfg.NodeID(entry), cfg.NodeID(exit)
-	if err := g.Validate(numVars); err != nil {
-		d.fail()
-		return nil
-	}
-	return g
 }
 
 // --- Profiles -------------------------------------------------------------
@@ -397,16 +303,16 @@ func DecodeBaseline(data []byte, g *cfg.Graph, numVars int) (Meta, *constprop.Re
 }
 
 // EncodeAnalyze frames the HPG analysis bundle: the Wegman-Zadek
-// solution on the traced graph, without the graph itself (the trace
-// bundle owns the graph; the decoder re-attaches).
+// solution on the traced graph, without the graph itself (the HPG is
+// not persisted; the decoder re-attaches the solution to a rebuilt one).
 func EncodeAnalyze(meta Meta, sol *constprop.Result) []byte {
 	return encodeBundle(KindAnalyze, meta, func(e *enc) { encodeSolution(e, sol) })
 }
 
 // DecodeAnalyze decodes an analyze bundle against the live HPG graph it
-// was computed on (revived from the trace bundle or freshly traced —
-// the Merkle chain guarantees the shapes agree, and the decoder
-// re-validates them).
+// was computed on. trace.Build is deterministic, so a rebuilt HPG has
+// the node and edge IDs the solution was solved on; the Merkle chain
+// guarantees the shapes agree, and the decoder re-validates them.
 func DecodeAnalyze(data []byte, g *cfg.Graph, numVars int) (Meta, *constprop.Result, error) {
 	return decodeBundle(KindAnalyze, data, func(d *dec) *constprop.Result { return decodeSolution(d, g, numVars) })
 }
@@ -421,56 +327,6 @@ func EncodeAutomatonBundle(meta Meta, a *automaton.Automaton) []byte {
 // bundle was keyed by).
 func DecodeAutomatonBundle(data []byte, R map[cfg.EdgeID]bool) (Meta, *automaton.Automaton, error) {
 	return decodeBundle(KindAutomaton, data, func(d *dec) *automaton.Automaton { return decodeAutomaton(d, R) })
-}
-
-// EncodeTrace frames a traced-HPG bundle: the traced graph plus its
-// per-node and per-edge maps back to the original function. The
-// automaton is not re-encoded — the trace key chains the automaton key,
-// so the decoder receives the same automaton the graph was traced with.
-func EncodeTrace(meta Meta, h *trace.HPG) []byte {
-	return encodeBundle(KindTrace, meta, func(e *enc) {
-		encodeGraph(e, h.G)
-		for _, v := range h.OrigNode {
-			e.i64(int64(v))
-		}
-		for _, q := range h.State {
-			e.i64(int64(q))
-		}
-		for _, eid := range h.OrigEdge {
-			e.i64(int64(eid))
-		}
-	})
-}
-
-// DecodeTrace decodes a trace bundle for fn, reassembling the HPG
-// around the supplied automaton with full revalidation.
-func DecodeTrace(data []byte, fn *cfg.Func, a *automaton.Automaton) (Meta, *trace.HPG, error) {
-	return decodeBundle(KindTrace, data, func(d *dec) *trace.HPG {
-		g := decodeGraph(d, fn.NumVars())
-		if d.err != nil {
-			return nil
-		}
-		origNode := make([]cfg.NodeID, g.NumNodes())
-		for i := range origNode {
-			origNode[i] = cfg.NodeID(d.i64())
-		}
-		state := make([]automaton.State, g.NumNodes())
-		for i := range state {
-			state[i] = automaton.State(d.i64())
-		}
-		origEdge := make([]cfg.EdgeID, g.NumEdges())
-		for i := range origEdge {
-			origEdge[i] = cfg.EdgeID(d.i64())
-		}
-		if d.err != nil {
-			return nil
-		}
-		h, err := trace.Assemble(fn, a, g, origNode, state, origEdge)
-		if err != nil {
-			d.fail()
-		}
-		return h
-	})
 }
 
 // EncodeTranslate frames a translated-profile bundle (the training

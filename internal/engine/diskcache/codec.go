@@ -16,12 +16,14 @@
 //     bounds stay on every read, and FuzzDiskcacheCodec feeds them
 //     arbitrary bytes.
 //   - artifacts.go: encoders/decoders for the per-stage bundles the
-//     engine caches (hot sets, automata, HPG graphs, constant-propagation
+//     engine persists (hot sets, automata, constant-propagation
 //     solutions written as columns of their packed rows, translated
-//     profiles, reduction weights, and reductions stored as their
-//     partition and rebuilt by reduce.Assemble), each carrying the per-stage compute costs of the
-//     run that produced it so cache hits still report meaningful
-//     durations.
+//     profiles, reduction weights, reductions stored as their partition
+//     and rebuilt by reduce.Assemble, and feasibility masks), each
+//     carrying the compute cost of the run that produced it so cache
+//     hits still report meaningful durations. No bundle stores a graph:
+//     the HPG is cheaper to rebuild with trace.Build than to decode, so
+//     every HPG-tier bundle re-attaches to a rebuilt one.
 //   - store.go:     the on-disk store itself — one file per bundle,
 //     atomic O_EXCL-temp + rename writes, a size-bounded LRU with
 //     recovery of pre-existing entries at open, and hit/miss/evict/
@@ -36,7 +38,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"math"
 )
 
 // ErrCorrupt marks a payload that failed structural validation:
@@ -65,8 +66,12 @@ const (
 	// mask detected on the quotient itself. Version 7 adds the weigh
 	// bundle (one weight column per HPG) and drops the hot-vertex and
 	// weight columns from the reduced bundle, which is now keyed by the
-	// weighing and the hot prefix instead of CR.
-	FormatVersion = 7
+	// weighing and the hot prefix instead of CR. Version 8 drops the
+	// trace bundle and renumbers the kinds after it: the HPG is rebuilt
+	// by trace.Build, which takes less time than decoding it did, so a
+	// v7 directory's trace files are orphans that Open deletes along
+	// with every other v7 file.
+	FormatVersion = 8
 
 	headerLen   = 6 // magic(4) + version(1) + kind(1)
 	checksumLen = 4
@@ -83,14 +88,16 @@ var magic = [4]byte{'P', 'F', 'A', 'C'}
 type Kind uint8
 
 // The bundle kinds, mirroring the engine's per-stage cache keys. Since
-// format version 2 every qualification stage persists its own bundle
-// (the old monolithic "qualified" bundle is gone), so an incremental
-// re-analysis can replay exactly the stages an edit left clean.
+// format version 2 every persisted qualification stage has its own
+// bundle (the old monolithic "qualified" bundle is gone), so an
+// incremental re-analysis can replay exactly the stages an edit left
+// clean. A stage persists only if reading its bundle costs less than
+// recomputing it: the trace stage (the HPG) and the client analyses
+// have no kind and live in the engine's memory tier alone.
 const (
 	KindBaseline Kind = iota + 1
 	KindSelect
 	KindAutomaton
-	KindTrace
 	KindAnalyze
 	KindTranslate
 	KindReduced
@@ -107,8 +114,6 @@ func (k Kind) String() string {
 		return "select"
 	case KindAutomaton:
 		return "automaton"
-	case KindTrace:
-		return "trace"
 	case KindAnalyze:
 		return "analyze"
 	case KindTranslate:
@@ -167,11 +172,10 @@ func KindFromString(s string) Kind {
 // enc accumulates the varint-encoded payload.
 type enc struct{ b []byte }
 
-func (e *enc) u64(v uint64)  { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) i64(v int64)   { e.b = binary.AppendVarint(e.b, v) }
-func (e *enc) int(v int)     { e.i64(int64(v)) }
-func (e *enc) byte(v byte)   { e.b = append(e.b, v) }
-func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
+func (e *enc) u64(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+func (e *enc) i64(v int64)  { e.b = binary.AppendVarint(e.b, v) }
+func (e *enc) int(v int)    { e.i64(int64(v)) }
+func (e *enc) byte(v byte)  { e.b = append(e.b, v) }
 
 func (e *enc) bool(v bool) {
 	if v {
@@ -258,8 +262,6 @@ func (d *dec) byte() byte {
 }
 
 func (d *dec) bool() bool { return d.byte() != 0 }
-
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
 
 func (d *dec) str() string { return string(d.raw(int(d.u64()))) }
 

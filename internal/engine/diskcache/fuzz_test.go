@@ -9,6 +9,7 @@ import (
 	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
 	"pathflow/internal/engine/diskcache"
+	"pathflow/internal/feasible"
 	"pathflow/internal/paperex"
 	"pathflow/internal/profile"
 	"pathflow/internal/reduce"
@@ -30,6 +31,7 @@ type codecFixture struct {
 	k     int
 	red   *reduce.Reduced
 	rsol  *constprop.Result
+	feas  []bool // the HPG tier's infeasible-edge mask
 }
 
 func buildCodecFixture(f *testing.F) *codecFixture {
@@ -62,6 +64,7 @@ func buildCodecFixture(f *testing.F) *codecFixture {
 	return &codecFixture{
 		fn: fn, pr: pr, hot: hot, auto: auto, hpg: hpg,
 		base: base, hsol: hsol, hprof: hprof, w: w, k: k, red: red, rsol: rsol,
+		feas: feasible.Detect(hpg.G, fn.NumVars()).Infeasible,
 	}
 }
 
@@ -86,10 +89,10 @@ func FuzzDiskcacheCodec(f *testing.F) {
 	f.Add(diskcache.EncodeBaseline(meta, fx.base))
 	f.Add(diskcache.EncodeAnalyze(meta, fx.hsol))
 	f.Add(diskcache.EncodeAutomatonBundle(meta, fx.auto))
-	f.Add(diskcache.EncodeTrace(meta, fx.hpg))
 	f.Add(diskcache.EncodeTranslate(meta, fx.hprof))
 	f.Add(diskcache.EncodeWeigh(meta, fx.w))
 	f.Add(diskcache.EncodeReduced(meta, fx.red, fx.rsol))
+	f.Add(diskcache.EncodeFeasible(meta, fx.feas))
 	f.Add([]byte{})
 	f.Add([]byte("PFAC\x02"))
 
@@ -134,16 +137,6 @@ func FuzzDiskcacheCodec(f *testing.F) {
 				t.Fatal("automaton: round-trip is not canonical")
 			}
 		}
-		if m, h, err := diskcache.DecodeTrace(data, fx.fn, fx.auto); err == nil {
-			enc1 := diskcache.EncodeTrace(m, h)
-			m2, h2, err2 := diskcache.DecodeTrace(enc1, fx.fn, fx.auto)
-			if err2 != nil {
-				t.Fatalf("trace: re-decode of accepted artifact failed: %v", err2)
-			}
-			if enc2 := diskcache.EncodeTrace(m2, h2); !bytes.Equal(enc1, enc2) {
-				t.Fatal("trace: round-trip is not canonical")
-			}
-		}
 		if m, prof, err := diskcache.DecodeTranslate(data, fx.hpg.G); err == nil {
 			enc1 := diskcache.EncodeTranslate(m, prof)
 			m2, prof2, err2 := diskcache.DecodeTranslate(enc1, fx.hpg.G)
@@ -172,6 +165,16 @@ func FuzzDiskcacheCodec(f *testing.F) {
 			}
 			if enc2 := diskcache.EncodeReduced(m2, red2, sol2); !bytes.Equal(enc1, enc2) {
 				t.Fatal("reduced: round-trip is not canonical")
+			}
+		}
+		if m, mask, err := diskcache.DecodeFeasible(data, fx.hpg.G); err == nil {
+			enc1 := diskcache.EncodeFeasible(m, mask)
+			m2, mask2, err2 := diskcache.DecodeFeasible(enc1, fx.hpg.G)
+			if err2 != nil {
+				t.Fatalf("feasible: re-decode of accepted artifact failed: %v", err2)
+			}
+			if enc2 := diskcache.EncodeFeasible(m2, mask2); !bytes.Equal(enc1, enc2) {
+				t.Fatal("feasible: round-trip is not canonical")
 			}
 		}
 	})

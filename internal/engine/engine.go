@@ -296,9 +296,9 @@ func (iv *invocation) finalize(res *FuncResult) (*FuncResult, error) {
 // clientTier runs the requested client analyses on one graph tier,
 // guided by the tier's constant-propagation solution. Each client is
 // its own memory-tier bundle under the tier's key, with the client's
-// bit in knob2: clients are cheap to recompute relative to their
-// encoded size, and the disk tier's value is in the expensive
-// qualification artifacts they derive from.
+// bit in knob2. Like the trace stage, clients have no disk codec: the
+// disk tier keeps only what is cheaper to read than to recompute, and
+// clients are cheap to recompute relative to their encoded size.
 func (iv *invocation) clientTier(g *cfg.Graph, guide *constprop.Result, u *availexpr.Universe, key func() cacheKey) (live *liveness.Result, avail *availexpr.Result, err error) {
 	keyFor := func(c ClientSet) func() cacheKey {
 		return func() cacheKey {
@@ -390,13 +390,14 @@ func (iv *invocation) automaton(hot []bl.Path) (*automaton.Automaton, error) {
 
 // trace applies Holley-Rosen data-flow tracing, producing the HPG. Its
 // slice includes block bodies (the HPG copies them into its nodes), so
-// a body edit recomputes it; the decode attaches the stored graph
-// structure to the live function and automaton via trace.Assemble.
+// a body edit recomputes it. The stage is memory-only: trace.Build is
+// deterministic and takes less time than decoding a stored graph did,
+// so after a restart the HPG is rebuilt from the (decoded) automaton
+// with the node and edge IDs the persisted analyze, translate, weigh
+// and reduce bundles were written against.
 func (iv *invocation) trace(hot []bl.Path, a *automaton.Automaton) (*trace.HPG, error) {
 	fn := iv.fn
-	return cached(iv, StageTrace, func() cacheKey { return iv.e.cache.keyTrace(fn, iv.train, hot) },
-		&codec[*trace.HPG]{diskcache.KindTrace, diskcache.EncodeTrace,
-			func(b []byte) (diskcache.Meta, *trace.HPG, error) { return diskcache.DecodeTrace(b, fn, a) }},
+	return cached(iv, StageTrace, func() cacheKey { return iv.e.cache.keyTrace(fn, iv.train, hot) }, nil,
 		func() (*trace.HPG, error) { return trace.Build(fn, a) })
 }
 

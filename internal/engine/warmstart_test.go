@@ -97,15 +97,28 @@ func TestDiskWarmMatchesColdAndMemoryWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	disk, weigh := 0, 0
+	stageDisk := map[engine.StageName]int{}
 	for _, fr := range res.Funcs {
 		disk += fr.Metrics.DiskHits()
 		weigh += fr.Metrics.Stages[engine.StageWeigh].DiskHits
+		for s, sm := range fr.Metrics.Stages {
+			stageDisk[s] += sm.DiskHits
+		}
 	}
 	if disk == 0 {
 		t.Error("disk-warm analysis recorded no per-function disk hits")
 	}
 	if weigh == 0 {
 		t.Error("disk-warm analysis decoded no weigh bundle")
+	}
+	// The HPG is rebuilt, never read; the bundles attached to it are read.
+	if stageDisk[engine.StageTrace] != 0 {
+		t.Errorf("disk-warm analysis read %d traces from disk", stageDisk[engine.StageTrace])
+	}
+	for _, s := range []engine.StageName{engine.StageAnalyze, engine.StageTranslate, engine.StageWeigh, engine.StageReduce} {
+		if stageDisk[s] == 0 {
+			t.Errorf("disk-warm analysis decoded no %s bundle", s)
+		}
 	}
 }
 

@@ -105,11 +105,16 @@ type Weights struct {
 	Total int64
 
 	// prep holds the HPG's prepared blocks, which depend only on the
-	// function's instructions: the first Partition builds them, whether
-	// these weights were computed or decoded from disk, and every later
-	// Partition of the HPG shares them.
+	// function's instructions. Weigh attaches the blocks it evaluated
+	// with; weights built by NewWeights (a weighing decoded from disk)
+	// get them from their first Partition. Every later Partition of the
+	// HPG shares them.
 	prepOnce sync.Once
 	prep     *prepared
+	// prepBytes estimates the resident bytes of the blocks Weigh
+	// attached, and is zero for NewWeights. It is fixed before the
+	// weights are returned, so it may be read while Partitions run.
+	prepBytes int64
 }
 
 // NewWeights wraps per-node weights w, rebuilding the weight order.
@@ -143,7 +148,8 @@ func (w *Weights) Hot(k int) []cfg.NodeID {
 func Weigh(h *trace.HPG, sol *constprop.Result, hpgProf *bl.Profile) *Weights {
 	g := h.G
 	freq := profile.NodeFrequencies(hpgProf, g)
-	bs := prepare(h).eval(h, sol)
+	p := prepare(h)
+	bs := p.eval(h, sol)
 	var m constMask
 	weights := make([]int64, g.NumNodes())
 	for _, nd := range g.Nodes {
@@ -153,8 +159,16 @@ func Weigh(h *trace.HPG, sol *constprop.Result, hpgProf *bl.Profile) *Weights {
 		bs.nonLocal(b, bs.inputsAt(nd.ID), m)
 		weights[nd.ID] = int64(m.count()) * freq[nd.ID]
 	}
-	return NewWeights(weights)
+	w := NewWeights(weights)
+	w.prepOnce.Do(func() { w.prep = p })
+	w.prepBytes = p.size()
+	return w
 }
+
+// PreparedBytes estimates the resident bytes of the prepared blocks
+// Weigh attached to w: zero for weights built by NewWeights, whose
+// blocks the first Partition attaches later.
+func (w *Weights) PreparedBytes() int64 { return w.prepBytes }
 
 // sharedBlocks returns the prepared blocks of h, the HPG w weighs,
 // building them on first use. Concurrent Partitions of one HPG may
@@ -308,6 +322,20 @@ func prepare(h *trace.HPG) *prepared {
 		p.maxInstrs = max(p.maxInstrs, len(b.Instrs))
 	}
 	return p
+}
+
+// size estimates p's resident bytes: the block index, and per block
+// its header, Local values and operand sources (24 bytes an
+// instruction), inputs and candidates. The instructions belong to the
+// HPG and are not counted.
+func (p *prepared) size() int64 {
+	n := int64(len(p.byOrig)) * 8
+	for _, b := range p.byOrig {
+		if b != nil {
+			n += 128 + int64(len(b.Instrs))*24 + int64(len(b.Inputs))*4 + int64(len(b.Candidates))*8
+		}
+	}
+	return n
 }
 
 // blocks is one evaluation over h's prepared blocks under the solution

@@ -126,10 +126,11 @@ func (h *HPG) addPair(g *cfg.Graph, v cfg.NodeID, q automaton.State) cfg.NodeID 
 // Assemble reconstructs an HPG from its parts — the traced graph and
 // the per-node/per-edge maps back to the original function — rebuilding
 // the derived state (the pair index and the recording-edge set) that
-// Build computes incrementally. It is used by the persistent artifact
-// cache to revive serialized HPGs; every structural invariant is
-// re-validated so a corrupted payload yields an error, never a
-// malformed graph.
+// Build computes incrementally. Every structural invariant is
+// re-validated, so inconsistent parts yield an error, never a malformed
+// graph. The pipeline no longer calls it: the disk tier stores no HPG,
+// because Build is deterministic and cheaper than decoding one was. Its
+// one non-test caller is perfbench's probe, which times it.
 func Assemble(fn *cfg.Func, a *automaton.Automaton, g *cfg.Graph, origNode []cfg.NodeID, state []automaton.State, origEdge []cfg.EdgeID) (*HPG, error) {
 	if len(origNode) != g.NumNodes() || len(state) != g.NumNodes() {
 		return nil, fmt.Errorf("trace: assemble: %d nodes but %d/%d node maps",
