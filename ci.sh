@@ -66,7 +66,9 @@
 #                           thrown at delta batches and stream
 #                           snapshot frames never panic or mutate a
 #                           set on rejection),
-#                           seeded from testdata/fuzz corpora
+#                           started from the checked-in testdata/fuzz
+#                           corpora alone: the local fuzz cache is
+#                           cleared first
 #   8. kernel gate          BenchmarkAnalyzeKernels/resolve — the packed
 #                           solvers' steady-state Run() loop — must
 #                           report exactly 0 allocs/op (BENCH_kernels.json),
@@ -172,7 +174,12 @@ echo "== fuzz smoke"
 # reference across full pipeline runs. -fuzzminimizetime 1x caps the
 # minimization of each new interesting input at one run: left at its
 # default, minimizing can take most of the 10 s and leave the fuzzer
-# idle for the rest.
+# idle for the rest. The local fuzz cache is cleared first: a fuzzer
+# re-runs every cached input before it explores, and once a target's
+# cache holds a few hundred entries that baseline pass fills its whole
+# 10 s. Failing inputs are not lost, since the fuzzer writes them to
+# testdata/fuzz.
+go clean -fuzzcache
 go test -run '^$' -fuzz '^FuzzDiskcacheCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/engine/diskcache/
 go test -run '^$' -fuzz '^FuzzDelta$' -fuzztime 10s -fuzzminimizetime 1x ./internal/engine/
 go test -run '^$' -fuzz '^FuzzKernelEquivalence$' -fuzztime 10s -fuzzminimizetime 1x ./internal/engine/

@@ -1,11 +1,9 @@
 package diskcache
 
 import (
-	"slices"
 	"time"
 
 	"pathflow/internal/automaton"
-	"pathflow/internal/bl"
 	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
 	"pathflow/internal/dataflow"
@@ -31,7 +29,7 @@ func decodeMeta(d *dec) Meta { return Meta{Cost: time.Duration(d.i64())} }
 // --- Index columns ------------------------------------------------------
 
 // encodeIDs writes a length-prefixed column of non-negative indices.
-func encodeIDs[T ~int | ~int32](e *enc, v []T) {
+func encodeIDs(e *enc, v []int) {
 	e.u64(uint64(len(v)))
 	for _, x := range v {
 		e.u64(uint64(x))
@@ -40,47 +38,29 @@ func encodeIDs[T ~int | ~int32](e *enc, v []T) {
 
 // decodeIDs reads a column encodeIDs wrote, every index below bound; an
 // empty column decodes as nil.
-func decodeIDs[T ~int | ~int32](d *dec, bound int) []T {
+func decodeIDs(d *dec, bound int) []int {
 	n := d.sliceLen()
 	if n == 0 {
 		return nil
 	}
-	v := make([]T, n)
+	v := make([]int, n)
 	for i := range v {
 		x := d.u64()
 		if x >= uint64(bound) {
 			d.fail()
 			return nil
 		}
-		v[i] = T(x)
+		v[i] = int(x)
 	}
 	return v
-}
-
-// --- Hot-path sets --------------------------------------------------------
-
-func encodeHot(e *enc, hot []bl.Path) {
-	e.u64(uint64(len(hot)))
-	for _, p := range hot {
-		encodeIDs(e, p.Edges)
-	}
-}
-
-func decodeHot(d *dec, g *cfg.Graph) []bl.Path {
-	hot := make([]bl.Path, d.sliceLen())
-	for i := range hot {
-		hot[i].Edges = decodeIDs[cfg.EdgeID](d, g.NumEdges())
-	}
-	return hot
 }
 
 // --- Data-flow solutions --------------------------------------------------
 
 // encodeSolution writes a constant-propagation solution as columns,
-// without its graph, which the decoder is handed: the original
-// function's graph for the baseline, the HPG trace.Build rebuilds for
-// the analyze bundle, or the quotient the reduced bundle's decoder
-// reassembles from its partition:
+// without its graph, which the decoder is handed: the HPG trace.Build
+// rebuilds for the analyze bundle, or the quotient the reduced bundle's
+// decoder reassembles from its partition:
 //
 //	nodes, edges, width  uvarints: the shape the decoder checks
 //	reached              one bit per node
@@ -160,49 +140,6 @@ func decodeSolution(d *dec, g *cfg.Graph, numVars int) *constprop.Result {
 	return r
 }
 
-// --- Profiles -------------------------------------------------------------
-
-// encodeProfile writes a Ball-Larus profile in canonical (sorted) order.
-func encodeProfile(e *enc, pr *bl.Profile) {
-	e.str(pr.FuncName)
-	encodeIDs(e, cfg.SortedEdgeIDs(pr.R))
-	keys := make([]string, 0, len(pr.Entries))
-	for k := range pr.Entries {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	e.u64(uint64(len(keys)))
-	for _, k := range keys {
-		ent := pr.Entries[k]
-		encodeIDs(e, ent.Path.Edges)
-		e.i64(ent.Count)
-	}
-}
-
-// decodeProfile reads a profile whose edge IDs must lie within g.
-func decodeProfile(d *dec, g *cfg.Graph) *bl.Profile {
-	name := d.str()
-	R := map[cfg.EdgeID]bool{}
-	for _, eid := range decodeIDs[cfg.EdgeID](d, g.NumEdges()) {
-		R[eid] = true
-	}
-	pr := bl.NewProfile(name, R)
-	nEntries := d.sliceLen()
-	for i := 0; i < nEntries; i++ {
-		edges := decodeIDs[cfg.EdgeID](d, g.NumEdges())
-		count := d.i64()
-		if d.err != nil || count < 0 {
-			d.fail()
-			return nil
-		}
-		pr.Add(bl.Path{Edges: edges}, count)
-	}
-	if d.err != nil {
-		return nil
-	}
-	return pr
-}
-
 // --- Automata -------------------------------------------------------------
 
 func encodeAutomaton(e *enc, a *automaton.Automaton) {
@@ -280,28 +217,6 @@ func decodeBundle[T any](kind Kind, data []byte, body func(d *dec) T) (Meta, T, 
 	return meta, v, nil
 }
 
-// EncodeSelect frames a hot-path selection bundle.
-func EncodeSelect(meta Meta, hot []bl.Path) []byte {
-	return encodeBundle(KindSelect, meta, func(e *enc) { encodeHot(e, hot) })
-}
-
-// DecodeSelect decodes a selection bundle; edge IDs are validated
-// against the function's graph.
-func DecodeSelect(data []byte, g *cfg.Graph) (Meta, []bl.Path, error) {
-	return decodeBundle(KindSelect, data, func(d *dec) []bl.Path { return decodeHot(d, g) })
-}
-
-// EncodeBaseline frames a CA = 0 baseline-solution bundle.
-func EncodeBaseline(meta Meta, sol *constprop.Result) []byte {
-	return encodeBundle(KindBaseline, meta, func(e *enc) { encodeSolution(e, sol) })
-}
-
-// DecodeBaseline decodes a baseline bundle against the function's own
-// graph (which the solution is re-attached to).
-func DecodeBaseline(data []byte, g *cfg.Graph, numVars int) (Meta, *constprop.Result, error) {
-	return decodeBundle(KindBaseline, data, func(d *dec) *constprop.Result { return decodeSolution(d, g, numVars) })
-}
-
 // EncodeAnalyze frames the HPG analysis bundle: the Wegman-Zadek
 // solution on the traced graph, without the graph itself (the HPG is
 // not persisted; the decoder re-attaches the solution to a rebuilt one).
@@ -327,18 +242,6 @@ func EncodeAutomatonBundle(meta Meta, a *automaton.Automaton) []byte {
 // bundle was keyed by).
 func DecodeAutomatonBundle(data []byte, R map[cfg.EdgeID]bool) (Meta, *automaton.Automaton, error) {
 	return decodeBundle(KindAutomaton, data, func(d *dec) *automaton.Automaton { return decodeAutomaton(d, R) })
-}
-
-// EncodeTranslate frames a translated-profile bundle (the training
-// profile re-expressed on the HPG, Lemma 2).
-func EncodeTranslate(meta Meta, prof *bl.Profile) []byte {
-	return encodeBundle(KindTranslate, meta, func(e *enc) { encodeProfile(e, prof) })
-}
-
-// DecodeTranslate decodes a translate bundle against the live HPG graph
-// whose edges the profile's paths traverse.
-func DecodeTranslate(data []byte, g *cfg.Graph) (Meta, *bl.Profile, error) {
-	return decodeBundle(KindTranslate, data, func(d *dec) *bl.Profile { return decodeProfile(d, g) })
 }
 
 // EncodeWeigh frames a weighing bundle: one weight per HPG node. The
@@ -394,7 +297,7 @@ func EncodeReduced(meta Meta, red *reduce.Reduced, sol *constprop.Result) []byte
 func DecodeReduced(data []byte, h *trace.HPG, w *reduce.Weights, k int) (Meta, *reduce.Reduced, *constprop.Result, error) {
 	var red *reduce.Reduced
 	meta, sol, err := decodeBundle(KindReduced, data, func(d *dec) *constprop.Result {
-		class := decodeIDs[int](d, h.G.NumNodes())
+		class := decodeIDs(d, h.G.NumNodes())
 		if d.err != nil {
 			return nil
 		}

@@ -16,10 +16,10 @@
 //     bounds stay on every read, and FuzzDiskcacheCodec feeds them
 //     arbitrary bytes.
 //   - artifacts.go: encoders/decoders for the per-stage bundles the
-//     engine persists (hot sets, automata, constant-propagation
-//     solutions written as columns of their packed rows, translated
-//     profiles, reduction weights, reductions stored as their partition
-//     and rebuilt by reduce.Assemble, and feasibility masks), each
+//     engine persists (automata, HPG constant-propagation solutions
+//     written as columns of their packed rows, reduction weights,
+//     reductions stored as their partition and rebuilt by
+//     reduce.Assemble, and feasibility masks), each
 //     carrying the compute cost of the run that produced it so cache
 //     hits still report meaningful durations. No bundle stores a graph:
 //     the HPG is cheaper to rebuild with trace.Build than to decode, so
@@ -70,8 +70,10 @@ const (
 	// trace bundle and renumbers the kinds after it: the HPG is rebuilt
 	// by trace.Build, which takes less time than decoding it did, so a
 	// v7 directory's trace files are orphans that Open deletes along
-	// with every other v7 file.
-	FormatVersion = 8
+	// with every other v7 file. Version 9 drops the select, baseline
+	// and translate bundles and renumbers the kinds: each read back for
+	// more than its stage costs to recompute.
+	FormatVersion = 9
 
 	headerLen   = 6 // magic(4) + version(1) + kind(1)
 	checksumLen = 4
@@ -92,42 +94,34 @@ type Kind uint8
 // bundle (the old monolithic "qualified" bundle is gone), so an
 // incremental re-analysis can replay exactly the stages an edit left
 // clean. A stage persists only if reading its bundle costs less than
-// recomputing it: the trace stage (the HPG) and the client analyses
-// have no kind and live in the engine's memory tier alone.
+// recomputing it: the baseline, select, trace and translate stages and
+// the client analyses have no kind and live in the engine's memory tier
+// alone.
 const (
-	KindBaseline Kind = iota + 1
-	KindSelect
-	KindAutomaton
+	KindAutomaton Kind = iota + 1
 	KindAnalyze
-	KindTranslate
 	KindReduced
 	KindFeasible
 	KindStream
 	KindWeigh
 )
 
+// kindNames names each Kind; the name is also the bundle file-name
+// prefix. Index 0 is no kind.
+var kindNames = [...]string{
+	KindAutomaton: "automaton",
+	KindAnalyze:   "analyze",
+	KindReduced:   "reduced",
+	KindFeasible:  "feasible",
+	KindStream:    "stream",
+	KindWeigh:     "weigh",
+}
+
 func (k Kind) String() string {
-	switch k {
-	case KindBaseline:
-		return "baseline"
-	case KindSelect:
-		return "select"
-	case KindAutomaton:
-		return "automaton"
-	case KindAnalyze:
-		return "analyze"
-	case KindTranslate:
-		return "translate"
-	case KindReduced:
-		return "reduced"
-	case KindFeasible:
-		return "feasible"
-	case KindStream:
-		return "stream"
-	case KindWeigh:
-		return "weigh"
+	if k == 0 || int(k) >= len(kindNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return kindNames[k]
 }
 
 // frame wraps a payload in the versioned envelope: header, payload,
@@ -159,9 +153,9 @@ func unframe(kind Kind, data []byte) ([]byte, error) {
 // KindFromString maps a bundle-kind name (the file-name prefix) back to
 // its Kind, or 0 if unknown.
 func KindFromString(s string) Kind {
-	for k := KindBaseline; k <= KindWeigh; k++ {
-		if k.String() == s {
-			return k
+	for k, name := range kindNames {
+		if k != 0 && name == s {
+			return Kind(k)
 		}
 	}
 	return 0

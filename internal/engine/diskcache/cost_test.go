@@ -38,17 +38,6 @@ type costRow struct {
 }
 
 var costRows = []costRow{
-	{diskcache.KindSelect, false,
-		func(c *costFunc) { profile.SelectHot(c.fr.Train, c.fr.Fn.G, c.fr.Opt.CA) },
-		func(c *costFunc) []byte { return diskcache.EncodeSelect(diskcache.Meta{}, c.hot) },
-		func(c *costFunc, b []byte) error { _, _, err := diskcache.DecodeSelect(b, c.fr.Fn.G); return err }},
-	{diskcache.KindBaseline, false,
-		func(c *costFunc) { constprop.AnalyzeMasked(c.fr.Fn.G, c.fr.Fn.NumVars(), true, nil) },
-		func(c *costFunc) []byte { return diskcache.EncodeBaseline(diskcache.Meta{}, c.fr.OrigSol) },
-		func(c *costFunc, b []byte) error {
-			_, _, err := diskcache.DecodeBaseline(b, c.fr.Fn.G, c.fr.Fn.NumVars())
-			return err
-		}},
 	{diskcache.KindFeasible, false,
 		func(c *costFunc) { feasible.Detect(c.fr.Fn.G, c.fr.Fn.NumVars()) },
 		func(c *costFunc) []byte { return diskcache.EncodeFeasible(diskcache.Meta{}, c.feas) },
@@ -67,10 +56,6 @@ var costRows = []costRow{
 			_, _, err := diskcache.DecodeAnalyze(b, c.fr.HPG.G, c.fr.Fn.NumVars())
 			return err
 		}},
-	{diskcache.KindTranslate, true,
-		func(c *costFunc) { profile.Translate(c.fr.Train, c.fr.Fn.G, c.fr.HPG) },
-		func(c *costFunc) []byte { return diskcache.EncodeTranslate(diskcache.Meta{}, c.fr.HPGProf) },
-		func(c *costFunc, b []byte) error { _, _, err := diskcache.DecodeTranslate(b, c.fr.HPG.G); return err }},
 	{diskcache.KindWeigh, true,
 		func(c *costFunc) { reduce.Weigh(c.fr.HPG, c.fr.HPGSol, c.fr.HPGProf) },
 		func(c *costFunc) []byte { return diskcache.EncodeWeigh(diskcache.Meta{}, c.w) },

@@ -13,8 +13,8 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	payload := []byte("hello, artifact")
-	framed := frame(KindSelect, payload)
-	got, err := unframe(KindSelect, framed)
+	framed := frame(KindAutomaton, payload)
+	got, err := unframe(KindAutomaton, framed)
 	if err != nil {
 		t.Fatalf("unframe: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestDecoderStickyErrorAndBounds(t *testing.T) {
 // --- Store -----------------------------------------------------------------
 
 func testKey(i int) Key {
-	return Key{Kind: KindSelect, Slice: uint64(i), Chain: 2, Knob: 3}
+	return Key{Kind: KindAutomaton, Slice: uint64(i), Chain: 2, Knob: 3}
 }
 
 func TestStorePutGetRoundTrip(t *testing.T) {
@@ -132,7 +132,7 @@ func TestStorePutGetRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := testKey(1)
-	payload := frame(KindSelect, []byte("bundle"))
+	payload := frame(KindAutomaton, []byte("bundle"))
 	if _, ok := s.Get(k); ok {
 		t.Fatal("Get on empty store returned data")
 	}
@@ -155,7 +155,7 @@ func TestStorePutGetRoundTrip(t *testing.T) {
 }
 
 func TestStoreLRUEviction(t *testing.T) {
-	payload := frame(KindSelect, bytes.Repeat([]byte{0xaa}, 100))
+	payload := frame(KindAutomaton, bytes.Repeat([]byte{0xaa}, 100))
 	// Budget for three entries.
 	s, err := Open(t.TempDir(), int64(3*len(payload)))
 	if err != nil {
@@ -188,7 +188,7 @@ func TestStoreRecoveryOrderAndCleanup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := frame(KindSelect, []byte("recoverable"))
+	payload := frame(KindAutomaton, []byte("recoverable"))
 	for i := 0; i < 3; i++ {
 		s.Put(testKey(i), payload)
 		// Distinct mtimes so recovery order is deterministic.
@@ -248,7 +248,7 @@ func TestStoreRejectDeletesEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := testKey(1)
-	s.Put(k, frame(KindSelect, []byte("will be rejected")))
+	s.Put(k, frame(KindAutomaton, []byte("will be rejected")))
 	if _, ok := s.Get(k); !ok {
 		t.Fatal("entry missing before reject")
 	}
@@ -279,7 +279,7 @@ func TestStoreCrossProcessFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := testKey(7)
-	payload := frame(KindSelect, []byte("written by a"))
+	payload := frame(KindAutomaton, []byte("written by a"))
 	a.Put(k, payload)
 	got, ok := b.Get(k)
 	if !ok || !bytes.Equal(got, payload) {
@@ -310,7 +310,7 @@ func TestSharedDirConcurrentPublish(t *testing.T) {
 		stores[i] = s
 	}
 	payload := func(i int) []byte {
-		return frame(KindSelect, bytes.Repeat([]byte{byte(i)}, 64))
+		return frame(KindAutomaton, bytes.Repeat([]byte{byte(i)}, 64))
 	}
 
 	var wg sync.WaitGroup
@@ -324,7 +324,7 @@ func TestSharedDirConcurrentPublish(t *testing.T) {
 					// byte-equivalent, so any winner is correct.
 					s.Put(testKey(i), payload(i))
 					if data, ok := s.Get(testKey(i)); ok {
-						if _, err := unframe(KindSelect, data); err != nil {
+						if _, err := unframe(KindAutomaton, data); err != nil {
 							t.Errorf("read a torn frame for key %d: %v", i, err)
 							return
 						}
@@ -352,22 +352,23 @@ func TestSharedDirConcurrentPublish(t *testing.T) {
 
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
-		KindBaseline: "baseline", KindSelect: "select",
 		KindAutomaton: "automaton", KindAnalyze: "analyze",
-		KindTranslate: "translate", KindReduced: "reduced",
-		KindFeasible: "feasible", KindStream: "stream",
-		KindWeigh: "weigh", Kind(99): "unknown",
+		KindReduced: "reduced", KindFeasible: "feasible",
+		KindStream: "stream", KindWeigh: "weigh",
+		Kind(0): "unknown", Kind(99): "unknown",
 	} {
 		if got := k.String(); got != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, got, want)
 		}
-		if k != Kind(99) && KindFromString(want) != k {
+		if want != "unknown" && KindFromString(want) != k {
 			t.Errorf("KindFromString(%q) = %d, want %d", want, KindFromString(want), k)
 		}
 	}
-	// The HPG is not persisted: a trace file left by an older binary
-	// names no kind.
-	if k := KindFromString("trace"); k != 0 {
-		t.Errorf("KindFromString(\"trace\") = %d, want 0", k)
+	// Stages that are not persisted have no kind: a file an older binary
+	// left for one names no kind.
+	for _, s := range []string{"trace", "select", "baseline", "translate", "unknown", ""} {
+		if k := KindFromString(s); k != 0 {
+			t.Errorf("KindFromString(%q) = %d, want 0", s, k)
+		}
 	}
 }

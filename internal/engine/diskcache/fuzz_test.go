@@ -6,7 +6,6 @@ import (
 
 	"pathflow/internal/automaton"
 	"pathflow/internal/bl"
-	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
 	"pathflow/internal/engine/diskcache"
 	"pathflow/internal/feasible"
@@ -19,19 +18,15 @@ import (
 // codecFixture carries the decode contexts every artifact decoder needs:
 // the paper's running example pushed through the full pipeline.
 type codecFixture struct {
-	fn    *cfg.Func
-	pr    *bl.Profile
-	hot   []bl.Path
-	auto  *automaton.Automaton
-	hpg   *trace.HPG
-	base  *constprop.Result
-	hsol  *constprop.Result
-	hprof *bl.Profile
-	w     *reduce.Weights
-	k     int
-	red   *reduce.Reduced
-	rsol  *constprop.Result
-	feas  []bool // the HPG tier's infeasible-edge mask
+	pr   *bl.Profile
+	auto *automaton.Automaton
+	hpg  *trace.HPG
+	hsol *constprop.Result
+	w    *reduce.Weights
+	k    int
+	red  *reduce.Reduced
+	rsol *constprop.Result
+	feas []bool // the HPG tier's infeasible-edge mask
 }
 
 func buildCodecFixture(f *testing.F) *codecFixture {
@@ -39,8 +34,7 @@ func buildCodecFixture(f *testing.F) *codecFixture {
 	fn, _, edges := paperex.Build()
 	pr := paperex.Profile(edges)
 	paths := paperex.Paths(edges)
-	hot := paths[:]
-	auto, err := automaton.New(fn.G, pr.R, hot)
+	auto, err := automaton.New(fn.G, pr.R, paths[:])
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -48,7 +42,6 @@ func buildCodecFixture(f *testing.F) *codecFixture {
 	if err != nil {
 		f.Fatal(err)
 	}
-	base := constprop.AnalyzeBoxed(fn.G, fn.NumVars(), true)
 	hsol := constprop.AnalyzeBoxed(hpg.G, fn.NumVars(), true)
 	hprof, err := profile.Translate(pr, fn.G, hpg)
 	if err != nil {
@@ -62,8 +55,8 @@ func buildCodecFixture(f *testing.F) *codecFixture {
 	}
 	rsol := constprop.AnalyzeBoxed(red.G, fn.NumVars(), true)
 	return &codecFixture{
-		fn: fn, pr: pr, hot: hot, auto: auto, hpg: hpg,
-		base: base, hsol: hsol, hprof: hprof, w: w, k: k, red: red, rsol: rsol,
+		pr: pr, auto: auto, hpg: hpg,
+		hsol: hsol, w: w, k: k, red: red, rsol: rsol,
 		feas: feasible.Detect(hpg.G, fn.NumVars()).Infeasible,
 	}
 }
@@ -78,18 +71,15 @@ func buildCodecFixture(f *testing.F) *codecFixture {
 //     decoded artifact and decoding again yields the same bytes, so
 //     accepted entries are canonical and a rewrite never flip-flops.
 //
-// Seeds cover every bundle kind with genuinely valid payloads (the
+// Seeds give every artifact kind one genuinely valid payload (the
 // paper example pushed through the pipeline), so the mutator starts
 // from deep inside the accepted format rather than fuzzing headers
 // forever.
 func FuzzDiskcacheCodec(f *testing.F) {
 	fx := buildCodecFixture(f)
 	meta := diskcache.Meta{Cost: 12345}
-	f.Add(diskcache.EncodeSelect(meta, fx.hot))
-	f.Add(diskcache.EncodeBaseline(meta, fx.base))
 	f.Add(diskcache.EncodeAnalyze(meta, fx.hsol))
 	f.Add(diskcache.EncodeAutomatonBundle(meta, fx.auto))
-	f.Add(diskcache.EncodeTranslate(meta, fx.hprof))
 	f.Add(diskcache.EncodeWeigh(meta, fx.w))
 	f.Add(diskcache.EncodeReduced(meta, fx.red, fx.rsol))
 	f.Add(diskcache.EncodeFeasible(meta, fx.feas))
@@ -97,29 +87,9 @@ func FuzzDiskcacheCodec(f *testing.F) {
 	f.Add([]byte("PFAC\x02"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if m, hot, err := diskcache.DecodeSelect(data, fx.fn.G); err == nil {
-			enc1 := diskcache.EncodeSelect(m, hot)
-			m2, hot2, err2 := diskcache.DecodeSelect(enc1, fx.fn.G)
-			if err2 != nil {
-				t.Fatalf("select: re-decode of accepted artifact failed: %v", err2)
-			}
-			if enc2 := diskcache.EncodeSelect(m2, hot2); !bytes.Equal(enc1, enc2) {
-				t.Fatal("select: round-trip is not canonical")
-			}
-		}
-		if m, sol, err := diskcache.DecodeBaseline(data, fx.fn.G, fx.fn.NumVars()); err == nil {
-			enc1 := diskcache.EncodeBaseline(m, sol)
-			m2, sol2, err2 := diskcache.DecodeBaseline(enc1, fx.fn.G, fx.fn.NumVars())
-			if err2 != nil {
-				t.Fatalf("baseline: re-decode of accepted artifact failed: %v", err2)
-			}
-			if enc2 := diskcache.EncodeBaseline(m2, sol2); !bytes.Equal(enc1, enc2) {
-				t.Fatal("baseline: round-trip is not canonical")
-			}
-		}
-		if m, sol, err := diskcache.DecodeAnalyze(data, fx.hpg.G, fx.fn.NumVars()); err == nil {
+		if m, sol, err := diskcache.DecodeAnalyze(data, fx.hpg.G, fx.hpg.Fn.NumVars()); err == nil {
 			enc1 := diskcache.EncodeAnalyze(m, sol)
-			m2, sol2, err2 := diskcache.DecodeAnalyze(enc1, fx.hpg.G, fx.fn.NumVars())
+			m2, sol2, err2 := diskcache.DecodeAnalyze(enc1, fx.hpg.G, fx.hpg.Fn.NumVars())
 			if err2 != nil {
 				t.Fatalf("analyze: re-decode of accepted artifact failed: %v", err2)
 			}
@@ -135,16 +105,6 @@ func FuzzDiskcacheCodec(f *testing.F) {
 			}
 			if enc2 := diskcache.EncodeAutomatonBundle(m2, a2); !bytes.Equal(enc1, enc2) {
 				t.Fatal("automaton: round-trip is not canonical")
-			}
-		}
-		if m, prof, err := diskcache.DecodeTranslate(data, fx.hpg.G); err == nil {
-			enc1 := diskcache.EncodeTranslate(m, prof)
-			m2, prof2, err2 := diskcache.DecodeTranslate(enc1, fx.hpg.G)
-			if err2 != nil {
-				t.Fatalf("translate: re-decode of accepted artifact failed: %v", err2)
-			}
-			if enc2 := diskcache.EncodeTranslate(m2, prof2); !bytes.Equal(enc1, enc2) {
-				t.Fatal("translate: round-trip is not canonical")
 			}
 		}
 		if m, w, err := diskcache.DecodeWeigh(data, fx.hpg.G); err == nil {

@@ -85,13 +85,16 @@ func TestSolutionBundleRoundTrip(t *testing.T) {
 			nv := fr.Fn.NumVars()
 			label := name + "/" + fname
 
-			data := diskcache.EncodeBaseline(meta, fr.OrigSol)
-			_, got, err := diskcache.DecodeBaseline(data, fr.Fn.G, nv)
+			// The baseline is not persisted, but its solution goes through
+			// the same column codec as the HPG's: encode it as an analyze
+			// bundle against the original graph.
+			data := diskcache.EncodeAnalyze(meta, fr.OrigSol)
+			_, got, err := diskcache.DecodeAnalyze(data, fr.Fn.G, nv)
 			if err != nil {
 				t.Fatalf("%s cfg: %v", label, err)
 			}
 			sameSolution(t, label+" cfg", fr.Fn.G, nv, got, fr.OrigSol)
-			if boxed := diskcache.EncodeBaseline(meta, constprop.AnalyzeBoxed(fr.Fn.G, nv, true)); !bytes.Equal(boxed, data) {
+			if boxed := diskcache.EncodeAnalyze(meta, constprop.AnalyzeBoxed(fr.Fn.G, nv, true)); !bytes.Equal(boxed, data) {
 				t.Fatalf("%s cfg: boxed and packed solutions encode differently", label)
 			}
 			tiers++

@@ -118,7 +118,7 @@ func TestStreamCodecRejectsEveryDefect(t *testing.T) {
 		{"truncated-payload", func(b []byte) []byte { return b[:len(b)/2] }},
 		{"bad-magic", func(b []byte) []byte { b[0] ^= 0xff; return b }},
 		{"future-version", func(b []byte) []byte { b[4] = FormatVersion + 1; return b }},
-		{"wrong-kind", func(b []byte) []byte { b[5] = byte(KindSelect); return b }},
+		{"wrong-kind", func(b []byte) []byte { b[5] = byte(KindAutomaton); return b }},
 		{"payload-flip", func(b []byte) []byte { b[headerLen+1] ^= 0x40; return b }},
 		{"checksum-flip", func(b []byte) []byte { b[len(b)-3] ^= 0x01; return b }},
 		{"trailing-garbage", func(b []byte) []byte { return append(b, 0xaa) }},

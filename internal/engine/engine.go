@@ -296,9 +296,10 @@ func (iv *invocation) finalize(res *FuncResult) (*FuncResult, error) {
 // clientTier runs the requested client analyses on one graph tier,
 // guided by the tier's constant-propagation solution. Each client is
 // its own memory-tier bundle under the tier's key, with the client's
-// bit in knob2. Like the trace stage, clients have no disk codec: the
-// disk tier keeps only what is cheaper to read than to recompute, and
-// clients are cheap to recompute relative to their encoded size.
+// bit in knob2. Like the baseline, select, trace and translate stages,
+// clients have no disk codec: the disk tier keeps only what is cheaper
+// to read than to recompute, and clients are cheap to recompute
+// relative to their encoded size.
 func (iv *invocation) clientTier(g *cfg.Graph, guide *constprop.Result, u *availexpr.Universe, key func() cacheKey) (live *liveness.Result, avail *availexpr.Result, err error) {
 	keyFor := func(c ClientSet) func() cacheKey {
 		return func() cacheKey {
@@ -331,11 +332,11 @@ func (iv *invocation) clientTier(g *cfg.Graph, guide *constprop.Result, u *avail
 // run's dynamic instructions. A CR sweep re-selects an identical set at
 // every point; caching it matters most for path-heavy functions (go's
 // profile runs tens of thousands of paths through the selection sort).
+// The stage is memory-only: reading a stored hot set back cost more than
+// selecting it again.
 func (iv *invocation) selectHot() ([]bl.Path, error) {
 	fn, train, ca := iv.fn, iv.train, iv.o.CA
-	return cached(iv, StageSelect, func() cacheKey { return iv.e.cache.keySelect(fn, train, ca) },
-		&codec[[]bl.Path]{diskcache.KindSelect, diskcache.EncodeSelect,
-			func(b []byte) (diskcache.Meta, []bl.Path, error) { return diskcache.DecodeSelect(b, fn.G) }},
+	return cached(iv, StageSelect, func() cacheKey { return iv.e.cache.keySelect(fn, train, ca) }, nil,
 		func() ([]bl.Path, error) { return profile.SelectHot(train, fn.G, ca), nil })
 }
 
@@ -355,7 +356,8 @@ func (iv *invocation) feasibleTier(g *cfg.Graph, key func() cacheKey) (*feasible
 
 // baseline runs Wegman-Zadek on the original graph: the CA = 0
 // solution, masked by the CFG tier's feasibility artifact when one was
-// computed.
+// computed. The stage is memory-only: one solve on the CFG costs less
+// than reading its solution back from disk.
 func (iv *invocation) baseline(feas *feasible.Edges) (*constprop.Result, error) {
 	fn, mask := iv.fn, feas.Mask()
 	return cached(iv, StageBaseline, func() cacheKey {
@@ -364,13 +366,9 @@ func (iv *invocation) baseline(feas *feasible.Edges) (*constprop.Result, error) 
 			key.chain = iv.e.cache.keyFeasibleCFG(fn).digest()
 		}
 		return key
-	}, &codec[*constprop.Result]{diskcache.KindBaseline, diskcache.EncodeBaseline,
-		func(b []byte) (diskcache.Meta, *constprop.Result, error) {
-			return diskcache.DecodeBaseline(b, fn.G, fn.NumVars())
-		}},
-		func() (*constprop.Result, error) {
-			return solveConstprop(iv.o.Kernel, fn.G, fn.NumVars(), mask), nil
-		})
+	}, nil, func() (*constprop.Result, error) {
+		return solveConstprop(iv.o.Kernel, fn.G, fn.NumVars(), mask), nil
+	})
 }
 
 // automaton builds the Aho-Corasick qualification automaton over the
@@ -390,11 +388,12 @@ func (iv *invocation) automaton(hot []bl.Path) (*automaton.Automaton, error) {
 
 // trace applies Holley-Rosen data-flow tracing, producing the HPG. Its
 // slice includes block bodies (the HPG copies them into its nodes), so
-// a body edit recomputes it. The stage is memory-only: trace.Build is
+// a body edit recomputes it. The stage is memory-only, as are baseline,
+// select, translate and the client analyses: trace.Build is
 // deterministic and takes less time than decoding a stored graph did,
 // so after a restart the HPG is rebuilt from the (decoded) automaton
-// with the node and edge IDs the persisted analyze, translate, weigh
-// and reduce bundles were written against.
+// with the node and edge IDs the persisted analyze, weigh and reduce
+// bundles were written against.
 func (iv *invocation) trace(hot []bl.Path, a *automaton.Automaton) (*trace.HPG, error) {
 	fn := iv.fn
 	return cached(iv, StageTrace, func() cacheKey { return iv.e.cache.keyTrace(fn, iv.train, hot) }, nil,
@@ -419,12 +418,12 @@ func (iv *invocation) analyze(hot []bl.Path, h *trace.HPG, feas *feasible.Edges)
 // slice is shape + profile but *not* block bodies: an HPG's node/edge
 // structure depends only on the CFG shape and the automaton, so a
 // body-only edit replays the translation onto the freshly traced
-// (body-updated) HPG — the stored bundle's edge IDs still line up.
+// (body-updated) HPG — the cached profile's edge IDs still line up.
+// The stage is memory-only: reading a stored profile back cost more than
+// translating it again.
 func (iv *invocation) translate(hot []bl.Path, h *trace.HPG) (*bl.Profile, error) {
 	fn, train := iv.fn, iv.train
-	return cached(iv, StageTranslate, func() cacheKey { return iv.e.cache.keyTranslate(fn, train, hot) },
-		&codec[*bl.Profile]{diskcache.KindTranslate, diskcache.EncodeTranslate,
-			func(b []byte) (diskcache.Meta, *bl.Profile, error) { return diskcache.DecodeTranslate(b, h.G) }},
+	return cached(iv, StageTranslate, func() cacheKey { return iv.e.cache.keyTranslate(fn, train, hot) }, nil,
 		func() (*bl.Profile, error) { return profile.Translate(train, fn.G, h) })
 }
 

@@ -248,8 +248,8 @@ func TestDecodeSplitDiskReplay(t *testing.T) {
 		}
 	}
 
-	// Fresh engine, same directory: every pipeline artifact revives from
-	// disk.
+	// Fresh engine, same directory: every persisted stage revives from
+	// disk; the memory-only stages are recomputed.
 	reader := mustOpen(t, dir, 1)
 	res, err := reader.AnalyzeProgram(ctx, prog, train, o)
 	if err != nil {
