@@ -58,6 +58,9 @@
 #                           boxed ClampedProblem reference on every
 #                           graph tier, unmasked and under Detect's
 #                           mask, and Detect matches the boxed fold;
+#                           FuzzDetectCFG: the same checks on one small
+#                           generated CFG per exec, no training run or
+#                           pipeline;
 #                           FuzzAccumulatorMerge: the decaying
 #                           accumulator algebra stays commutative/
 #                           associative and Decay commutes with Merge
@@ -190,6 +193,10 @@ go test -run '^$' -fuzz '^FuzzFeasibleSoundness$' -fuzztime 10s -fuzzminimizetim
 # Detect's packed clamped interval domain must match the boxed
 # ClampedProblem on every tier, with and without Detect's mask.
 go test -run '^$' -fuzz '^FuzzClampedEquivalence$' -fuzztime 10s -fuzzminimizetime 1x ./internal/feasible/
+# The same two checks on one small generated CFG per exec, with no
+# training run or pipeline, so the fuzzer gets through thousands of
+# inputs in the same 10 s.
+go test -run '^$' -fuzz '^FuzzDetectCFG$' -fuzztime 10s -fuzzminimizetime 1x ./internal/feasible/
 # The streaming layer's two wire surfaces: the accumulator algebra must
 # stay commutative/associative (and Decay/Merge must commute) on
 # fuzzer-chosen ingestion histories, and arbitrary bytes thrown at the

@@ -32,7 +32,6 @@ import (
 	"pathflow/internal/bench"
 	"pathflow/internal/bl"
 	"pathflow/internal/cfg"
-	"pathflow/internal/constprop"
 	"pathflow/internal/engine"
 	"pathflow/internal/interp"
 	"pathflow/internal/ir"
@@ -79,21 +78,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pathflow:", err)
 		// Typed errors carry their own remediation hints; the serving
 		// layer embeds the very same text in its JSON error bodies.
-		var opt *engine.InvalidOptionsError
-		if errors.As(err, &opt) {
-			fmt.Fprintln(os.Stderr, "pathflow:", opt.Hint())
-		}
-		var ub *bench.UnknownBenchmarkError
-		if errors.As(err, &ub) {
-			fmt.Fprintln(os.Stderr, "pathflow:", ub.Hint())
-		}
-		var uc *engine.UnknownClientError
-		if errors.As(err, &uc) {
-			fmt.Fprintln(os.Stderr, "pathflow:", uc.Hint())
-		}
-		var uk *engine.UnknownKernelError
-		if errors.As(err, &uk) {
-			fmt.Fprintln(os.Stderr, "pathflow:", uk.Hint())
+		var h interface{ Hint() string }
+		if errors.As(err, &h) {
+			fmt.Fprintln(os.Stderr, "pathflow:", h.Hint())
 		}
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(os.Stderr, "pathflow: interrupted")
@@ -364,8 +351,10 @@ func cmdAnalyze(args []string) error {
 		fmt.Printf("%-12s %6d %6d %6d %6d %8d %9s\n",
 			name, fr.Fn.G.NumNodes(), hpg, rhpg, len(fr.Hot), states,
 			(fr.Metrics.Duration(engine.StageBaseline) + fr.Metrics.Qualification()).Round(10*time.Microsecond))
-		if *showConsts && fr.Qualified() {
-			printConsts(fr)
+		if *showConsts {
+			for _, c := range fr.Consts() {
+				fmt.Printf("    %s: %s = %d\n", c.Node.Name, renderInstr(fr, c.Instr), c.Value)
+			}
 		}
 		if clients != 0 {
 			printClients(fr)
@@ -425,25 +414,6 @@ func printClients(fr *engine.FuncResult) {
 			line += fmt.Sprintf("  redundant exprs %3d (dyn %8d)", s, d)
 		}
 		fmt.Println(line)
-	}
-}
-
-func printConsts(fr *engine.FuncResult) {
-	g := fr.Red.G
-	sol := fr.RedSol
-	numVars := fr.Fn.NumVars()
-	for _, nd := range g.Nodes {
-		if !sol.Reached(nd.ID) {
-			continue
-		}
-		flags := constprop.ConstFlags(g, nd.ID, sol.EnvAt(nd.ID), numVars, true)
-		vals := sol.InstrValues(nd.ID)
-		for i := range nd.Instrs {
-			if !flags[i] {
-				continue
-			}
-			fmt.Printf("    %s: %s = %d\n", nd.Name, renderInstr(fr, &nd.Instrs[i]), vals[i].K)
-		}
 	}
 }
 

@@ -4,18 +4,15 @@ import (
 	"context"
 	"time"
 
-	"pathflow/internal/availexpr"
 	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
 	"pathflow/internal/dataflow/oracle"
 	"pathflow/internal/engine"
 	"pathflow/internal/feasible"
-	"pathflow/internal/intervals"
-	"pathflow/internal/liveness"
 )
 
 // FeasibleClients is the client order of every FeasibleRow.Clients slice.
-var FeasibleClients = []string{"constprop", "intervals", "liveness", "availexpr"}
+var FeasibleClients = engine.OracleClients
 
 // FeasibleClient is one client's precision deltas in the two-axis
 // ablation: the number of *original CFG vertices* about which an axis
@@ -69,94 +66,69 @@ func Feasible(ctx context.Context, instances []*Instance) ([]FeasibleRow, error)
 		if err != nil {
 			return nil, err
 		}
-		row := FeasibleRow{Name: in.B.Name}
-		for _, c := range FeasibleClients {
-			row.Clients = append(row.Clients, FeasibleClient{Client: c})
+		row := FeasibleRow{Name: in.B.Name, Clients: make([]FeasibleClient, len(FeasibleClients))}
+		for i, c := range FeasibleClients {
+			row.Clients[i].Client = c
 		}
-		cp, iv, lv, av := &row.Clients[0], &row.Clients[1], &row.Clients[2], &row.Clients[3]
 		for _, name := range in.Prog.Order {
 			fr := res.Funcs[name]
 			fn := in.Prog.Funcs[name]
 			nv := fn.NumVars()
-			g := fn.G
-
-			cpLat := &constprop.Problem{NumVars: nv}
-			thr := intervals.Thresholds(g)
-			ivLat := &intervals.ClampedProblem{NumVars: nv, Conditional: true, T: thr}
-			lvLat := &liveness.Problem{NumVars: nv}
-			u := fr.AvailU
-			avLat := &availexpr.Problem{U: u}
-
-			// Unmasked CFG baselines — the common yardstick of all three
-			// columns.
-			cpBase := fr.OrigSol
-			cpBoxed := cpBase.Boxed()
-			ivBase := intervals.AnalyzeClamped(g, nv, thr, true)
-			lvBase, avBase := fr.LiveCFG, fr.AvailCFG
+			or := engine.NewOracle(fn, fr.AvailU, o.Kernel)
+			// The unmasked CFG facts are the common yardstick of all
+			// three columns.
+			base := or.Facts(fn.G, fr.OrigSol, nil, fr.LiveCFG, fr.AvailCFG)
 
 			// Feasibility only: prune the original CFG, re-solve, compare
 			// in place.
-			t0 := time.Now()
-			feas := feasible.Detect(g, nv)
-			row.DetectTime += time.Since(t0)
+			feas, facts := row.prune(or, fn.G, nv, func() *feasible.Edges { return feasible.Detect(fn.G, nv) })
 			row.InfeasibleCFG += feas.Count
-			t0 = time.Now()
-			cpF := constprop.AnalyzeMasked(g, nv, true, feas.Mask())
-			ivF := intervals.AnalyzeClampedMasked(g, nv, thr, true, feas.Mask())
-			lvF := liveness.AnalyzePacked(g, nv, cpF.Sol)
-			avF := availexpr.AnalyzePacked(g, u, cpF.Sol)
-			row.SolveTime += time.Since(t0)
-			cpRepF := oracle.Check("constprop", "cfg", cpLat, cpBoxed, cpF.Boxed(), oracle.Identity)
-			ivRepF := oracle.Check("intervals", "cfg", ivLat, ivBase.Sol, ivF.Sol, oracle.Identity)
-			lvRepF := oracle.Check("liveness", "cfg", lvLat, lvBase.Sol, lvF.Sol, oracle.Identity)
-			avRepF := oracle.Check("availexpr", "cfg", avLat, avBase.Sol, avF.Sol, oracle.Identity)
-			cp.FeasOnly += improvedVertices(cpRepF)
-			iv.FeasOnly += improvedVertices(ivRepF)
-			lv.FeasOnly += improvedVertices(lvRepF)
-			av.FeasOnly += improvedVertices(avRepF)
+			feasOnly := or.Compare("cfg", base, facts, oracle.Identity)
 
-			if !fr.Qualified() {
-				// No profile tier: the combined configuration degenerates
-				// to the feasibility axis on this function.
-				cp.Both += improvedVertices(cpRepF)
-				iv.Both += improvedVertices(ivRepF)
-				lv.Both += improvedVertices(lvRepF)
-				av.Both += improvedVertices(avRepF)
-				continue
+			var freqOnly, both []*oracle.Report
+			if fr.Qualified() {
+				red := fr.Red
+				orig := func(n cfg.NodeID) cfg.NodeID { return red.OrigNode[n] }
+				// Frequency only: the engine's unmasked reduced-tier
+				// solutions vs the CFG.
+				freqOnly = or.Compare("rhpg", base, or.Facts(red.G, fr.RedSol, nil, fr.LiveRed, fr.AvailRed), orig)
+				// Both axes: prune the reduced graph through the HPG's
+				// mask projected onto it, re-solve, compare back to the
+				// CFG through the vertex correspondence.
+				feasR, facts := row.prune(or, red.G, nv, func() *feasible.Edges {
+					return feasible.Project(red, feasible.Detect(fr.HPG.G, nv))
+				})
+				row.InfeasibleRed += feasR.Count
+				both = or.Compare("rhpg", base, facts, orig)
 			}
-			red := fr.Red
-			orig := func(n cfg.NodeID) cfg.NodeID { return red.OrigNode[n] }
-
-			// Frequency only: the engine's unmasked reduced-tier
-			// solutions vs the CFG.
-			ivR := intervals.AnalyzeClamped(red.G, nv, thr, true)
-			lvR, avR := fr.LiveRed, fr.AvailRed
-			cp.FreqOnly += improvedVertices(oracle.Check("constprop", "rhpg", cpLat, cpBoxed, fr.RedSol.Boxed(), orig))
-			iv.FreqOnly += improvedVertices(oracle.Check("intervals", "rhpg", ivLat, ivBase.Sol, ivR.Sol, orig))
-			lv.FreqOnly += improvedVertices(oracle.Check("liveness", "rhpg", lvLat, lvBase.Sol, lvR.Sol, orig))
-			av.FreqOnly += improvedVertices(oracle.Check("availexpr", "rhpg", avLat, avBase.Sol, avR.Sol, orig))
-
-			// Both axes: prune the reduced graph through the HPG's mask
-			// projected onto it, re-solve, compare back to the CFG
-			// through the vertex correspondence.
-			t0 = time.Now()
-			feasR := feasible.Project(red, feasible.Detect(fr.HPG.G, nv))
-			row.DetectTime += time.Since(t0)
-			row.InfeasibleRed += feasR.Count
-			t0 = time.Now()
-			cpB := constprop.AnalyzeMasked(red.G, nv, true, feasR.Mask())
-			ivB := intervals.AnalyzeClampedMasked(red.G, nv, thr, true, feasR.Mask())
-			lvB := liveness.AnalyzePacked(red.G, nv, cpB.Sol)
-			avB := availexpr.AnalyzePacked(red.G, u, cpB.Sol)
-			row.SolveTime += time.Since(t0)
-			cp.Both += improvedVertices(cpRepF, oracle.Check("constprop", "rhpg", cpLat, cpBoxed, cpB.Boxed(), orig))
-			iv.Both += improvedVertices(ivRepF, oracle.Check("intervals", "rhpg", ivLat, ivBase.Sol, ivB.Sol, orig))
-			lv.Both += improvedVertices(lvRepF, oracle.Check("liveness", "rhpg", lvLat, lvBase.Sol, lvB.Sol, orig))
-			av.Both += improvedVertices(avRepF, oracle.Check("availexpr", "rhpg", avLat, avBase.Sol, avB.Sol, orig))
+			for i := range row.Clients {
+				c := &row.Clients[i]
+				c.FeasOnly += improvedVertices(feasOnly[i])
+				if both == nil {
+					// No profile tier: the combined configuration
+					// degenerates to the feasibility axis on this function.
+					c.Both += improvedVertices(feasOnly[i])
+					continue
+				}
+				c.FreqOnly += improvedVertices(freqOnly[i])
+				c.Both += improvedVertices(feasOnly[i], both[i])
+			}
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// prune detects an infeasible-edge mask on g and re-solves every client
+// through it, charging each step to the row's time columns.
+func (row *FeasibleRow) prune(or *engine.Oracle, g *cfg.Graph, nv int, detect func() *feasible.Edges) (*feasible.Edges, engine.TierFacts) {
+	t0 := time.Now()
+	mask := detect()
+	row.DetectTime += time.Since(t0)
+	t0 = time.Now()
+	facts := or.Facts(g, constprop.AnalyzeMasked(g, nv, true, mask.Mask()), mask, nil, nil)
+	row.SolveTime += time.Since(t0)
+	return mask, facts
 }
 
 // improvedVertices counts the CFG vertices improved by any of the given

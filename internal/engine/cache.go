@@ -182,8 +182,8 @@ type Cache struct {
 
 	// Fingerprint memos, keyed by identity: functions and profiles are
 	// immutable once built, so hashing each at most once is sound.
-	fnFP   map[*cfg.Func]fnPrints
-	profFP map[*bl.Profile]profPrints
+	fnFP   *memo[cfg.Func, fnPrints]
+	profFP *memo[bl.Profile, profPrints]
 }
 
 // fnPrints caches one function's slice fingerprints: the CFG shape, the
@@ -214,8 +214,8 @@ func newCache(maxBytes int64, disk *diskcache.Store) *Cache {
 		maxBytes: maxBytes,
 		lru:      list.New(),
 		disk:     disk,
-		fnFP:     map[*cfg.Func]fnPrints{},
-		profFP:   map[*bl.Profile]profPrints{},
+		fnFP:     newMemo[cfg.Func, fnPrints](),
+		profFP:   newMemo[bl.Profile, profPrints](),
 	}
 }
 
@@ -486,21 +486,13 @@ func hashSeq[S string | []byte](h *fnv1a64, s S) {
 
 // funcFP returns (computing at most once) the slice fingerprints of fn.
 func (c *Cache) funcFP(fn *cfg.Func) fnPrints {
-	c.mu.Lock()
-	if fp, ok := c.fnFP[fn]; ok {
-		c.mu.Unlock()
-		return fp
-	}
-	c.mu.Unlock()
-	fp := fnPrints{
-		shape:  FingerprintShape(fn),
-		counts: FingerprintCounts(fn),
-		body:   FingerprintBody(fn),
-	}
-	c.mu.Lock()
-	c.fnFP[fn] = fp
-	c.mu.Unlock()
-	return fp
+	return c.fnFP.get(fn, func(fn *cfg.Func) fnPrints {
+		return fnPrints{
+			shape:  FingerprintShape(fn),
+			counts: FingerprintCounts(fn),
+			body:   FingerprintBody(fn),
+		}
+	})
 }
 
 // profileFP returns (computing at most once) the fingerprints of a
@@ -511,17 +503,9 @@ func (c *Cache) profileFP(pr *bl.Profile) profPrints {
 	if pr == nil {
 		return profPrints{}
 	}
-	c.mu.Lock()
-	if fp, ok := c.profFP[pr]; ok {
-		c.mu.Unlock()
-		return fp
-	}
-	c.mu.Unlock()
-	fp := profPrints{prof: FingerprintProfile(pr), rec: FingerprintRecording(pr.R)}
-	c.mu.Lock()
-	c.profFP[pr] = fp
-	c.mu.Unlock()
-	return fp
+	return c.profFP.get(pr, func(pr *bl.Profile) profPrints {
+		return profPrints{prof: FingerprintProfile(pr), rec: FingerprintRecording(pr.R)}
+	})
 }
 
 // --- Per-stage Merkle keys -------------------------------------------------

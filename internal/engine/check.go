@@ -5,6 +5,7 @@ import (
 	"pathflow/internal/bl"
 	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
+	"pathflow/internal/dataflow"
 	"pathflow/internal/dataflow/oracle"
 	"pathflow/internal/feasible"
 	"pathflow/internal/intervals"
@@ -12,203 +13,166 @@ import (
 	"pathflow/internal/profile"
 )
 
-// CheckFuncResult runs the precision differential oracle over every
-// derived graph tier of a completed result (HPG and reduced HPG, when
-// qualification ran) and every client the repo ships: constant
-// propagation, intervals, liveness and available expressions. Client
-// solutions already attached to the result are reused; missing ones
-// (including both interval solutions, which no pipeline stage retains)
-// are computed on the spot.
-//
-// The returned reports certify — or refute, per vertex — the paper's
-// central guarantee: projected through the trace correspondence, the
-// hot-path solution is pointwise at least as precise as the CFG's.
-// Functions without qualified artifacts return no reports (there is
-// nothing to compare).
-func CheckFuncResult(fr *FuncResult) []*oracle.Report {
-	if fr == nil || fr.OrigSol == nil {
-		return nil
-	}
-	type tier struct {
-		name  string
-		g     *cfg.Graph
-		csol  *constprop.Result
-		orig  func(cfg.NodeID) cfg.NodeID
-		live  *liveness.Result
-		avail *availexpr.Result
-	}
-	var tiers []tier
-	if fr.HPG != nil && fr.HPGSol != nil {
-		h := fr.HPG
-		tiers = append(tiers, tier{
-			name: "hpg", g: h.G, csol: fr.HPGSol,
-			orig:  func(n cfg.NodeID) cfg.NodeID { return h.OrigNode[n] },
-			live:  fr.LiveHPG,
-			avail: fr.AvailHPG,
-		})
-	}
-	if fr.Red != nil && fr.RedSol != nil {
-		r := fr.Red
-		tiers = append(tiers, tier{
-			name: "rhpg", g: r.G, csol: fr.RedSol,
-			orig:  func(n cfg.NodeID) cfg.NodeID { return r.OrigNode[n] },
-			live:  fr.LiveRed,
-			avail: fr.AvailRed,
-		})
-	}
-	if len(tiers) == 0 && !fr.Opt.Feasible {
-		return nil
-	}
+// OracleClients is the client order of TierFacts and of the reports
+// Oracle.Compare returns.
+var OracleClients = []string{"constprop", "intervals", "liveness", "availexpr"}
 
-	nv := fr.Fn.NumVars()
-	cpLat := &constprop.Problem{NumVars: nv}
+// TierFacts is one graph's client solutions, indexed like OracleClients.
+type TierFacts [4]*dataflow.Solution
+
+// Oracle compares the client solutions of one function's graph tiers.
+// It holds what every tier must share for the comparison to mean
+// anything: the client lattices, the interval threshold set and the
+// available-expression universe, all derived from the original CFG.
+type Oracle struct {
+	nv     int
+	thr    []int64
+	u      *availexpr.Universe
+	kernel dataflow.Kernel
+	lats   [4]oracle.Lattice
+}
+
+// NewOracle returns the oracle for fn. u is the universe the pipeline
+// solved available expressions over (nil: derive it from fn's CFG);
+// kernel solves the client facts a tier does not supply.
+func NewOracle(fn *cfg.Func, u *availexpr.Universe, kernel dataflow.Kernel) *Oracle {
+	nv := fn.NumVars()
+	if u == nil {
+		u = availexpr.NewUniverse(fn.G, nv)
+	}
 	// Intervals are compared in their widening-free threshold-lattice
 	// form: the production analysis widens, and widening is not monotone
 	// in the graph, so its solutions are not comparable across tiers
-	// (see intervals.ClampedProblem). The threshold set is derived once
-	// from the original graph and shared by every tier.
-	thr := intervals.Thresholds(fr.Fn.G)
-	ivLat := &intervals.ClampedProblem{NumVars: nv, Conditional: true, T: thr}
-	lvLat := &liveness.Problem{NumVars: nv}
+	// (see intervals.ClampedProblem).
+	thr := intervals.Thresholds(fn.G)
+	return &Oracle{nv: nv, thr: thr, u: u, kernel: kernel, lats: [...]oracle.Lattice{
+		&constprop.Problem{NumVars: nv},
+		&intervals.ClampedProblem{NumVars: nv, Conditional: true, T: thr},
+		&liveness.Problem{NumVars: nv},
+		&availexpr.Problem{U: u},
+	}}
+}
 
-	u := fr.AvailU
-	if u == nil {
-		u = availexpr.NewUniverse(fr.Fn.G, nv)
+// Facts returns g's client solutions. cp is g's constant-propagation
+// solution and guides the other clients; live and avail, when non-nil,
+// are reused, and the missing ones are solved. Intervals are always
+// solved, through mask (nil: unmasked).
+func (o *Oracle) Facts(g *cfg.Graph, cp *constprop.Result, mask *feasible.Edges, live *liveness.Result, avail *availexpr.Result) TierFacts {
+	if live == nil {
+		live = solveLiveness(o.kernel, g, o.nv, cp.Sol)
 	}
-	avLat := &availexpr.Problem{U: u}
-
-	baseIv := intervals.AnalyzeClamped(fr.Fn.G, nv, thr, true)
-	baseLive := fr.LiveCFG
-	if baseLive == nil {
-		baseLive = solveLiveness(fr.Opt.Kernel, fr.Fn.G, nv, fr.OrigSol.Sol)
+	if avail == nil {
+		avail = solveAvailExpr(o.kernel, g, o.u, cp.Sol)
 	}
-	baseAvail := fr.AvailCFG
-	if baseAvail == nil {
-		baseAvail = solveAvailExpr(fr.Opt.Kernel, fr.Fn.G, u, fr.OrigSol.Sol)
-	}
+	iv := intervals.AnalyzeClampedMasked(g, o.nv, o.thr, true, mask.Mask())
+	return TierFacts{cp.Boxed(), iv.Sol, live.Sol, avail.Sol}
+}
 
-	base := fr.OrigSol.Boxed()
-	var reports []*oracle.Report
-	for _, t := range tiers {
-		reports = append(reports,
-			oracle.Check("constprop", t.name, cpLat, base, t.csol.Boxed(), t.orig))
-
-		iv := intervals.AnalyzeClamped(t.g, nv, thr, true)
-		reports = append(reports,
-			oracle.Check("intervals", t.name, ivLat, baseIv.Sol, iv.Sol, t.orig))
-
-		live := t.live
-		if live == nil {
-			live = solveLiveness(fr.Opt.Kernel, t.g, nv, t.csol.Sol)
-		}
-		reports = append(reports,
-			oracle.Check("liveness", t.name, lvLat, baseLive.Sol, live.Sol, t.orig))
-
-		avail := t.avail
-		if avail == nil {
-			avail = solveAvailExpr(fr.Opt.Kernel, t.g, u, t.csol.Sol)
-		}
-		reports = append(reports,
-			oracle.Check("availexpr", t.name, avLat, baseAvail.Sol, avail.Sol, t.orig))
-	}
-
-	if fr.Opt.Feasible {
-		reports = append(reports, checkFeasible(fr, nv, thr, u, cpLat, ivLat, lvLat, avLat)...)
+// Compare runs the oracle on every client: derived's vertex n projects
+// to orig(n) in base's graph. The reports follow OracleClients.
+func (o *Oracle) Compare(graph string, base, derived TierFacts, orig func(cfg.NodeID) cfg.NodeID) []*oracle.Report {
+	reports := make([]*oracle.Report, len(OracleClients))
+	for i, client := range OracleClients {
+		reports[i] = oracle.Check(client, graph, o.lats[i], base[i], derived[i], orig)
 	}
 	return reports
 }
 
-// checkFeasible certifies the feasibility masks of a Options.Feasible
-// run, per graph tier, on two independent axes:
-//
-//   - The pruning soundness gate: the masked solution of every client
-//     must be pointwise at least as precise as the unmasked solution of
-//     the same graph (Identity projection — withholding facts along
-//     edges can only raise the fixpoint, never lower it, so any
-//     violation means the mask leaked into a transfer incorrectly).
-//     The reports' Improved counters are the precision the feasibility
-//     axis bought on that tier.
-//
-//   - The trace gate (oracle.CheckTraces): no edge the recorded
-//     training run traversed may be marked infeasible — checked on the
-//     CFG against the training profile, on the HPG against its
-//     translation, and on the reduced graph against a fresh
-//     translation of the training profile.
-func checkFeasible(fr *FuncResult, nv int, thr []int64,
-	u *availexpr.Universe,
-	cpLat *constprop.Problem, ivLat *intervals.ClampedProblem,
-	lvLat *liveness.Problem, avLat *availexpr.Problem) []*oracle.Report {
+// checkTier is one graph tier of a FuncResult as the oracle sees it.
+type checkTier struct {
+	name  string
+	g     *cfg.Graph
+	cp    *constprop.Result // the pipeline's solution (masked under Feasible)
+	mask  *feasible.Edges
+	orig  func(cfg.NodeID) cfg.NodeID // nil on the CFG itself
+	live  *liveness.Result
+	avail *availexpr.Result
+	prof  *bl.Profile // the training profile on g (Feasible only)
+}
 
-	type ftier struct {
-		name   string
-		g      *cfg.Graph
-		mask   *feasible.Edges
-		masked *constprop.Result // the pipeline's (masked) solution
-		live   *liveness.Result
-		avail  *availexpr.Result
-		prof   *bl.Profile
+// CheckFuncResult runs the precision differential oracle over every
+// graph tier of a completed result — the CFG, and the HPG and reduced
+// HPG when qualification ran — and every client the repo ships:
+// constant propagation, intervals, liveness and available expressions.
+// One Oracle computes each tier's facts (reusing the client solutions
+// the result carries; intervals, which no stage retains, are always
+// solved) and compares them. It runs up to three gates:
+//
+//   - The frequency gate certifies — or refutes, per vertex — the
+//     paper's central guarantee: projected through the trace
+//     correspondence, the HPG and reduced-HPG facts are pointwise at
+//     least as precise as the CFG's.
+//
+//   - Under Options.Feasible, the pruning gate compares each tier's
+//     masked facts against the unmasked facts of the same graph
+//     (oracle.Identity): withholding facts along edges can only raise
+//     the fixpoint, so a violation means the mask leaked into a
+//     transfer. The reports' Improved counters are the precision the
+//     feasibility axis bought on that tier.
+//
+//   - Under Options.Feasible, the trace gate (oracle.CheckTraces): no
+//     edge the training run traversed may be marked infeasible —
+//     checked on the CFG against the training profile, on the HPG
+//     against its translation, and on the reduced graph against a fresh
+//     translation of the training profile.
+//
+// The frequency reports come first, tier by tier, then the feasibility
+// reports. Functions without qualified artifacts return no reports
+// unless Feasible is set (there is nothing to compare).
+func CheckFuncResult(fr *FuncResult) []*oracle.Report {
+	if fr == nil || fr.OrigSol == nil {
+		return nil
 	}
-	tiers := []ftier{{
-		name: "cfg", g: fr.Fn.G, mask: fr.FeasCFG, masked: fr.OrigSol,
+	tiers := []checkTier{{
+		name: "cfg", g: fr.Fn.G, cp: fr.OrigSol, mask: fr.FeasCFG,
 		live: fr.LiveCFG, avail: fr.AvailCFG, prof: fr.Train,
 	}}
 	if fr.HPG != nil && fr.HPGSol != nil {
-		tiers = append(tiers, ftier{
-			name: "hpg", g: fr.HPG.G, mask: fr.FeasHPG, masked: fr.HPGSol,
+		h := fr.HPG
+		tiers = append(tiers, checkTier{
+			name: "hpg", g: h.G, cp: fr.HPGSol, mask: fr.FeasHPG,
+			orig: func(n cfg.NodeID) cfg.NodeID { return h.OrigNode[n] },
 			live: fr.LiveHPG, avail: fr.AvailHPG, prof: fr.HPGProf,
 		})
 	}
 	if fr.Red != nil && fr.RedSol != nil {
-		// The reduced tier's mask is the HPG mask the reduce stage
-		// projected onto the quotient and solved through.
-		t := ftier{
-			name: "rhpg", g: fr.Red.G, mask: fr.FeasRed, masked: fr.RedSol,
+		r := fr.Red
+		t := checkTier{
+			name: "rhpg", g: r.G, cp: fr.RedSol, mask: fr.FeasRed,
+			orig: func(n cfg.NodeID) cfg.NodeID { return r.OrigNode[n] },
 			live: fr.LiveRed, avail: fr.AvailRed,
 		}
-		if fr.Train != nil {
+		if fr.Opt.Feasible && fr.Train != nil {
 			if rp, err := fr.TranslateEval(fr.Train); err == nil {
 				t.prof = rp
 			}
 		}
 		tiers = append(tiers, t)
 	}
+	if len(tiers) == 1 && !fr.Opt.Feasible {
+		return nil
+	}
 
-	var reports []*oracle.Report
+	o := NewOracle(fr.Fn, fr.AvailU, fr.Opt.Kernel)
+	base := o.Facts(fr.Fn.G, fr.OrigSol, nil, fr.LiveCFG, fr.AvailCFG)
+	var freq, feas []*oracle.Report
 	for _, t := range tiers {
-		mask := t.mask.Mask()
+		if t.orig != nil {
+			freq = append(freq, o.Compare(t.name, base, o.Facts(t.g, t.cp, nil, t.live, t.avail), t.orig)...)
+		}
+		if !fr.Opt.Feasible {
+			continue
+		}
 		graph := t.name + "/feasible"
-
-		unmasked := solveConstprop(fr.Opt.Kernel, t.g, nv, nil)
-		reports = append(reports,
-			oracle.Check("constprop", graph, cpLat, unmasked.Boxed(), t.masked.Boxed(), oracle.Identity))
-
-		ivMasked := intervals.AnalyzeClampedMasked(t.g, nv, thr, true, mask)
-		ivUnmasked := intervals.AnalyzeClamped(t.g, nv, thr, true)
-		reports = append(reports,
-			oracle.Check("intervals", graph, ivLat, ivUnmasked.Sol, ivMasked.Sol, oracle.Identity))
-
-		live := t.live
-		if live == nil {
-			live = solveLiveness(fr.Opt.Kernel, t.g, nv, t.masked.Sol)
-		}
-		liveUnmasked := solveLiveness(fr.Opt.Kernel, t.g, nv, unmasked.Sol)
-		reports = append(reports,
-			oracle.Check("liveness", graph, lvLat, liveUnmasked.Sol, live.Sol, oracle.Identity))
-
-		avail := t.avail
-		if avail == nil {
-			avail = solveAvailExpr(fr.Opt.Kernel, t.g, u, t.masked.Sol)
-		}
-		availUnmasked := solveAvailExpr(fr.Opt.Kernel, t.g, u, unmasked.Sol)
-		reports = append(reports,
-			oracle.Check("availexpr", graph, avLat, availUnmasked.Sol, avail.Sol, oracle.Identity))
-
+		unmasked := o.Facts(t.g, solveConstprop(fr.Opt.Kernel, t.g, o.nv, nil), nil, nil, nil)
+		masked := o.Facts(t.g, t.cp, t.mask, t.live, t.avail)
+		feas = append(feas, o.Compare(graph, unmasked, masked, oracle.Identity)...)
 		if t.prof != nil && t.mask != nil {
-			reports = append(reports,
+			feas = append(feas,
 				oracle.CheckTraces("traces", graph, profile.EdgeCounts(t.prof, t.g), t.mask.Infeasible))
 		}
 	}
-	return reports
+	return append(freq, feas...)
 }
 
 // OracleErr returns the first violation's error among reports, or nil

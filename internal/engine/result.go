@@ -10,6 +10,7 @@ import (
 	"pathflow/internal/constprop"
 	"pathflow/internal/dataflow/oracle"
 	"pathflow/internal/feasible"
+	"pathflow/internal/ir"
 	"pathflow/internal/liveness"
 	"pathflow/internal/opt"
 	"pathflow/internal/profile"
@@ -101,6 +102,38 @@ func (r *FuncResult) FinalAvail() *availexpr.Result {
 
 // Qualified reports whether path qualification ran for this function.
 func (r *FuncResult) Qualified() bool { return r.Red != nil }
+
+// Const is one instruction of the reduced graph whose result the
+// qualified analysis proved constant, with the value.
+type Const struct {
+	Node  *cfg.Node
+	Instr *ir.Instr
+	Value ir.Value
+}
+
+// Consts lists the reduced graph's non-local constants (see
+// constprop.ConstFlags) in node and instruction order; nil when
+// qualification did not run.
+func (r *FuncResult) Consts() []Const {
+	if !r.Qualified() {
+		return nil
+	}
+	g, sol, nv := r.Red.G, r.RedSol, r.Fn.NumVars()
+	var out []Const
+	for _, nd := range g.Nodes {
+		if !sol.Reached(nd.ID) {
+			continue
+		}
+		flags := constprop.ConstFlags(g, nd.ID, sol.EnvAt(nd.ID), nv, true)
+		vals := sol.InstrValues(nd.ID)
+		for i := range nd.Instrs {
+			if flags[i] {
+				out = append(out, Const{Node: nd, Instr: &nd.Instrs[i], Value: vals[i].K})
+			}
+		}
+	}
+	return out
+}
 
 // FinalGraph returns the graph later passes consume: the reduced HPG, or
 // the original graph when qualification did not run.

@@ -134,16 +134,50 @@ func FuzzClampedEquivalence(f *testing.F) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, rg := range tierGraphs(nil, map[*cfg.Graph]bool{}, fmt.Sprintf("seed %d", seed), res) {
-			thr := intervals.Thresholds(rg.g)
-			got := feasible.Detect(rg.g, rg.nv)
-			want := detectReference(rg.g, rg.nv)
-			for e := range want {
-				if got.Infeasible[e] != want[e] {
-					t.Fatalf("%s: edge %d infeasible=%t, reference %t", rg.label, e, got.Infeasible[e], want[e])
-				}
-			}
-			checkClampedMatchesBoxed(t, rg.label+" unmasked", rg.g, rg.nv, thr, nil)
-			checkClampedMatchesBoxed(t, rg.label+" masked", rg.g, rg.nv, thr, got.Infeasible)
+			checkTierMatchesReference(t, rg)
 		}
 	})
+}
+
+// FuzzDetectCFG is FuzzClampedEquivalence narrowed to what one exec can
+// afford many times a second: it compiles one generated single-function
+// program and checks only its CFG, with no training run and no
+// pipeline. The fuzzer picks the share of correlated if statements and
+// the program's size (statements per block and nesting depth), so most
+// execs solve a small graph.
+func FuzzDetectCFG(f *testing.F) {
+	for _, seed := range []uint64{1, 2, 7, 42, 138} {
+		f.Add(seed, uint8(40), uint8(seed))
+	}
+
+	f.Fuzz(func(t *testing.T, seed uint64, correlated, shape uint8) {
+		cfgc := progen.DefaultConfig(seed)
+		cfgc.Funcs = 0
+		cfgc.MaxStmts = 1 + int(shape%6)
+		cfgc.MaxDepth = 1 + int(shape/6%3)
+		cfgc.Correlated = int(correlated) % 101
+		prog, err := lang.Compile(progen.Generate(cfgc))
+		if err != nil {
+			t.Fatalf("%+v: generated program does not compile: %v", cfgc, err)
+		}
+		fn := prog.Main()
+		checkTierMatchesReference(t, refGraph{label: fmt.Sprintf("%+v main/cfg", cfgc), g: fn.G, nv: fn.NumVars()})
+	})
+}
+
+// checkTierMatchesReference requires Detect to produce exactly the
+// boxed reference fold's mask on rg, and the packed clamped solve to
+// equal the boxed ClampedProblem solve, unmasked and under that mask.
+func checkTierMatchesReference(t *testing.T, rg refGraph) {
+	t.Helper()
+	got := feasible.Detect(rg.g, rg.nv)
+	want := detectReference(rg.g, rg.nv)
+	for e := range want {
+		if got.Infeasible[e] != want[e] {
+			t.Fatalf("%s: edge %d infeasible=%t, reference %t", rg.label, e, got.Infeasible[e], want[e])
+		}
+	}
+	thr := intervals.Thresholds(rg.g)
+	checkClampedMatchesBoxed(t, rg.label+" unmasked", rg.g, rg.nv, thr, nil)
+	checkClampedMatchesBoxed(t, rg.label+" masked", rg.g, rg.nv, thr, got.Infeasible)
 }

@@ -18,7 +18,6 @@ type packedDomain struct {
 	g           *cfg.Graph
 	nv          int
 	conditional bool
-	infeasible  []bool // optional per-EdgeID feasibility mask; masked slots stay -1
 	spans       *kernel.Span
 	branchPlans // set for conditional domains
 }
@@ -48,15 +47,14 @@ type pdef struct {
 	isComparison bool
 }
 
-func newPackedDomain(g *cfg.Graph, p *Problem) *packedDomain {
+func newPackedDomain(g *cfg.Graph, numVars int, conditional bool) *packedDomain {
 	d := &packedDomain{
 		g:           g,
-		nv:          p.NumVars,
-		conditional: p.Conditional,
-		infeasible:  p.Infeasible,
-		spans:       kernel.NewSpan(p.NumVars),
+		nv:          numVars,
+		conditional: conditional,
+		spans:       kernel.NewSpan(numVars),
 	}
-	if p.Conditional {
+	if conditional {
 		d.branchPlans = buildPlans(g, d.nv)
 	}
 	return d
@@ -245,13 +243,6 @@ func (d *packedDomain) Transfer(n cfg.NodeID, in, scratch int, slots []int8) {
 		}
 	case cfg.TermHalt:
 	}
-	if d.infeasible != nil {
-		for i, eid := range nd.Out {
-			if i < len(slots) && int(eid) < len(d.infeasible) && d.infeasible[eid] {
-				slots[i] = -1
-			}
-		}
-	}
 }
 
 // refine is refineBranch over SoA cells, driven by n's plan. It reads
@@ -316,7 +307,7 @@ func (d *packedDomain) env(r int) Env {
 // production solver. The solution is pointwise equal to AnalyzeBoxed's,
 // iteration counts included.
 func AnalyzePacked(g *cfg.Graph, numVars int, conditional bool) *Result {
-	d := newPackedDomain(g, &Problem{NumVars: numVars, Conditional: conditional})
+	d := newPackedDomain(g, numVars, conditional)
 	s := kernel.NewSolver(g, d)
 	s.Run()
 	sol := s.Materialize(func(row int) dataflow.Fact { return d.env(row) })

@@ -32,10 +32,8 @@ import (
 	"time"
 
 	"pathflow/internal/bench"
-	"pathflow/internal/constprop"
 	"pathflow/internal/dataflow"
 	"pathflow/internal/engine"
-	"pathflow/internal/profile/stream"
 )
 
 // --- Requests -------------------------------------------------------------
@@ -213,37 +211,16 @@ func funcSummary(fname string, fr *engine.FuncResult) FuncSummary {
 		fs.HPGNodes = fr.HPG.G.NumNodes()
 		fs.ReducedNodes = fr.Red.G.NumNodes()
 		fs.AutomatonStates = fr.Auto.NumStates()
-		fs.Consts = collectConsts(fr)
-	}
-	return fs
-}
-
-// collectConsts lists the non-local constants on the reduced graph — the
-// same facts `pathflow analyze -consts` prints.
-func collectConsts(fr *engine.FuncResult) []ConstFact {
-	g := fr.Red.G
-	sol := fr.RedSol
-	numVars := fr.Fn.NumVars()
-	var out []ConstFact
-	for _, nd := range g.Nodes {
-		if !sol.Reached(nd.ID) {
-			continue
-		}
-		flags := constprop.ConstFlags(g, nd.ID, sol.EnvAt(nd.ID), numVars, true)
-		vals := sol.InstrValues(nd.ID)
-		for i := range nd.Instrs {
-			if !flags[i] {
-				continue
-			}
-			out = append(out, ConstFact{
-				Node:  int(nd.ID),
-				Block: nd.Name,
-				Var:   fr.Fn.VarName(nd.Instrs[i].Dst),
-				Value: vals[i].K,
+		for _, c := range fr.Consts() {
+			fs.Consts = append(fs.Consts, ConstFact{
+				Node:  int(c.Node.ID),
+				Block: c.Node.Name,
+				Var:   fr.Fn.VarName(c.Instr.Dst),
+				Value: c.Value,
 			})
 		}
 	}
-	return out
+	return fs
 }
 
 // --- Job metrics ----------------------------------------------------------
@@ -365,38 +342,14 @@ type ErrorBody struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-// errorBody maps an error to its wire form, pulling hints and provenance
-// from the typed errors the libraries already define — no validation or
-// hint text is duplicated here.
+// errorBody maps an error to its wire form, pulling the hint from the
+// first error in the chain that has one and provenance from a
+// StageError — no validation or hint text is duplicated here.
 func errorBody(err error) ErrorBody {
 	b := ErrorBody{Error: err.Error()}
-	var inv *engine.InvalidOptionsError
-	if errors.As(err, &inv) {
-		b.Hint = inv.Hint()
-	}
-	var ub *bench.UnknownBenchmarkError
-	if errors.As(err, &ub) {
-		b.Hint = ub.Hint()
-	}
-	var uc *engine.UnknownClientError
-	if errors.As(err, &uc) {
-		b.Hint = uc.Hint()
-	}
-	var uk *engine.UnknownKernelError
-	if errors.As(err, &uk) {
-		b.Hint = uk.Hint()
-	}
-	var be *stream.BatchError
-	if errors.As(err, &be) {
-		b.Hint = be.Hint()
-	}
-	var tl *BodyTooLargeError
-	if errors.As(err, &tl) {
-		b.Hint = tl.Hint()
-	}
-	var il *InputLenError
-	if errors.As(err, &il) {
-		b.Hint = il.Hint()
+	var h interface{ Hint() string }
+	if errors.As(err, &h) {
+		b.Hint = h.Hint()
 	}
 	var se *engine.StageError
 	if errors.As(err, &se) {

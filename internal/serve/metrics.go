@@ -36,15 +36,17 @@ func (h *histogram) observe(sec float64) {
 type serverMetrics struct {
 	start time.Time
 
-	mu            sync.Mutex
-	requests      int64
-	jobsAccepted  int64
-	jobsInFlight  int64
-	jobsFinished  map[JobState]int64
-	stages        map[engine.StageName]*histogram
+	mu           sync.Mutex
+	requests     int64
+	jobsAccepted int64
+	jobsInFlight int64
+	jobsFinished map[JobState]int64
+	stages       map[engine.StageName]*histogram
+	// stageHits counts cache-served stage executions; it backs both
+	// pathflow_stage_cache_hits_total and pathflow_stage_replayed_total,
+	// two names for the same events.
 	stageHits     map[engine.StageName]int64
 	stageDisk     map[engine.StageName]int64
-	stageReplayed map[engine.StageName]int64
 	stageDecode   map[engine.StageName]float64
 	profileRuns   int64
 	profileCached int64
@@ -61,13 +63,12 @@ type serverMetrics struct {
 
 func newServerMetrics() *serverMetrics {
 	return &serverMetrics{
-		start:         time.Now(),
-		jobsFinished:  map[JobState]int64{},
-		stages:        map[engine.StageName]*histogram{},
-		stageHits:     map[engine.StageName]int64{},
-		stageDisk:     map[engine.StageName]int64{},
-		stageReplayed: map[engine.StageName]int64{},
-		stageDecode:   map[engine.StageName]float64{},
+		start:        time.Now(),
+		jobsFinished: map[JobState]int64{},
+		stages:       map[engine.StageName]*histogram{},
+		stageHits:    map[engine.StageName]int64{},
+		stageDisk:    map[engine.StageName]int64{},
+		stageDecode:  map[engine.StageName]float64{},
 	}
 }
 
@@ -103,7 +104,6 @@ func (sm *serverMetrics) observeStage(ev engine.StageEvent) {
 	defer sm.mu.Unlock()
 	if ev.Cached {
 		sm.stageHits[ev.Stage]++
-		sm.stageReplayed[ev.Stage]++
 		if ev.Source == engine.SourceDisk {
 			sm.stageDisk[ev.Stage]++
 			sm.stageDecode[ev.Stage] += ev.Decode.Seconds()
@@ -118,7 +118,8 @@ func (sm *serverMetrics) observeStage(ev engine.StageEvent) {
 	h.observe(ev.Duration.Seconds())
 }
 
-func (sm *serverMetrics) observeProfile(d time.Duration, cached bool) {
+// observeProfile records one training-profile request.
+func (sm *serverMetrics) observeProfile(cached bool) {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	sm.profileRuns++
@@ -263,7 +264,7 @@ func (sm *serverMetrics) render(w io.Writer, cache engine.CacheStats) {
 	fmt.Fprintf(w, "# HELP pathflow_stage_replayed_total Stage executions replayed from the artifact cache instead of recomputed (incremental re-analysis reuse).\n")
 	fmt.Fprintf(w, "# TYPE pathflow_stage_replayed_total counter\n")
 	for _, s := range engine.StageOrder {
-		if n, ok := sm.stageReplayed[s]; ok {
+		if n, ok := sm.stageHits[s]; ok {
 			fmt.Fprintf(w, "pathflow_stage_replayed_total{stage=%q} %d\n", string(s), n)
 		}
 	}

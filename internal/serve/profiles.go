@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"pathflow/internal/bl"
 	"pathflow/internal/engine"
@@ -63,11 +62,11 @@ func (ts *targetStream) setAnalyzed(pp *bl.ProgramProfile, ca float64) {
 // the program memo; the second return hands it to the caller so the
 // profile is not computed twice.
 func (s *Server) streamFor(rt *resolvedTarget) (*targetStream, *bl.ProgramProfile, error) {
-	train, profMS, memoHit, err := s.memo.trainProfile(rt)
+	train, _, memoHit, err := s.memo.trainProfile(rt)
 	if err != nil {
 		return nil, nil, err
 	}
-	s.metrics.observeProfile(time.Duration(profMS*float64(time.Millisecond)), memoHit)
+	s.metrics.observeProfile(memoHit)
 
 	s.streamsMu.Lock()
 	ts, ok := s.streams[rt.key]

@@ -394,7 +394,7 @@ func (s *Server) runPoints(ctx context.Context, job *Job, rt *resolvedTarget, po
 		if train, jm.ProfileMS, jm.ProfileCached, err = s.memo.trainProfile(rt); err != nil {
 			return err
 		}
-		s.metrics.observeProfile(time.Duration(jm.ProfileMS*float64(time.Millisecond)), jm.ProfileCached)
+		s.metrics.observeProfile(jm.ProfileCached)
 		job.events.append(Event{
 			Type: "profile", Job: job.id, Time: time.Now(),
 			DurationMS: jm.ProfileMS, Cached: jm.ProfileCached,
