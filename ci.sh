@@ -49,6 +49,10 @@
 #                           kernels match the boxed reference pointwise,
 #                           iteration counts included, on full pipeline
 #                           runs over random programs;
+#                           FuzzKernelCFG: the same equivalence for
+#                           constprop, intervals, liveness and
+#                           availexpr on one small generated CFG per
+#                           exec, no training run or pipeline;
 #                           FuzzFeasibleSoundness: no trace-observed
 #                           edge is ever marked infeasible on random
 #                           correlated-branch programs, on the CFG, the
@@ -186,6 +190,10 @@ go clean -fuzzcache
 go test -run '^$' -fuzz '^FuzzDiskcacheCodec$' -fuzztime 10s -fuzzminimizetime 1x ./internal/engine/diskcache/
 go test -run '^$' -fuzz '^FuzzDelta$' -fuzztime 10s -fuzzminimizetime 1x ./internal/engine/
 go test -run '^$' -fuzz '^FuzzKernelEquivalence$' -fuzztime 10s -fuzzminimizetime 1x ./internal/engine/
+# The same kernel equivalence on one small generated CFG per exec, with
+# no training run or pipeline, so the fuzzer gets through thousands of
+# inputs in the same 10 s.
+go test -run '^$' -fuzz '^FuzzKernelCFG$' -fuzztime 10s -fuzzminimizetime 1x ./internal/engine/
 # The branch-correlation detector and the projection of the HPG mask
 # onto the reduced HPG must never prune an edge a real execution
 # traverses, over programs biased toward correlated re-tests.

@@ -48,7 +48,7 @@ const (
 // chain folds in the digests of the stage's upstream cache keys (or the
 // hot-set fingerprint, which is output-addressed), and knob/knob2 carry
 // swept parameters (CA, the hot prefix a CR selects, the client set).
-// See Cache.keyBaseline and friends for the exact composition of every
+// See the table above stageKeys for the exact composition of every
 // stage's key.
 //
 // Because each key hashes only what its stage actually reads plus its
@@ -195,8 +195,6 @@ type fnPrints struct {
 	counts uint64
 	body   uint64
 }
-
-func (p fnPrints) full() uint64 { return hash2(p.shape, p.body) }
 
 // profPrints caches one profile's fingerprints: the whole profile and
 // its recording-edge set alone (the only part of the profile the
@@ -525,12 +523,20 @@ func (c *Cache) profileFP(pr *bl.Profile) profPrints {
 //	reduce     —                        weigh key             k
 //	feasible   shape + body (CFG tier)  trace key (HPG tier)  —
 //
+// The client bundles of a tier key like the stage that produced the
+// tier's constant-propagation solution, with the client's bit in knob2:
+// the CFG tier reads shape + body, the HPG tier chains the analyze key
+// and the reduced tier the reduce key.
+//
 // The Options.Feasible flag has no knob dimension of its own — it rides
-// the Merkle chains instead: a masked baseline or CFG client bundle
-// chains keyFeasibleCFG, a masked analyze bundle chains keyFeasibleHPG,
-// and the weigh key (and through it the reduce key and the reduced
-// client bundles) folds keyFeasibleHPG into its chain, so feasible-on
-// and feasible-off runs can never collide on an artifact that differs.
+// the Merkle chains instead. One rule (stageKeys.through) covers every
+// masked solve: a stage that solves through a non-empty mask chains the
+// tier's feasible key, so the masked baseline and CFG client bundles
+// chain the CFG tier's and the masked analyze bundle the HPG tier's.
+// Besides, the weigh key (and through it the reduce key and the reduced
+// client bundles) folds the HPG tier's feasible key into its chain, so
+// feasible-on and feasible-off runs can never collide on an artifact
+// that differs.
 //
 // The reduce knob is k, the length of the weight-order prefix that CR
 // makes hot (reduce.HotPrefix), not CR itself: CR reaches the reduction
@@ -547,95 +553,76 @@ func (c *Cache) profileFP(pr *bl.Profile) profPrints {
 // an HPG's shape and edge numbering depend only on the CFG shape and
 // the automaton, so a body-only edit replays translate from cache.
 
-func (c *Cache) keyBaseline(fn *cfg.Func) cacheKey {
-	return cacheKey{kind: kindBaseline, slice: c.funcFP(fn).full()}
+// stageKeys derives one invocation's cache keys: it holds the input
+// slices, fingerprinted once when the invocation starts, and
+// invocation.run derives each stage key once from its parents' keys, so
+// no key rebuilds its ancestors. The zero value, used by an engine
+// without a cache, derives nothing: every key it returns is the zero
+// key, which cached reads as "compute, do not cache".
+type stageKeys struct {
+	on        bool
+	whole     uint64 // shape + body
+	sel       uint64 // shape + counts + prof
+	auto      uint64 // shape + recording
+	translate uint64 // shape + prof
 }
 
-func (c *Cache) keySelect(fn *cfg.Func, train *bl.Profile, ca float64) cacheKey {
-	f := c.funcFP(fn)
-	return cacheKey{
-		kind:  kindSelect,
-		slice: hash3(f.shape, f.counts, c.profileFP(train).prof),
-		knob:  knobBits(ca),
+// keys returns the key deriver of one invocation on fn and train: the
+// zero stageKeys when c is nil (the engine does not cache).
+func (c *Cache) keys(fn *cfg.Func, train *bl.Profile) stageKeys {
+	if c == nil {
+		return stageKeys{}
+	}
+	f, p := c.funcFP(fn), c.profileFP(train)
+	return stageKeys{
+		on:        true,
+		whole:     hash2(f.shape, f.body),
+		sel:       hash3(f.shape, f.counts, p.prof),
+		auto:      hash2(f.shape, p.rec),
+		translate: hash2(f.shape, p.prof),
 	}
 }
 
-func (c *Cache) keyAutomaton(fn *cfg.Func, train *bl.Profile, hot []bl.Path) cacheKey {
-	return cacheKey{
-		kind:  kindAutomaton,
-		slice: hash2(c.funcFP(fn).shape, c.profileFP(train).rec),
-		chain: FingerprintHot(hot),
+// key returns the key of a stage of kind that reads slice and chains
+// the digests of its parents' keys, folded in order. A zero parent
+// after the first — a stage this run skipped, such as the HPG tier's
+// feasibility stage without Options.Feasible — is left out.
+func (s stageKeys) key(kind string, slice uint64, parents ...cacheKey) cacheKey {
+	if !s.on {
+		return cacheKey{}
 	}
-}
-
-func (c *Cache) keyTrace(fn *cfg.Func, train *bl.Profile, hot []bl.Path) cacheKey {
-	f := c.funcFP(fn)
-	return cacheKey{
-		kind:  kindTrace,
-		slice: hash2(f.shape, f.body),
-		chain: c.keyAutomaton(fn, train, hot).digest(),
+	k := cacheKey{kind: kind, slice: slice}
+	for i, p := range parents {
+		switch {
+		case i == 0:
+			k.chain = p.digest()
+		case p.kind != "":
+			k.chain = hash2(k.chain, p.digest())
+		}
 	}
+	return k
 }
 
-func (c *Cache) keyAnalyze(fn *cfg.Func, train *bl.Profile, hot []bl.Path) cacheKey {
-	return cacheKey{
-		kind:  kindAnalyze,
-		chain: c.keyTrace(fn, train, hot).digest(),
+// automaton keys the automaton stage, which chains the hot-set
+// fingerprint rather than a parent key.
+func (s stageKeys) automaton(hot []bl.Path) cacheKey {
+	k := s.key(kindAutomaton, s.auto)
+	if s.on {
+		k.chain = FingerprintHot(hot)
 	}
+	return k
 }
 
-func (c *Cache) keyTranslate(fn *cfg.Func, train *bl.Profile, hot []bl.Path) cacheKey {
-	return cacheKey{
-		kind:  kindTranslate,
-		slice: hash2(c.funcFP(fn).shape, c.profileFP(train).prof),
-		chain: c.keyAutomaton(fn, train, hot).digest(),
+// through is the key of a solve through feas, whose own key is mask: a
+// non-empty mask changes the solution, so the key chains mask in place
+// of k's chain (mask's chain already covers the graph the solve reads).
+// An empty mask produces the unmasked solution, so those runs
+// deliberately share the unmasked bundle k.
+func (s stageKeys) through(k cacheKey, feas *feasible.Edges, mask cacheKey) cacheKey {
+	if feas.Mask() == nil {
+		return k
 	}
-}
-
-// keyWeigh keys the reduction weights: they read the HPG solution and
-// the translated profile, so the chain covers the analyze and translate
-// stages. Under Options.Feasible the weights read the masked HPG
-// solution and the reduce stage downstream projects the HPG mask, so the
-// chain also folds in the HPG feasibility key.
-func (c *Cache) keyWeigh(fn *cfg.Func, train *bl.Profile, hot []bl.Path, feas bool) cacheKey {
-	chain := hash2(c.keyAnalyze(fn, train, hot).digest(), c.keyTranslate(fn, train, hot).digest())
-	if feas {
-		chain = hash2(chain, c.keyFeasibleHPG(fn, train, hot).digest())
-	}
-	return cacheKey{kind: kindWeigh, chain: chain}
-}
-
-// keyReduce keys the reduction with hot prefix k of the order of the
-// weigh bundle keyed weigh (and, through that key, its feasibility
-// mode).
-func keyReduce(weigh cacheKey, k int) cacheKey {
-	return cacheKey{kind: kindReduced, chain: weigh.digest(), knob: uint64(k)}
-}
-
-// keyFeasibleCFG keys the CFG tier's infeasible-edge set: detection
-// reads the whole function (shape + bodies) and nothing else.
-func (c *Cache) keyFeasibleCFG(fn *cfg.Func) cacheKey {
-	return cacheKey{kind: kindFeasible, slice: c.funcFP(fn).full()}
-}
-
-// keyFeasibleHPG keys the HPG tier's infeasible-edge set: detection's
-// only input is the traced graph, so a pure chain key over the trace
-// stage suffices.
-func (c *Cache) keyFeasibleHPG(fn *cfg.Func, train *bl.Profile, hot []bl.Path) cacheKey {
-	return cacheKey{kind: kindFeasible, chain: c.keyTrace(fn, train, hot).digest()}
-}
-
-// keyAnalyzeMasked is the analyze-stage key under Options.Feasible:
-// when the HPG tier's mask is non-empty the solution differs from the
-// unmasked one, so the key chains the feasibility artifact (whose own
-// chain already covers the trace stage). An empty mask produces the
-// identical solution, so those runs deliberately share the unmasked
-// bundle.
-func (c *Cache) keyAnalyzeMasked(fn *cfg.Func, train *bl.Profile, hot []bl.Path, masked bool) cacheKey {
-	if !masked {
-		return c.keyAnalyze(fn, train, hot)
-	}
-	return cacheKey{kind: kindAnalyze, chain: c.keyFeasibleHPG(fn, train, hot).digest()}
+	return s.key(k.kind, k.slice, mask)
 }
 
 // FingerprintFunc hashes the full structure of a function: CFG shape,

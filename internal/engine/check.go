@@ -157,15 +157,23 @@ func CheckFuncResult(fr *FuncResult) []*oracle.Report {
 	base := o.Facts(fr.Fn.G, fr.OrigSol, nil, fr.LiveCFG, fr.AvailCFG)
 	var freq, feas []*oracle.Report
 	for _, t := range tiers {
+		facts := base // the tier's facts, intervals unmasked
 		if t.orig != nil {
-			freq = append(freq, o.Compare(t.name, base, o.Facts(t.g, t.cp, nil, t.live, t.avail), t.orig)...)
+			facts = o.Facts(t.g, t.cp, nil, t.live, t.avail)
+			freq = append(freq, o.Compare(t.name, base, facts, t.orig)...)
 		}
 		if !fr.Opt.Feasible {
 			continue
 		}
 		graph := t.name + "/feasible"
-		unmasked := o.Facts(t.g, solveConstprop(fr.Opt.Kernel, t.g, o.nv, nil), nil, nil, nil)
-		masked := o.Facts(t.g, t.cp, t.mask, t.live, t.avail)
+		// t.cp is solved through the mask, so the masked side differs
+		// from facts only in intervals. Under an empty mask the pipeline
+		// solved the tier unmasked: facts serve as both sides.
+		unmasked, masked := facts, facts
+		if m := t.mask.Mask(); m != nil {
+			unmasked = o.Facts(t.g, solveConstprop(fr.Opt.Kernel, t.g, o.nv, nil), nil, nil, nil)
+			masked[1] = intervals.AnalyzeClampedMasked(t.g, o.nv, o.thr, true, m).Sol // OracleClients[1]
+		}
 		feas = append(feas, o.Compare(graph, unmasked, masked, oracle.Identity)...)
 		if t.prof != nil && t.mask != nil {
 			feas = append(feas,

@@ -5,6 +5,8 @@ import (
 
 	"pathflow/internal/availexpr"
 	"pathflow/internal/bench"
+	"pathflow/internal/bl"
+	"pathflow/internal/cfg"
 	"pathflow/internal/engine"
 	"pathflow/internal/liveness"
 	"pathflow/internal/profile"
@@ -220,4 +222,45 @@ func freqOf(fr *engine.FuncResult, tier string) []int64 {
 		return profile.NodeFrequencies(p, fr.Red.G)
 	}
 	return nil
+}
+
+// TestWarmClientsAllocateLittle: once every bundle is cached, running
+// the clients costs a handful of lookups per tier, not a rebuilt
+// expression universe per function. A warm all-hit ClientsAll pass over
+// the named programs must allocate at most a small multiple of a warm
+// pass with the clients off.
+func TestWarmClientsAllocateLittle(t *testing.T) {
+	type input struct {
+		prog  *cfg.Program
+		train *bl.ProgramProfile
+	}
+	var ins []input
+	for _, b := range bench.All() {
+		prog, err := b.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		train, _, err := bl.ProfileProgram(prog, b.TrainOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins = append(ins, input{prog, train})
+	}
+	warmAllocs := func(clients engine.ClientSet) float64 {
+		eng := engine.New(engine.Config{Workers: 1, Cache: true})
+		o := engine.Options{CA: 0.97, CR: 0.95, Feasible: true, Clients: clients}
+		pass := func() {
+			for _, in := range ins {
+				if _, err := eng.AnalyzeProgram(ctx, in.prog, in.train, o); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		pass()
+		return testing.AllocsPerRun(5, pass)
+	}
+	off, all := warmAllocs(0), warmAllocs(engine.ClientsAll)
+	if all > 4*off {
+		t.Errorf("warm ClientsAll pass allocates %.0f times, clients off %.0f: want at most 4x", all, off)
+	}
 }

@@ -15,8 +15,9 @@
 // Cache keys are Merkle-style and per stage: every stage's key hashes
 // only the input slice it actually reads (CFG shape, block bodies,
 // per-block instruction counts, recording edges, the training profile)
-// plus the digests of its upstream stage keys — see the table on
-// Cache.keyBaseline and friends.
+// plus the digests of its upstream stage keys — see the table above
+// stageKeys. Each invocation derives each key once, from its parent
+// stages' keys.
 //
 // Two reuse stories fall out of the slice keys. Parameter sweeps — the
 // harness's Figures 9/11/12 and the CR ablation — recompute only the
@@ -33,7 +34,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"pathflow/internal/automaton"
 	"pathflow/internal/availexpr"
@@ -167,47 +167,45 @@ func (e *Engine) AnalyzeFuncHot(ctx context.Context, fn *cfg.Func, train *bl.Pro
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	return e.invoke(ctx, fn, train, o).run(hot)
+	iv := e.invoke(ctx, fn, train, o)
+	return iv.run(hot)
 }
 
-func (e *Engine) invoke(ctx context.Context, fn *cfg.Func, train *bl.Profile, o Options) *invocation {
-	return &invocation{ctx: ctx, e: e, fn: fn, train: train, o: o, m: newMetrics(ctx, fn.Name)}
+// invoke returns the invocation by value, so callers keep it on the
+// stack.
+func (e *Engine) invoke(ctx context.Context, fn *cfg.Func, train *bl.Profile, o Options) invocation {
+	return invocation{ctx: ctx, e: e, fn: fn, train: train, o: o, m: newMetrics(ctx, fn.Name), keys: e.cache.keys(fn, train)}
 }
 
 // run takes the invocation from the baseline to the reduced tier for
-// the given hot set (none: the CA = 0 baseline only).
+// the given hot set (none: the CA = 0 baseline only). Each stage's
+// cache key is derived once, here, from the keys of its parent stages.
 func (iv *invocation) run(hot []bl.Path) (*FuncResult, error) {
-	fn, o, c := iv.fn, iv.o, iv.e.cache
+	fn, o, ks := iv.fn, iv.o, iv.keys
 	res := &FuncResult{Fn: fn, Opt: o, Train: iv.train, Metrics: iv.m}
 	var err error
 
 	// Feasibility runs before the baseline so the CFG tier (and every
 	// client on it) already analyzes through the pruned view.
+	var feasCFG cacheKey
 	if o.Feasible {
-		res.FeasCFG, err = iv.feasibleTier(fn.G, func() cacheKey { return c.keyFeasibleCFG(fn) })
-		if err != nil {
+		feasCFG = ks.key(kindFeasible, ks.whole)
+		if res.FeasCFG, err = iv.feasibleTier(feasCFG, fn.G); err != nil {
 			return nil, err
 		}
 	}
-	if res.OrigSol, err = iv.baseline(res.FeasCFG); err != nil {
+	baseKey := ks.through(ks.key(kindBaseline, ks.whole), res.FeasCFG, feasCFG)
+	if res.OrigSol, err = iv.baseline(baseKey, res.FeasCFG); err != nil {
 		return nil, err
 	}
 
 	// CFG-tier client analyses run whether or not qualification will:
 	// they are the baseline the HPG/rHPG tiers are compared against, and
-	// the only tier at CA = 0.
+	// the only tier at CA = 0. The expression universe comes from the CFG
+	// tier's availexpr bundle, so a cache hit builds none.
 	if o.Clients != 0 {
-		if o.Clients.Has(ClientAvailExpr) {
-			res.AvailU = availexpr.NewUniverse(fn.G, fn.NumVars())
-		}
-		res.LiveCFG, res.AvailCFG, err = iv.clientTier(fn.G, res.OrigSol, res.AvailU, func() cacheKey {
-			key := cacheKey{kind: kindClientsCFG, slice: c.funcFP(fn).full()}
-			if res.FeasCFG.Mask() != nil {
-				key.chain = c.keyFeasibleCFG(fn).digest()
-			}
-			return key
-		})
-		if err != nil {
+		key := ks.through(ks.key(kindClientsCFG, ks.whole), res.FeasCFG, feasCFG)
+		if res.LiveCFG, res.AvailCFG, err = iv.clientTier(key, fn.G, res.OrigSol, nil); err != nil {
 			return nil, err
 		}
 		if res.AvailCFG != nil {
@@ -224,33 +222,40 @@ func (iv *invocation) run(hot []bl.Path) (*FuncResult, error) {
 	// replays from the cache tiers when its Merkle key survives the edit
 	// (or sweep point) that brought us here, and recomputes otherwise —
 	// the unit of reuse is the stage, not the chain.
-	if res.Auto, err = iv.automaton(hot); err != nil {
+	autoKey := ks.automaton(hot)
+	if res.Auto, err = iv.automaton(autoKey, hot); err != nil {
 		return nil, err
 	}
-	if res.HPG, err = iv.trace(hot, res.Auto); err != nil {
+	traceKey := ks.key(kindTrace, ks.whole, autoKey)
+	if res.HPG, err = iv.trace(traceKey, res.Auto); err != nil {
 		return nil, err
 	}
+	var feasHPG cacheKey
 	if o.Feasible {
-		res.FeasHPG, err = iv.feasibleTier(res.HPG.G, func() cacheKey { return c.keyFeasibleHPG(fn, iv.train, hot) })
-		if err != nil {
+		feasHPG = ks.key(kindFeasible, 0, traceKey)
+		if res.FeasHPG, err = iv.feasibleTier(feasHPG, res.HPG.G); err != nil {
 			return nil, err
 		}
 	}
-	if res.HPGSol, err = iv.analyze(hot, res.HPG, res.FeasHPG); err != nil {
+	analyzeKey := ks.key(kindAnalyze, 0, traceKey)
+	solKey := ks.through(analyzeKey, res.FeasHPG, feasHPG)
+	if res.HPGSol, err = iv.analyze(solKey, res.HPG, res.FeasHPG); err != nil {
 		return nil, err
 	}
-	if res.HPGProf, err = iv.translate(hot, res.HPG); err != nil {
+	translateKey := ks.key(kindTranslate, ks.translate, autoKey)
+	if res.HPGProf, err = iv.translate(translateKey, res.HPG); err != nil {
 		return nil, err
 	}
-	// The weigh key chains four upstream keys, and the reduce stage and
-	// the reduced-tier clients chain it in turn: compute it at most once.
-	weighKey := sync.OnceValue(func() cacheKey { return c.keyWeigh(fn, iv.train, hot, o.Feasible) })
+	// The weigh key chains the unmasked analyze key: the HPG tier's
+	// feasible key, folded in under Options.Feasible, stands for the mask.
+	weighKey := ks.key(kindWeigh, 0, analyzeKey, translateKey, feasHPG)
 	w, err := iv.weigh(weighKey, res.HPG, res.HPGSol, res.HPGProf)
 	if err != nil {
 		return nil, err
 	}
 	k := reduce.HotPrefix(w, o.CR)
-	reduceKey := func() cacheKey { return keyReduce(weighKey(), k) }
+	reduceKey := ks.key(kindReduced, 0, weighKey)
+	reduceKey.knob = uint64(k)
 	r, err := iv.reduce(reduceKey, res.HPG, res.HPGSol, w, k, res.FeasHPG)
 	if err != nil {
 		return nil, err
@@ -258,16 +263,11 @@ func (iv *invocation) run(hot []bl.Path) (*FuncResult, error) {
 	res.Red, res.RedSol, res.FeasRed = r.Red, r.RedSol, r.FeasRed
 
 	if o.Clients != 0 {
-		res.LiveHPG, res.AvailHPG, err = iv.clientTier(res.HPG.G, res.HPGSol, res.AvailU, func() cacheKey {
-			return cacheKey{kind: kindClientsHPG,
-				chain: c.keyAnalyzeMasked(fn, iv.train, hot, res.FeasHPG.Mask() != nil).digest()}
-		})
+		res.LiveHPG, res.AvailHPG, err = iv.clientTier(ks.key(kindClientsHPG, 0, solKey), res.HPG.G, res.HPGSol, res.AvailU)
 		if err != nil {
 			return nil, err
 		}
-		res.LiveRed, res.AvailRed, err = iv.clientTier(r.Red.G, r.RedSol, res.AvailU, func() cacheKey {
-			return cacheKey{kind: kindClientsRed, chain: reduceKey().digest()}
-		})
+		res.LiveRed, res.AvailRed, err = iv.clientTier(ks.key(kindClientsRed, 0, reduceKey), r.Red.G, r.RedSol, res.AvailU)
 		if err != nil {
 			return nil, err
 		}
@@ -282,7 +282,7 @@ func (iv *invocation) run(hot []bl.Path) (*FuncResult, error) {
 func (iv *invocation) finalize(res *FuncResult) (*FuncResult, error) {
 	if iv.o.Verify {
 		var err error
-		res.Oracle, err = cached(iv, StageCheck, nil, nil, func() ([]*oracle.Report, error) {
+		res.Oracle, err = cached(iv, StageCheck, cacheKey{}, nil, func() ([]*oracle.Report, error) {
 			reports := CheckFuncResult(res)
 			return reports, OracleErr(reports)
 		})
@@ -299,19 +299,18 @@ func (iv *invocation) finalize(res *FuncResult) (*FuncResult, error) {
 // bit in knob2. Like the baseline, select, trace and translate stages,
 // clients have no disk codec: the disk tier keeps only what is cheaper
 // to read than to recompute, and clients are cheap to recompute
-// relative to their encoded size.
-func (iv *invocation) clientTier(g *cfg.Graph, guide *constprop.Result, u *availexpr.Universe, key func() cacheKey) (live *liveness.Result, avail *availexpr.Result, err error) {
-	keyFor := func(c ClientSet) func() cacheKey {
-		return func() cacheKey {
-			k := key()
-			k.knob2 = uint64(c)
-			return k
-		}
+// relative to their encoded size. A nil universe u (the CFG tier)
+// builds one from g when availexpr computes.
+func (iv *invocation) clientTier(key cacheKey, g *cfg.Graph, guide *constprop.Result, u *availexpr.Universe) (live *liveness.Result, avail *availexpr.Result, err error) {
+	keyFor := func(c ClientSet) cacheKey {
+		k := key
+		k.knob2 = uint64(c)
+		return k
 	}
-	k := iv.o.Kernel
+	k, nv := iv.o.Kernel, iv.fn.NumVars()
 	if iv.o.Clients.Has(ClientLiveness) {
 		live, err = cached(iv, StageLiveness, keyFor(ClientLiveness), nil, func() (*liveness.Result, error) {
-			return solveLiveness(k, g, iv.fn.NumVars(), guide.Sol), nil
+			return solveLiveness(k, g, nv, guide.Sol), nil
 		})
 		if err != nil {
 			return nil, nil, err
@@ -319,6 +318,9 @@ func (iv *invocation) clientTier(g *cfg.Graph, guide *constprop.Result, u *avail
 	}
 	if iv.o.Clients.Has(ClientAvailExpr) {
 		avail, err = cached(iv, StageAvailExpr, keyFor(ClientAvailExpr), nil, func() (*availexpr.Result, error) {
+			if u == nil {
+				u = availexpr.NewUniverse(g, nv)
+			}
 			return solveAvailExpr(k, g, u, guide.Sol), nil
 		})
 		if err != nil {
@@ -336,12 +338,14 @@ func (iv *invocation) clientTier(g *cfg.Graph, guide *constprop.Result, u *avail
 // selecting it again.
 func (iv *invocation) selectHot() ([]bl.Path, error) {
 	fn, train, ca := iv.fn, iv.train, iv.o.CA
-	return cached(iv, StageSelect, func() cacheKey { return iv.e.cache.keySelect(fn, train, ca) }, nil,
+	key := iv.keys.key(kindSelect, iv.keys.sel)
+	key.knob = knobBits(ca)
+	return cached(iv, StageSelect, key, nil,
 		func() ([]bl.Path, error) { return profile.SelectHot(train, fn.G, ca), nil })
 }
 
 // feasibleTier detects the infeasible edges of one graph tier.
-func (iv *invocation) feasibleTier(g *cfg.Graph, key func() cacheKey) (*feasible.Edges, error) {
+func (iv *invocation) feasibleTier(key cacheKey, g *cfg.Graph) (*feasible.Edges, error) {
 	return cached(iv, StageFeasible, key,
 		&codec[*feasible.Edges]{diskcache.KindFeasible,
 			func(meta diskcache.Meta, ed *feasible.Edges) []byte {
@@ -358,16 +362,10 @@ func (iv *invocation) feasibleTier(g *cfg.Graph, key func() cacheKey) (*feasible
 // solution, masked by the CFG tier's feasibility artifact when one was
 // computed. The stage is memory-only: one solve on the CFG costs less
 // than reading its solution back from disk.
-func (iv *invocation) baseline(feas *feasible.Edges) (*constprop.Result, error) {
-	fn, mask := iv.fn, feas.Mask()
-	return cached(iv, StageBaseline, func() cacheKey {
-		key := iv.e.cache.keyBaseline(fn)
-		if mask != nil {
-			key.chain = iv.e.cache.keyFeasibleCFG(fn).digest()
-		}
-		return key
-	}, nil, func() (*constprop.Result, error) {
-		return solveConstprop(iv.o.Kernel, fn.G, fn.NumVars(), mask), nil
+func (iv *invocation) baseline(key cacheKey, feas *feasible.Edges) (*constprop.Result, error) {
+	fn := iv.fn
+	return cached(iv, StageBaseline, key, nil, func() (*constprop.Result, error) {
+		return solveConstprop(iv.o.Kernel, fn.G, fn.NumVars(), feas.Mask()), nil
 	})
 }
 
@@ -376,9 +374,9 @@ func (iv *invocation) baseline(feas *feasible.Edges) (*constprop.Result, error) 
 // (output-addressed), so any route to the same hot set — a different
 // CA, an explicit AnalyzeFuncHot set, a counts-only edit that
 // re-selects identically — shares the bundle.
-func (iv *invocation) automaton(hot []bl.Path) (*automaton.Automaton, error) {
+func (iv *invocation) automaton(key cacheKey, hot []bl.Path) (*automaton.Automaton, error) {
 	fn, train := iv.fn, iv.train
-	return cached(iv, StageAutomaton, func() cacheKey { return iv.e.cache.keyAutomaton(fn, train, hot) },
+	return cached(iv, StageAutomaton, key,
 		&codec[*automaton.Automaton]{diskcache.KindAutomaton, diskcache.EncodeAutomatonBundle,
 			func(b []byte) (diskcache.Meta, *automaton.Automaton, error) {
 				return diskcache.DecodeAutomatonBundle(b, train.R)
@@ -394,23 +392,21 @@ func (iv *invocation) automaton(hot []bl.Path) (*automaton.Automaton, error) {
 // so after a restart the HPG is rebuilt from the (decoded) automaton
 // with the node and edge IDs the persisted analyze, weigh and reduce
 // bundles were written against.
-func (iv *invocation) trace(hot []bl.Path, a *automaton.Automaton) (*trace.HPG, error) {
-	fn := iv.fn
-	return cached(iv, StageTrace, func() cacheKey { return iv.e.cache.keyTrace(fn, iv.train, hot) }, nil,
-		func() (*trace.HPG, error) { return trace.Build(fn, a) })
+func (iv *invocation) trace(key cacheKey, a *automaton.Automaton) (*trace.HPG, error) {
+	return cached(iv, StageTrace, key, nil, func() (*trace.HPG, error) { return trace.Build(iv.fn, a) })
 }
 
 // analyze runs Wegman-Zadek on the HPG. Pure chain key: its only input
 // is the trace stage's output (and the HPG tier's feasibility mask).
-func (iv *invocation) analyze(hot []bl.Path, h *trace.HPG, feas *feasible.Edges) (*constprop.Result, error) {
-	fn, mask := iv.fn, feas.Mask()
-	return cached(iv, StageAnalyze, func() cacheKey { return iv.e.cache.keyAnalyzeMasked(fn, iv.train, hot, mask != nil) },
+func (iv *invocation) analyze(key cacheKey, h *trace.HPG, feas *feasible.Edges) (*constprop.Result, error) {
+	fn := iv.fn
+	return cached(iv, StageAnalyze, key,
 		&codec[*constprop.Result]{diskcache.KindAnalyze, diskcache.EncodeAnalyze,
 			func(b []byte) (diskcache.Meta, *constprop.Result, error) {
 				return diskcache.DecodeAnalyze(b, h.G, fn.NumVars())
 			}},
 		func() (*constprop.Result, error) {
-			return solveConstprop(iv.o.Kernel, h.G, fn.NumVars(), mask), nil
+			return solveConstprop(iv.o.Kernel, h.G, fn.NumVars(), feas.Mask()), nil
 		})
 }
 
@@ -421,9 +417,9 @@ func (iv *invocation) analyze(hot []bl.Path, h *trace.HPG, feas *feasible.Edges)
 // (body-updated) HPG — the cached profile's edge IDs still line up.
 // The stage is memory-only: reading a stored profile back cost more than
 // translating it again.
-func (iv *invocation) translate(hot []bl.Path, h *trace.HPG) (*bl.Profile, error) {
+func (iv *invocation) translate(key cacheKey, h *trace.HPG) (*bl.Profile, error) {
 	fn, train := iv.fn, iv.train
-	return cached(iv, StageTranslate, func() cacheKey { return iv.e.cache.keyTranslate(fn, train, hot) }, nil,
+	return cached(iv, StageTranslate, key, nil,
 		func() (*bl.Profile, error) { return profile.Translate(train, fn.G, h) })
 }
 
@@ -431,7 +427,7 @@ func (iv *invocation) translate(hot []bl.Path, h *trace.HPG) (*bl.Profile, error
 // weight of every HPG node and their order. Pure chain key over the
 // analyze and translate stages (and the HPG mask under
 // Options.Feasible), so a CR sweep weighs each HPG once.
-func (iv *invocation) weigh(key func() cacheKey, h *trace.HPG, hsol *constprop.Result, hprof *bl.Profile) (*reduce.Weights, error) {
+func (iv *invocation) weigh(key cacheKey, h *trace.HPG, hsol *constprop.Result, hprof *bl.Profile) (*reduce.Weights, error) {
 	return cached(iv, StageWeigh, key,
 		&codec[*reduce.Weights]{diskcache.KindWeigh, diskcache.EncodeWeigh,
 			func(b []byte) (diskcache.Meta, *reduce.Weights, error) { return diskcache.DecodeWeigh(b, h.G) }},
@@ -446,7 +442,7 @@ func (iv *invocation) weigh(key func() cacheKey, h *trace.HPG, hsol *constprop.R
 // re-analyzes through that pruned view. The projection is a cheap pass
 // over the partition, so the disk bundle does not store it: decoding
 // re-projects from the stored partition.
-func (iv *invocation) reduce(key func() cacheKey, h *trace.HPG, hsol *constprop.Result, w *reduce.Weights, k int, feas *feasible.Edges) (ReduceOut, error) {
+func (iv *invocation) reduce(key cacheKey, h *trace.HPG, hsol *constprop.Result, w *reduce.Weights, k int, feas *feasible.Edges) (ReduceOut, error) {
 	fn, o := iv.fn, iv.o
 	project := func(red *reduce.Reduced) *feasible.Edges {
 		if !o.Feasible {

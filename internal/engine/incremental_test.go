@@ -264,9 +264,6 @@ func TestDecodeSplitDiskReplay(t *testing.T) {
 				if sm.Decode <= 0 {
 					t.Errorf("%s/%s: disk replay reports no decode cost: %+v", name, s, sm)
 				}
-				if sm.DecodeNanos() != sm.Decode.Nanoseconds() {
-					t.Errorf("%s/%s: DecodeNanos()=%d, Decode=%v", name, s, sm.DecodeNanos(), sm.Decode)
-				}
 				want := base.Funcs[name].Metrics.Stages[s].Duration
 				if sm.Duration != want {
 					t.Errorf("%s/%s: replay Duration %v != stored compute cost %v (decode folded in?)",

@@ -53,6 +53,49 @@ func FuzzKernelEquivalence(f *testing.F) {
 	})
 }
 
+// FuzzKernelCFG is FuzzKernelEquivalence narrowed to what one exec can
+// afford many times a second: it compiles one generated single-function
+// program and solves only its CFG, with no training run and no
+// pipeline. The fuzzer picks the program's seed and its size
+// (statements per block and nesting depth), so most execs solve a small
+// graph. On that graph the packed kernels must match the boxed
+// reference for conditional constant propagation, intervals, liveness
+// and available expressions: facts, reachability, edge executability
+// and iteration counts.
+func FuzzKernelCFG(f *testing.F) {
+	for _, seed := range []uint64{1, 2, 7, 42, 138, 301} {
+		f.Add(seed, uint8(seed))
+	}
+
+	f.Fuzz(func(t *testing.T, seed uint64, shape uint8) {
+		c := progen.DefaultConfig(seed)
+		c.Funcs = 0
+		c.MaxStmts = 1 + int(shape%6)
+		c.MaxDepth = 1 + int(shape/6%3)
+		prog, err := lang.Compile(progen.Generate(c))
+		if err != nil {
+			t.Fatalf("%+v: generated program does not compile: %v", c, err)
+		}
+		fn := prog.Main()
+		g, nv := fn.G, fn.NumVars()
+		check := func(client string, lat oracle.Lattice, b, p *dataflow.Solution) {
+			t.Helper()
+			if err := oracle.Differential(client, "cfg", lat, b, p).Err(); err != nil {
+				t.Errorf("%+v: %v", c, err)
+			}
+		}
+		cpB, cpP := constprop.AnalyzeBoxed(g, nv, true), constprop.AnalyzePacked(g, nv, true)
+		check("constprop", &constprop.Problem{NumVars: nv, Conditional: true}, cpB.Boxed(), cpP.Boxed())
+		check("intervals", &intervals.Problem{NumVars: nv, Conditional: true},
+			intervals.AnalyzeBoxed(g, nv, true).Sol, intervals.AnalyzePacked(g, nv, true).Sol)
+		check("liveness", &liveness.Problem{NumVars: nv},
+			liveness.AnalyzeBoxed(g, nv, cpB.Sol).Sol, liveness.AnalyzePacked(g, nv, cpP.Sol).Sol)
+		u := availexpr.NewUniverse(g, nv)
+		check("availexpr", &availexpr.Problem{U: u},
+			availexpr.AnalyzeBoxed(g, u, cpB.Sol).Sol, availexpr.AnalyzePacked(g, u, cpP.Sol).Sol)
+	})
+}
+
 // TestKernelEquivalenceBenchmarks runs FuzzKernelEquivalence's
 // differential over the paper's 7 named benchmarks with their training
 // profiles: every tier (CFG, HPG, rHPG), every client, boxed vs packed.

@@ -88,6 +88,7 @@ type invocation struct {
 	train *bl.Profile
 	o     Options
 	m     *Metrics
+	keys  stageKeys
 }
 
 // codec is a stage's disk-tier encoding: the bundle kind and the two
@@ -103,12 +104,13 @@ type codec[T any] struct {
 // compute runs only after a context check, is timed, and any failure
 // comes back as a *StageError naming the stage and the function.
 //
-// With the engine's cache on and a non-nil key, the stage is one
+// With the engine's cache on and a non-zero key, the stage is one
 // single-flight cache bundle: memory first, then the disk tier when cd
 // is non-nil (decoded, or written through after a compute), then
-// compute. Otherwise it computes directly. key is a thunk so the
-// uncached path never touches fingerprint machinery.
-func cached[T any](iv *invocation, stage StageName, key func() cacheKey, cd *codec[T], compute func() (T, error)) (T, error) {
+// compute. Otherwise it computes directly. An engine without a cache
+// derives only zero keys (stageKeys), so it never touches fingerprint
+// machinery.
+func cached[T any](iv *invocation, stage StageName, k cacheKey, cd *codec[T], compute func() (T, error)) (T, error) {
 	var zero T
 	run := func() (any, time.Duration, error) {
 		if err := iv.ctx.Err(); err != nil {
@@ -121,7 +123,7 @@ func cached[T any](iv *invocation, stage StageName, key func() cacheKey, cd *cod
 		}
 		return v, time.Since(t0), nil
 	}
-	if iv.e.cache == nil || key == nil {
+	if iv.e.cache == nil || k.kind == "" {
 		v, d, err := run()
 		if err != nil {
 			return zero, err
@@ -129,7 +131,6 @@ func cached[T any](iv *invocation, stage StageName, key func() cacheKey, cd *cod
 		iv.m.add(stage, d, 0, SourceComputed)
 		return v.(T), nil
 	}
-	k := key()
 	var ops *diskOps
 	if cd != nil && iv.e.cache.disk != nil {
 		ops = &diskOps{
@@ -189,10 +190,6 @@ type StageMetrics struct {
 
 // Computed returns how many executions actually ran the stage.
 func (sm StageMetrics) Computed() int { return sm.Runs - sm.CacheHits }
-
-// DecodeNanos returns the disk-decode cost in nanoseconds (the unit the
-// serving layer exports).
-func (sm StageMetrics) DecodeNanos() int64 { return sm.Decode.Nanoseconds() }
 
 // Metrics is the per-stage record of one pipeline invocation: compute
 // and decode durations, run and hit counts.

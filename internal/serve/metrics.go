@@ -14,9 +14,9 @@ import (
 // histogram is a fixed-bucket cumulative histogram (Prometheus
 // semantics: counts[i] counts observations ≤ diskcache.BucketBounds[i]).
 type histogram struct {
-	counts [len(diskcache.BucketBounds)]uint64
+	counts [len(diskcache.BucketBounds)]int64
 	sum    float64
-	total  uint64
+	total  int64
 }
 
 func (h *histogram) observe(sec float64) {
@@ -152,24 +152,13 @@ func (sm *serverMetrics) render(w io.Writer, cache engine.CacheStats) {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 
-	fmt.Fprintf(w, "# HELP pathflow_uptime_seconds Time since the server started.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "pathflow_uptime_seconds %g\n", time.Since(sm.start).Seconds())
-
-	fmt.Fprintf(w, "# HELP pathflow_http_requests_total HTTP requests served.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_http_requests_total counter\n")
-	fmt.Fprintf(w, "pathflow_http_requests_total %d\n", sm.requests)
-
-	fmt.Fprintf(w, "# HELP pathflow_jobs_accepted_total Jobs admitted by the job manager.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_jobs_accepted_total counter\n")
-	fmt.Fprintf(w, "pathflow_jobs_accepted_total %d\n", sm.jobsAccepted)
-
-	fmt.Fprintf(w, "# HELP pathflow_jobs_in_flight Jobs queued or running.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_jobs_in_flight gauge\n")
-	fmt.Fprintf(w, "pathflow_jobs_in_flight %d\n", sm.jobsInFlight)
-
-	fmt.Fprintf(w, "# HELP pathflow_jobs_finished_total Jobs by terminal state.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_jobs_finished_total counter\n")
+	scalars(w, []scalar{
+		{"pathflow_uptime_seconds", "gauge", "Time since the server started.", time.Since(sm.start).Seconds()},
+		{"pathflow_http_requests_total", "counter", "HTTP requests served.", sm.requests},
+		{"pathflow_jobs_accepted_total", "counter", "Jobs admitted by the job manager.", sm.jobsAccepted},
+		{"pathflow_jobs_in_flight", "gauge", "Jobs queued or running.", sm.jobsInFlight},
+	})
+	family(w, "pathflow_jobs_finished_total", "counter", "Jobs by terminal state.")
 	states := make([]string, 0, len(sm.jobsFinished))
 	for s := range sm.jobsFinished {
 		states = append(states, string(s))
@@ -179,118 +168,90 @@ func (sm *serverMetrics) render(w io.Writer, cache engine.CacheStats) {
 		fmt.Fprintf(w, "pathflow_jobs_finished_total{state=%q} %d\n", s, sm.jobsFinished[JobState(s)])
 	}
 
-	fmt.Fprintf(w, "# HELP pathflow_engine_cache_hits_total Artifact-cache hits (cumulative, shared engine).\n")
-	fmt.Fprintf(w, "# TYPE pathflow_engine_cache_hits_total counter\n")
-	fmt.Fprintf(w, "pathflow_engine_cache_hits_total %d\n", cache.Hits)
-	fmt.Fprintf(w, "# HELP pathflow_engine_cache_misses_total Artifact-cache misses (cumulative, shared engine).\n")
-	fmt.Fprintf(w, "# TYPE pathflow_engine_cache_misses_total counter\n")
-	fmt.Fprintf(w, "pathflow_engine_cache_misses_total %d\n", cache.Misses)
-	fmt.Fprintf(w, "# HELP pathflow_engine_cache_entries Artifact-cache resident bundles.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_engine_cache_entries gauge\n")
-	fmt.Fprintf(w, "pathflow_engine_cache_entries %d\n", cache.Entries)
-	fmt.Fprintf(w, "# HELP pathflow_engine_cache_bytes Estimated in-memory footprint of resident bundles.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_engine_cache_bytes gauge\n")
-	fmt.Fprintf(w, "pathflow_engine_cache_bytes %d\n", cache.Bytes)
-	fmt.Fprintf(w, "# HELP pathflow_engine_cache_evictions_total Bundles dropped by the in-memory byte bound.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_engine_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "pathflow_engine_cache_evictions_total %d\n", cache.MemEvictions)
-
-	if cache.DiskEnabled {
-		d := cache.Disk
-		fmt.Fprintf(w, "# HELP pathflow_diskcache_hits_total Persistent-tier lookups whose payload decoded into a usable artifact.\n")
-		fmt.Fprintf(w, "# TYPE pathflow_diskcache_hits_total counter\n")
-		fmt.Fprintf(w, "pathflow_diskcache_hits_total %d\n", d.Hits)
-		fmt.Fprintf(w, "# HELP pathflow_diskcache_misses_total Persistent-tier lookups that missed (absent, unreadable or rejected entries).\n")
-		fmt.Fprintf(w, "# TYPE pathflow_diskcache_misses_total counter\n")
-		fmt.Fprintf(w, "pathflow_diskcache_misses_total %d\n", d.Misses)
-		fmt.Fprintf(w, "# HELP pathflow_diskcache_rejects_total Persistent-tier payloads rejected as corrupt or version-skewed (deleted, recomputed).\n")
-		fmt.Fprintf(w, "# TYPE pathflow_diskcache_rejects_total counter\n")
-		fmt.Fprintf(w, "pathflow_diskcache_rejects_total %d\n", d.Rejects)
-		fmt.Fprintf(w, "# HELP pathflow_diskcache_writes_total Bundles persisted to the disk tier.\n")
-		fmt.Fprintf(w, "# TYPE pathflow_diskcache_writes_total counter\n")
-		fmt.Fprintf(w, "pathflow_diskcache_writes_total %d\n", d.Writes)
-		fmt.Fprintf(w, "# HELP pathflow_diskcache_evictions_total Bundle files deleted by the disk-tier byte bound.\n")
-		fmt.Fprintf(w, "# TYPE pathflow_diskcache_evictions_total counter\n")
-		fmt.Fprintf(w, "pathflow_diskcache_evictions_total %d\n", d.Evictions)
-		fmt.Fprintf(w, "# HELP pathflow_diskcache_entries Resident bundle files in the disk tier.\n")
-		fmt.Fprintf(w, "# TYPE pathflow_diskcache_entries gauge\n")
-		fmt.Fprintf(w, "pathflow_diskcache_entries %d\n", d.Entries)
-		fmt.Fprintf(w, "# HELP pathflow_diskcache_bytes Bytes resident in the disk tier.\n")
-		fmt.Fprintf(w, "# TYPE pathflow_diskcache_bytes gauge\n")
-		fmt.Fprintf(w, "pathflow_diskcache_bytes %d\n", d.Bytes)
-		fmt.Fprintf(w, "# HELP pathflow_diskcache_decode_seconds Time to decode disk-tier bundles into live artifacts.\n")
-		fmt.Fprintf(w, "# TYPE pathflow_diskcache_decode_seconds histogram\n")
-		for i, ub := range diskcache.BucketBounds {
-			fmt.Fprintf(w, "pathflow_diskcache_decode_seconds_bucket{le=%q} %d\n", fmtBound(ub), d.DecodeBuckets[i])
-		}
-		fmt.Fprintf(w, "pathflow_diskcache_decode_seconds_bucket{le=\"+Inf\"} %d\n", d.DecodeCount)
-		fmt.Fprintf(w, "pathflow_diskcache_decode_seconds_sum %g\n", d.DecodeSum)
-		fmt.Fprintf(w, "pathflow_diskcache_decode_seconds_count %d\n", d.DecodeCount)
+	scalars(w, []scalar{
+		{"pathflow_engine_cache_hits_total", "counter", "Artifact-cache hits (cumulative, shared engine).", cache.Hits},
+		{"pathflow_engine_cache_misses_total", "counter", "Artifact-cache misses (cumulative, shared engine).", cache.Misses},
+		{"pathflow_engine_cache_entries", "gauge", "Artifact-cache resident bundles.", cache.Entries},
+		{"pathflow_engine_cache_bytes", "gauge", "Estimated in-memory footprint of resident bundles.", cache.Bytes},
+		{"pathflow_engine_cache_evictions_total", "counter", "Bundles dropped by the in-memory byte bound.", cache.MemEvictions},
+	})
+	if d := cache.Disk; cache.DiskEnabled {
+		scalars(w, []scalar{
+			{"pathflow_diskcache_hits_total", "counter", "Persistent-tier lookups whose payload decoded into a usable artifact.", d.Hits},
+			{"pathflow_diskcache_misses_total", "counter", "Persistent-tier lookups that missed (absent, unreadable or rejected entries).", d.Misses},
+			{"pathflow_diskcache_rejects_total", "counter", "Persistent-tier payloads rejected as corrupt or version-skewed (deleted, recomputed).", d.Rejects},
+			{"pathflow_diskcache_writes_total", "counter", "Bundles persisted to the disk tier.", d.Writes},
+			{"pathflow_diskcache_evictions_total", "counter", "Bundle files deleted by the disk-tier byte bound.", d.Evictions},
+			{"pathflow_diskcache_entries", "gauge", "Resident bundle files in the disk tier.", d.Entries},
+			{"pathflow_diskcache_bytes", "gauge", "Bytes resident in the disk tier.", d.Bytes},
+		})
+		family(w, "pathflow_diskcache_decode_seconds", "histogram", "Time to decode disk-tier bundles into live artifacts.")
+		writeHistogram(w, "pathflow_diskcache_decode_seconds", "", d.DecodeBuckets[:], d.DecodeSum, d.DecodeCount)
 	}
 
-	fmt.Fprintf(w, "# HELP pathflow_profile_runs_total Training-profile requests (cached and computed).\n")
-	fmt.Fprintf(w, "# TYPE pathflow_profile_runs_total counter\n")
-	fmt.Fprintf(w, "pathflow_profile_runs_total %d\n", sm.profileRuns)
-	fmt.Fprintf(w, "# HELP pathflow_profile_cached_total Training-profile requests served from the memo.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_profile_cached_total counter\n")
-	fmt.Fprintf(w, "pathflow_profile_cached_total %d\n", sm.profileCached)
+	scalars(w, []scalar{
+		{"pathflow_profile_runs_total", "counter", "Training-profile requests (cached and computed).", sm.profileRuns},
+		{"pathflow_profile_cached_total", "counter", "Training-profile requests served from the memo.", sm.profileCached},
+		{"pathflow_profile_ingest_total", "counter", "Streamed profile function-deltas applied to the live accumulators.", sm.ingestApplied},
+		{"pathflow_profile_ingest_dropped_total", "counter", "Streamed profile function-deltas dropped as idempotent replays (seq already applied).", sm.ingestDropped},
+		{"pathflow_drift_requalify_total", "counter", "Functions whose live hot-set selection drifted from the cached artifacts' profile after an ingested batch.", sm.driftRequalify},
+	})
 
-	fmt.Fprintf(w, "# HELP pathflow_profile_ingest_total Streamed profile function-deltas applied to the live accumulators.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_profile_ingest_total counter\n")
-	fmt.Fprintf(w, "pathflow_profile_ingest_total %d\n", sm.ingestApplied)
-	fmt.Fprintf(w, "# HELP pathflow_profile_ingest_dropped_total Streamed profile function-deltas dropped as idempotent replays (seq already applied).\n")
-	fmt.Fprintf(w, "# TYPE pathflow_profile_ingest_dropped_total counter\n")
-	fmt.Fprintf(w, "pathflow_profile_ingest_dropped_total %d\n", sm.ingestDropped)
-	fmt.Fprintf(w, "# HELP pathflow_drift_requalify_total Functions whose live hot-set selection drifted from the cached artifacts' profile after an ingested batch.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_drift_requalify_total counter\n")
-	fmt.Fprintf(w, "pathflow_drift_requalify_total %d\n", sm.driftRequalify)
+	stageFamily(w, "pathflow_stage_cache_hits_total", "Stage executions served from the artifact cache.", sm.stageHits)
+	stageFamily(w, "pathflow_stage_disk_hits_total", "Stage executions decoded from the persistent cache tier.", sm.stageDisk)
+	stageFamily(w, "pathflow_stage_replayed_total", "Stage executions replayed from the artifact cache instead of recomputed (incremental re-analysis reuse).", sm.stageHits)
+	stageFamily(w, "pathflow_stage_decode_seconds_total", "Disk-decode time paid for replayed stages (kept separate from compute cost).", sm.stageDecode)
 
-	fmt.Fprintf(w, "# HELP pathflow_stage_cache_hits_total Stage executions served from the artifact cache.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_stage_cache_hits_total counter\n")
+	family(w, "pathflow_stage_seconds", "histogram", "Compute cost of executed pipeline stages.")
 	for _, s := range engine.StageOrder {
-		if n, ok := sm.stageHits[s]; ok {
-			fmt.Fprintf(w, "pathflow_stage_cache_hits_total{stage=%q} %d\n", string(s), n)
+		if h, ok := sm.stages[s]; ok {
+			writeHistogram(w, "pathflow_stage_seconds", fmt.Sprintf("stage=%q", string(s)), h.counts[:], h.sum, h.total)
 		}
 	}
+}
 
-	fmt.Fprintf(w, "# HELP pathflow_stage_disk_hits_total Stage executions decoded from the persistent cache tier.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_stage_disk_hits_total counter\n")
-	for _, s := range engine.StageOrder {
-		if n, ok := sm.stageDisk[s]; ok {
-			fmt.Fprintf(w, "pathflow_stage_disk_hits_total{stage=%q} %d\n", string(s), n)
-		}
-	}
+// family writes the HELP and TYPE lines that open a metric family.
+func family(w io.Writer, name, typ, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
 
-	fmt.Fprintf(w, "# HELP pathflow_stage_replayed_total Stage executions replayed from the artifact cache instead of recomputed (incremental re-analysis reuse).\n")
-	fmt.Fprintf(w, "# TYPE pathflow_stage_replayed_total counter\n")
-	for _, s := range engine.StageOrder {
-		if n, ok := sm.stageHits[s]; ok {
-			fmt.Fprintf(w, "pathflow_stage_replayed_total{stage=%q} %d\n", string(s), n)
-		}
-	}
+// scalar is an unlabelled metric family with one sample.
+type scalar struct {
+	name, typ, help string
+	value           any // an integer, or a float64 written in %g form
+}
 
-	fmt.Fprintf(w, "# HELP pathflow_stage_decode_seconds_total Disk-decode time paid for replayed stages (kept separate from compute cost).\n")
-	fmt.Fprintf(w, "# TYPE pathflow_stage_decode_seconds_total counter\n")
-	for _, s := range engine.StageOrder {
-		if v, ok := sm.stageDecode[s]; ok {
-			fmt.Fprintf(w, "pathflow_stage_decode_seconds_total{stage=%q} %g\n", string(s), v)
-		}
+func scalars(w io.Writer, fs []scalar) {
+	for _, f := range fs {
+		family(w, f.name, f.typ, f.help)
+		fmt.Fprintf(w, "%s %v\n", f.name, f.value)
 	}
+}
 
-	fmt.Fprintf(w, "# HELP pathflow_stage_seconds Compute cost of executed pipeline stages.\n")
-	fmt.Fprintf(w, "# TYPE pathflow_stage_seconds histogram\n")
+// stageFamily writes a per-stage counter family: one sample per stage
+// that has a value, in engine.StageOrder.
+func stageFamily[V int64 | float64](w io.Writer, name, help string, vals map[engine.StageName]V) {
+	family(w, name, "counter", help)
 	for _, s := range engine.StageOrder {
-		h, ok := sm.stages[s]
-		if !ok {
-			continue
+		if v, ok := vals[s]; ok {
+			fmt.Fprintf(w, "%s{stage=%q} %v\n", name, string(s), v)
 		}
-		for i, ub := range diskcache.BucketBounds {
-			fmt.Fprintf(w, "pathflow_stage_seconds_bucket{stage=%q,le=%q} %d\n", string(s), fmtBound(ub), h.counts[i])
-		}
-		fmt.Fprintf(w, "pathflow_stage_seconds_bucket{stage=%q,le=\"+Inf\"} %d\n", string(s), h.total)
-		fmt.Fprintf(w, "pathflow_stage_seconds_sum{stage=%q} %g\n", string(s), h.sum)
-		fmt.Fprintf(w, "pathflow_stage_seconds_count{stage=%q} %d\n", string(s), h.total)
 	}
+}
+
+// writeHistogram writes one histogram's samples over
+// diskcache.BucketBounds; label is its label pair (empty: none).
+func writeHistogram(w io.Writer, name, label string, counts []int64, sum float64, total int64) {
+	le, sel := "", ""
+	if label != "" {
+		le, sel = label+",", "{"+label+"}"
+	}
+	for i, ub := range diskcache.BucketBounds {
+		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, le, fmtBound(ub), counts[i])
+	}
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, le, total)
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, sel, sum)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, sel, total)
 }
 
 func fmtBound(ub float64) string { return fmt.Sprintf("%g", ub) }
