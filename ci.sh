@@ -89,7 +89,14 @@
 #                           and at 1000 registers: reduction reads
 #                           solutions only at block inputs, so its
 #                           allocations may not grow with the register
-#                           file; and BenchmarkDetect/packed must
+#                           file; BenchmarkSolveWidth must report the
+#                           same allocs/op, and at most 8x the B/op at
+#                           1000 registers, for one generated function at
+#                           10 and at 1000 registers: constant
+#                           propagation's rows hold only the non-local
+#                           registers, so only its Transfer overlay may
+#                           grow with the register file; and
+#                           BenchmarkDetect/packed must
 #                           allocate at most a tenth of the B/op of
 #                           BenchmarkDetect/reference (the boxed fold
 #                           it replaced) over the named programs' graphs
@@ -245,6 +252,22 @@ echo "$reduce_out" | awk '
         if (sa == "" || la == "") { print "reduce gate: BenchmarkReduce lines missing" > "/dev/stderr"; exit 1 }
         if (sa != la) { printf "reduce gate: allocs/op %s at 10 registers, %s at 1000\n", sa, la > "/dev/stderr"; exit 1 }
         if (lb > sb * 1.05) { printf "reduce gate: B/op %s at 10 registers, %s at 1000\n", sb, lb > "/dev/stderr"; exit 1 }
+    }'
+
+# Constant propagation's rows hold one cell per non-local register
+# (cfg.Columns), so the same generated function at 10 and at 1000
+# registers must allocate equally often, and at 1000 registers at most
+# 8x the bytes: only the Transfer overlay, one cell per register, grows
+# with the register file.
+width_out=$(go test -run '^$' -bench '^BenchmarkSolveWidth$' -benchmem -benchtime 20x ./internal/constprop/)
+echo "$width_out"
+echo "$width_out" | awk '
+    /BenchmarkSolveWidth\/vars=10-/   { for (i = 1; i < NF; i++) { if ($(i+1) == "B/op") sb = $i; if ($(i+1) == "allocs/op") sa = $i } }
+    /BenchmarkSolveWidth\/vars=1000-/ { for (i = 1; i < NF; i++) { if ($(i+1) == "B/op") lb = $i; if ($(i+1) == "allocs/op") la = $i } }
+    END {
+        if (sa == "" || la == "") { print "width gate: BenchmarkSolveWidth lines missing" > "/dev/stderr"; exit 1 }
+        if (sa != la) { printf "width gate: allocs/op %s at 10 registers, %s at 1000\n", sa, la > "/dev/stderr"; exit 1 }
+        if (lb > sb * 8) { printf "width gate: B/op %s at 10 registers, %s at 1000\n", sb, lb > "/dev/stderr"; exit 1 }
     }'
 
 # Feasible detection solves on the packed kernel and reads only the

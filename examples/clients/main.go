@@ -87,7 +87,7 @@ func main() {
 	cBase := constprop.AnalyzePacked(fn.G, fn.NumVars(), true)
 	cQual := fr.RedSol
 	fmt.Printf("%-22s %16d %16d\n", "non-local constants",
-		countConst(fn, fn.G, cBase, baseFreq), countConst(fn, g, cQual, qualFreq))
+		countConst(fn.G, cBase, baseFreq), countConst(g, cQual, qualFreq))
 
 	// Sign analysis.
 	sBase := signs.Analyze(fn.G, fn.NumVars(), true)
@@ -139,10 +139,10 @@ func writesVar(fn *cfg.Func, nd *cfg.Node, name string) bool {
 }
 
 // countConst is the dynamically weighted non-local constant count.
-func countConst(fn *cfg.Func, g *cfg.Graph, sol *constprop.Result, freq []int64) int64 {
+func countConst(g *cfg.Graph, sol *constprop.Result, freq []int64) int64 {
 	var total int64
 	for _, nd := range g.Nodes {
-		flags := constprop.ConstFlags(g, nd.ID, sol.EnvAt(nd.ID), fn.NumVars(), true)
+		flags := sol.ConstFlags(nd.ID, true)
 		for _, fl := range flags {
 			if fl {
 				total += freq[nd.ID]

@@ -72,7 +72,7 @@ func main() {
 
 	sol := constprop.AnalyzePacked(h.G, fn.NumVars(), true)
 	fmt.Println("new constants on the HPG (none exist in the original graph):")
-	printConsts(h.G, sol, fn.VarNames, fn.NumVars())
+	printConsts(h.G, sol, fn.VarNames)
 	fmt.Println()
 
 	fmt.Println("== Figure 6: the translated path profile ==")
@@ -119,17 +119,17 @@ func main() {
 
 	rsol := constprop.AnalyzePacked(red.G, fn.NumVars(), true)
 	fmt.Println("constants preserved on the reduced graph:")
-	printConsts(red.G, rsol, fn.VarNames, fn.NumVars())
+	printConsts(red.G, rsol, fn.VarNames)
 }
 
-func printConsts(g *cfg.Graph, sol *constprop.Result, varNames []string, numVars int) {
+func printConsts(g *cfg.Graph, sol *constprop.Result, varNames []string) {
 	type row struct{ name, text string }
 	var rows []row
 	for _, nd := range g.Nodes {
 		if !sol.Reached(nd.ID) {
 			continue
 		}
-		flags := constprop.ConstFlags(g, nd.ID, sol.EnvAt(nd.ID), numVars, true)
+		flags := sol.ConstFlags(nd.ID, true)
 		vals := sol.InstrValues(nd.ID)
 		for i := range nd.Instrs {
 			if !flags[i] {

@@ -83,7 +83,7 @@ func main() {
 		if !sol.Reached(nd.ID) {
 			continue
 		}
-		flags := constprop.ConstFlags(g, nd.ID, sol.EnvAt(nd.ID), fr.Fn.NumVars(), true)
+		flags := sol.ConstFlags(nd.ID, true)
 		vals := sol.InstrValues(nd.ID)
 		for i := range nd.Instrs {
 			if flags[i] {
@@ -97,7 +97,7 @@ func main() {
 	base := constprop.AnalyzePacked(fr.Fn.G, fr.Fn.NumVars(), true)
 	n := 0
 	for _, nd := range fr.Fn.G.Nodes {
-		flags := constprop.ConstFlags(fr.Fn.G, nd.ID, base.EnvAt(nd.ID), fr.Fn.NumVars(), true)
+		flags := base.ConstFlags(nd.ID, true)
 		for _, f := range flags {
 			if f {
 				n++

@@ -264,7 +264,7 @@ func nonlocalConstDyn(fr *engine.FuncResult, fn *cfg.Func, refProf *bl.Profile) 
 	}
 	g := fr.FinalGraph()
 	freq := profile.NodeFrequencies(ep, g)
-	return classify.SiteConstDyn(g, fr.FinalSol(), freq, fn.NumVars(), true), nil
+	return classify.SiteConstDyn(g, fr.FinalSol(), freq, true), nil
 }
 
 // PropRow compares Wegman-Zadek conditional propagation against plain
@@ -296,8 +296,8 @@ func Propagation(ctx context.Context, instances []*Instance) ([]PropRow, error) 
 			}
 			freq := profile.NodeFrequencies(ep, g)
 			plain := constprop.AnalyzePacked(g, fn.NumVars(), false)
-			row.PlainDyn += classify.SiteConstDyn(g, plain, freq, fn.NumVars(), false)
-			row.CondDyn += classify.SiteConstDyn(g, fr.FinalSol(), freq, fn.NumVars(), false)
+			row.PlainDyn += classify.SiteConstDyn(g, plain, freq, false)
+			row.CondDyn += classify.SiteConstDyn(g, fr.FinalSol(), freq, false)
 		}
 		rows = append(rows, row)
 	}

@@ -163,8 +163,8 @@ func (in *Instance) Evaluate(res *engine.ProgramResult) (*EvalMetrics, error) {
 		g := fr.FinalGraph()
 		freq := profile.NodeFrequencies(ep, g)
 		m.TotalDyn += ep.DynInstrs(g)
-		m.ConstDyn += classify.SiteConstDyn(g, fr.FinalSol(), freq, fn.NumVars(), false)
-		m.NonlocalConstDyn += classify.SiteConstDyn(g, fr.FinalSol(), freq, fn.NumVars(), true)
+		m.ConstDyn += classify.SiteConstDyn(g, fr.FinalSol(), freq, false)
+		m.NonlocalConstDyn += classify.SiteConstDyn(g, fr.FinalSol(), freq, true)
 	}
 	return m, nil
 }
@@ -289,7 +289,7 @@ func Fig7(ctx context.Context, instances []*Instance) ([]Fig7Row, error) {
 				return nil, err
 			}
 			freq := profile.NodeFrequencies(ep, fr.HPG.G)
-			weights = append(weights, classify.BlockConstWeights(fr.HPG.G, fr.HPGSol, freq, fn.NumVars())...)
+			weights = append(weights, classify.BlockConstWeights(fr.HPG.G, fr.HPGSol, freq)...)
 		}
 		rows = append(rows, Fig7Row{Name: in.B.Name, Points: classify.CumulativeDistribution(weights)})
 	}

@@ -15,6 +15,7 @@ package cfg
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"pathflow/internal/ir"
 )
@@ -90,6 +91,9 @@ type Graph struct {
 	Edges []*Edge
 	Entry NodeID
 	Exit  NodeID
+
+	cols   atomic.Pointer[Columns] // Columns, once built
+	colsOf *Graph                  // set by ShareColumns
 }
 
 // New returns a graph containing only Entry and Exit nodes. The entry node

@@ -231,20 +231,20 @@ func TestSiteConstDynOnExample(t *testing.T) {
 	freq := profile.NodeFrequencies(tp, h.G)
 	// Paper §5 weights: 140 + 100 + 70 + 60 + 30 = 400 dynamic
 	// non-local constants on the HPG.
-	got := SiteConstDyn(h.G, hsol, freq, f.NumVars(), true)
+	got := SiteConstDyn(h.G, hsol, freq, true)
 	if got != 400 {
 		t.Errorf("HPG non-local const dyn = %d, want 400", got)
 	}
 	// Baseline on the original graph: zero non-local constants.
 	origSol := constprop.AnalyzeBoxed(f.G, f.NumVars(), true)
 	ofreq := profile.NodeFrequencies(pr, f.G)
-	if base := SiteConstDyn(f.G, origSol, ofreq, f.NumVars(), true); base != 0 {
+	if base := SiteConstDyn(f.G, origSol, ofreq, true); base != 0 {
 		t.Errorf("original non-local const dyn = %d, want 0", base)
 	}
 	// Including local constants: locals execute A(2 consts × 100) +
 	// C(1 × 70) + D(1 × 160) + F(1 × 130) + G(1 × 100) + H(one, 1 × 230)
 	// = 200+70+160+130+100+230 = 890; plus the 400 non-local.
-	withLocal := SiteConstDyn(h.G, hsol, freq, f.NumVars(), false)
+	withLocal := SiteConstDyn(h.G, hsol, freq, false)
 	if withLocal != 890+400 {
 		t.Errorf("HPG const dyn = %d, want %d", withLocal, 890+400)
 	}
@@ -259,7 +259,7 @@ func TestBlockConstWeightsMatchReduceWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	freq := profile.NodeFrequencies(tp, h.G)
-	weights := BlockConstWeights(h.G, hsol, freq, f.NumVars())
+	weights := BlockConstWeights(h.G, hsol, freq)
 	byName := map[string]int64{}
 	for _, nd := range h.G.Nodes {
 		byName[nd.Name] = weights[nd.ID]

@@ -14,13 +14,13 @@ import (
 // with constant results, weighted dynamically"). With excludeLocal set it
 // counts only non-local constants, the quantity the paper's headline
 // "2-112 times more non-local constants" compares.
-func SiteConstDyn(g *cfg.Graph, sol *constprop.Result, freq []int64, numVars int, excludeLocal bool) int64 {
+func SiteConstDyn(g *cfg.Graph, sol *constprop.Result, freq []int64, excludeLocal bool) int64 {
 	var total int64
 	for _, nd := range g.Nodes {
 		if freq[nd.ID] == 0 || len(nd.Instrs) == 0 {
 			continue
 		}
-		flags := constprop.ConstFlags(g, nd.ID, sol.EnvAt(nd.ID), numVars, excludeLocal)
+		flags := sol.ConstFlags(nd.ID, excludeLocal)
 		var n int64
 		for _, f := range flags {
 			if f {
@@ -35,13 +35,13 @@ func SiteConstDyn(g *cfg.Graph, sol *constprop.Result, freq []int64, numVars int
 // BlockConstWeights returns, per node of g, the dynamic executions of
 // non-local constant instructions: the per-block weights behind the
 // paper's Figure 7 distribution and the §5 reduction heuristic.
-func BlockConstWeights(g *cfg.Graph, sol *constprop.Result, freq []int64, numVars int) []int64 {
+func BlockConstWeights(g *cfg.Graph, sol *constprop.Result, freq []int64) []int64 {
 	out := make([]int64, g.NumNodes())
 	for _, nd := range g.Nodes {
 		if len(nd.Instrs) == 0 {
 			continue
 		}
-		flags := constprop.ConstFlags(g, nd.ID, sol.EnvAt(nd.ID), numVars, true)
+		flags := sol.ConstFlags(nd.ID, true)
 		var n int64
 		for _, f := range flags {
 			if f {
@@ -65,8 +65,20 @@ func DecidedBranches(g *cfg.Graph, sol *constprop.Result, freq []int64) (static 
 		if nd.Kind != cfg.TermBranch || !sol.Reached(nd.ID) {
 			continue
 		}
-		env, _ := constprop.TransferBlock(g, nd.ID, sol.EnvAt(nd.ID), false)
-		if env[nd.Cond].IsConst() {
+		// The condition's value at the block's exit: its last write in
+		// the block or, when the block does not write it, its entry
+		// value, one of the solution's columns.
+		i := len(nd.Instrs) - 1
+		for i >= 0 && nd.Instrs[i].Dst != nd.Cond {
+			i--
+		}
+		var cond constprop.Value
+		if i >= 0 {
+			cond = sol.InstrValues(nd.ID)[i]
+		} else {
+			cond = sol.Value(nd.ID, nd.Cond)
+		}
+		if cond.IsConst() {
 			static++
 			if freq != nil {
 				dyn += freq[nd.ID]

@@ -15,6 +15,8 @@ package constprop
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"pathflow/internal/cfg"
 	"pathflow/internal/dataflow"
@@ -223,6 +225,14 @@ type Problem struct {
 	// never delivers along a withheld edge, so the mask works identically
 	// under the boxed and packed backends.
 	Infeasible []bool
+	// Cols, when non-nil, names the registers whose facts cross block
+	// boundaries, as the packed rows do: Transfer resets every other
+	// register to ⊤ in its out-facts, so a change to a temporary never
+	// re-queues a successor. The facts at the non-local registers, the
+	// reachability and the edges are those of the full problem, and the
+	// iteration counts are the packed solver's. AnalyzeBoxed sets it;
+	// nil solves at full width.
+	Cols *cfg.Columns
 }
 
 var _ dataflow.Problem = (*Problem)(nil)
@@ -250,6 +260,17 @@ func (p *Problem) Equal(a, b dataflow.Fact) bool {
 func (p *Problem) Transfer(g *cfg.Graph, n cfg.NodeID, in dataflow.Fact, out []dataflow.Fact) {
 	env, _ := TransferBlock(g, n, in.(Env), false)
 	nd := g.Node(n)
+	var cond Value
+	if nd.Kind == cfg.TermBranch {
+		cond = env[nd.Cond]
+	}
+	if p.Cols != nil {
+		for r := range env {
+			if p.Cols.Of(ir.Var(r)) < 0 {
+				env[r] = Value{Kind: Top}
+			}
+		}
+	}
 	switch nd.Kind {
 	case cfg.TermJump, cfg.TermReturn:
 		out[0] = env
@@ -258,12 +279,12 @@ func (p *Problem) Transfer(g *cfg.Graph, n cfg.NodeID, in dataflow.Fact, out []d
 			out[0], out[1] = env, env.Clone()
 			return
 		}
-		switch c := env[nd.Cond]; c.Kind {
+		switch cond.Kind {
 		case Top:
 			// No evidence about the condition yet: neither leg is
 			// known executable (optimistic).
 		case Const:
-			if c.K != 0 {
+			if cond.K != 0 {
 				out[0] = env
 			} else {
 				out[1] = env
@@ -285,18 +306,28 @@ func (p *Problem) Transfer(g *cfg.Graph, n cfg.NodeID, in dataflow.Fact, out []d
 
 // Result is a solved constant-propagation problem over G, held in the
 // packed solver's own representation: Rows is a kernel.KV arena whose
-// row n is node n's entry environment, one (kind, value) cell per
-// register, normalized (value 0 unless Const). The rows of nodes the
-// analysis never reached are all ⊤, so meets over vertex sets treat them
-// as the identity, as the reduction algorithm requires. Sol carries the
-// rest of the solution — Reached, EdgeExecutable, Iterations and Pops —
-// and never boxed facts (Sol.In is nil); Value reads one cell, EnvAt
-// boxes one row, and Boxed rebuilds the whole boxed solution for the
-// oracle and the reference checks.
+// row n is node n's entry environment at the non-local registers, one
+// normalized (kind, value) cell per column of Cols (value 0 unless
+// Const). The rows of nodes the analysis never reached are all ⊤, so
+// meets over vertex sets treat them as the identity, as the reduction
+// algorithm requires. Sol carries the rest of the solution — Reached,
+// EdgeExecutable, Iterations and Pops — and never boxed facts (Sol.In
+// is nil).
+//
+// Value reads one cell and InstrValues and ConstFlags evaluate a block
+// from its inputs, which are non-local registers by definition. EnvAt
+// and Boxed return whole environments, NumVars registers wide: the
+// first call solves the temporaries' facts from the rows (see
+// fullRows) and keeps them.
 type Result struct {
-	G    *cfg.Graph
-	Sol  *dataflow.Solution
-	Rows kernel.KV
+	G       *cfg.Graph
+	Sol     *dataflow.Solution
+	Rows    kernel.KV
+	Cols    *cfg.Columns
+	NumVars int
+
+	fullOnce sync.Once
+	full     atomic.Pointer[kernel.KV] // NumVars-wide rows, once fullRows ran
 }
 
 // AnalyzeBoxed runs constant propagation over g on the boxed reference
@@ -307,22 +338,26 @@ func AnalyzeBoxed(g *cfg.Graph, numVars int, conditional bool) *Result {
 }
 
 // AnalyzeBoxedMasked runs boxed constant propagation with the given
-// infeasible-edge mask (nil behaves like AnalyzeBoxed). The boxed facts
-// are packed into the same rows the packed solver fills.
+// infeasible-edge mask (nil behaves like AnalyzeBoxed) over g's column
+// map, as the packed solver does, and packs the boxed facts at the
+// non-local registers into the same rows the packed solver fills.
 func AnalyzeBoxedMasked(g *cfg.Graph, numVars int, conditional bool, infeasible []bool) *Result {
-	p := &Problem{NumVars: numVars, Conditional: conditional, Infeasible: infeasible}
+	cols := g.Columns()
+	p := &Problem{NumVars: numVars, Conditional: conditional, Infeasible: infeasible, Cols: cols}
 	sol := dataflow.Solve(g, p)
-	r := &Result{G: g, Sol: sol, Rows: kernel.KV{Width: numVars}}
+	r := &Result{G: g, Sol: sol, Rows: kernel.KV{Width: cols.Width()}, Cols: cols, NumVars: numVars}
 	r.Rows.Grow(g.NumNodes())
 	for n, f := range sol.In {
 		if f == nil {
 			continue
 		}
 		k, v := r.Rows.Row(n)
-		for i, x := range f.(Env) {
-			k[i] = uint8(x.Kind)
+		env := f.(Env)
+		for c, reg := range cols.Regs {
+			x := env[reg]
+			k[c] = uint8(x.Kind)
 			if x.Kind == Const {
-				v[i] = x.K
+				v[c] = x.K
 			}
 		}
 	}
@@ -331,16 +366,20 @@ func AnalyzeBoxedMasked(g *cfg.Graph, numVars int, conditional bool, infeasible 
 }
 
 // Value returns register reg's lattice value at node n's entry (⊤ when
-// n is unreached).
+// n is unreached). A temporary's value comes from fullRows.
 func (r *Result) Value(n cfg.NodeID, reg ir.Var) Value {
-	i := int(n)*r.Rows.Width + int(reg)
-	return Value{Kind: Kind(r.Rows.Kind[i]), K: r.Rows.Val[i]}
+	rows, c := &r.Rows, r.Cols.Of(reg)
+	if c < 0 {
+		rows, c = r.fullRows(), int(reg)
+	}
+	i := int(n)*rows.Width + c
+	return Value{Kind: Kind(rows.Kind[i]), K: rows.Val[i]}
 }
 
-// EnvAt boxes the environment at node n's entry into a fresh Env;
-// unreached nodes yield the all-⊤ environment.
+// EnvAt boxes the environment at node n's entry into a fresh Env of
+// NumVars registers; unreached nodes yield the all-⊤ environment.
 func (r *Result) EnvAt(n cfg.NodeID) Env {
-	k, v := r.Rows.Row(int(n))
+	k, v := r.fullRows().Row(int(n))
 	e := make(Env, len(k))
 	for i := range k {
 		e[i] = Value{Kind: Kind(k[i]), K: v[i]}
@@ -363,12 +402,40 @@ func (r *Result) Boxed() *dataflow.Solution {
 	return &sol
 }
 
+// FullBytes reports the bytes of the whole-environment rows EnvAt has
+// kept, 0 before its first call.
+func (r *Result) FullBytes() int64 {
+	if f := r.full.Load(); f != nil {
+		return int64(len(f.Kind)) * 9
+	}
+	return 0
+}
+
+// inputs returns the values of b's inputs at node n's entry. Inputs are
+// non-local registers, so each is one cell of Rows.
+func (r *Result) inputs(b *Block, n cfg.NodeID) []Value {
+	in := make([]Value, len(b.Inputs))
+	for k, reg := range b.Inputs {
+		in[k] = r.Value(n, reg)
+	}
+	return in
+}
+
 // InstrValues returns the lattice value of each instruction's destination
 // in node n under the solved environment. Unreached nodes yield values
 // under the all-⊤ environment.
 func (r *Result) InstrValues(n cfg.NodeID) []Value {
-	_, vals := TransferBlock(r.G, n, r.EnvAt(n), true)
+	b := NewBlock(r.G.Node(n).Instrs)
+	vals := make([]Value, len(b.Instrs))
+	b.Eval(r.inputs(b, n), vals)
 	return vals
+}
+
+// ConstFlags is the package function ConstFlags under the solved
+// environment at node n's entry, read at the block's inputs only.
+func (r *Result) ConstFlags(n cfg.NodeID, excludeLocal bool) []bool {
+	b := NewBlock(r.G.Node(n).Instrs)
+	return b.flags(r.inputs(b, n), excludeLocal)
 }
 
 // Reached reports whether the analysis found node n executable.
@@ -392,8 +459,13 @@ func LocalValues(g *cfg.Graph, n cfg.NodeID, _ int) []Value {
 // are read.
 func ConstFlags(g *cfg.Graph, n cfg.NodeID, env Env, _ int, excludeLocal bool) []bool {
 	b := NewBlock(g.Node(n).Instrs)
+	return b.flags(b.Project(nil, env), excludeLocal)
+}
+
+// flags is ConstFlags for b entered with its inputs holding in.
+func (b *Block) flags(in []Value, excludeLocal bool) []bool {
 	vals := make([]Value, len(b.Instrs))
-	b.Eval(b.Project(nil, env), vals)
+	b.Eval(in, vals)
 	flags := make([]bool, len(b.Instrs))
 	if excludeLocal {
 		for _, i := range b.Candidates {

@@ -11,11 +11,24 @@ import (
 // live as rows of a (kind []uint8, val []int64) arena instead of boxed
 // []Value slices. Cells are kept normalized (val = 0 unless Const), so
 // raw cell comparison is exactly Env.Equal.
+//
+// A row holds one cell per column of the graph's cfg.Columns, the
+// registers some block reads before writing them; the other registers
+// are temporaries no fact carries across a block boundary. Transfer
+// runs the block on a full-width overlay indexed by register: it loads
+// the non-local registers the block reads from the input row, and every
+// temporary is written before the block reads it.
 type packedDomain struct {
 	g           *cfg.Graph
 	conditional bool
-	infeasible  []bool // optional per-EdgeID feasibility mask; masked slots stay -1
+	infeasible  []bool  // optional per-EdgeID feasibility mask; masked slots stay -1
+	col         []int32 // register → column, -1 for a temporary (cfg.Columns.Col)
 	cells       *kernel.KV
+
+	// The overlay, indexed by register: only the registers of the block
+	// in Transfer are meaningful.
+	ok []uint8
+	ov []int64
 }
 
 const (
@@ -31,9 +44,11 @@ func (d *packedDomain) Copy(dst, src int)             { d.cells.Copy(dst, src) }
 func (d *packedDomain) Equal(a, b int) bool           { return d.cells.Equal(a, b) }
 
 // Meet folds src into dst pointwise (Value.Meet over normalized cells).
-func (d *packedDomain) Meet(dst, src int) bool {
-	dk, dv := d.cells.Row(dst)
-	sk, sv := d.cells.Row(src)
+func (d *packedDomain) Meet(dst, src int) bool { return meetRows(d.cells, dst, src) }
+
+func meetRows(cells *kernel.KV, dst, src int) bool {
+	dk, dv := cells.Row(dst)
+	sk, sv := cells.Row(src)
 	changed := false
 	for i := range dk {
 		k, v := meetCell(dk[i], dv[i], sk[i], sv[i])
@@ -88,19 +103,44 @@ func evalCell(in *ir.Instr, k []uint8, v []int64) (uint8, int64) {
 	return pkBottom, 0
 }
 
-// Transfer symbolically executes the block in scratch row 0 and marks
-// the executable out-edges — the Wegman-Zadek dispatch of the boxed
-// Transfer, without the Env clones (both branch legs share the scratch
-// row; the solver copies on delivery).
+// Transfer symbolically executes the block on the overlay, writes the
+// non-local registers it assigns into scratch row 0 over a copy of the
+// input row, and marks the executable out-edges — the Wegman-Zadek
+// dispatch of the boxed Transfer, without the Env clones (both branch
+// legs share the scratch row; the solver copies on delivery).
 func (d *packedDomain) Transfer(n cfg.NodeID, in, scratch int, slots []int8) {
 	d.cells.Copy(scratch, in)
 	k, v := d.cells.Row(scratch)
+	ok, ov, col := d.ok, d.ov, d.col
 	nd := d.g.Node(n)
+	// Load every non-local register the block reads. One the block
+	// writes before reading is loaded too, and overwritten in time.
+	load := func(r ir.Var) {
+		if c := col[r]; c >= 0 {
+			ok[r], ov[r] = k[c], v[c]
+		}
+	}
 	for i := range nd.Instrs {
 		ins := &nd.Instrs[i]
-		ck, cv := evalCell(ins, k, v)
+		switch {
+		case ins.Op.IsUnary():
+			load(ins.A)
+		case ins.Op.IsBinary():
+			load(ins.A)
+			load(ins.B)
+		}
+	}
+	if nd.Kind == cfg.TermBranch {
+		load(nd.Cond)
+	}
+	for i := range nd.Instrs {
+		ins := &nd.Instrs[i]
+		ck, cv := evalCell(ins, ok, ov)
 		if ins.HasDst() {
-			k[ins.Dst], v[ins.Dst] = ck, cv
+			ok[ins.Dst], ov[ins.Dst] = ck, cv
+			if c := col[ins.Dst]; c >= 0 {
+				k[c], v[c] = ck, cv
+			}
 		}
 	}
 	switch nd.Kind {
@@ -111,12 +151,12 @@ func (d *packedDomain) Transfer(n cfg.NodeID, in, scratch int, slots []int8) {
 			slots[0], slots[1] = 0, 0
 			return
 		}
-		switch k[nd.Cond] {
+		switch ok[nd.Cond] {
 		case pkTop:
 			// No evidence about the condition yet: neither leg is
 			// known executable (optimistic).
 		case pkConst:
-			if v[nd.Cond] != 0 {
+			if ov[nd.Cond] != 0 {
 				slots[0] = 0
 			} else {
 				slots[1] = 0
@@ -139,7 +179,8 @@ func (d *packedDomain) Transfer(n cfg.NodeID, in, scratch int, slots []int8) {
 // PackedSolver builds a reusable kernel solver for constant propagation
 // over g: every Run() re-solves from scratch without allocating. The
 // allocs-per-op gate in ci.sh benchmarks exactly this entry point;
-// AnalyzePacked wraps it for one-shot use.
+// AnalyzePacked wraps it for one-shot use. Its rows are as wide as g's
+// column map (cfg.Columns), whatever numVars is.
 func PackedSolver(g *cfg.Graph, numVars int, conditional bool) *kernel.Solver {
 	return PackedSolverMasked(g, numVars, conditional, nil)
 }
@@ -150,11 +191,16 @@ func PackedSolver(g *cfg.Graph, numVars int, conditional bool) *kernel.Solver {
 // mask — feasible.Detect's edges-only folds read EdgeExecutable straight
 // off the solver this way, with no facts boxed.
 func PackedSolverMasked(g *cfg.Graph, numVars int, conditional bool, infeasible []bool) *kernel.Solver {
-	return kernel.NewSolver(g, newPackedDomain(g, numVars, conditional, infeasible))
+	return kernel.NewSolver(g, newPackedDomain(g, conditional, infeasible))
 }
 
-func newPackedDomain(g *cfg.Graph, numVars int, conditional bool, infeasible []bool) *packedDomain {
-	return &packedDomain{g: g, conditional: conditional, infeasible: infeasible, cells: kernel.NewKV(numVars)}
+func newPackedDomain(g *cfg.Graph, conditional bool, infeasible []bool) *packedDomain {
+	cols := g.Columns()
+	return &packedDomain{
+		g: g, conditional: conditional, infeasible: infeasible,
+		col: cols.Col, cells: kernel.NewKV(cols.Width()),
+		ok: make([]uint8, len(cols.Col)), ov: make([]int64, len(cols.Col)),
+	}
 }
 
 // AnalyzePacked runs constant propagation on the packed SoA kernel, the
@@ -165,13 +211,14 @@ func AnalyzePacked(g *cfg.Graph, numVars int, conditional bool) *Result {
 }
 
 func solvePacked(g *cfg.Graph, numVars int, conditional bool, infeasible []bool) *Result {
-	d := newPackedDomain(g, numVars, conditional, infeasible)
+	d := newPackedDomain(g, conditional, infeasible)
 	s := kernel.NewSolver(g, d)
 	s.Run()
 	// The solver is discarded, so the Result takes its slices as they
 	// are: the per-node rows (unreached rows were never written and stay
 	// ⊤) and the reachability view.
-	rows := g.NumNodes() * numVars
+	w := d.cells.Width
+	rows := g.NumNodes() * w
 	return &Result{
 		G: g,
 		Sol: &dataflow.Solution{
@@ -180,7 +227,9 @@ func solvePacked(g *cfg.Graph, numVars int, conditional bool, infeasible []bool)
 			Iterations:     s.Iterations,
 			Pops:           s.Pops,
 		},
-		Rows: kernel.KV{Width: numVars, Kind: d.cells.Kind[:rows:rows], Val: d.cells.Val[:rows:rows]},
+		Rows:    kernel.KV{Width: w, Kind: d.cells.Kind[:rows:rows], Val: d.cells.Val[:rows:rows]},
+		Cols:    g.Columns(),
+		NumVars: numVars,
 	}
 }
 

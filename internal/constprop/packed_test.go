@@ -1,6 +1,7 @@
 package constprop_test
 
 import (
+	"sync"
 	"testing"
 
 	. "pathflow/internal/constprop"
@@ -11,7 +12,8 @@ import (
 
 // TestPackedMatchesBoxed checks the packed SoA kernel against the boxed
 // reference on generated programs: pointwise-equal facts, reachability,
-// edge executability, and iteration counts, in both propagation modes.
+// edge executability, and iteration counts, in both propagation modes —
+// and its narrow rows against a full-width boxed solve.
 func TestPackedMatchesBoxed(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		prog, err := lang.Compile(progen.Generate(progen.DefaultConfig(seed)))
@@ -28,6 +30,9 @@ func TestPackedMatchesBoxed(t *testing.T) {
 				rep := oracle.Differential("constprop", name, lat, boxed.Boxed(), packed.Boxed())
 				if err := rep.Err(); err != nil {
 					t.Errorf("seed %d func %s conditional=%t: %v", seed, name, conditional, err)
+				}
+				if err := CheckNarrow(fn.G, nv, conditional, nil); err != nil {
+					t.Errorf("seed %d func %s conditional=%t: narrow rows: %v", seed, name, conditional, err)
 				}
 			}
 		}
@@ -60,4 +65,49 @@ func TestAnalyzeMaskedMatchesBoxed(t *testing.T) {
 			t.Errorf("masked: %v", err)
 		}
 	}
+}
+
+// TestNarrowResultConcurrentReaders has several goroutines solve one
+// fresh graph, which builds its column map on first use, and then box
+// one shared result's whole environments at once, as the engine's
+// workers read a cached solution: under -race it pins that the map and
+// the kept full-width rows are built and published safely, and every
+// reader must see the environments a single reader sees.
+func TestNarrowResultConcurrentReaders(t *testing.T) {
+	prog, err := lang.Compile(progen.Generate(progen.DefaultConfig(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := prog.Main()
+	nv := fn.NumVars()
+	want := AnalyzePacked(fn.G, nv, true).Boxed()
+	g := fn.G.Clone() // no column map yet
+	const readers = 4
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			AnalyzePacked(g, nv, true)
+		}()
+	}
+	wg.Wait()
+	shared := AnalyzePacked(g, nv, true)
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := shared.Boxed()
+			for n, f := range want.In {
+				if f != nil && !got.In[n].(Env).Equal(f.(Env)) {
+					t.Errorf("node %d: environment %v, want %v", n, got.In[n], f)
+					return
+				}
+			}
+			if shared.FullBytes() == 0 {
+				t.Error("whole-environment rows not kept after Boxed")
+			}
+		}()
+	}
+	wg.Wait()
 }

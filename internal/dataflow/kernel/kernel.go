@@ -33,6 +33,16 @@
 // per-node KV rows are the artifact the engine caches and the disk
 // codec writes, so it never boxes facts. The other clients still box
 // through Materialize.
+//
+// A row need not hold a cell per register. Constant propagation and
+// the clamped intervals behind feasible detection give a row one column
+// per non-local register (cfg.Columns: a register some block reads
+// before writing it) and run each Transfer on a full-width overlay
+// indexed by register, storing back only the non-local registers the
+// block writes. A temporary never carries a fact across a block
+// boundary, so the edges and the non-local facts are the full-width
+// solve's; the boxed references solve over the same columns, so the
+// iteration counts still match theirs.
 package kernel
 
 import (

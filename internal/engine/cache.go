@@ -405,12 +405,15 @@ func sizeGraph(g *cfg.Graph) int64 {
 	return n
 }
 
+// sizeSolution charges a constant-propagation solution's rows, its
+// column map (shared by every tier of a function, so counted once per
+// solution) and the whole-environment rows EnvAt keeps once called.
 func sizeSolution(r *constprop.Result) int64 {
 	if r == nil {
 		return 0
 	}
 	return int64(96) + int64(len(r.Sol.Reached)) + int64(len(r.Sol.EdgeExecutable)) +
-		int64(len(r.Rows.Kind))*9
+		int64(len(r.Rows.Kind))*9 + int64(len(r.Cols.Regs)+len(r.Cols.Col))*4 + r.FullBytes()
 }
 
 // sizeBitsetSolution estimates the footprint of a bit-vector client

@@ -65,6 +65,7 @@ func decodeIDs(d *dec, bound int) []int {
 //	nodes, edges, width  uvarints: the shape the decoder checks
 //	reached              one bit per node
 //	kinds                width kind bytes per reached node, in node order
+//	                     (one per column of the graph's cfg.Columns)
 //	values               one varint per Const cell, in kind order
 //	executable           one bit per edge
 //	iterations, pops     uvarints
@@ -94,12 +95,14 @@ func encodeSolution(e *enc, r *constprop.Result) {
 }
 
 // decodeSolution reads a solution and attaches it to g, validating that
-// the recorded shape matches the graph's. Decoding allocates per
-// bundle, never per row: the kind column is validated in one pass and
-// copied row by row into a fresh arena.
+// the recorded shape matches the graph's: its node and edge counts and
+// its column map's width. Decoding allocates per bundle, never per row:
+// the kind column is validated in one pass and copied row by row into
+// a fresh arena.
 func decodeSolution(d *dec, g *cfg.Graph, numVars int) *constprop.Result {
-	n, ne := g.NumNodes(), g.NumEdges()
-	if d.u64() != uint64(n) || d.u64() != uint64(ne) || d.u64() != uint64(numVars) {
+	n, ne, cols := g.NumNodes(), g.NumEdges(), g.Columns()
+	w := cols.Width()
+	if d.u64() != uint64(n) || d.u64() != uint64(ne) || d.u64() != uint64(w) {
 		d.fail()
 		return nil
 	}
@@ -110,7 +113,7 @@ func decodeSolution(d *dec, g *cfg.Graph, numVars int) *constprop.Result {
 			live++
 		}
 	}
-	kinds := d.raw(live * numVars)
+	kinds := d.raw(live * w)
 	if d.err != nil {
 		return nil
 	}
@@ -120,12 +123,12 @@ func decodeSolution(d *dec, g *cfg.Graph, numVars int) *constprop.Result {
 			return nil
 		}
 	}
-	r := &constprop.Result{G: g, Rows: kernel.KV{Width: numVars}}
+	r := &constprop.Result{G: g, Rows: kernel.KV{Width: w}, Cols: cols, NumVars: numVars}
 	r.Rows.Grow(n)
 	for node, ok := range reached {
 		if ok {
-			copy(r.Rows.Kind[node*numVars:(node+1)*numVars], kinds)
-			kinds = kinds[numVars:]
+			copy(r.Rows.Kind[node*w:(node+1)*w], kinds)
+			kinds = kinds[w:]
 		}
 	}
 	for i, k := range r.Rows.Kind {

@@ -72,8 +72,11 @@ const (
 	// v7 directory's trace files are orphans that Open deletes along
 	// with every other v7 file. Version 9 drops the select, baseline
 	// and translate bundles and renumbers the kinds: each read back for
-	// more than its stage costs to recompute.
-	FormatVersion = 9
+	// more than its stage costs to recompute. Version 10 writes a
+	// solution's rows one cell per non-local register (cfg.Columns)
+	// instead of one per register, and the decoder rejects a width that
+	// is not the function's column count.
+	FormatVersion = 10
 
 	headerLen   = 6 // magic(4) + version(1) + kind(1)
 	checksumLen = 4

@@ -70,6 +70,9 @@ func buildCodecFixture(f *testing.F) *codecFixture {
 //  2. Any input a decoder accepts must round-trip: re-encoding the
 //     decoded artifact and decoding again yields the same bytes, so
 //     accepted entries are canonical and a rewrite never flip-flops.
+//  3. An accepted constant-propagation solution boxes its whole
+//     environments (Boxed, which solves the block-local registers from
+//     the stored rows) without panicking.
 //
 // Seeds give every artifact kind one genuinely valid payload (the
 // paper example pushed through the pipeline), so the mutator starts
@@ -88,6 +91,7 @@ func FuzzDiskcacheCodec(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if m, sol, err := diskcache.DecodeAnalyze(data, fx.hpg.G, fx.hpg.Fn.NumVars()); err == nil {
+			sol.Boxed()
 			enc1 := diskcache.EncodeAnalyze(m, sol)
 			m2, sol2, err2 := diskcache.DecodeAnalyze(enc1, fx.hpg.G, fx.hpg.Fn.NumVars())
 			if err2 != nil {
@@ -118,6 +122,7 @@ func FuzzDiskcacheCodec(f *testing.F) {
 			}
 		}
 		if m, red, sol, err := diskcache.DecodeReduced(data, fx.hpg, fx.w, fx.k); err == nil {
+			sol.Boxed()
 			enc1 := diskcache.EncodeReduced(m, red, sol)
 			m2, red2, sol2, err2 := diskcache.DecodeReduced(enc1, fx.hpg, fx.w, fx.k)
 			if err2 != nil {

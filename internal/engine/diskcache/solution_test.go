@@ -3,8 +3,10 @@ package diskcache_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"reflect"
 	"slices"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"pathflow/internal/bench"
 	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
+	"pathflow/internal/dataflow/kernel"
 	"pathflow/internal/engine"
 	"pathflow/internal/engine/diskcache"
 	"pathflow/internal/ir"
@@ -270,23 +273,85 @@ func nonCongruent(red *reduce.Reduced) []int {
 }
 
 // chain builds a straight-line function of n nodes over eight
-// registers: an input, then one constant per block.
+// registers: a constant, then per block a constant into a temporary
+// (v4–v7) added to the register (v0–v3) the previous block wrote. v0–v3
+// cross blocks, so a solution's rows hold four columns of constant and
+// ⊥ cells; the temporaries have none.
 func chain(n int) (*cfg.Graph, int) {
 	const numVars = 8
 	g := cfg.New("chain")
 	prev := g.Entry
 	for i := 0; i < n-2; i++ {
 		id := g.AddNode(fmt.Sprintf("b%d", i))
-		in := ir.Instr{Op: ir.Const, Dst: ir.Var(i % numVars), A: ir.NoVar, B: ir.NoVar, K: ir.Value(i)}
-		if i == 0 {
-			in = ir.Instr{Op: ir.Input, Dst: 0, A: ir.NoVar, B: ir.NoVar}
+		x, t := ir.Var(i%4), ir.Var(4+i%4)
+		in := []ir.Instr{
+			{Op: ir.Const, Dst: t, A: ir.NoVar, B: ir.NoVar, K: ir.Value(i)},
+			{Op: ir.Add, Dst: x, A: ir.Var((i + 3) % 4), B: t},
 		}
-		g.Node(id).Instrs = []ir.Instr{in}
+		if i == 0 {
+			in = in[:1]
+			in[0].Dst = 0
+		}
+		g.Node(id).Instrs = in
 		g.AddEdge(prev, id)
 		prev = id
 	}
 	g.AddEdge(prev, g.Exit)
 	return g, numVars
+}
+
+// relabel returns a copy of a framed bundle with its version byte set to
+// v and its checksum recomputed: the frame a binary writing format v
+// would have given the same payload.
+func relabel(data []byte, v byte) []byte {
+	out := slices.Clone(data)
+	out[4] = v
+	body := out[:len(out)-4]
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	return out
+}
+
+// TestSolutionWidthMismatchIsMiss requires a solution bundle whose
+// width is not its graph's column count to decode as ErrCorrupt, which
+// the engine treats as a cache miss, and never to panic: format v9's
+// bundle, one cell per register, under its own version byte and
+// relabelled as v10, and v10 bundles a column too narrow or too wide.
+func TestSolutionWidthMismatchIsMiss(t *testing.T) {
+	g, nv := chain(12)
+	sol := constprop.AnalyzePacked(g, nv, true)
+	if w := g.Columns().Width(); w != 4 || sol.Rows.Width != w {
+		t.Fatalf("chain has %d columns and rows %d wide, want 4", w, sol.Rows.Width)
+	}
+	rows := func(width int, cell func(n, c int) constprop.Value) *constprop.Result {
+		r := &constprop.Result{G: g, Sol: sol.Sol, Rows: kernel.KV{Width: width}, Cols: sol.Cols, NumVars: nv}
+		r.Rows.Grow(g.NumNodes())
+		for n := range g.Nodes {
+			k, v := r.Rows.Row(n)
+			for c := range k {
+				x := cell(n, c)
+				k[c], v[c] = uint8(x.Kind), x.K
+			}
+		}
+		return r
+	}
+	full := rows(nv, func(n, c int) constprop.Value { return sol.Value(cfg.NodeID(n), ir.Var(c)) })
+	v10 := diskcache.EncodeAnalyze(diskcache.Meta{Cost: 1}, full)
+	top := func(int, int) constprop.Value { return constprop.Value{} }
+	for name, data := range map[string][]byte{
+		"v9":            relabel(v10, 9),
+		"v9 as v10":     v10,
+		"narrow by one": diskcache.EncodeAnalyze(diskcache.Meta{Cost: 1}, rows(3, top)),
+		"wide by one":   diskcache.EncodeAnalyze(diskcache.Meta{Cost: 1}, rows(5, top)),
+	} {
+		if _, _, err := diskcache.DecodeAnalyze(data, g, nv); !errors.Is(err, diskcache.ErrCorrupt) {
+			t.Errorf("%s: decoded with err %v, want ErrCorrupt", name, err)
+		}
+	}
+	if _, got, err := diskcache.DecodeAnalyze(diskcache.EncodeAnalyze(diskcache.Meta{Cost: 1}, sol), g, nv); err != nil {
+		t.Fatalf("the solver's own bundle: %v", err)
+	} else {
+		sameSolution(t, "chain", g, nv, got, sol)
+	}
 }
 
 // decoded keeps BenchmarkDecodeSolution's result live.

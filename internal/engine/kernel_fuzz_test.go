@@ -11,6 +11,7 @@ import (
 	"pathflow/internal/dataflow"
 	"pathflow/internal/dataflow/oracle"
 	"pathflow/internal/engine"
+	"pathflow/internal/feasible"
 	"pathflow/internal/intervals"
 	"pathflow/internal/lang"
 	"pathflow/internal/liveness"
@@ -61,7 +62,9 @@ func FuzzKernelEquivalence(f *testing.F) {
 // graph. On that graph the packed kernels must match the boxed
 // reference for conditional constant propagation, intervals, liveness
 // and available expressions: facts, reachability, edge executability
-// and iteration counts.
+// and iteration counts. Constant propagation and the clamped intervals
+// Detect runs, which carry only the non-local registers, must also
+// agree with full-width solves.
 func FuzzKernelCFG(f *testing.F) {
 	for _, seed := range []uint64{1, 2, 7, 42, 138, 301} {
 		f.Add(seed, uint8(seed))
@@ -93,6 +96,17 @@ func FuzzKernelCFG(f *testing.F) {
 		u := availexpr.NewUniverse(g, nv)
 		check("availexpr", &availexpr.Problem{U: u},
 			availexpr.AnalyzeBoxed(g, u, cpB.Sol).Sol, availexpr.AnalyzePacked(g, u, cpP.Sol).Sol)
+		// The solvers that carry only the non-local registers agree with
+		// full-width solves, unmasked and under Detect's mask.
+		thr := intervals.Thresholds(g)
+		for _, mask := range [][]bool{nil, feasible.Detect(g, nv).Infeasible} {
+			if err := constprop.CheckNarrow(g, nv, true, mask); err != nil {
+				t.Errorf("%+v (masked=%t) constprop: %v", c, mask != nil, err)
+			}
+			if err := intervals.CheckClampedNarrow(g, nv, thr, true, mask); err != nil {
+				t.Errorf("%+v (masked=%t) clamped: %v", c, mask != nil, err)
+			}
+		}
 	})
 }
 

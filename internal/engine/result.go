@@ -118,13 +118,13 @@ func (r *FuncResult) Consts() []Const {
 	if !r.Qualified() {
 		return nil
 	}
-	g, sol, nv := r.Red.G, r.RedSol, r.Fn.NumVars()
+	g, sol := r.Red.G, r.RedSol
 	var out []Const
 	for _, nd := range g.Nodes {
 		if !sol.Reached(nd.ID) {
 			continue
 		}
-		flags := constprop.ConstFlags(g, nd.ID, sol.EnvAt(nd.ID), nv, true)
+		flags := sol.ConstFlags(nd.ID, true)
 		vals := sol.InstrValues(nd.ID)
 		for i := range nd.Instrs {
 			if flags[i] {

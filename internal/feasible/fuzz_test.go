@@ -144,7 +144,8 @@ func FuzzClampedEquivalence(f *testing.F) {
 // program and checks only its CFG, with no training run and no
 // pipeline. The fuzzer picks the share of correlated if statements and
 // the program's size (statements per block and nesting depth), so most
-// execs solve a small graph.
+// execs solve a small graph. Each exec also pins the narrow solves to
+// full-width ones (checkNarrowMatchesFull).
 func FuzzDetectCFG(f *testing.F) {
 	for _, seed := range []uint64{1, 2, 7, 42, 138} {
 		f.Add(seed, uint8(40), uint8(seed))
@@ -161,7 +162,9 @@ func FuzzDetectCFG(f *testing.F) {
 			t.Fatalf("%+v: generated program does not compile: %v", cfgc, err)
 		}
 		fn := prog.Main()
-		checkTierMatchesReference(t, refGraph{label: fmt.Sprintf("%+v main/cfg", cfgc), g: fn.G, nv: fn.NumVars()})
+		rg := refGraph{label: fmt.Sprintf("%+v main/cfg", cfgc), g: fn.G, nv: fn.NumVars()}
+		checkTierMatchesReference(t, rg)
+		checkNarrowMatchesFull(t, rg)
 	})
 }
 

@@ -232,7 +232,9 @@ func TestDetectMatchesBoxedReference(t *testing.T) {
 
 // checkClampedMatchesBoxed requires the packed clamped solve to equal
 // dataflow.Solve over the same ClampedProblem: reachability, edge
-// executability, iteration count and every fact.
+// executability, iteration count and every fact. AnalyzeClampedMasked
+// solves at full width; ClampedSolver solves over the graph's column
+// map, so its reference is the ClampedProblem over the same columns.
 func checkClampedMatchesBoxed(t *testing.T, label string, g *cfg.Graph, nv int, thr []int64, mask []bool) {
 	t.Helper()
 	lat := &intervals.ClampedProblem{NumVars: nv, Conditional: true, T: thr, Infeasible: mask}
@@ -241,6 +243,9 @@ func checkClampedMatchesBoxed(t *testing.T, label string, g *cfg.Graph, nv int, 
 	if err := oracle.Differential("intervals/clamped", label, lat, boxed, packed.Sol).Err(); err != nil {
 		t.Errorf("%s: %v", label, err)
 	}
+	narrow := *lat
+	narrow.Cols = g.Columns()
+	boxed = dataflow.Solve(g, &narrow)
 	s := intervals.ClampedSolver(g, nv, thr, true, mask)
 	s.Run()
 	if s.Iterations != boxed.Iterations {
@@ -251,6 +256,40 @@ func checkClampedMatchesBoxed(t *testing.T, label string, g *cfg.Graph, nv int, 
 			t.Errorf("%s: solver edge %d executable=%t, boxed %t", label, e, s.EdgeExecutable[e], boxed.EdgeExecutable[e])
 			break
 		}
+	}
+}
+
+// checkNarrowMatchesFull requires the solvers that carry only rg's
+// non-local registers to agree with full-width solves, unmasked and
+// under Detect's mask: constant propagation's EnvAt at every reached
+// node, its reachability and its executable edges, and ClampedSolver's
+// reachability and executable edges.
+func checkNarrowMatchesFull(t *testing.T, rg refGraph) {
+	t.Helper()
+	thr := intervals.Thresholds(rg.g)
+	for _, mask := range [][]bool{nil, Detect(rg.g, rg.nv).Infeasible} {
+		if err := constprop.CheckNarrow(rg.g, rg.nv, true, mask); err != nil {
+			t.Errorf("%s (masked=%t) constprop: %v", rg.label, mask != nil, err)
+		}
+		if err := intervals.CheckClampedNarrow(rg.g, rg.nv, thr, true, mask); err != nil {
+			t.Errorf("%s (masked=%t) clamped: %v", rg.label, mask != nil, err)
+		}
+	}
+}
+
+// TestNarrowMatchesFullWidth pins the narrow rows to full width on every
+// reference graph tier and on every function of progen seeds 1–25.
+func TestNarrowMatchesFullWidth(t *testing.T) {
+	graphs := referenceGraphs(t)
+	for seed := uint64(1); seed <= 25; seed++ {
+		prog := compile(t, progen.Generate(progen.DefaultConfig(seed)))
+		for _, name := range prog.Order {
+			fn := prog.Funcs[name]
+			graphs = append(graphs, refGraph{label: fmt.Sprintf("progen %d/%s/cfg", seed, name), g: fn.G, nv: fn.NumVars()})
+		}
+	}
+	for _, rg := range graphs {
+		checkNarrowMatchesFull(t, rg)
 	}
 }
 

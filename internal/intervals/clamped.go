@@ -94,6 +94,12 @@ type ClampedProblem struct {
 	// proved no execution can take; the delegated Transfer withholds
 	// facts along them (see Problem.Infeasible).
 	Infeasible []bool
+	// Cols, when non-nil, names the registers whose facts cross block
+	// boundaries, as ClampedSolver's rows do: Transfer empties every
+	// other register in its out-facts, so a change to a temporary never
+	// re-queues a successor (see constprop.Problem.Cols). Nil solves at
+	// full width.
+	Cols *cfg.Columns
 }
 
 var _ dataflow.Problem = (*ClampedProblem)(nil)
@@ -120,7 +126,11 @@ func (p *ClampedProblem) Transfer(g *cfg.Graph, n cfg.NodeID, in dataflow.Fact, 
 		}
 		env := f.(Env)
 		for v := range env {
-			env[v] = Clamp(env[v], p.T)
+			if p.Cols != nil && p.Cols.Of(ir.Var(v)) < 0 {
+				env[v] = Interval{}
+			} else {
+				env[v] = Clamp(env[v], p.T)
+			}
 		}
 		out[s] = env
 	}
@@ -148,13 +158,23 @@ func (p *ClampedProblem) Transfer(g *cfg.Graph, n cfg.NodeID, in dataflow.Fact, 
 // register outside W(n) keeps its input cell, already on T, and Clamp
 // leaves a threshold bound where it is.
 //
+// A row holds one cell per column of a cfg.Columns map. ClampedSolver,
+// whose callers read only executable edges, uses the graph's map, one
+// column per non-local register: a temporary is written before it is
+// read in every block, so the overlay computes it from the loaded
+// registers and no row needs to carry it. AnalyzeClampedMasked, which
+// boxes whole environments, uses the identity map. Either way the lists
+// below name only registers with a column; registers outside them are
+// temporaries the block itself writes first.
+//
 // The overlay also keeps each register's index pair while it is known
 // (clean): a loaded register has its input indices, a Const result its
 // literal's (precomputed), a Copy its source's. Only a register another
 // instruction or the refinement changed costs a lookup in T.
 type clampedDomain struct {
 	g                   *cfg.Graph
-	nv                  int
+	nv                  int     // row width: the map's column count
+	col                 []int32 // register → column, -1 for a temporary
 	conditional         bool
 	infeasible          []bool // optional per-EdgeID feasibility mask; masked slots stay -1
 	t                   []int64
@@ -189,7 +209,8 @@ const dirty = ^icell(0)
 
 // clampedNode locates one node's static register lists in sets:
 // sets[w0:w1] is W(n), sets[w1:r1] the other registers its block or
-// branch reads. kidx[k0:] holds its Const instructions' index pairs.
+// branch reads, both restricted to registers with a column. kidx[k0:]
+// holds its Const instructions' index pairs.
 type clampedNode struct{ w0, w1, r1, k0 int32 }
 
 type overlayCell struct {
@@ -197,11 +218,12 @@ type overlayCell struct {
 	ix     icell
 }
 
-func newClampedDomain(g *cfg.Graph, numVars int, thresholds []int64, conditional bool, infeasible []bool) *clampedDomain {
+func newClampedDomain(g *cfg.Graph, numVars int, cols *cfg.Columns, thresholds []int64, conditional bool, infeasible []bool) *clampedDomain {
 	top := uint32(len(thresholds) - 1)
 	d := &clampedDomain{
 		g:           g,
-		nv:          numVars,
+		nv:          cols.Width(),
+		col:         cols.Col,
 		conditional: conditional,
 		infeasible:  infeasible,
 		t:           thresholds,
@@ -224,7 +246,7 @@ func newClampedDomain(g *cfg.Graph, numVars int, thresholds []int64, conditional
 	for _, nd := range g.Nodes {
 		stamp := int32(nd.ID) + 1
 		add := func(v int32) {
-			if listed[v] != stamp {
+			if int(v) < len(d.col) && d.col[v] >= 0 && listed[v] != stamp {
 				listed[v] = stamp
 				d.sets = append(d.sets, v)
 			}
@@ -330,7 +352,7 @@ func (d *clampedDomain) Transfer(n cfg.NodeID, in, scratch int, slots []int8) {
 	src := d.row(in)
 	t, lo, hi, ix := d.t, d.lo, d.hi, d.ix
 	for _, v := range d.sets[cn.w0:cn.r1] {
-		c := src[v]
+		c := src[d.col[v]]
 		lo[v], hi[v], ix[v] = t[c.lo()], t[c.hi()], c
 	}
 	k := cn.k0
@@ -421,19 +443,21 @@ func (d *clampedDomain) leg(nd *cfg.Node, pr []int32, sv []overlayCell, taken bo
 	}
 }
 
-// store writes row dst: the input row src with every W(n) register
-// replaced by its overlay cell rounded outward to T. A dirty cell's
-// rounding is kept in the overlay, so a second leg reuses it.
+// store writes row dst: the input row src with the column of every
+// W(n) register replaced by its overlay cell rounded outward to T. A
+// dirty cell's rounding is kept in the overlay, so a second leg reuses
+// it.
 func (d *clampedDomain) store(cn clampedNode, src []icell, dst int) {
 	out := d.row(dst)
 	copy(out, src)
 	for _, v := range d.sets[cn.w0:cn.w1] {
+		col := d.col[v]
 		c := d.ix[v]
 		if c == dirty {
-			c = d.round(d.lo[v], d.hi[v], src[v])
+			c = d.round(d.lo[v], d.hi[v], src[col])
 			d.ix[v] = c
 		}
-		out[v] = c
+		out[col] = c
 	}
 }
 
@@ -456,7 +480,8 @@ func (d *clampedDomain) round(lo, hi int64, in icell) icell {
 	return mkcell(l, h)
 }
 
-// env boxes row r into a standard Env.
+// env boxes row r into a standard Env; the domain must use the
+// identity map.
 func (d *clampedDomain) env(r int) Env {
 	row := d.row(r)
 	e := make(Env, len(row))
@@ -505,7 +530,7 @@ func ceilIndex(t []int64, k int64) uint32 {
 // out-fact cell that differs from the node's fact in a register outside
 // W(n). The differential tests run it on every graph tier.
 func CheckClampedWriteSets(g *cfg.Graph, numVars int, thresholds []int64, conditional bool, infeasible []bool) error {
-	d := newClampedDomain(g, numVars, thresholds, conditional, infeasible)
+	d := newClampedDomain(g, numVars, cfg.AllColumns(numVars), thresholds, conditional, infeasible)
 	s := kernel.NewSolver(g, d)
 	s.Run()
 	boxed := &ClampedProblem{NumVars: numVars, Conditional: conditional, T: thresholds, Infeasible: infeasible}
@@ -554,10 +579,13 @@ func CheckClampedWriteSets(g *cfg.Graph, numVars int, thresholds []int64, condit
 // threshold-lattice range analysis over g. Every Run re-solves from
 // scratch without allocating and reads infeasible (which may be nil)
 // afresh, so a caller that grows the mask in place between runs solves
-// under the grown mask. Its Reached, EdgeExecutable and Iterations equal
-// those of dataflow.Solve over the same ClampedProblem.
+// under the grown mask. Its rows hold g's non-local registers only
+// (cfg.Columns), so only its Reached, EdgeExecutable and Iterations
+// are meant to be read; they equal those of dataflow.Solve over the
+// same ClampedProblem with Cols set to g's map, and its Reached and
+// EdgeExecutable those of the full-width solve too.
 func ClampedSolver(g *cfg.Graph, numVars int, thresholds []int64, conditional bool, infeasible []bool) *kernel.Solver {
-	return kernel.NewSolver(g, newClampedDomain(g, numVars, thresholds, conditional, infeasible))
+	return kernel.NewSolver(g, newClampedDomain(g, numVars, g.Columns(), thresholds, conditional, infeasible))
 }
 
 // AnalyzeClamped runs the widening-free threshold-lattice range analysis
@@ -568,14 +596,37 @@ func AnalyzeClamped(g *cfg.Graph, numVars int, thresholds []int64, conditional b
 }
 
 // AnalyzeClampedMasked is AnalyzeClamped with an infeasible-edge mask
-// (nil behaves like AnalyzeClamped). It solves on the packed kernel and
-// boxes the facts, mapping each cell's indices back through T; the
-// solution equals dataflow.Solve over the same ClampedProblem,
-// iteration counts included.
+// (nil behaves like AnalyzeClamped). It solves on the packed kernel at
+// full width (the identity column map) and boxes the facts, mapping
+// each cell's indices back through T; the solution equals
+// dataflow.Solve over the same ClampedProblem without Cols, iteration
+// counts included.
 func AnalyzeClampedMasked(g *cfg.Graph, numVars int, thresholds []int64, conditional bool, infeasible []bool) *Result {
-	d := newClampedDomain(g, numVars, thresholds, conditional, infeasible)
+	d := newClampedDomain(g, numVars, cfg.AllColumns(numVars), thresholds, conditional, infeasible)
 	s := kernel.NewSolver(g, d)
 	s.Run()
 	sol := s.Materialize(func(row int) dataflow.Fact { return d.env(row) })
 	return &Result{G: g, Sol: sol, n: numVars}
+}
+
+// CheckClampedNarrow reports the first node whose reachability, or
+// edge whose executability, differs between ClampedSolver, which solves
+// over g's column map, and the full-width solve AnalyzeClampedMasked
+// runs, both under infeasible (nil for none). The differential tests
+// and fuzzers run it on every graph tier.
+func CheckClampedNarrow(g *cfg.Graph, numVars int, thresholds []int64, conditional bool, infeasible []bool) error {
+	s := ClampedSolver(g, numVars, thresholds, conditional, infeasible)
+	s.Run()
+	full := AnalyzeClampedMasked(g, numVars, thresholds, conditional, infeasible).Sol
+	for n, reached := range full.Reached {
+		if s.Reached[n] != reached {
+			return fmt.Errorf("node %d: reached=%t, full width %t", n, s.Reached[n], reached)
+		}
+	}
+	for e, exec := range full.EdgeExecutable {
+		if s.EdgeExecutable[e] != exec {
+			return fmt.Errorf("edge %d: executable=%t, full width %t", e, s.EdgeExecutable[e], exec)
+		}
+	}
+	return nil
 }

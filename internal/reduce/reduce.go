@@ -459,6 +459,8 @@ func Assemble(h *trace.HPG, class []int, hot []cfg.NodeID, weights []int64) (*Re
 		Hot:       hot,
 		Weights:   weights,
 	}
+	// Every block is a copy of one of the original function's.
+	red.G.ShareColumns(h.Fn.G)
 	for _, nd := range g.Nodes {
 		red.Members[class[nd.ID]] = append(red.Members[class[nd.ID]], nd.ID)
 	}

@@ -58,6 +58,8 @@ func Build(fn *cfg.Func, a *automaton.Automaton) (*HPG, error) {
 		Recording: map[cfg.EdgeID]bool{},
 		pairs:     map[pairKey]cfg.NodeID{},
 	}
+	// Every HPG block is a copy of one of g's.
+	h.G.ShareColumns(g)
 
 	entry := h.addPair(g, g.Entry, a.Start())
 	h.G.Entry = entry
