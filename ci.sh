@@ -82,7 +82,10 @@
 #                           and BenchmarkClampedResolve — Run() on
 #                           Detect's pre-built clamped interval solvers,
 #                           unmasked and masked — exactly 0 B/op and
-#                           0 allocs/op;
+#                           0 allocs/op; so must BenchmarkSyntacticResolve
+#                           — Run() on the pre-built solvers of Detect's
+#                           packed syntactic correlation pass, unmasked
+#                           and masked;
 #                           and BenchmarkReduce
 #                           must report the same allocs/op, and B/op
 #                           within 5%, for one generated function at 10
@@ -237,6 +240,15 @@ echo "$clamped"
 for cfg in unmasked masked; do
     echo "$clamped" | grep -Eq "ClampedResolve/$cfg-.*[^0-9]0 B/op[[:space:]]+0 allocs/op" || {
         echo "kernel gate: clamped $cfg resolve path is not allocation-free" >&2; exit 1; }
+done
+# So does Detect's syntactic correlation pass, on the bitset kernel:
+# Run() on its pre-built solvers, unmasked and masked, must report
+# exactly 0 B/op and 0 allocs/op.
+syntactic=$(go test -run '^$' -bench '^BenchmarkSyntacticResolve$' -benchmem -benchtime 20x ./internal/feasible/)
+echo "$syntactic"
+for cfg in unmasked masked; do
+    echo "$syntactic" | grep -Eq "SyntacticResolve/$cfg-.*[^0-9]0 B/op[[:space:]]+0 allocs/op" || {
+        echo "kernel gate: syntactic $cfg resolve path is not allocation-free" >&2; exit 1; }
 done
 
 # Reduction's allocations must not depend on the register count: the

@@ -89,3 +89,6 @@ func (b *Bits) AndNot(r int, mask []uint64) {
 		row[i] &^= mask[i]
 	}
 }
+
+// Has reports whether bit i of row r is set.
+func (b *Bits) Has(r, i int) bool { return b.w[r*b.Words+i/64]&(1<<(uint(i)%64)) != 0 }

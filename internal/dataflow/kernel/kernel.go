@@ -123,6 +123,10 @@ type Solver struct {
 	// passes run transfers that count only toward Iterations.
 	Pops int
 
+	// executable counts this run's EdgeExecutable marks; the run stops
+	// once it reaches target (-1 under Run, which never stops early).
+	executable, target int
+
 	scratch int // first Transfer scratch row
 	spare   int // widening save / narrowing accumulator row
 
@@ -188,8 +192,21 @@ func NewSolver(g *cfg.Graph, d Domain) *Solver {
 // Run solves the problem from scratch, leaving the fixpoint in the
 // domain's per-node rows and the reachability view on the solver. It
 // performs no allocations.
-func (s *Solver) Run() {
+func (s *Solver) Run() { s.run(-1) }
+
+// RunUntilExecutable solves like Run but stops as soon as target edges
+// are executable. An edge, once executable, stays so for the rest of an
+// ascending solve, so when target is the number of edges the domain can
+// deliver along at all (those its mask leaves open), Reached and
+// EdgeExecutable at the stop are the fixpoint's. The rows, Iterations
+// and Pops are not: only a caller that reads reachability alone, like
+// feasible.Detect's folds, may ask for the stop. The next Run solves in
+// full again.
+func (s *Solver) RunUntilExecutable(target int) { s.run(target) }
+
+func (s *Solver) run(target int) {
 	s.reset()
+	s.target = target
 	g, d := s.g, s.d
 	start := g.Entry
 	if s.dir == dataflow.Backward {
@@ -199,7 +216,7 @@ func (s *Solver) Run() {
 	s.Reached[start] = true
 	s.push(start)
 
-	for !s.empty() {
+	for !s.empty() && s.executable != s.target {
 		n := s.pop()
 		s.Iterations++
 		s.Pops++
@@ -219,7 +236,10 @@ func (s *Solver) Run() {
 				continue
 			}
 			eid := edges[slot]
-			s.EdgeExecutable[eid] = true
+			if !s.EdgeExecutable[eid] {
+				s.EdgeExecutable[eid] = true
+				s.executable++
+			}
 			e := g.Edge(eid)
 			to := e.To
 			if s.dir == dataflow.Backward {
@@ -249,7 +269,7 @@ func (s *Solver) Run() {
 			}
 		}
 	}
-	if s.wd != nil {
+	if s.wd != nil && s.executable != s.target {
 		s.narrow()
 	}
 }
@@ -270,6 +290,7 @@ func (s *Solver) reset() {
 	}
 	s.Iterations = 0
 	s.Pops = 0
+	s.executable = 0
 	s.qhead, s.qtail = 0, 0
 	if s.ring != nil {
 		s.ring.Reset()

@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"slices"
 	"testing"
 
 	"pathflow/internal/cfg"
@@ -258,5 +259,67 @@ func TestSolverRunAllocFree(t *testing.T) {
 	s.Run() // warm up
 	if allocs := testing.AllocsPerRun(100, s.Run); allocs != 0 {
 		t.Errorf("Solver.Run allocates %.1f objects/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.RunUntilExecutable(3) }); allocs != 0 {
+		t.Errorf("Solver.RunUntilExecutable allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestRunUntilExecutable: a run that stops once the target count of
+// edges is executable ends with every edge the domain can deliver along
+// executable, after no more pops than the full run, and the next plain
+// Run on the same solver repeats the full run exactly.
+func TestRunUntilExecutable(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		backward bool
+		gated    bool
+	}{
+		{"forward", false, false},
+		{"backward", true, false},
+		{"forward-gated", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, h := loopBranchGraph(t)
+			gate := cfg.NodeID(-1)
+			if tc.gated {
+				gate = h
+			}
+			p := &reachProblem{backward: tc.backward, gate: gate}
+			s := kernel.NewSolver(g, &reachDomain{p: p, g: g, bits: kernel.NewBits(g.NumNodes())})
+			s.Run()
+			full := struct {
+				iterations, pops int
+				reached, exec    []bool
+			}{s.Iterations, s.Pops, slices.Clone(s.Reached), slices.Clone(s.EdgeExecutable)}
+			target := 0
+			for _, x := range full.exec {
+				if x {
+					target++
+				}
+			}
+
+			s.RunUntilExecutable(target)
+			if !slices.Equal(s.EdgeExecutable, full.exec) {
+				t.Errorf("stopped run EdgeExecutable = %v, full run %v", s.EdgeExecutable, full.exec)
+			}
+			if !slices.Equal(s.Reached, full.reached) {
+				t.Errorf("stopped run Reached = %v, full run %v", s.Reached, full.reached)
+			}
+			if s.Pops > full.pops {
+				t.Errorf("stopped run Pops = %d, full run %d", s.Pops, full.pops)
+			}
+			if tc.name == "forward" && s.Pops == full.pops {
+				t.Errorf("stopped run Pops = %d, full run too: the run did not stop early", s.Pops)
+			}
+
+			s.Run()
+			if s.Iterations != full.iterations || s.Pops != full.pops {
+				t.Errorf("Run after the stop: Iterations %d, Pops %d; full run %d, %d", s.Iterations, s.Pops, full.iterations, full.pops)
+			}
+			if !slices.Equal(s.Reached, full.reached) || !slices.Equal(s.EdgeExecutable, full.exec) {
+				t.Errorf("Run after the stop: Reached %v, EdgeExecutable %v; full run %v, %v", s.Reached, s.EdgeExecutable, full.reached, full.exec)
+			}
+		})
 	}
 }

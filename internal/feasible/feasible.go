@@ -55,8 +55,13 @@
 package feasible
 
 import (
+	"cmp"
+	"slices"
+
 	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
+	"pathflow/internal/dataflow"
+	"pathflow/internal/dataflow/kernel"
 	"pathflow/internal/intervals"
 	"pathflow/internal/ir"
 	"pathflow/internal/reduce"
@@ -100,7 +105,13 @@ const maxRounds = 3
 //
 // The lattice evidence comes from two packed kernel solvers built once
 // per call. Both hold the mask Detect grows in place, so each fold just
-// re-runs them and reads their executable edges; no fact is boxed.
+// re-runs them and reads their executable edges; no fact is boxed. As
+// the fold reads nothing else, each solve stops as soon as every edge
+// the mask leaves open is executable: an edge never stops being
+// executable during the solve, so the fixpoint would mark the same
+// ones. The syntactic pass is a third solver over the same mask, on the
+// bitset kernel; it always runs to its fixpoint, because its rows are
+// what it reads.
 func Detect(g *cfg.Graph, numVars int) *Edges {
 	mask := make([]bool, len(g.Edges))
 	info, anyGens := buildNodeInfo(g, numVars)
@@ -108,8 +119,14 @@ func Detect(g *cfg.Graph, numVars int) *Edges {
 	iv := intervals.ClampedSolver(g, numVars, intervals.Thresholds(g), true, mask)
 
 	fold := func() bool {
-		wz.Run()
-		iv.Run()
+		open := 0
+		for _, m := range mask {
+			if !m {
+				open++
+			}
+		}
+		wz.RunUntilExecutable(open)
+		iv.RunUntilExecutable(open)
 		changed := false
 		for e := range mask {
 			if !mask[e] && (!wz.EdgeExecutable[e] || !iv.EdgeExecutable[e]) {
@@ -123,8 +140,12 @@ func Detect(g *cfg.Graph, numVars int) *Edges {
 	fold()
 	// With no branch asserting a predicate, the syntactic pass can
 	// prune nothing: skip it.
-	for round := 0; anyGens && round < maxRounds; round++ {
-		if !syntacticFixpoint(g, info, mask) {
+	if !anyGens {
+		return FromMask(mask)
+	}
+	syn := newSyntactic(g, info, mask)
+	for round := 0; round < maxRounds; round++ {
+		if !syn.fixpoint() {
 			break
 		}
 		if !fold() {
@@ -195,15 +216,6 @@ const (
 	opConst = uint8(1)
 )
 
-// mentions reports whether the predicate constrains register r, i.e.
-// whether a write to r invalidates it.
-func (k predKey) mentions(r int64) bool {
-	if k.ak == opReg && k.a == r {
-		return true
-	}
-	return k.base != predTruthy && k.bk == opReg && k.b == r
-}
-
 // operand is one side of a comparison during canonicalization.
 type operand struct {
 	isConst bool
@@ -267,15 +279,6 @@ type nodeInfo struct {
 	gens []genFact // branch predicates (empty for non-branches)
 }
 
-func (ni *nodeInfo) kills(k predKey) bool {
-	for _, r := range ni.kill {
-		if k.mentions(r) {
-			return true
-		}
-	}
-	return false
-}
-
 // holderCap bounds how many registers per operand value participate in
 // predicate generation — the same value rarely survives in more than
 // one or two registers, and capping keeps the fact sets small.
@@ -289,51 +292,72 @@ const holderCap = 2
 // with operands resolved to the registers still holding their values at
 // block exit — killed incoming facts never alias them, so a surviving
 // fact and a generated fact with the same key constrain the same
-// runtime value. The pass's maps are cleared and reused from node to
-// node, and every node's kill list is a window of one shared array. It
-// also reports whether any branch asserts a predicate at all: when none
-// does, the syntactic pass can prune nothing.
+// runtime value. It also reports whether any branch asserts a predicate
+// at all: when none does, the syntactic pass can prune nothing.
+//
+// The pass costs O(instructions), not O(nodes × registers): a register
+// the block has not written holds its entry token, so only the written
+// registers carry a token (stamped with the node that wrote it) and
+// only they are scanned for holders. Fresh tokens index a per-node
+// definition list, and every node's kill list is a window of one shared
+// array.
 func buildNodeInfo(g *cfg.Graph, numVars int) ([]nodeInfo, bool) {
-	type cmpDef struct {
-		op     ir.Op
-		ta, tb int32
+	// tokDef is what a fresh token stands for: a literal, a comparison
+	// of two tokens, or (neither) an opaque value.
+	type tokDef struct {
+		isConst bool
+		isCmp   bool
+		op      ir.Op
+		ta, tb  int32
+		k       int64
 	}
+	type constDef struct{ node, tok int32 }
 	out := make([]nodeInfo, len(g.Nodes))
 	kills := make([]int64, 0, g.NumInstrs())
 	anyGens := false
+	nv := int32(numVars)
+	// tok[r] is register r's token where at[r] is the current node + 1;
+	// elsewhere r still holds its entry token r.
 	tok := make([]int32, numVars)
-	cmps := map[int32]cmpDef{}
-	consts := map[int32]int64{}
-	constTok := map[int64]int32{}
+	at := make([]int32, numVars)
+	var stamp int32
+	get := func(r ir.Var) int32 {
+		if at[r] == stamp {
+			return tok[r]
+		}
+		return int32(r)
+	}
+	var defs []tokDef // defs[t-numVars] defines fresh token t
+	constTok := map[int64]constDef{}
+	var written []int64
 	var ops []operand
-	// resolve maps a value token to operands: its literal, or the
-	// registers still holding it at block exit. The result is scratch,
-	// valid until the next call.
+	// resolve maps a value token to operands: its literal, or the (at
+	// most holderCap lowest-numbered) registers still holding it at
+	// block exit. The result is scratch, valid until the next call.
 	resolve := func(t int32) []operand {
 		ops = ops[:0]
-		if k, ok := consts[t]; ok {
-			return append(ops, operand{isConst: true, v: k})
+		if t >= nv && defs[t-nv].isConst {
+			return append(ops, operand{isConst: true, v: defs[t-nv].k})
 		}
-		for r := range tok {
-			if tok[r] == t {
-				ops = append(ops, operand{v: int64(r)})
-				if len(ops) == holderCap {
-					break
-				}
+		if t < nv && at[t] != stamp {
+			ops = append(ops, operand{v: int64(t)})
+		}
+		for _, r := range written {
+			if o := (operand{v: r}); tok[r] == t && !slices.Contains(ops, o) {
+				ops = append(ops, o)
 			}
 		}
-		return ops
+		slices.SortFunc(ops, func(a, b operand) int { return cmp.Compare(a.v, b.v) })
+		return ops[:min(len(ops), holderCap)]
+	}
+	fresh := func(d tokDef) int32 {
+		defs = append(defs, d)
+		return nv + int32(len(defs)-1)
 	}
 	for _, nd := range g.Nodes {
 		ni := &out[nd.ID]
-		for i := range tok {
-			tok[i] = int32(i)
-		}
-		next := int32(numVars)
-		clear(cmps)
-		clear(consts)
-		clear(constTok)
-		fresh := func() int32 { t := next; next++; return t }
+		stamp = int32(nd.ID) + 1
+		defs = defs[:0]
 		k0 := len(kills)
 		for i := range nd.Instrs {
 			in := &nd.Instrs[i]
@@ -341,39 +365,40 @@ func buildNodeInfo(g *cfg.Graph, numVars int) ([]nodeInfo, bool) {
 				continue
 			}
 			kills = append(kills, int64(in.Dst))
+			var t int32
 			switch in.Op {
 			case ir.Const:
-				t, ok := constTok[in.K]
-				if !ok {
-					t = fresh()
-					constTok[in.K] = t
-					consts[t] = in.K
-				}
-				tok[in.Dst] = t
-			case ir.Copy:
-				tok[in.Dst] = tok[in.A]
-			case ir.Eq, ir.Ne, ir.Lt, ir.Le, ir.Gt, ir.Ge:
-				t := fresh()
-				cmps[t] = cmpDef{op: in.Op, ta: tok[in.A], tb: tok[in.B]}
-				tok[in.Dst] = t
-			case ir.Not:
-				if cd, ok := cmps[tok[in.A]]; ok {
-					t := fresh()
-					cmps[t] = cmpDef{op: negateCmp(cd.op), ta: cd.ta, tb: cd.tb}
-					tok[in.Dst] = t
+				if cd, ok := constTok[in.K]; ok && cd.node == stamp {
+					t = cd.tok
 				} else {
-					tok[in.Dst] = fresh()
+					t = fresh(tokDef{isConst: true, k: in.K})
+					constTok[in.K] = constDef{node: stamp, tok: t}
+				}
+			case ir.Copy:
+				t = get(in.A)
+			case ir.Eq, ir.Ne, ir.Lt, ir.Le, ir.Gt, ir.Ge:
+				t = fresh(tokDef{isCmp: true, op: in.Op, ta: get(in.A), tb: get(in.B)})
+			case ir.Not:
+				if a := get(in.A); a >= nv && defs[a-nv].isCmp {
+					cd := defs[a-nv]
+					t = fresh(tokDef{isCmp: true, op: negateCmp(cd.op), ta: cd.ta, tb: cd.tb})
+				} else {
+					t = fresh(tokDef{})
 				}
 			default:
-				tok[in.Dst] = fresh()
+				t = fresh(tokDef{})
 			}
+			tok[in.Dst] = t
+			at[in.Dst] = stamp
 		}
 		ni.kill = kills[k0:len(kills):len(kills)]
+		written = ni.kill
 		if nd.Kind != cfg.TermBranch || !nd.Cond.Valid() {
 			continue
 		}
-		ct := tok[nd.Cond]
-		if cd, ok := cmps[ct]; ok {
+		ct := get(nd.Cond)
+		if ct >= nv && defs[ct-nv].isCmp {
+			cd := defs[ct-nv]
 			// resolve's scratch holds one list at a time: copy the
 			// left operands before resolving the right ones.
 			var as [holderCap]operand
@@ -418,130 +443,208 @@ func negateCmp(op ir.Op) ir.Op {
 
 // --- The must-availability fixpoint ---------------------------------------
 
-// facts is the per-node predicate environment: key → forced value.
-// Absent keys are unknown. The meet is intersection (agreeing entries
-// survive), so a fact at a node holds on every executable path into it.
-type facts map[predKey]bool
-
-func cloneFacts(f facts) facts {
-	out := make(facts, len(f))
-	for k, v := range f {
-		out[k] = v
-	}
-	return out
+// syntactic is the predicate must-availability pass of one graph on the
+// packed bitset kernel, built once per Detect call over the mask Detect
+// grows in place. Every gen key of the graph is interned to a dense ID k
+// that owns two bits of a row: 2k (the key is known true) and 2k+1
+// (known false). An unknown key has neither bit and no row ever gets
+// both, so Bits.And keeps exactly the entries all in-edges agree on:
+// the meet of the map reference in syntactic_ref_test.go. A block clears
+// the keys that mention a register it writes (its kill mask); a branch
+// then clears both bits of every key it asserts and sets, per leg, the
+// bit of the value that leg asserts, so its later gen facts win as in
+// the map pass.
+type syntactic struct {
+	g      *cfg.Graph
+	mask   []bool
+	bits   *kernel.Bits // the solver's rows
+	masks  *kernel.Bits // per-node kill and leg rows, indexed by kill and legs
+	kill   []int32      // per node: its kill mask's row, or -1 when it kills no key
+	legs   []int32      // per branch asserting keys: its clear row (kill plus the keys), then the taken and fall-through set rows; else -1
+	checks []check
+	solver *kernel.Solver
 }
 
-// intersectInto removes from dst every entry src disagrees with or
-// lacks, reporting whether dst shrank.
-func intersectInto(dst, src facts) bool {
-	changed := false
-	for k, v := range dst {
-		if sv, ok := src[k]; !ok || sv != v {
-			delete(dst, k)
-			changed = true
+// check is one contradiction test of a branch's unkilled gen key: bit
+// set at the branch means the condition is non-zero there (the
+// fall-through leg legs[1] is dead), bit^1 set that it is zero (the
+// taken leg legs[0] is dead).
+type check struct {
+	n    cfg.NodeID
+	bit  int
+	legs [2]cfg.EdgeID
+}
+
+// newSyntactic interns g's gen keys, builds the kill and leg masks and
+// the contradiction checks from info, and a solver over mask.
+func newSyntactic(g *cfg.Graph, info []nodeInfo, mask []bool) *syntactic {
+	keys := kernel.NewInterner[predKey]()
+	for i := range info {
+		for _, gf := range info[i].gens {
+			keys.Intern(gf.key)
 		}
 	}
-	return changed
+	// byReg[r] lists the keys mentioning register r: a write to r kills
+	// them. Registers no key mentions have no entry.
+	byReg := map[int64][]int32{}
+	for k := 0; k < keys.Len(); k++ {
+		key := keys.Key(k)
+		if key.ak == opReg {
+			byReg[key.a] = append(byReg[key.a], int32(k))
+		}
+		if key.base != predTruthy && key.bk == opReg {
+			byReg[key.b] = append(byReg[key.b], int32(k))
+		}
+	}
+	n := len(info)
+	sy := &syntactic{
+		g:     g,
+		mask:  mask,
+		bits:  kernel.NewBits(2 * keys.Len()),
+		masks: kernel.NewBits(2 * keys.Len()),
+		kill:  make([]int32, n),
+		legs:  make([]int32, n),
+	}
+	rows := 0
+	for i := range info {
+		sy.kill[i], sy.legs[i] = -1, -1
+		for _, r := range info[i].kill {
+			if len(byReg[r]) > 0 {
+				sy.kill[i] = int32(rows)
+				rows++
+				break
+			}
+		}
+		if len(info[i].gens) > 0 {
+			sy.legs[i] = int32(rows)
+			rows += 3
+		}
+	}
+	sy.masks.Grow(rows)
+	for i := range info {
+		ni := &info[i]
+		if sy.kill[i] >= 0 {
+			for _, r := range ni.kill {
+				for _, k := range byReg[r] {
+					sy.masks.Set(int(sy.kill[i]), 2*int(k))
+					sy.masks.Set(int(sy.kill[i]), 2*int(k)+1)
+				}
+			}
+		}
+		l := int(sy.legs[i])
+		if l < 0 {
+			continue
+		}
+		if sy.kill[i] >= 0 {
+			sy.masks.Copy(l, int(sy.kill[i]))
+		}
+		nd := g.Node(cfg.NodeID(i))
+		for _, gf := range ni.gens {
+			k := keys.Lookup(gf.key)
+			if len(nd.Out) == 2 && !sy.masks.Has(l, 2*k) {
+				bit := 2 * k
+				if !gf.pos {
+					bit++
+				}
+				sy.checks = append(sy.checks, check{n: nd.ID, bit: bit, legs: [2]cfg.EdgeID{nd.Out[0], nd.Out[1]}})
+			}
+		}
+		for _, gf := range ni.gens {
+			// The taken leg asserts key = pos, the fall-through leg
+			// key = !pos.
+			k := keys.Lookup(gf.key)
+			taken, fall := 2*k, 2*k+1
+			if !gf.pos {
+				taken, fall = fall, taken
+			}
+			sy.masks.Set(l, taken)
+			sy.masks.Set(l, fall)
+			sy.masks.Unset(l+1, fall)
+			sy.masks.Set(l+1, taken)
+			sy.masks.Unset(l+2, taken)
+			sy.masks.Set(l+2, fall)
+		}
+	}
+	sy.solver = kernel.NewSolver(g, sy)
+	return sy
 }
 
-// syntacticFixpoint runs the predicate must-availability pass under the
-// current mask, marks every contradicted branch leg, and repeats until
-// no new edge appears. It reports whether the mask grew. Contradictions
-// are only ever concluded from fully converged fact sets: during the
-// iteration facts shrink toward the fixpoint, so intermediate
-// (over-large) sets never prune anything.
-func syntacticFixpoint(g *cfg.Graph, info []nodeInfo, mask []bool) bool {
+func (sy *syntactic) Direction() dataflow.Direction { return dataflow.Forward }
+func (sy *syntactic) Grow(rows int)                 { sy.bits.Grow(rows) }
+func (sy *syntactic) Boundary(dst int)              { sy.bits.Clear(dst) }
+func (sy *syntactic) Copy(dst, src int)             { sy.bits.Copy(dst, src) }
+func (sy *syntactic) Meet(dst, src int) bool        { return sy.bits.And(dst, src) }
+func (sy *syntactic) Equal(a, b int) bool           { return sy.bits.Equal(a, b) }
+
+// Transfer kills, then (at a branch asserting keys) gens each leg's
+// facts: scratch row 0 carries the taken leg's facts, or the only
+// outgoing facts of any other node, and scratch row 1 the fall-through
+// leg's. Masked edges are withheld.
+func (sy *syntactic) Transfer(n cfg.NodeID, in, scratch int, slots []int8) {
+	src, out := sy.bits.Row(in), sy.bits.Row(scratch)
+	if l := sy.legs[n]; l >= 0 {
+		clr, set0, set1 := sy.masks.Row(int(l)), sy.masks.Row(int(l)+1), sy.masks.Row(int(l)+2)
+		fall := sy.bits.Row(scratch + 1)
+		for i, w := range src {
+			w &^= clr[i]
+			out[i] = w | set0[i]
+			fall[i] = w | set1[i]
+		}
+	} else if k := sy.kill[n]; k >= 0 {
+		kill := sy.masks.Row(int(k))
+		for i, w := range src {
+			out[i] = w &^ kill[i]
+		}
+	} else {
+		copy(out, src)
+	}
+	legs := sy.legs[n] >= 0
+	for i, eid := range sy.g.Node(n).Out {
+		if sy.mask[eid] {
+			continue
+		}
+		if legs && i > 0 {
+			slots[i] = 1
+		} else {
+			slots[i] = 0
+		}
+	}
+}
+
+// fixpoint runs the must-availability pass under the current mask,
+// marks every contradicted branch leg, and repeats until no new edge
+// appears. It reports whether the mask grew. Contradictions are only
+// ever concluded from fully converged fact sets: during the solve facts
+// shrink toward the fixpoint, so intermediate (over-large) sets never
+// prune anything.
+func (sy *syntactic) fixpoint() bool {
 	grew := false
 	for {
-		in := solveMust(g, info, mask)
+		sy.solver.Run()
 		added := false
-		for _, nd := range g.Nodes {
-			if nd.Kind != cfg.TermBranch || in[nd.ID] == nil || len(nd.Out) != 2 {
+		for _, c := range sy.checks {
+			if !sy.solver.Reached[c.n] {
 				continue
 			}
-			ni := &info[nd.ID]
-			if len(ni.gens) == 0 {
+			// The incoming facts force the condition: non-zero kills
+			// the fall-through leg, zero the taken leg.
+			var dead cfg.EdgeID
+			switch {
+			case sy.bits.Has(int(c.n), c.bit):
+				dead = c.legs[1]
+			case sy.bits.Has(int(c.n), c.bit^1):
+				dead = c.legs[0]
+			default:
 				continue
 			}
-			base := in[nd.ID]
-			for _, gf := range ni.gens {
-				if ni.kills(gf.key) {
-					continue
-				}
-				v, ok := base[gf.key]
-				if !ok {
-					continue
-				}
-				// The incoming facts force the condition: v == gf.pos
-				// means it is non-zero (the fall leg is dead), v !=
-				// gf.pos means it is zero (the taken leg is dead).
-				dead := nd.Out[0]
-				if v == gf.pos {
-					dead = nd.Out[1]
-				}
-				if !mask[dead] {
-					mask[dead] = true
-					added = true
-					grew = true
-				}
+			if !sy.mask[dead] {
+				sy.mask[dead] = true
+				added = true
 			}
 		}
 		if !added {
 			return grew
 		}
+		grew = true
 	}
-}
-
-// solveMust computes the per-node incoming predicate facts under mask:
-// a forward worklist solve where each block filters killed facts, each
-// branch leg adds its assertions, and merges intersect. Unreached nodes
-// stay nil. Generated facts are justified by branch semantics alone, so
-// on a key collision the generated value wins — it is correct even
-// while the incoming set is still shrinking toward the fixpoint.
-func solveMust(g *cfg.Graph, info []nodeInfo, mask []bool) []facts {
-	in := make([]facts, len(g.Nodes))
-	in[g.Entry] = facts{}
-	work := []cfg.NodeID{g.Entry}
-	queued := make([]bool, len(g.Nodes))
-	queued[g.Entry] = true
-	for len(work) > 0 {
-		n := work[0]
-		work = work[1:]
-		queued[n] = false
-		nd := g.Node(n)
-		ni := &info[n]
-		base := make(facts, len(in[n]))
-		for k, v := range in[n] {
-			if !ni.kills(k) {
-				base[k] = v
-			}
-		}
-		for slot, eid := range nd.Out {
-			if mask[eid] {
-				continue
-			}
-			out := base
-			if len(ni.gens) > 0 && nd.Kind == cfg.TermBranch {
-				out = cloneFacts(base)
-				for _, gf := range ni.gens {
-					if slot == 0 {
-						out[gf.key] = gf.pos
-					} else {
-						out[gf.key] = !gf.pos
-					}
-				}
-			}
-			t := g.Edges[eid].To
-			if in[t] == nil {
-				in[t] = cloneFacts(out)
-			} else if !intersectInto(in[t], out) {
-				continue
-			}
-			if !queued[t] {
-				queued[t] = true
-				work = append(work, t)
-			}
-		}
-	}
-	return in
 }

@@ -145,7 +145,8 @@ func FuzzClampedEquivalence(f *testing.F) {
 // pipeline. The fuzzer picks the share of correlated if statements and
 // the program's size (statements per block and nesting depth), so most
 // execs solve a small graph. Each exec also pins the narrow solves to
-// full-width ones (checkNarrowMatchesFull).
+// full-width ones (checkNarrowMatchesFull) and the packed syntactic pass
+// to its map reference (checkSyntacticMatchesReference).
 func FuzzDetectCFG(f *testing.F) {
 	for _, seed := range []uint64{1, 2, 7, 42, 138} {
 		f.Add(seed, uint8(40), uint8(seed))
@@ -165,6 +166,7 @@ func FuzzDetectCFG(f *testing.F) {
 		rg := refGraph{label: fmt.Sprintf("%+v main/cfg", cfgc), g: fn.G, nv: fn.NumVars()}
 		checkTierMatchesReference(t, rg)
 		checkNarrowMatchesFull(t, rg)
+		checkSyntacticMatchesReference(t, rg)
 	})
 }
 

@@ -34,28 +34,32 @@ func detectReference(g *cfg.Graph, numVars int) []bool {
 	mask := make([]bool, len(g.Edges))
 	syntactic := Syntactic(g, numVars)
 	thr := intervals.Thresholds(g)
-	fold := func() bool {
-		wz := constprop.AnalyzeBoxedMasked(g, numVars, true, mask)
-		iv := dataflow.Solve(g, &intervals.ClampedProblem{NumVars: numVars, Conditional: true, T: thr, Infeasible: mask})
-		changed := false
-		for e := range mask {
-			if !mask[e] && (!wz.Sol.EdgeExecutable[e] || !iv.EdgeExecutable[e]) {
-				mask[e] = true
-				changed = true
-			}
-		}
-		return changed
-	}
-	fold()
+	referenceFold(g, numVars, thr, mask)
 	for round := 0; round < MaxRounds; round++ {
 		if !syntactic(mask) {
 			break
 		}
-		if !fold() {
+		if !referenceFold(g, numVars, thr, mask) {
 			break
 		}
 	}
 	return mask
+}
+
+// referenceFold is one lattice-evidence fold of detectReference: it
+// marks every edge the boxed masked constant propagation or clamped
+// interval solve never delivers along, and reports whether mask grew.
+func referenceFold(g *cfg.Graph, numVars int, thr []int64, mask []bool) bool {
+	wz := constprop.AnalyzeBoxedMasked(g, numVars, true, mask)
+	iv := dataflow.Solve(g, &intervals.ClampedProblem{NumVars: numVars, Conditional: true, T: thr, Infeasible: mask})
+	changed := false
+	for e := range mask {
+		if !mask[e] && (!wz.Sol.EdgeExecutable[e] || !iv.EdgeExecutable[e]) {
+			mask[e] = true
+			changed = true
+		}
+	}
+	return changed
 }
 
 // refGraph is one analyzed graph tier: a function's CFG, HPG or rHPG.
@@ -230,6 +234,78 @@ func TestDetectMatchesBoxedReference(t *testing.T) {
 	t.Logf("%d graphs, %d infeasible edges", len(graphs), marked)
 }
 
+// checkSyntacticMatchesReference requires the packed syntactic
+// fixpoint to grow exactly the mask the map reference grows on rg, and
+// to report the same result, under three starting masks: none, the
+// mask of one lattice-evidence fold, and Detect's final mask. It
+// returns how many edges the reference added over the three.
+func checkSyntacticMatchesReference(t *testing.T, rg refGraph) int {
+	t.Helper()
+	added := 0
+	folded := make([]bool, len(rg.g.Edges))
+	referenceFold(rg.g, rg.nv, intervals.Thresholds(rg.g), folded)
+	starts := []struct {
+		name string
+		mask []bool
+	}{
+		{"unmasked", make([]bool, len(rg.g.Edges))},
+		{"folded", folded},
+		{"detected", Detect(rg.g, rg.nv).Infeasible},
+	}
+	for _, st := range starts {
+		want := slices.Clone(st.mask)
+		wantGrew := Syntactic(rg.g, rg.nv)(want)
+		for e := range want {
+			if want[e] && !st.mask[e] {
+				added++
+			}
+		}
+		got := slices.Clone(st.mask)
+		if grew := SyntacticPacked(rg.g, rg.nv, got)(); grew != wantGrew {
+			t.Errorf("%s (%s): packed pass grew=%t, reference %t", rg.label, st.name, grew, wantGrew)
+		}
+		for e := range want {
+			if got[e] != want[e] {
+				t.Errorf("%s (%s): edge %d infeasible=%t, reference %t", rg.label, st.name, e, got[e], want[e])
+				break
+			}
+		}
+	}
+	return added
+}
+
+// writeOnLegSrc writes x in the block of a branch on y, whose
+// fall-through leg re-tests x: the fact x < 10 from the outer branch
+// must die on both legs of the inner one, or the re-test's else leg is
+// pruned although x may be 10 there.
+const writeOnLegSrc = `
+func main() {
+	x = input();
+	y = input();
+	if (x < 10) {
+		x = x + 1;
+		if (y < 5) { print(y); } else {
+			if (x < 10) { print(x); } else { print(0); }
+		}
+	}
+}`
+
+// TestSyntacticMatchesReference pins the packed syntactic pass to the
+// map reference it replaced on every reference graph tier and on
+// writeOnLegSrc's CFG.
+func TestSyntacticMatchesReference(t *testing.T) {
+	leg := compile(t, writeOnLegSrc).Main()
+	graphs := append(referenceGraphs(t), refGraph{label: "write-on-leg/main/cfg", g: leg.G, nv: leg.NumVars()})
+	added := 0
+	for _, rg := range graphs {
+		added += checkSyntacticMatchesReference(t, rg)
+	}
+	if added == 0 {
+		t.Fatal("the reference pass marked no edge; the comparison proves nothing")
+	}
+	t.Logf("%d graphs, %d edges marked by the reference pass", len(graphs), added)
+}
+
 // checkClampedMatchesBoxed requires the packed clamped solve to equal
 // dataflow.Solve over the same ClampedProblem: reachability, edge
 // executability, iteration count and every fact. AnalyzeClampedMasked
@@ -399,6 +475,40 @@ func BenchmarkDetect(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSyntacticResolve re-solves the pre-built kernel solvers of
+// Detect's packed syntactic pass over the named programs' 71 graph
+// tiers, unmasked and under Detect's mask: the loop each of the pass's
+// rounds runs. ci.sh gates both configurations on exactly 0 B/op and 0
+// allocs/op.
+func BenchmarkSyntacticResolve(b *testing.B) {
+	graphs := namedGraphs(b)
+	for _, masked := range []bool{false, true} {
+		name := "unmasked"
+		if masked {
+			name = "masked"
+		}
+		b.Run(name, func(b *testing.B) {
+			solvers := make([]*kernel.Solver, len(graphs))
+			for i, rg := range graphs {
+				mask := make([]bool, len(rg.g.Edges))
+				if masked {
+					mask = Detect(rg.g, rg.nv).Infeasible
+				}
+				solvers[i] = SyntacticSolver(rg.g, rg.nv, mask)
+				solvers[i].Run() // warm: arenas sized before the timer starts
+			}
+			runtime.GC() // collect the set-up garbage outside the timed loop
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, s := range solvers {
+					s.Run()
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkClampedResolve re-solves pre-built intervals.ClampedSolvers
