@@ -107,6 +107,12 @@
 #                           must report the same allocs/op for a 10-node
 #                           and a 1000-node solution bundle, so disk
 #                           decoding allocates per bundle, never per row
+#                           — then the client gate: BenchmarkClientSolve
+#                           (one-shot liveness + available-expressions
+#                           solves) must report the same allocs/op on a
+#                           generated function of about 10 and of about
+#                           1000 nodes: every client keeps its solver's
+#                           rows, so no solve allocates per node
 #   9. check smoke          `pathflow check` over examples/hotpath.pf
 #                           and all seven benchmarks on the default
 #                           packed kernels: the precision differential
@@ -307,6 +313,21 @@ echo "$codec_out" | awk '
     END {
         if (sa == "" || la == "") { print "codec gate: BenchmarkDecodeSolution lines missing" > "/dev/stderr"; exit 1 }
         if (sa != la) { printf "codec gate: allocs/op %s at 10 nodes, %s at 1000\n", sa, la > "/dev/stderr"; exit 1 }
+    }'
+
+echo "== client gate"
+# The liveness and available-expressions results keep their solver's
+# rows instead of boxing a fact per node: a one-shot solve of a generated
+# function at about 10 and at about 1000 nodes must allocate equally
+# often.
+client_out=$(go test -run '^$' -bench '^BenchmarkClientSolve$' -benchmem -benchtime 200x ./internal/liveness/)
+echo "$client_out"
+echo "$client_out" | awk '
+    /BenchmarkClientSolve\/nodes=12-/  { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") sa = $i }
+    /BenchmarkClientSolve\/nodes=996-/ { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") la = $i }
+    END {
+        if (sa == "" || la == "") { print "client gate: BenchmarkClientSolve lines missing" > "/dev/stderr"; exit 1 }
+        if (sa != la) { printf "client gate: allocs/op %s at 12 nodes, %s at 996\n", sa, la > "/dev/stderr"; exit 1 }
     }'
 
 tmpdir=$(mktemp -d)

@@ -64,10 +64,9 @@ func exprOf(in *ir.Instr) (Expr, bool) {
 // per-function kernel.Interner: the dense IDs double as bit positions
 // in both the boxed Set and the packed arena rows.
 type Universe struct {
-	Exprs   []Expr
-	intern  *kernel.Interner[Expr]
-	useMask []Set // per register: expressions that read it
-	words   int
+	Exprs  []Expr
+	intern *kernel.Interner[Expr]
+	uses   *kernel.Bits // row v: the expressions that read register v
 }
 
 // NewUniverse scans g and numbers its expressions.
@@ -82,15 +81,12 @@ func NewUniverse(g *cfg.Graph, numVars int) *Universe {
 			}
 		}
 	}
-	u.words = (len(u.Exprs) + 63) / 64
-	u.useMask = make([]Set, numVars)
-	for v := range u.useMask {
-		u.useMask[v] = u.newSet()
-	}
+	u.uses = kernel.NewBits(len(u.Exprs))
+	u.uses.Grow(numVars)
 	for i, e := range u.Exprs {
-		u.useMask[e.A].set(i)
+		u.uses.Set(int(e.A), i)
 		if e.B.Valid() {
-			u.useMask[e.B].set(i)
+			u.uses.Set(int(e.B), i)
 		}
 	}
 	return u
@@ -106,7 +102,7 @@ func (u *Universe) Index(e Expr) int { return u.intern.Lookup(e) }
 // Set is a bit set over the universe's expressions.
 type Set []uint64
 
-func (u *Universe) newSet() Set { return make(Set, u.words) }
+func (u *Universe) newSet() Set { return make(Set, u.uses.Words) }
 
 func (s Set) set(i int)      { s[i/64] |= 1 << (uint(i) % 64) }
 func (s Set) clone() Set     { return append(Set(nil), s...) }
@@ -181,28 +177,29 @@ func (p *Problem) Equal(a, b dataflow.Fact) bool {
 	return a.(Set).Equal(b.(Set))
 }
 
-// TransferBlock pushes an availability set through node n's
-// instructions: each computing instruction first makes its expression
-// available, then its destination write kills every expression reading
-// the destination (so x = x + 1 does not leave x+1 available).
-func (p *Problem) TransferBlock(g *cfg.Graph, n cfg.NodeID, in Set) Set {
-	avail := in.clone()
-	nd := g.Node(n)
+// walkBlock pushes avail through nd's instructions, in place: each
+// computing instruction first makes its expression available, then its
+// destination write kills every expression reading the destination (so
+// x = x + 1 does not leave x+1 available). redundant, when non-nil,
+// flags each instruction whose expression was available before it.
+func (u *Universe) walkBlock(nd *cfg.Node, avail Set, redundant []bool) {
 	for i := range nd.Instrs {
 		ins := &nd.Instrs[i]
 		if e, ok := exprOf(ins); ok {
-			if idx := p.U.Index(e); idx >= 0 {
+			if idx := u.Index(e); idx >= 0 {
+				if redundant != nil && avail.Has(idx) {
+					redundant[i] = true
+				}
 				avail.set(idx)
 			}
 		}
 		if ins.HasDst() {
-			kill := p.U.useMask[ins.Dst]
+			kill := u.uses.Row(int(ins.Dst))
 			for w := range avail {
 				avail[w] &^= kill[w]
 			}
 		}
 	}
-	return avail
 }
 
 // Transfer distributes the block's availability-out to the executable
@@ -211,8 +208,9 @@ func (p *Problem) Transfer(g *cfg.Graph, n cfg.NodeID, in dataflow.Fact, out []d
 	if p.Guide != nil && !p.Guide.Reached[n] {
 		return
 	}
-	avail := p.TransferBlock(g, n, in.(Set))
+	avail := in.(Set).clone()
 	nd := g.Node(n)
+	p.U.walkBlock(nd, avail, nil)
 	for i, eid := range nd.Out {
 		if p.Guide != nil && !p.Guide.EdgeExecutable[eid] {
 			continue
@@ -221,30 +219,41 @@ func (p *Problem) Transfer(g *cfg.Graph, n cfg.NodeID, in dataflow.Fact, out []d
 	}
 }
 
-// Result bundles a solved availability problem with its graph.
+// Result is a solved availability problem over G: row n of Rows is the
+// availability set at node n's entry, and Sol carries the rest of the
+// solution but never boxed facts (Sol.In is nil; Boxed boxes them).
 type Result struct {
-	G   *cfg.Graph
-	U   *Universe
-	P   *Problem
-	Sol *dataflow.Solution
+	G    *cfg.Graph
+	U    *Universe
+	Sol  *dataflow.Solution
+	Rows *kernel.Bits
 }
 
 // AnalyzeBoxed runs available-expressions over g using the shared
 // universe u on the boxed reference solver, the test oracle for
 // AnalyzePacked. guide, when non-nil, restricts propagation to a prior
-// forward solution's executable sub-graph.
+// forward solution's executable sub-graph. Its facts are packed into
+// rows.
 func AnalyzeBoxed(g *cfg.Graph, u *Universe, guide *dataflow.Solution) *Result {
-	p := &Problem{U: u, Guide: guide}
-	return &Result{G: g, U: u, P: p, Sol: dataflow.Solve(g, p)}
+	sol := dataflow.Solve(g, &Problem{U: u, Guide: guide})
+	rows := kernel.PackBits[Set](sol.In, u.Size())
+	sol.In = nil
+	return &Result{G: g, U: u, Sol: sol, Rows: rows}
 }
 
 // AvailIn returns the availability set at node n's entry, or nil if n is
-// unreached (conceptually the full universe ⊤).
+// unreached (conceptually the full universe ⊤). The set is the result's
+// own row: treat it as read-only.
 func (r *Result) AvailIn(n cfg.NodeID) Set {
-	if f := r.Sol.In[n]; f != nil {
-		return f.(Set)
+	if !r.Sol.Reached[n] {
+		return nil
 	}
-	return nil
+	return Set(r.Rows.Row(int(n)))
+}
+
+// Boxed returns the solution with In filled, for the oracle.
+func (r *Result) Boxed() *dataflow.Solution {
+	return dataflow.Box(r.Sol, func(n int) dataflow.Fact { return r.AvailIn(cfg.NodeID(n)) })
 }
 
 // Redundant reports, per instruction of node n, whether the instruction
@@ -254,27 +263,8 @@ func (r *Result) AvailIn(n cfg.NodeID) Set {
 func (r *Result) Redundant(n cfg.NodeID) []bool {
 	nd := r.G.Node(n)
 	flags := make([]bool, len(nd.Instrs))
-	in := r.AvailIn(n)
-	if in == nil {
-		return flags
-	}
-	avail := in.clone()
-	for i := range nd.Instrs {
-		ins := &nd.Instrs[i]
-		if e, ok := exprOf(ins); ok {
-			if idx := r.U.Index(e); idx >= 0 {
-				if avail.Has(idx) {
-					flags[i] = true
-				}
-				avail.set(idx)
-			}
-		}
-		if ins.HasDst() {
-			kill := r.U.useMask[ins.Dst]
-			for w := range avail {
-				avail[w] &^= kill[w]
-			}
-		}
+	if in := r.AvailIn(n); in != nil {
+		r.U.walkBlock(nd, in.clone(), flags)
 	}
 	return flags
 }

@@ -20,37 +20,35 @@ type instrFX struct {
 // intersection meet over packed words, kill masks applied word-wise.
 type packedDomain struct {
 	g     *cfg.Graph
-	u     *Universe
 	bits  *kernel.Bits
 	guide *dataflow.Solution
-	fx    [][]instrFX // per node, per instruction
+	fx    []instrFX // every node's instructions, back to back
+	fx0   []int32   // node n's effects are fx[fx0[n]:fx0[n+1]]
 }
 
 func newPackedDomain(g *cfg.Graph, u *Universe, guide *dataflow.Solution) *packedDomain {
 	d := &packedDomain{
 		g:     g,
-		u:     u,
-		bits:  &kernel.Bits{Words: u.words},
+		bits:  kernel.NewBits(u.Size()),
 		guide: guide,
-		fx:    make([][]instrFX, g.NumNodes()),
+		fx:    make([]instrFX, 0, g.NumInstrs()),
+		fx0:   make([]int32, g.NumNodes()+1),
 	}
 	for _, nd := range g.Nodes {
-		if len(nd.Instrs) == 0 {
-			continue
-		}
-		fx := make([]instrFX, len(nd.Instrs))
+		d.fx0[nd.ID] = int32(len(d.fx))
 		for i := range nd.Instrs {
 			ins := &nd.Instrs[i]
-			fx[i].expr = -1
+			fx := instrFX{expr: -1}
 			if e, ok := exprOf(ins); ok {
-				fx[i].expr = int32(u.Index(e))
+				fx.expr = int32(u.Index(e))
 			}
 			if ins.HasDst() {
-				fx[i].kill = u.useMask[ins.Dst]
+				fx.kill = u.uses.Row(int(ins.Dst))
 			}
+			d.fx = append(d.fx, fx)
 		}
-		d.fx[nd.ID] = fx
 	}
+	d.fx0[g.NumNodes()] = int32(len(d.fx))
 	return d
 }
 
@@ -69,7 +67,7 @@ func (d *packedDomain) Transfer(n cfg.NodeID, in, scratch int, slots []int8) {
 		return
 	}
 	d.bits.Copy(scratch, in)
-	for _, fx := range d.fx[n] {
+	for _, fx := range d.fx[d.fx0[n]:d.fx0[n+1]] {
 		if fx.expr >= 0 {
 			d.bits.Set(scratch, int(fx.expr))
 		}
@@ -88,15 +86,11 @@ func (d *packedDomain) Transfer(n cfg.NodeID, in, scratch int, slots []int8) {
 
 // AnalyzePacked runs available-expressions on the packed bitset kernel
 // using the shared universe u: the production solver. The solution is
-// pointwise equal to AnalyzeBoxed's.
+// pointwise equal to AnalyzeBoxed's; the Result keeps the solver's rows.
 func AnalyzePacked(g *cfg.Graph, u *Universe, guide *dataflow.Solution) *Result {
 	d := newPackedDomain(g, u, guide)
 	s := kernel.NewSolver(g, d)
 	s.Run()
-	sol := s.Materialize(func(row int) dataflow.Fact {
-		return Set(append([]uint64(nil), d.bits.Row(row)...))
-	})
-	// The boxed path hangs the Problem off the result for callers that
-	// re-run TransferBlock; give them the same view.
-	return &Result{G: g, U: u, P: &Problem{U: u, Guide: guide}, Sol: sol}
+	d.bits.Trim(g.NumNodes())
+	return &Result{G: g, U: u, Sol: s.Solution(), Rows: d.bits}
 }

@@ -18,8 +18,10 @@ func RecordingEdges(g *cfg.Graph) map[cfg.EdgeID]bool {
 		R[e] = true
 	}
 	dfs := g.DepthFirst()
-	for e := range dfs.Retreating {
-		R[e] = true
+	for e, retreating := range dfs.Retreating {
+		if retreating {
+			R[cfg.EdgeID(e)] = true
+		}
 	}
 	return R
 }

@@ -14,7 +14,7 @@ type DFS struct {
 	Pre        []int // preorder number per node, -1 if unreachable
 	RPO        []int // reverse-postorder number per node, -1 if unreachable
 	RPOOrder   []NodeID
-	Retreating map[EdgeID]bool
+	Retreating []bool // per EdgeID: whether the edge is retreating
 	reach      int
 }
 
@@ -23,13 +23,13 @@ func (g *Graph) DepthFirst() *DFS {
 	d := &DFS{
 		Pre:        make([]int, len(g.Nodes)),
 		RPO:        make([]int, len(g.Nodes)),
-		Retreating: map[EdgeID]bool{},
+		Retreating: make([]bool, len(g.Edges)),
 	}
 	for i := range d.Pre {
 		d.Pre[i] = -1
 		d.RPO[i] = -1
 	}
-	var post []NodeID
+	post := make([]NodeID, 0, len(g.Nodes))
 	// state: 0 unvisited, 1 on stack (open), 2 done
 	state := make([]uint8, len(g.Nodes))
 	preN := 0
@@ -39,7 +39,7 @@ func (g *Graph) DepthFirst() *DFS {
 		n    NodeID
 		slot int
 	}
-	stack := []frame{{g.Entry, 0}}
+	stack := append(make([]frame, 0, len(g.Nodes)), frame{g.Entry, 0})
 	d.Pre[g.Entry] = preN
 	preN++
 	state[g.Entry] = 1
@@ -181,8 +181,8 @@ func (g *Graph) BackEdges() map[EdgeID]bool {
 func (g *Graph) Reducible() bool {
 	dfs := g.DepthFirst()
 	back := g.BackEdges()
-	for eid := range dfs.Retreating {
-		if !back[eid] {
+	for eid, retreating := range dfs.Retreating {
+		if retreating && !back[EdgeID(eid)] {
 			return false
 		}
 	}

@@ -81,11 +81,22 @@ func irreducibleGraph(t *testing.T) *Graph {
 	return g
 }
 
+// retreating lists the retreating edges of a traversal.
+func retreating(dfs *DFS) []EdgeID {
+	var out []EdgeID
+	for e, r := range dfs.Retreating {
+		if r {
+			out = append(out, EdgeID(e))
+		}
+	}
+	return out
+}
+
 func TestDFSOnDiamond(t *testing.T) {
 	g, n := diamond(t)
 	dfs := g.DepthFirst()
-	if len(dfs.Retreating) != 0 {
-		t.Errorf("retreating edges = %d, want 0", len(dfs.Retreating))
+	if r := retreating(dfs); len(r) != 0 {
+		t.Errorf("retreating edges = %d, want 0", len(r))
 	}
 	if dfs.NumReachable() != g.NumNodes() {
 		t.Errorf("reachable = %d, want all %d", dfs.NumReachable(), g.NumNodes())
@@ -104,11 +115,11 @@ func TestDFSOnDiamond(t *testing.T) {
 
 func TestDFSOnLoop(t *testing.T) {
 	g, h, body := loopGraph(t)
-	dfs := g.DepthFirst()
-	if len(dfs.Retreating) != 1 {
-		t.Fatalf("retreating = %d, want 1", len(dfs.Retreating))
+	r := retreating(g.DepthFirst())
+	if len(r) != 1 {
+		t.Fatalf("retreating = %d, want 1", len(r))
 	}
-	for e := range dfs.Retreating {
+	for _, e := range r {
 		if g.Edge(e).From != body || g.Edge(e).To != h {
 			t.Errorf("retreating edge is %d->%d, want body->h", g.Edge(e).From, g.Edge(e).To)
 		}
@@ -189,7 +200,7 @@ func TestReducibility(t *testing.T) {
 	dfs := ir.DepthFirst()
 	back := ir.BackEdges()
 	found := false
-	for e := range dfs.Retreating {
+	for _, e := range retreating(dfs) {
 		if !back[e] {
 			found = true
 		}

@@ -316,9 +316,9 @@ func (p *Problem) Transfer(g *cfg.Graph, n cfg.NodeID, in dataflow.Fact, out []d
 //
 // Value reads one cell and InstrValues and ConstFlags evaluate a block
 // from its inputs, which are non-local registers by definition. EnvAt
-// and Boxed return whole environments, NumVars registers wide: the
-// first call solves the temporaries' facts from the rows (see
-// fullRows) and keeps them.
+// and Boxed return whole environments, NumVars registers wide, solving
+// the temporaries' facts from the rows (see solveFull): EnvAt's first
+// call keeps them, Boxed solves them afresh.
 type Result struct {
 	G       *cfg.Graph
 	Sol     *dataflow.Solution
@@ -377,29 +377,27 @@ func (r *Result) Value(n cfg.NodeID, reg ir.Var) Value {
 }
 
 // EnvAt boxes the environment at node n's entry into a fresh Env of
-// NumVars registers; unreached nodes yield the all-⊤ environment.
-func (r *Result) EnvAt(n cfg.NodeID) Env {
-	k, v := r.fullRows().Row(int(n))
+// NumVars registers; unreached nodes yield the all-⊤ environment. The
+// first call keeps the whole-environment rows (see fullRows).
+func (r *Result) EnvAt(n cfg.NodeID) Env { return envAt(r.fullRows(), int(n)) }
+
+// Boxed returns a copy of the solution with In filled: one boxed Env per
+// reached node, nil elsewhere — the form the differential oracle and the
+// boxed reference compare. It solves the temporaries into rows of its
+// own, so a cached Result does not grow by them.
+func (r *Result) Boxed() *dataflow.Solution {
+	full := r.solveFull()
+	return dataflow.Box(r.Sol, func(n int) dataflow.Fact { return envAt(full, n) })
+}
+
+// envAt boxes row n of NumVars-wide rows.
+func envAt(full *kernel.KV, n int) Env {
+	k, v := full.Row(n)
 	e := make(Env, len(k))
 	for i := range k {
 		e[i] = Value{Kind: Kind(k[i]), K: v[i]}
 	}
 	return e
-}
-
-// Boxed returns a copy of the solution with In filled: one boxed Env per
-// reached node, nil elsewhere — the form the differential oracle and the
-// boxed reference compare. It is the one place facts are boxed in bulk,
-// so only check and reference paths call it.
-func (r *Result) Boxed() *dataflow.Solution {
-	sol := *r.Sol
-	sol.In = make([]dataflow.Fact, len(sol.Reached))
-	for n, reached := range sol.Reached {
-		if reached {
-			sol.In[n] = r.EnvAt(cfg.NodeID(n))
-		}
-	}
-	return &sol
 }
 
 // FullBytes reports the bytes of the whole-environment rows EnvAt has

@@ -214,23 +214,12 @@ func solvePacked(g *cfg.Graph, numVars int, conditional bool, infeasible []bool)
 	d := newPackedDomain(g, conditional, infeasible)
 	s := kernel.NewSolver(g, d)
 	s.Run()
-	// The solver is discarded, so the Result takes its slices as they
-	// are: the per-node rows (unreached rows were never written and stay
-	// ⊤) and the reachability view.
-	w := d.cells.Width
-	rows := g.NumNodes() * w
-	return &Result{
-		G: g,
-		Sol: &dataflow.Solution{
-			Reached:        s.Reached,
-			EdgeExecutable: s.EdgeExecutable,
-			Iterations:     s.Iterations,
-			Pops:           s.Pops,
-		},
-		Rows:    kernel.KV{Width: w, Kind: d.cells.Kind[:rows:rows], Val: d.cells.Val[:rows:rows]},
-		Cols:    g.Columns(),
-		NumVars: numVars,
-	}
+	// The solver is discarded, so the Result takes its arena and slices
+	// as they are: the per-node rows (unreached rows were never written
+	// and stay ⊤) and the reachability view.
+	w, n := d.cells.Width, g.NumNodes()*d.cells.Width
+	rows := kernel.KV{Width: w, Kind: d.cells.Kind[:n:n], Val: d.cells.Val[:n:n]}
+	return &Result{G: g, Sol: s.Solution(), Rows: rows, Cols: g.Columns(), NumVars: numVars}
 }
 
 // AnalyzeMasked is AnalyzePacked under an infeasible-edge mask:

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"pathflow/internal/cfg"
 	. "pathflow/internal/constprop"
 	"pathflow/internal/dataflow/oracle"
 	"pathflow/internal/lang"
@@ -68,11 +69,11 @@ func TestAnalyzeMaskedMatchesBoxed(t *testing.T) {
 }
 
 // TestNarrowResultConcurrentReaders has several goroutines solve one
-// fresh graph, which builds its column map on first use, and then box
-// one shared result's whole environments at once, as the engine's
-// workers read a cached solution: under -race it pins that the map and
-// the kept full-width rows are built and published safely, and every
-// reader must see the environments a single reader sees.
+// fresh graph, which builds its column map on first use, and then read
+// one shared result's whole environments through EnvAt at once, as
+// concurrent readers of a cached solution do: under -race it pins that
+// the map and the kept full-width rows are built and published safely,
+// and every reader must see the environments a single reader sees.
 func TestNarrowResultConcurrentReaders(t *testing.T) {
 	prog, err := lang.Compile(progen.Generate(progen.DefaultConfig(3)))
 	if err != nil {
@@ -97,15 +98,17 @@ func TestNarrowResultConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got := shared.Boxed()
 			for n, f := range want.In {
-				if f != nil && !got.In[n].(Env).Equal(f.(Env)) {
-					t.Errorf("node %d: environment %v, want %v", n, got.In[n], f)
+				if f == nil {
+					continue
+				}
+				if got := shared.EnvAt(cfg.NodeID(n)); !got.Equal(f.(Env)) {
+					t.Errorf("node %d: environment %v, want %v", n, got, f)
 					return
 				}
 			}
 			if shared.FullBytes() == 0 {
-				t.Error("whole-environment rows not kept after Boxed")
+				t.Error("whole-environment rows not kept after EnvAt")
 			}
 		}()
 	}

@@ -165,6 +165,20 @@ type Solution struct {
 	Direction Direction
 }
 
+// Box returns a copy of s with In filled: fact(n) for every reached node
+// n, nil elsewhere. The clients keep their facts as kernel rows; Box
+// boxes them for the differential oracle and the reference tests.
+func Box(s *Solution, fact func(n int) Fact) *Solution {
+	b := *s
+	b.In = make([]Fact, len(s.Reached))
+	for n, reached := range s.Reached {
+		if reached {
+			b.In[n] = fact(n)
+		}
+	}
+	return &b
+}
+
 // Solve runs the worklist algorithm on g, dispatching on the problem's
 // declared direction.
 func Solve(g *cfg.Graph, p Problem) *Solution {
@@ -243,11 +257,13 @@ func newSolver(g *cfg.Graph, p Problem) *solver {
 		// retreating edge, so widening there still cuts every infinite
 		// descent.
 		s.widenAt = make([]bool, g.NumNodes())
-		for e := range s.dfs.Retreating {
-			if s.dir == Backward {
-				s.widenAt[g.Edge(e).From] = true
-			} else {
-				s.widenAt[g.Edge(e).To] = true
+		for e, retreating := range s.dfs.Retreating {
+			switch edge := g.Edge(cfg.EdgeID(e)); {
+			case !retreating:
+			case s.dir == Backward:
+				s.widenAt[edge.From] = true
+			default:
+				s.widenAt[edge.To] = true
 			}
 		}
 	}

@@ -1,5 +1,7 @@
 package kernel
 
+import "pathflow/internal/dataflow"
+
 // Bits is a packed bitset arena: rows of fixed width Words 64-bit
 // words, stored contiguously. Set-lattice domains (liveness, available
 // expressions) keep every fact as one row; union and intersection are
@@ -12,12 +14,29 @@ type Bits struct {
 // NewBits returns an arena whose rows hold nbits bits each.
 func NewBits(nbits int) *Bits { return &Bits{Words: (nbits + 63) / 64} }
 
+// PackBits packs boxed bit-set facts into an arena of nbits-bit rows,
+// fact r into row r; a nil fact leaves its row empty.
+func PackBits[S ~[]uint64](facts []dataflow.Fact, nbits int) *Bits {
+	b := NewBits(nbits)
+	b.Grow(len(facts))
+	for r, f := range facts {
+		if f != nil {
+			copy(b.Row(r), f.(S))
+		}
+	}
+	return b
+}
+
 // Grow ensures the arena holds at least rows rows.
 func (b *Bits) Grow(rows int) {
 	if need := rows * b.Words; len(b.w) < need {
 		b.w = make([]uint64, need)
 	}
 }
+
+// Trim drops every row from rows on: a solved client keeps the
+// per-node rows, not the solver's scratch rows after them.
+func (b *Bits) Trim(rows int) { b.w = b.w[: rows*b.Words : rows*b.Words] }
 
 // Row returns row r's words.
 func (b *Bits) Row(r int) []uint64 {

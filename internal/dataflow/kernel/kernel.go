@@ -29,10 +29,10 @@
 // allocations — the property the BenchmarkAnalyzeKernels allocs gate in
 // ci.sh locks down.
 //
-// Constant propagation keeps the solved arena as its result: its
-// per-node KV rows are the artifact the engine caches and the disk
-// codec writes, so it never boxes facts. The other clients still box
-// through Materialize.
+// Every client keeps the solved arena's per-node rows as its result and
+// reads facts straight off them; constant propagation's are also the
+// artifact the engine caches and the disk codec writes. No solve boxes
+// facts: dataflow.Box does, on demand, for the oracle and the tests.
 //
 // A row need not hold a cell per register. Constant propagation and
 // the clamped intervals behind feasible detection give a row one column
@@ -168,11 +168,13 @@ func NewSolver(g *cfg.Graph, d Domain) *Solver {
 		s.wd = wd
 		s.changes = make([]int32, n)
 		s.widenAt = make([]bool, n)
-		for e := range dfs.Retreating {
-			if s.dir == dataflow.Backward {
-				s.widenAt[g.Edge(e).From] = true
-			} else {
-				s.widenAt[g.Edge(e).To] = true
+		for e, retreating := range dfs.Retreating {
+			switch edge := g.Edge(cfg.EdgeID(e)); {
+			case !retreating:
+			case s.dir == dataflow.Backward:
+				s.widenAt[edge.From] = true
+			default:
+				s.widenAt[edge.To] = true
 			}
 		}
 		s.rpo = dfs.RPOOrder
@@ -415,26 +417,16 @@ func (s *Solver) narrow() {
 	}
 }
 
-// Materialize assembles a standard boxed Solution from the solved state:
-// fact boxes row n for every reached node (called once per node, after
-// Run). It is the boundary where the liveness, available-expressions and
-// interval clients allocate, keeping their boxed consumers unchanged.
-// Constant propagation does not call it: its Result keeps the rows.
-func (s *Solver) Materialize(fact func(row int) dataflow.Fact) *dataflow.Solution {
-	sol := &dataflow.Solution{
-		In:             make([]dataflow.Fact, len(s.Reached)),
-		Reached:        append([]bool(nil), s.Reached...),
-		EdgeExecutable: append([]bool(nil), s.EdgeExecutable...),
+// Solution returns the solution without In. It shares the solver's
+// slices, so a client calls it once done with the solver.
+func (s *Solver) Solution() *dataflow.Solution {
+	return &dataflow.Solution{
+		Reached:        s.Reached,
+		EdgeExecutable: s.EdgeExecutable,
 		Iterations:     s.Iterations,
 		Pops:           s.Pops,
 		Direction:      s.dir,
 	}
-	for n := range sol.In {
-		if s.Reached[n] {
-			sol.In[n] = fact(n)
-		}
-	}
-	return sol
 }
 
 // String identifies the solver for debugging.

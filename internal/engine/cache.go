@@ -12,7 +12,6 @@ import (
 	"pathflow/internal/bl"
 	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
-	"pathflow/internal/dataflow"
 	"pathflow/internal/engine/diskcache"
 	"pathflow/internal/feasible"
 	"pathflow/internal/liveness"
@@ -369,11 +368,11 @@ func approxSize(v any) int64 {
 	case *feasible.Edges:
 		return 48 + int64(len(x.Infeasible))
 	case *liveness.Result:
-		return 32 + sizeBitsetSolution(x.Sol)
+		return 128 + int64(len(x.Sol.Reached)+len(x.Sol.EdgeExecutable)) + int64(x.Rows.Words*len(x.Sol.Reached))*8
 	case *availexpr.Result:
 		// The expression universe is shared across tiers; charge a
 		// nominal per-bundle share rather than its full footprint.
-		return 32 + sizeBitsetSolution(x.Sol) + int64(x.U.Size())*8
+		return 128 + int64(len(x.Sol.Reached)+len(x.Sol.EdgeExecutable)) + int64(x.Rows.Words*len(x.Sol.Reached)+x.U.Size())*8
 	case *reduce.Weights:
 		// A computed weighing carries the HPG's prepared blocks. A
 		// decoded one gets them at its first Partition, after it is
@@ -414,25 +413,6 @@ func sizeSolution(r *constprop.Result) int64 {
 	}
 	return int64(96) + int64(len(r.Sol.Reached)) + int64(len(r.Sol.EdgeExecutable)) +
 		int64(len(r.Rows.Kind))*9 + int64(len(r.Cols.Regs)+len(r.Cols.Col))*4 + r.FullBytes()
-}
-
-// sizeBitsetSolution estimates the footprint of a bit-vector client
-// solution (liveness or available expressions): the per-node word slices
-// plus the solution's bookkeeping slices.
-func sizeBitsetSolution(s *dataflow.Solution) int64 {
-	if s == nil {
-		return 0
-	}
-	n := int64(96) + int64(len(s.Reached)) + int64(len(s.EdgeExecutable))
-	for _, f := range s.In {
-		switch x := f.(type) {
-		case liveness.Set:
-			n += 24 + int64(len(x))*8
-		case availexpr.Set:
-			n += 24 + int64(len(x))*8
-		}
-	}
-	return n
 }
 
 func sizeProfile(p *bl.Profile) int64 {

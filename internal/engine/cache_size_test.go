@@ -4,10 +4,14 @@ import (
 	"context"
 	"testing"
 
+	"pathflow/internal/availexpr"
 	"pathflow/internal/bl"
+	"pathflow/internal/constprop"
+	"pathflow/internal/dataflow"
 	"pathflow/internal/interp"
 	"pathflow/internal/ir"
 	"pathflow/internal/lang"
+	"pathflow/internal/liveness"
 	"pathflow/internal/reduce"
 )
 
@@ -42,11 +46,23 @@ func weighEntries(c *Cache) map[*reduce.Weights]int64 {
 	return out
 }
 
-// TestWeighChargesPreparedBlocks: a computed weighing carries the HPG's
-// prepared blocks, and the memory tier charges them on top of what the
-// same weights cost bare. A weighing decoded from disk carries none
-// when it is charged.
-func TestWeighChargesPreparedBlocks(t *testing.T) {
+// cachedValues returns the memory tier's values with the bytes each
+// was charged.
+func cachedValues(c *Cache) map[cacheKey]cacheEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := map[cacheKey]cacheEntry{}
+	for k, e := range c.entries {
+		if e.elem != nil {
+			out[k] = cacheEntry{val: e.val, size: e.size}
+		}
+	}
+	return out
+}
+
+// analyzeWeighSrc runs weighSrc on its training input through eng.
+func analyzeWeighSrc(t *testing.T, eng *Engine, opt Options) {
+	t.Helper()
 	prog, err := lang.Compile(weighSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -58,15 +74,23 @@ func TestWeighChargesPreparedBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := eng.AnalyzeProgram(context.Background(), prog, train, opt); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWeighChargesPreparedBlocks: a computed weighing carries the HPG's
+// prepared blocks, and the memory tier charges them on top of what the
+// same weights cost bare. A weighing decoded from disk carries none
+// when it is charged.
+func TestWeighChargesPreparedBlocks(t *testing.T) {
 	dir := t.TempDir()
 	run := func() *Engine {
 		eng, err := Open(Config{Workers: 1, CacheDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.AnalyzeProgram(context.Background(), prog, train, DefaultOptions()); err != nil {
-			t.Fatal(err)
-		}
+		analyzeWeighSrc(t, eng, DefaultOptions())
 		return eng
 	}
 
@@ -95,5 +119,74 @@ func TestWeighChargesPreparedBlocks(t *testing.T) {
 		if bare := approxSize(reduce.NewWeights(w.W)); size != bare {
 			t.Errorf("decoded weighing charged %d bytes, want %d", size, bare)
 		}
+	}
+}
+
+// TestClientResultsChargeRows pins what the memory tier charges a
+// liveness or available-expressions result: its bookkeeping, the
+// reachability view and one row per node, plus for available
+// expressions a nominal share of the universe. No result carries boxed
+// facts.
+func TestClientResultsChargeRows(t *testing.T) {
+	eng := New(Config{Workers: 1, Cache: true})
+	opt := DefaultOptions()
+	opt.Clients = ClientsAll
+	analyzeWeighSrc(t, eng, opt)
+	charge := func(sol *dataflow.Solution, words, nodes int) int64 {
+		if sol.In != nil {
+			t.Errorf("cached client result carries %d boxed facts", len(sol.In))
+		}
+		return 128 + int64(len(sol.Reached)+len(sol.EdgeExecutable)) + int64(words*nodes)*8
+	}
+	var live, avail int
+	for k, e := range cachedValues(eng.cache) {
+		var want int64
+		switch r := e.val.(type) {
+		case *liveness.Result:
+			live++
+			want = charge(r.Sol, r.Rows.Words, r.G.NumNodes())
+		case *availexpr.Result:
+			avail++
+			want = charge(r.Sol, r.Rows.Words, r.G.NumNodes()) + int64(r.U.Size())*8
+		default:
+			continue
+		}
+		if e.size != want {
+			t.Errorf("%s: %T charged %d bytes, want %d", k.kind, e.val, e.size, want)
+		}
+	}
+	if live == 0 || avail == 0 {
+		t.Fatalf("memory tier holds %d liveness and %d availexpr results, want some of each", live, avail)
+	}
+}
+
+// TestVerifyKeepsSolutionsNarrow: the oracle boxes whole environments
+// after the pipeline's solutions enter the memory tier, and must not
+// grow them by whole-environment rows the tier's byte bound never
+// charged.
+func TestVerifyKeepsSolutionsNarrow(t *testing.T) {
+	eng := New(Config{Workers: 1, Cache: true})
+	opt := DefaultOptions()
+	opt.Verify = true
+	analyzeWeighSrc(t, eng, opt)
+	var sols, reduced int
+	for k, e := range cachedValues(eng.cache) {
+		var r *constprop.Result
+		switch v := e.val.(type) {
+		case *constprop.Result:
+			r = v
+		case ReduceOut:
+			r = v.RedSol
+			reduced++
+		default:
+			continue
+		}
+		sols++
+		if r.FullBytes() > 0 {
+			t.Errorf("%s: cached solution keeps %d bytes of whole-environment rows", k.kind, r.FullBytes())
+		}
+	}
+	if sols == 0 || reduced == 0 {
+		t.Fatalf("memory tier holds %d solutions, %d of them reduced; want both", sols, reduced)
 	}
 }

@@ -65,7 +65,7 @@ func (o *Oracle) Facts(g *cfg.Graph, cp *constprop.Result, mask *feasible.Edges,
 		avail = solveAvailExpr(o.kernel, g, o.u, cp.Sol)
 	}
 	iv := intervals.AnalyzeClampedMasked(g, o.nv, o.thr, true, mask.Mask())
-	return TierFacts{cp.Boxed(), iv.Sol, live.Sol, avail.Sol}
+	return TierFacts{cp.Boxed(), iv.Boxed(), live.Boxed(), avail.Boxed()}
 }
 
 // Compare runs the oracle on every client: derived's vertex n projects
@@ -172,7 +172,7 @@ func CheckFuncResult(fr *FuncResult) []*oracle.Report {
 		unmasked, masked := facts, facts
 		if m := t.mask.Mask(); m != nil {
 			unmasked = o.Facts(t.g, solveConstprop(fr.Opt.Kernel, t.g, o.nv, nil), nil, nil, nil)
-			masked[1] = intervals.AnalyzeClampedMasked(t.g, o.nv, o.thr, true, m).Sol // OracleClients[1]
+			masked[1] = intervals.AnalyzeClampedMasked(t.g, o.nv, o.thr, true, m).Boxed() // OracleClients[1]
 		}
 		feas = append(feas, o.Compare(graph, unmasked, masked, oracle.Identity)...)
 		if t.prof != nil && t.mask != nil {

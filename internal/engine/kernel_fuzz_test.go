@@ -89,13 +89,13 @@ func FuzzKernelCFG(f *testing.F) {
 		}
 		cpB, cpP := constprop.AnalyzeBoxed(g, nv, true), constprop.AnalyzePacked(g, nv, true)
 		check("constprop", &constprop.Problem{NumVars: nv, Conditional: true}, cpB.Boxed(), cpP.Boxed())
-		check("intervals", &intervals.Problem{NumVars: nv, Conditional: true},
-			intervals.AnalyzeBoxed(g, nv, true).Sol, intervals.AnalyzePacked(g, nv, true).Sol)
-		check("liveness", &liveness.Problem{NumVars: nv},
-			liveness.AnalyzeBoxed(g, nv, cpB.Sol).Sol, liveness.AnalyzePacked(g, nv, cpP.Sol).Sol)
+		ivLat := &intervals.Problem{NumVars: nv, Conditional: true}
+		check("intervals", ivLat, dataflow.Solve(g, ivLat), intervals.AnalyzePacked(g, nv, true).Boxed())
+		lvLat := &liveness.Problem{NumVars: nv, Guide: cpB.Sol}
+		check("liveness", lvLat, dataflow.Solve(g, lvLat), liveness.AnalyzePacked(g, nv, cpP.Sol).Boxed())
 		u := availexpr.NewUniverse(g, nv)
-		check("availexpr", &availexpr.Problem{U: u},
-			availexpr.AnalyzeBoxed(g, u, cpB.Sol).Sol, availexpr.AnalyzePacked(g, u, cpP.Sol).Sol)
+		aeLat := &availexpr.Problem{U: u, Guide: cpB.Sol}
+		check("availexpr", aeLat, dataflow.Solve(g, aeLat), availexpr.AnalyzePacked(g, u, cpP.Sol).Boxed())
 		// The solvers that carry only the non-local registers agree with
 		// full-width solves, unmasked and under Detect's mask.
 		thr := intervals.Thresholds(g)
@@ -197,9 +197,8 @@ func kernelEquivalence(t *testing.T, prog *cfg.Program, train *bl.ProgramProfile
 			}
 			// Intervals is not an engine client; solve both backends
 			// directly on each tier graph to cover the widening path.
-			ivB := intervals.AnalyzeBoxed(tr.g, nv, true)
 			ivP := intervals.AnalyzePacked(tr.g, nv, true)
-			check(name, "intervals", tr.name, ivLat, ivB.Sol, ivP.Sol)
+			check(name, "intervals", tr.name, ivLat, dataflow.Solve(tr.g, ivLat), ivP.Boxed())
 		}
 	}
 }
@@ -215,12 +214,12 @@ func lvSolOf(r *liveness.Result) *dataflow.Solution {
 	if r == nil {
 		return nil
 	}
-	return r.Sol
+	return r.Boxed()
 }
 
 func aeSolOf(r *availexpr.Result) *dataflow.Solution {
 	if r == nil {
 		return nil
 	}
-	return r.Sol
+	return r.Boxed()
 }

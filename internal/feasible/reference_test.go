@@ -316,7 +316,7 @@ func checkClampedMatchesBoxed(t *testing.T, label string, g *cfg.Graph, nv int, 
 	lat := &intervals.ClampedProblem{NumVars: nv, Conditional: true, T: thr, Infeasible: mask}
 	boxed := dataflow.Solve(g, lat)
 	packed := intervals.AnalyzeClampedMasked(g, nv, thr, true, mask)
-	if err := oracle.Differential("intervals/clamped", label, lat, boxed, packed.Sol).Err(); err != nil {
+	if err := oracle.Differential("intervals/clamped", label, lat, boxed, packed.Boxed()).Err(); err != nil {
 		t.Errorf("%s: %v", label, err)
 	}
 	narrow := *lat

@@ -3,6 +3,7 @@ package intervals
 import (
 	"pathflow/internal/cfg"
 	"pathflow/internal/dataflow"
+	"pathflow/internal/dataflow/kernel"
 	"pathflow/internal/ir"
 )
 
@@ -329,26 +330,67 @@ func excludeBoundary(a Interval, k int64) Interval {
 	return a
 }
 
-// Result is a solved range analysis.
+// Result is a solved range analysis over G: row n is node n's entry
+// environment, one cell per register, as [lo, hi] spans or, for the
+// clamped analysis, as indices into the thresholds t. Sol carries the
+// rest of the solution but never boxed facts (Sol.In is nil).
 type Result struct {
-	G   *cfg.Graph
-	Sol *dataflow.Solution
-	n   int
+	G     *cfg.Graph
+	Sol   *dataflow.Solution
+	n     int
+	spans *kernel.Span // the widening analysis's rows
+	cells []icell      // the clamped analysis's rows, numVars cells each
+	t     []int64      // the clamped analysis's thresholds
 }
 
 // AnalyzeBoxed runs range analysis over g on the boxed reference
-// solver, the test oracle for AnalyzePacked.
+// solver, the test oracle for AnalyzePacked. Its facts are packed into
+// rows.
 func AnalyzeBoxed(g *cfg.Graph, numVars int, conditional bool) *Result {
-	p := &Problem{NumVars: numVars, Conditional: conditional}
-	return &Result{G: g, Sol: dataflow.Solve(g, p), n: numVars}
+	sol := dataflow.Solve(g, &Problem{NumVars: numVars, Conditional: conditional})
+	r := &Result{G: g, Sol: sol, n: numVars, spans: kernel.NewSpan(numVars)}
+	r.spans.Grow(g.NumNodes())
+	for n, f := range sol.In {
+		if f == nil {
+			continue
+		}
+		lo, hi := r.spans.Row(n)
+		for v, iv := range f.(Env) {
+			put(lo, hi, v, iv)
+		}
+	}
+	sol.In = nil
+	return r
 }
 
-// EnvAt returns the environment at n's entry (all-⊤ when unreached).
+// at returns register v's interval in row n.
+func (r *Result) at(n, v int) Interval {
+	if r.spans != nil {
+		lo, hi := r.spans.Row(n)
+		return cell(lo, hi, v)
+	}
+	if c := r.cells[n*r.n+v]; !c.empty() {
+		return Interval{Lo: r.t[c.lo()], Hi: r.t[c.hi()], present: true}
+	}
+	return Interval{}
+}
+
+// EnvAt boxes the environment at n's entry into a fresh Env (all-⊤
+// when unreached).
 func (r *Result) EnvAt(n cfg.NodeID) Env {
 	if !r.Sol.Reached[n] {
 		return NewEnv(r.n, EmptyI())
 	}
-	return r.Sol.In[n].(Env)
+	e := make(Env, r.n)
+	for v := range e {
+		e[v] = r.at(int(n), v)
+	}
+	return e
+}
+
+// Boxed returns the solution with In filled, for the oracle.
+func (r *Result) Boxed() *dataflow.Solution {
+	return dataflow.Box(r.Sol, func(n int) dataflow.Fact { return r.EnvAt(cfg.NodeID(n)) })
 }
 
 // Reached reports analysis reachability.

@@ -162,8 +162,8 @@ func (p *ClampedProblem) Transfer(g *cfg.Graph, n cfg.NodeID, in dataflow.Fact, 
 // whose callers read only executable edges, uses the graph's map, one
 // column per non-local register: a temporary is written before it is
 // read in every block, so the overlay computes it from the loaded
-// registers and no row needs to carry it. AnalyzeClampedMasked, which
-// boxes whole environments, uses the identity map. Either way the lists
+// registers and no row needs to carry it. AnalyzeClampedMasked, whose
+// rows hold whole environments, uses the identity map. Either way the lists
 // below name only registers with a column; registers outside them are
 // temporaries the block itself writes first.
 //
@@ -480,19 +480,6 @@ func (d *clampedDomain) round(lo, hi int64, in icell) icell {
 	return mkcell(l, h)
 }
 
-// env boxes row r into a standard Env; the domain must use the
-// identity map.
-func (d *clampedDomain) env(r int) Env {
-	row := d.row(r)
-	e := make(Env, len(row))
-	for i, c := range row {
-		if !c.empty() {
-			e[i] = Interval{Lo: d.t[c.lo()], Hi: d.t[c.hi()], present: true}
-		}
-	}
-	return e
-}
-
 // floorIndex returns the index of the largest threshold ≤ k; t is
 // sorted and starts with NegInf.
 func floorIndex(t []int64, k int64) uint32 {
@@ -533,6 +520,8 @@ func CheckClampedWriteSets(g *cfg.Graph, numVars int, thresholds []int64, condit
 	d := newClampedDomain(g, numVars, cfg.AllColumns(numVars), thresholds, conditional, infeasible)
 	s := kernel.NewSolver(g, d)
 	s.Run()
+	// r reads the whole arena, the Transfer scratch rows included.
+	r := &Result{G: g, Sol: s.Solution(), n: numVars, cells: d.rows, t: thresholds}
 	boxed := &ClampedProblem{NumVars: numVars, Conditional: conditional, T: thresholds, Infeasible: infeasible}
 	scratch := g.NumNodes() // the solver's first Transfer scratch row
 	inW := make([]bool, numVars)
@@ -541,10 +530,11 @@ func CheckClampedWriteSets(g *cfg.Graph, numVars int, thresholds []int64, condit
 			continue
 		}
 		cn := d.nodes[nd.ID]
+		clear(inW)
 		for _, v := range d.sets[cn.w0:cn.w1] {
 			inW[v] = true
 		}
-		in := d.env(int(nd.ID))
+		in := r.EnvAt(nd.ID)
 		slots := make([]int8, len(nd.Out))
 		for i := range slots {
 			slots[i] = -1
@@ -553,23 +543,20 @@ func CheckClampedWriteSets(g *cfg.Graph, numVars int, thresholds []int64, condit
 		outs := make([]dataflow.Fact, len(nd.Out))
 		boxed.Transfer(g, nd.ID, in, outs)
 		for i := range nd.Out {
-			var facts []Env
-			if slots[i] >= 0 {
-				facts = append(facts, d.env(scratch+int(slots[i])))
-			}
-			if outs[i] != nil {
-				facts = append(facts, outs[i].(Env))
-			}
-			for _, out := range facts {
-				for v := range out {
-					if out[v] != in[v] && !inW[v] {
-						return fmt.Errorf("node %d slot %d: register %d changes from %v to %v outside the write set", nd.ID, i, v, in[v], out[v])
+			for v := range in {
+				packed, ref := in[v], in[v]
+				if slots[i] >= 0 {
+					packed = r.at(scratch+int(slots[i]), v)
+				}
+				if outs[i] != nil {
+					ref = outs[i].(Env)[v]
+				}
+				for _, out := range []Interval{packed, ref} {
+					if out != in[v] && !inW[v] {
+						return fmt.Errorf("node %d slot %d: register %d changes from %v to %v outside the write set", nd.ID, i, v, in[v], out)
 					}
 				}
 			}
-		}
-		for _, v := range d.sets[cn.w0:cn.w1] {
-			inW[v] = false
 		}
 	}
 	return nil
@@ -588,25 +575,19 @@ func ClampedSolver(g *cfg.Graph, numVars int, thresholds []int64, conditional bo
 	return kernel.NewSolver(g, newClampedDomain(g, numVars, g.Columns(), thresholds, conditional, infeasible))
 }
 
-// AnalyzeClamped runs the widening-free threshold-lattice range analysis
-// over g. Callers comparing solutions across graph tiers must pass the
-// same threshold set to every tier.
-func AnalyzeClamped(g *cfg.Graph, numVars int, thresholds []int64, conditional bool) *Result {
-	return AnalyzeClampedMasked(g, numVars, thresholds, conditional, nil)
-}
-
-// AnalyzeClampedMasked is AnalyzeClamped with an infeasible-edge mask
-// (nil behaves like AnalyzeClamped). It solves on the packed kernel at
-// full width (the identity column map) and boxes the facts, mapping
-// each cell's indices back through T; the solution equals
-// dataflow.Solve over the same ClampedProblem without Cols, iteration
-// counts included.
+// AnalyzeClampedMasked runs the widening-free threshold-lattice range
+// analysis over g under an infeasible-edge mask (nil for none). Callers
+// comparing solutions across graph tiers must pass the same threshold
+// set to every tier. It solves on the packed kernel at full width (the
+// identity column map) and keeps the threshold-index rows, which read
+// back through T; the solution equals dataflow.Solve over the same
+// ClampedProblem without Cols, iteration counts included.
 func AnalyzeClampedMasked(g *cfg.Graph, numVars int, thresholds []int64, conditional bool, infeasible []bool) *Result {
 	d := newClampedDomain(g, numVars, cfg.AllColumns(numVars), thresholds, conditional, infeasible)
 	s := kernel.NewSolver(g, d)
 	s.Run()
-	sol := s.Materialize(func(row int) dataflow.Fact { return d.env(row) })
-	return &Result{G: g, Sol: sol, n: numVars}
+	n := g.NumNodes() * d.nv
+	return &Result{G: g, Sol: s.Solution(), n: numVars, cells: d.rows[:n:n], t: thresholds}
 }
 
 // CheckClampedNarrow reports the first node whose reachability, or

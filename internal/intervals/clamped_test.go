@@ -74,7 +74,7 @@ func main() {
 	}
 	f := p.Main()
 	thr := Thresholds(f.G)
-	r := AnalyzeClamped(f.G, f.NumVars(), thr, true)
+	r := AnalyzeClampedMasked(f.G, f.NumVars(), thr, true, nil)
 	iv := varIdx(t, f, "i")
 	exitEnv := r.EnvAt(f.G.Exit)
 	if exitEnv[iv].Lo < 10 {
@@ -110,7 +110,7 @@ func main() {
 		}
 		return false
 	}
-	r := AnalyzeClamped(f.G, f.NumVars(), thr, true)
+	r := AnalyzeClampedMasked(f.G, f.NumVars(), thr, true, nil)
 	for _, nd := range f.G.Nodes {
 		if !r.Reached(nd.ID) {
 			continue

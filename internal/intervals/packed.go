@@ -293,23 +293,14 @@ func (d *branchPlans) refine(nd *cfg.Node, lo, hi []int64, taken bool) {
 	}
 }
 
-// env boxes row r into a standard Env.
-func (d *packedDomain) env(r int) Env {
-	lo, hi := d.spans.Row(r)
-	e := make(Env, len(lo))
-	for i := range lo {
-		e[i] = cell(lo, hi, i)
-	}
-	return e
-}
-
 // AnalyzePacked runs range analysis on the packed SoA kernel, the
 // production solver. The solution is pointwise equal to AnalyzeBoxed's,
-// iteration counts included.
+// iteration counts included; the Result keeps the solver's rows.
 func AnalyzePacked(g *cfg.Graph, numVars int, conditional bool) *Result {
 	d := newPackedDomain(g, numVars, conditional)
 	s := kernel.NewSolver(g, d)
 	s.Run()
-	sol := s.Materialize(func(row int) dataflow.Fact { return d.env(row) })
-	return &Result{G: g, Sol: sol, n: numVars}
+	n := g.NumNodes() * numVars
+	rows := &kernel.Span{Width: numVars, Lo: d.spans.Lo[:n:n], Hi: d.spans.Hi[:n:n]}
+	return &Result{G: g, Sol: s.Solution(), n: numVars, spans: rows}
 }

@@ -11,9 +11,10 @@ import (
 )
 
 // TestPackedMatchesBoxed checks the packed SoA kernel against the boxed
-// reference on generated programs: the widening/narrowing schedule must
-// match exactly (iteration counts included), both with and without
-// branch refinement. On the first three seeds the clamped threshold-index
+// reference on generated programs — the boxed solver's own facts against
+// the packed rows boxed: the widening/narrowing schedule must match
+// exactly (iteration counts included), both with and without branch
+// refinement. On the first three seeds the clamped threshold-index
 // domain is held to dataflow.Solve over ClampedProblem the same way
 // (Detect only ever runs it with refinement on; the boxed clamped
 // solve is too slow to run on all 25).
@@ -27,10 +28,10 @@ func TestPackedMatchesBoxed(t *testing.T) {
 			fn := prog.Funcs[name]
 			nv := fn.NumVars()
 			for _, conditional := range []bool{true, false} {
-				boxed := AnalyzeBoxed(fn.G, nv, conditional)
-				packed := AnalyzePacked(fn.G, nv, conditional)
 				lat := &Problem{NumVars: nv, Conditional: conditional}
-				rep := oracle.Differential("intervals", name, lat, boxed.Sol, packed.Sol)
+				boxed := dataflow.Solve(fn.G, lat)
+				packed := AnalyzePacked(fn.G, nv, conditional)
+				rep := oracle.Differential("intervals", name, lat, boxed, packed.Boxed())
 				if err := rep.Err(); err != nil {
 					t.Errorf("seed %d func %s conditional=%t: %v", seed, name, conditional, err)
 				}
@@ -41,7 +42,7 @@ func TestPackedMatchesBoxed(t *testing.T) {
 				clat := &ClampedProblem{NumVars: nv, Conditional: conditional, T: thr}
 				cboxed := dataflow.Solve(fn.G, clat)
 				cpacked := AnalyzeClampedMasked(fn.G, nv, thr, conditional, nil)
-				if err := oracle.Differential("intervals/clamped", name, clat, cboxed, cpacked.Sol).Err(); err != nil {
+				if err := oracle.Differential("intervals/clamped", name, clat, cboxed, cpacked.Boxed()).Err(); err != nil {
 					t.Errorf("seed %d func %s conditional=%t clamped: %v", seed, name, conditional, err)
 				}
 			}

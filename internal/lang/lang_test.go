@@ -61,9 +61,14 @@ func main() {
 	print(i);
 }`)
 	g := p.Main().G
-	dfs := g.DepthFirst()
-	if len(dfs.Retreating) != 1 {
-		t.Fatalf("retreating edges = %d, want 1", len(dfs.Retreating))
+	n := 0
+	for _, r := range g.DepthFirst().Retreating {
+		if r {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Fatalf("retreating edges = %d, want 1", n)
 	}
 	if !g.Reducible() {
 		t.Error("loop CFG should be reducible")

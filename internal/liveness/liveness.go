@@ -20,6 +20,7 @@ package liveness
 import (
 	"pathflow/internal/cfg"
 	"pathflow/internal/dataflow"
+	"pathflow/internal/dataflow/kernel"
 	"pathflow/internal/ir"
 )
 
@@ -150,12 +151,19 @@ func (p *Problem) Transfer(g *cfg.Graph, n cfg.NodeID, in dataflow.Fact, out []d
 }
 
 // BlockLiveIn computes the live set at node n's entry from the live set
-// out at its exit: terminator uses first, then the instructions in
-// reverse (kill the destination, then gen the uses, so an instruction
-// reading its own destination keeps it live above).
+// out at its exit.
 func BlockLiveIn(g *cfg.Graph, n cfg.NodeID, out Set) Set {
 	live := out.Clone()
-	nd := g.Node(n)
+	walkBlock(g.Node(n), live, nil)
+	return live
+}
+
+// walkBlock runs nd's block backward over live, in place: terminator
+// uses first, then the instructions in reverse (kill the destination,
+// then gen the uses, so an instruction reading its own destination
+// keeps it live above). dead, when non-nil, flags each pure
+// instruction whose destination is not live just after it.
+func walkBlock(nd *cfg.Node, live Set, dead []bool) {
 	switch nd.Kind {
 	case cfg.TermBranch:
 		live.Add(nd.Cond)
@@ -165,6 +173,9 @@ func BlockLiveIn(g *cfg.Graph, n cfg.NodeID, out Set) Set {
 	var uses []ir.Var
 	for i := len(nd.Instrs) - 1; i >= 0; i-- {
 		in := &nd.Instrs[i]
+		if dead != nil && in.Op.IsPure() && in.HasDst() && !live.Has(in.Dst) {
+			dead[i] = true
+		}
 		if in.HasDst() {
 			live.Remove(in.Dst)
 		}
@@ -173,33 +184,44 @@ func BlockLiveIn(g *cfg.Graph, n cfg.NodeID, out Set) Set {
 			live.Add(u)
 		}
 	}
-	return live
 }
 
-// Result bundles a solved liveness problem with its graph.
+// Result is a solved liveness problem over G: row n of Rows is the live
+// set at node n's exit, and Sol carries the rest of the solution but
+// never boxed facts (Sol.In is nil; Boxed boxes them on demand).
 type Result struct {
 	G       *cfg.Graph
 	Sol     *dataflow.Solution
+	Rows    *kernel.Bits
 	NumVars int
 }
 
 // AnalyzeBoxed runs live-variable analysis over g on the boxed reference
 // solver, the test oracle for AnalyzePacked. guide, when non-nil,
 // restricts propagation to the executable sub-graph of a prior forward
-// solution over the same g (see Problem.Guide).
+// solution over the same g (see Problem.Guide). Its facts are packed
+// into rows.
 func AnalyzeBoxed(g *cfg.Graph, numVars int, guide *dataflow.Solution) *Result {
-	p := &Problem{NumVars: numVars, Guide: guide}
-	return &Result{G: g, Sol: dataflow.Solve(g, p), NumVars: numVars}
+	sol := dataflow.Solve(g, &Problem{NumVars: numVars, Guide: guide})
+	rows := kernel.PackBits[Set](sol.In, numVars)
+	sol.In = nil
+	return &Result{G: g, Sol: sol, Rows: rows, NumVars: numVars}
 }
 
 // LiveOut returns the live set at node n's exit, or nil if no executable
 // path from n reaches the function exit (dead code, or code the guide
-// proved unreachable — nothing it computes can be observed).
+// proved unreachable — nothing it computes can be observed). The set is
+// the result's own row: treat it as read-only.
 func (r *Result) LiveOut(n cfg.NodeID) Set {
-	if f := r.Sol.In[n]; f != nil {
-		return f.(Set)
+	if !r.Sol.Reached[n] {
+		return nil
 	}
-	return nil
+	return Set(r.Rows.Row(int(n)))
+}
+
+// Boxed returns the solution with In filled, for the oracle.
+func (r *Result) Boxed() *dataflow.Solution {
+	return dataflow.Box(r.Sol, func(n int) dataflow.Fact { return r.LiveOut(cfg.NodeID(n)) })
 }
 
 // LiveIn returns the live set at node n's entry (nil for nodes with no
@@ -217,32 +239,10 @@ func (r *Result) LiveIn(n cfg.NodeID) Set {
 // immediately after it. Nodes without liveness information yield no dead
 // stores (conservative).
 func (r *Result) DeadStores(n cfg.NodeID) []bool {
-	out := r.LiveOut(n)
 	nd := r.G.Node(n)
 	flags := make([]bool, len(nd.Instrs))
-	if out == nil {
-		return flags
-	}
-	live := out.Clone()
-	switch nd.Kind {
-	case cfg.TermBranch:
-		live.Add(nd.Cond)
-	case cfg.TermReturn:
-		live.Add(nd.Ret)
-	}
-	var uses []ir.Var
-	for i := len(nd.Instrs) - 1; i >= 0; i-- {
-		in := &nd.Instrs[i]
-		if in.Op.IsPure() && in.HasDst() && !live.Has(in.Dst) {
-			flags[i] = true
-		}
-		if in.HasDst() {
-			live.Remove(in.Dst)
-		}
-		uses = in.Uses(uses[:0])
-		for _, u := range uses {
-			live.Add(u)
-		}
+	if out := r.LiveOut(n); out != nil {
+		walkBlock(nd, out.Clone(), flags)
 	}
 	return flags
 }

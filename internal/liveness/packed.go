@@ -65,13 +65,11 @@ func (d *packedDomain) add(row int, v ir.Var) {
 
 // AnalyzePacked runs live-variable analysis on the packed bitset
 // kernel, the production solver. The solution is pointwise equal to
-// AnalyzeBoxed's.
+// AnalyzeBoxed's; the Result keeps the solver's rows.
 func AnalyzePacked(g *cfg.Graph, numVars int, guide *dataflow.Solution) *Result {
-	d := &packedDomain{g: g, bits: kernel.NewBits(numVars), guide: guide}
+	d := &packedDomain{g: g, bits: kernel.NewBits(numVars), guide: guide, uses: make([]ir.Var, 0, 8)}
 	s := kernel.NewSolver(g, d)
 	s.Run()
-	sol := s.Materialize(func(row int) dataflow.Fact {
-		return Set(append([]uint64(nil), d.bits.Row(row)...))
-	})
-	return &Result{G: g, Sol: sol, NumVars: numVars}
+	d.bits.Trim(g.NumNodes())
+	return &Result{G: g, Sol: s.Solution(), Rows: d.bits, NumVars: numVars}
 }

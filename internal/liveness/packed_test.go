@@ -13,7 +13,8 @@ import (
 
 // TestPackedMatchesBoxed checks the packed bitset kernel against the
 // boxed reference on generated programs, both unguided and guided by a
-// constant-propagation solution (the engine's configuration).
+// constant-propagation solution (the engine's configuration): the boxed
+// solver's own facts against the packed rows boxed.
 func TestPackedMatchesBoxed(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		prog, err := lang.Compile(progen.Generate(progen.DefaultConfig(seed)))
@@ -28,10 +29,10 @@ func TestPackedMatchesBoxed(t *testing.T) {
 				"guided":   constprop.AnalyzeBoxed(fn.G, nv, true).Sol,
 			}
 			for mode, guide := range guides {
-				boxed := AnalyzeBoxed(fn.G, nv, guide)
-				packed := AnalyzePacked(fn.G, nv, guide)
 				lat := &Problem{NumVars: nv, Guide: guide}
-				rep := oracle.Differential("liveness", name, lat, boxed.Sol, packed.Sol)
+				boxed := dataflow.Solve(fn.G, lat)
+				packed := AnalyzePacked(fn.G, nv, guide)
+				rep := oracle.Differential("liveness", name, lat, boxed, packed.Boxed())
 				if err := rep.Err(); err != nil {
 					t.Errorf("seed %d func %s %s: %v", seed, name, mode, err)
 				}
