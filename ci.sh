@@ -113,6 +113,13 @@
 #                           generated function of about 10 and of about
 #                           1000 nodes: every client keeps its solver's
 #                           rows, so no solve allocates per node
+#                           — then the tier gate: BenchmarkTierBuild
+#                           (trace.Build plus reduce.Assemble on one
+#                           generated function) must report the same
+#                           B/op and allocs/op with every block at 1 and
+#                           at 64 instructions: a hot path graph and its
+#                           reduction share their original's blocks and
+#                           are built at their final size
 #   9. check smoke          `pathflow check` over examples/hotpath.pf
 #                           and all seven benchmarks on the default
 #                           packed kernels: the precision differential
@@ -328,6 +335,25 @@ echo "$client_out" | awk '
     END {
         if (sa == "" || la == "") { print "client gate: BenchmarkClientSolve lines missing" > "/dev/stderr"; exit 1 }
         if (sa != la) { printf "client gate: allocs/op %s at 12 nodes, %s at 996\n", sa, la > "/dev/stderr"; exit 1 }
+    }'
+
+echo "== tier gate"
+# A hot path graph and its reduction alias the original function's
+# blocks instead of copying them: building both for the same generated
+# function with every block at 1 and at 64 instructions must allocate
+# the same bytes, equally often. Each size runs three times and the
+# gate reads each size's smallest figures, since an allocation the
+# runtime makes while a run is timed only ever adds to them.
+tier_out=$(go test -run '^$' -bench '^BenchmarkTierBuild$' -benchmem -benchtime 2000x -count 3 ./internal/trace/)
+echo "$tier_out"
+echo "$tier_out" | awk '
+    function low(cur, v) { return (cur == "" || v + 0 < cur + 0) ? v : cur }
+    /BenchmarkTierBuild\/instrs=1-/  { for (i = 1; i < NF; i++) { if ($(i+1) == "B/op") sb = low(sb, $i); if ($(i+1) == "allocs/op") sa = low(sa, $i) } }
+    /BenchmarkTierBuild\/instrs=64-/ { for (i = 1; i < NF; i++) { if ($(i+1) == "B/op") lb = low(lb, $i); if ($(i+1) == "allocs/op") la = low(la, $i) } }
+    END {
+        if (sa == "" || la == "") { print "tier gate: BenchmarkTierBuild lines missing" > "/dev/stderr"; exit 1 }
+        if (sa != la) { printf "tier gate: allocs/op %s at 1 instruction a block, %s at 64\n", sa, la > "/dev/stderr"; exit 1 }
+        if (sb != lb) { printf "tier gate: B/op %s at 1 instruction a block, %s at 64\n", sb, lb > "/dev/stderr"; exit 1 }
     }'
 
 tmpdir=$(mktemp -d)

@@ -23,6 +23,7 @@ package automaton
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"pathflow/internal/bl"
@@ -170,11 +171,14 @@ func (a *Automaton) Depth(q State) int { return int(a.depth[q]) }
 
 // Name renders a state the way the paper labels HPG vertices: qε is "ε"
 // and trie states are numbered from q0 = q•.
-func (a *Automaton) Name(q State) string {
+func (a *Automaton) Name(q State) string { return string(a.AppendName(nil, q)) }
+
+// AppendName appends q's Name to dst and returns the extended slice.
+func (a *Automaton) AppendName(dst []byte, q State) []byte {
 	if q == StateEpsilon {
-		return "ε"
+		return append(dst, "ε"...)
 	}
-	return fmt.Sprintf("%d", q-1)
+	return strconv.AppendInt(dst, int64(q-1), 10)
 }
 
 // --- Serialization support -----------------------------------------------

@@ -85,13 +85,9 @@ func (p Path) Vertices(g *cfg.Graph) []cfg.NodeID {
 // profile therefore reproduces the run's dynamic instruction count (the
 // quantity the paper's coverage parameter CA is measured against).
 func (p Path) NumInstrs(g *cfg.Graph) int {
-	vs := p.Vertices(g)
-	if len(vs) == 0 {
-		return 0
-	}
 	n := 0
-	for _, v := range vs[:len(vs)-1] {
-		n += len(g.Node(v).Instrs)
+	for _, e := range p.Edges {
+		n += len(g.Node(g.Edge(e).From).Instrs)
 	}
 	return n
 }

@@ -13,7 +13,7 @@ import (
 type Profile struct {
 	FuncName string
 	R        map[cfg.EdgeID]bool
-	Entries  map[string]*Entry
+	Entries  map[string]*Entry // keyed by Path.Key()
 }
 
 // Entry is one path with its execution count.
@@ -66,18 +66,27 @@ func (pr *Profile) DynInstrs(g *cfg.Graph) int64 {
 // instructions (count × length), breaking ties by path key — the order in
 // which the paper's hot-path selection considers paths.
 func (pr *Profile) SortedEntries(g *cfg.Graph) []*Entry {
-	es := make([]*Entry, 0, len(pr.Entries))
-	for _, e := range pr.Entries {
-		es = append(es, e)
+	// Each entry is weighed once, and keyed by its map key, which is its
+	// path's Key.
+	type weighed struct {
+		e   *Entry
+		w   int64
+		key string
 	}
-	sort.Slice(es, func(i, j int) bool {
-		wi := es[i].Count * int64(es[i].Path.NumInstrs(g))
-		wj := es[j].Count * int64(es[j].Path.NumInstrs(g))
-		if wi != wj {
-			return wi > wj
+	ws := make([]weighed, 0, len(pr.Entries))
+	for k, e := range pr.Entries {
+		ws = append(ws, weighed{e, e.Count * int64(e.Path.NumInstrs(g)), k})
+	}
+	sort.Slice(ws, func(i, j int) bool {
+		if ws[i].w != ws[j].w {
+			return ws[i].w > ws[j].w
 		}
-		return es[i].Path.Key() < es[j].Path.Key()
+		return ws[i].key < ws[j].key
 	})
+	es := make([]*Entry, len(ws))
+	for i := range ws {
+		es[i] = ws[i].e
+	}
 	return es
 }
 

@@ -64,8 +64,13 @@ func (k TermKind) String() string {
 
 // Node is a basic block: straight-line instructions plus a terminator.
 type Node struct {
-	ID     NodeID
-	Name   string // optional label for diagnostics ("A", "B", ...)
+	ID   NodeID
+	Name string // optional label for diagnostics ("A", "B", ...)
+	// Instrs is the block body. A hot path graph and its reduction do
+	// not own theirs: every duplicate of an original vertex aliases the
+	// original block, capped at its length so that an append copies.
+	// Passes that rewrite blocks in place (opt.Fold, FoldIntervals,
+	// DeleteDead) therefore need an owned graph: a Graph.Clone.
 	Instrs []ir.Instr
 	Kind   TermKind
 	Cond   ir.Var // TermBranch only
@@ -124,6 +129,55 @@ func (g *Graph) AddEdge(from, to NodeID) EdgeID {
 	f.Out = append(f.Out, id)
 	t.In = append(t.In, id)
 	return id
+}
+
+// FromSlabs returns the graph whose nodes and edges are the given
+// slabs, in ID order, and keeps both: it sets every node's and edge's
+// ID, numbers each edge's Slot by its place among its source's
+// out-edges, and carves every Out and In list from one arena, each
+// capped at its length. Edges must list each node's out-edges in slot
+// order, and every endpoint must be in range; the nodes' own Out and In
+// are overwritten. The caller sets Entry and Exit. A graph built at its
+// final size this way costs a fixed number of allocations however many
+// nodes and edges it has; AddNode and AddEdge remain the way to grow
+// one.
+func FromSlabs(name string, nodes []Node, edges []Edge) *Graph {
+	g := &Graph{Name: name, Nodes: make([]*Node, len(nodes)), Edges: make([]*Edge, len(edges))}
+	// deg[n] and deg[len(nodes)+n] count n's out- and in-edges.
+	deg := make([]int32, 2*len(nodes))
+	for i := range edges {
+		deg[edges[i].From]++
+		deg[len(nodes)+int(edges[i].To)]++
+	}
+	arena := make([]EdgeID, 2*len(edges))
+	off := int32(0)
+	for i, k := range deg {
+		var list []EdgeID // nil for no edges, as AddNode leaves it
+		if k > 0 {
+			list = arena[off : off : off+k]
+		}
+		if i < len(nodes) {
+			nodes[i].Out = list
+		} else {
+			nodes[i-len(nodes)].In = list
+		}
+		off += k
+	}
+	for i := range nodes {
+		nodes[i].ID = NodeID(i)
+		g.Nodes[i] = &nodes[i]
+	}
+	for i := range edges {
+		e := &edges[i]
+		e.ID = EdgeID(i)
+		f, t := &nodes[e.From], &nodes[e.To]
+		e.Slot = len(f.Out)
+		// Both appends stay inside the lists' carved capacity.
+		f.Out = append(f.Out, e.ID)
+		t.In = append(t.In, e.ID)
+		g.Edges[i] = e
+	}
+	return g
 }
 
 // Node returns the node with the given ID.
@@ -235,7 +289,9 @@ func (p *Program) NumNodes() int {
 
 // Clone deep-copies the graph: nodes, instruction slices and edges. The
 // optimizer folds instructions in place, so callers that need to keep the
-// analyzed graph intact hand it a clone.
+// analyzed graph intact hand it a clone. The clone owns its blocks even
+// when g is a tier whose blocks alias the original function's, so the
+// in-place passes may rewrite a clone of any graph, and no other.
 func (g *Graph) Clone() *Graph {
 	out := &Graph{Name: g.Name, Entry: g.Entry, Exit: g.Exit}
 	out.Nodes = make([]*Node, len(g.Nodes))
@@ -262,7 +318,17 @@ func (f *Func) CloneFunc() *Func {
 // Validate checks the structural invariants the rest of the system relies
 // on: terminator arity, edge symmetry, slot consistency, register ranges,
 // and that Exit is the only halting node.
-func (g *Graph) Validate(numVars int) error {
+func (g *Graph) Validate(numVars int) error { return g.validate(numVars, true) }
+
+// ValidateStructure checks every invariant Validate does except the
+// instructions' own: terminator arity, edge symmetry, slots, the
+// branch-condition range and the exit. It is the check for a graph
+// whose blocks alias an already validated graph's, as every hot path
+// graph and reduction does: Validate on the original covered those
+// instructions, and no pass rewrites a block it does not own.
+func (g *Graph) ValidateStructure(numVars int) error { return g.validate(numVars, false) }
+
+func (g *Graph) validate(numVars int, instrs bool) error {
 	if g.Entry < 0 || int(g.Entry) >= len(g.Nodes) || g.Exit < 0 || int(g.Exit) >= len(g.Nodes) {
 		return fmt.Errorf("cfg %s: entry/exit out of range", g.Name)
 	}
@@ -303,7 +369,7 @@ func (g *Graph) Validate(numVars int) error {
 				return fmt.Errorf("cfg %s: edge %d in-list mismatch at node %s(%d)", g.Name, eid, n.Name, n.ID)
 			}
 		}
-		for i := range n.Instrs {
+		for i := 0; instrs && i < len(n.Instrs); i++ {
 			if err := n.Instrs[i].Validate(numVars); err != nil {
 				return fmt.Errorf("cfg %s: node %s(%d) instr %d: %w", g.Name, n.Name, n.ID, i, err)
 			}

@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -221,6 +222,9 @@ func TestValidateErrors(t *testing.T) {
 		if err := g.Validate(1); err == nil || !strings.Contains(err.Error(), "out-edges") {
 			t.Errorf("err = %v", err)
 		}
+		if err := g.ValidateStructure(1); err == nil || !strings.Contains(err.Error(), "out-edges") {
+			t.Errorf("ValidateStructure err = %v", err)
+		}
 	})
 	t.Run("return not to exit", func(t *testing.T) {
 		g := New("bad")
@@ -233,6 +237,9 @@ func TestValidateErrors(t *testing.T) {
 		g.AddEdge(b, g.Exit)
 		if err := g.Validate(1); err == nil || !strings.Contains(err.Error(), "exit") {
 			t.Errorf("err = %v", err)
+		}
+		if err := g.ValidateStructure(1); err == nil || !strings.Contains(err.Error(), "exit") {
+			t.Errorf("ValidateStructure err = %v", err)
 		}
 	})
 	t.Run("branch bad cond", func(t *testing.T) {
@@ -249,6 +256,9 @@ func TestValidateErrors(t *testing.T) {
 		if err := g.Validate(1); err == nil || !strings.Contains(err.Error(), "condition") {
 			t.Errorf("err = %v", err)
 		}
+		if err := g.ValidateStructure(1); err == nil || !strings.Contains(err.Error(), "condition") {
+			t.Errorf("ValidateStructure err = %v", err)
+		}
 	})
 	t.Run("bad instr", func(t *testing.T) {
 		g := New("bad")
@@ -260,7 +270,55 @@ func TestValidateErrors(t *testing.T) {
 		if err := g.Validate(2); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Errorf("err = %v", err)
 		}
+		// The instructions are left to Validate on the graph that owns
+		// them.
+		if err := g.ValidateStructure(2); err != nil {
+			t.Errorf("ValidateStructure err = %v, want nil", err)
+		}
 	})
+}
+
+// TestFromSlabsMatchesAddEdge: a graph built from slabs has the nodes,
+// edges, slots and in/out lists that AddNode and AddEdge give the same
+// nodes and edges, and its lists are capped, so appending to one cannot
+// overwrite its neighbour in the arena.
+func TestFromSlabsMatchesAddEdge(t *testing.T) {
+	d, _ := diamond(t)
+	l, _, _ := loopGraph(t)
+	for _, g := range []*Graph{d, l, irreducibleGraph(t)} {
+		nodes := make([]Node, g.NumNodes())
+		for i, nd := range g.Nodes {
+			nodes[i] = Node{Name: nd.Name, Instrs: nd.Instrs, Kind: nd.Kind, Cond: nd.Cond, Ret: nd.Ret}
+		}
+		edges := make([]Edge, g.NumEdges())
+		for i, e := range g.Edges {
+			edges[i] = Edge{From: e.From, To: e.To}
+		}
+		s := FromSlabs(g.Name, nodes, edges)
+		s.Entry, s.Exit = g.Entry, g.Exit
+		if err := s.Validate(1); err != nil {
+			t.Fatalf("%s: %v", g.Name, err)
+		}
+		if got, want := s.String(), g.String(); got != want {
+			t.Errorf("%s: from slabs\n%s\nwant\n%s", g.Name, got, want)
+		}
+		for _, nd := range s.Nodes {
+			nd.Out = append(nd.Out, NoEdge)
+			nd.In = append(nd.In, NoEdge)
+		}
+		for i, nd := range g.Nodes {
+			got := s.Nodes[i]
+			if got.ID != nd.ID || !slices.Equal(got.Out[:len(got.Out)-1], nd.Out) || !slices.Equal(got.In[:len(got.In)-1], nd.In) {
+				t.Errorf("%s: node %d is %d out %v in %v, want %d out %v in %v",
+					g.Name, i, got.ID, got.Out, got.In, nd.ID, nd.Out, nd.In)
+			}
+		}
+		for i, e := range g.Edges {
+			if *s.Edges[i] != *e {
+				t.Errorf("%s: edge %d is %+v, want %+v", g.Name, i, *s.Edges[i], *e)
+			}
+		}
+	}
 }
 
 func TestCloneIsDeep(t *testing.T) {

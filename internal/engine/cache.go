@@ -394,13 +394,17 @@ func approxSize(v any) int64 {
 	return 256
 }
 
+// sizeGraph charges a hot path graph or a reduction: its node slab
+// (120 B a node with its pointer), edge slab (32 B an edge with its
+// pointer), in/out-list arena and names. Its blocks are the original
+// function's (cfg.Node.Instrs), which no cached bundle owns, so a tier
+// pays for their slice headers alone, inside the node slab.
 func sizeGraph(g *cfg.Graph) int64 {
 	n := int64(96) + int64(len(g.Name))
 	for _, nd := range g.Nodes {
-		n += 120 + int64(len(nd.Name)) + int64(len(nd.Instrs))*64
-		n += int64(len(nd.Out)+len(nd.In)) * 8
+		n += 120 + int64(len(nd.Name)) + int64(len(nd.Out)+len(nd.In))*4
 	}
-	n += int64(len(g.Edges)) * 48
+	n += int64(len(g.Edges)) * 32
 	return n
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"pathflow/internal/availexpr"
 	"pathflow/internal/bl"
+	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
 	"pathflow/internal/dataflow"
 	"pathflow/internal/interp"
@@ -13,6 +14,7 @@ import (
 	"pathflow/internal/lang"
 	"pathflow/internal/liveness"
 	"pathflow/internal/reduce"
+	"pathflow/internal/trace"
 )
 
 // weighSrc has a hot loop whose constants only the qualified analysis
@@ -157,6 +159,45 @@ func TestClientResultsChargeRows(t *testing.T) {
 	}
 	if live == 0 || avail == 0 {
 		t.Fatalf("memory tier holds %d liveness and %d availexpr results, want some of each", live, avail)
+	}
+}
+
+// TestTiersChargeSharedBlocks: a hot path graph and its reduction alias
+// the original function's blocks, so the memory tier charges each for
+// its node and edge slabs, in/out-list arena and names, and nothing per
+// instruction.
+func TestTiersChargeSharedBlocks(t *testing.T) {
+	eng := New(Config{Workers: 1, Cache: true})
+	analyzeWeighSrc(t, eng, DefaultOptions())
+	charge := func(g *cfg.Graph) int64 {
+		if g.NumInstrs() == 0 {
+			t.Fatalf("%s has no instructions to leave uncharged", g.Name)
+		}
+		n := int64(96+len(g.Name)) + int64(g.NumEdges())*32
+		for _, nd := range g.Nodes {
+			n += 120 + int64(len(nd.Name)) + int64(len(nd.Out)+len(nd.In))*4
+		}
+		return n
+	}
+	var hpgs, reds int
+	for _, e := range cachedValues(eng.cache) {
+		var g *cfg.Graph
+		switch v := e.val.(type) {
+		case *trace.HPG:
+			hpgs++
+			g = v.G
+		case ReduceOut:
+			reds++
+			g = v.Red.G
+		default:
+			continue
+		}
+		if got, want := sizeGraph(g), charge(g); got != want {
+			t.Errorf("%s charged %d bytes, want %d", g.Name, got, want)
+		}
+	}
+	if hpgs == 0 || reds == 0 {
+		t.Fatalf("memory tier holds %d HPGs and %d reductions, want some of each", hpgs, reds)
 	}
 }
 

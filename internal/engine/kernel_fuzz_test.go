@@ -186,6 +186,11 @@ func kernelEquivalence(t *testing.T, prog *cfg.Program, train *bl.ProgramProfile
 		lvSols := [][2]*liveness.Result{{bfr.LiveCFG, pfr.LiveCFG}, {bfr.LiveHPG, pfr.LiveHPG}, {bfr.LiveRed, pfr.LiveRed}}
 		aeSols := [][2]*availexpr.Result{{bfr.AvailCFG, pfr.AvailCFG}, {bfr.AvailHPG, pfr.AvailHPG}, {bfr.AvailRed, pfr.AvailRed}}
 		for i, tr := range tiers {
+			// The pipeline checks a tier's structure only; its blocks
+			// are the original's.
+			if err := tr.g.Validate(nv); err != nil {
+				t.Fatalf("func %s tier %s: %v", name, tr.name, err)
+			}
 			if b, p := cpSols[i][0], cpSols[i][1]; b != nil || p != nil {
 				check(name, "constprop", tr.name, cpLat, solOf(b), solOf(p))
 			}

@@ -91,6 +91,11 @@ func FuzzFeasibleSoundness(f *testing.F) {
 				tiers = append(tiers, tier{"hpg", fr.HPG.G, fr.HPGProf, fr.FeasHPG}, tier{"rhpg", fr.Red.G, rp, fr.FeasRed})
 			}
 			for _, tr := range tiers {
+				// The pipeline checks a tier's structure only; its
+				// blocks are the original's.
+				if err := tr.g.Validate(fr.Fn.NumVars()); err != nil {
+					t.Fatalf("seed %d func %s tier %s: %v", seed, name, tr.name, err)
+				}
 				counts := profile.EdgeCounts(tr.prof, tr.g)
 				if err := oracle.CheckTraces("feasible", name+"/"+tr.name, counts, tr.mask.Infeasible).Err(); err != nil {
 					t.Errorf("seed %d func %s: %v", seed, name, err)

@@ -69,7 +69,12 @@ func EvalInstr(in *ir.Instr, env Env) Interval {
 // instruction's interval.
 func TransferBlock(g *cfg.Graph, n cfg.NodeID, in Env, vals bool) (Env, []Interval) {
 	env := in.Clone()
-	nd := g.Node(n)
+	return env, walkBlock(g.Node(n), env, vals)
+}
+
+// walkBlock runs nd's instructions over env in place, returning each
+// instruction's interval when vals is set.
+func walkBlock(nd *cfg.Node, env Env, vals bool) []Interval {
 	var out []Interval
 	if vals {
 		out = make([]Interval, len(nd.Instrs))
@@ -83,7 +88,7 @@ func TransferBlock(g *cfg.Graph, n cfg.NodeID, in Env, vals bool) (Env, []Interv
 			env[nd.Instrs[i].Dst] = iv
 		}
 	}
-	return env, out
+	return out
 }
 
 // Problem is the range-analysis data-flow problem.
@@ -398,8 +403,8 @@ func (r *Result) Reached(n cfg.NodeID) bool { return r.Sol.Reached[n] }
 
 // InstrIntervals returns each instruction's result interval at node n.
 func (r *Result) InstrIntervals(n cfg.NodeID) []Interval {
-	_, vals := TransferBlock(r.G, n, r.EnvAt(n), true)
-	return vals
+	// EnvAt's Env is fresh, so the walk may write to it.
+	return walkBlock(r.G.Node(n), r.EnvAt(n), true)
 }
 
 // BoundedCount returns how many pure destination-producing instructions

@@ -67,7 +67,9 @@ func (c Counts) Add(o Counts) Counts {
 // rewritten; instructions that are already Const loads are left alone.
 //
 // Fold mutates g: pass a cfg.Graph.Clone if the analyzed graph must stay
-// intact.
+// intact. A hot path graph and its reduction share their blocks with the
+// original function, so folding one in place would rewrite the original
+// too: they must always be cloned first.
 func Fold(g *cfg.Graph, sol *constprop.Result) int {
 	folded := 0
 	for _, nd := range g.Nodes {
@@ -95,6 +97,10 @@ func Fold(g *cfg.Graph, sol *constprop.Result) int {
 // after Fold: instructions constant propagation already rewrote are
 // Const loads and are skipped, so the count isolates what range analysis
 // alone contributed.
+//
+// Like Fold, FoldIntervals mutates g, so g must own its blocks: never
+// pass a hot path graph or reduction uncloned, since their blocks are
+// the original function's.
 func FoldIntervals(g *cfg.Graph, iv *intervals.Result) int {
 	folded := 0
 	for _, nd := range g.Nodes {
@@ -127,7 +133,10 @@ func FoldIntervals(g *cfg.Graph, iv *intervals.Result) int {
 // deleted instructions.
 //
 // DeleteDead mutates g; unreached nodes (nil liveness facts) are left
-// untouched.
+// untouched. It compacts each block in its own backing array, which
+// writes through even a length-capped alias, so g must own its blocks:
+// a hot path graph or reduction shares the original function's and must
+// be cloned first.
 func DeleteDead(g *cfg.Graph, numVars int, guide *dataflow.Solution) int {
 	deleted := 0
 	for {

@@ -47,7 +47,6 @@ import (
 	"pathflow/internal/bl"
 	"pathflow/internal/cfg"
 	"pathflow/internal/constprop"
-	"pathflow/internal/ir"
 	"pathflow/internal/profile"
 	"pathflow/internal/trace"
 )
@@ -435,35 +434,52 @@ func quotient(h *trace.HPG, weights []int64, hotList []cfg.NodeID, class []int, 
 // class is empty), every class must hold duplicates of one original
 // vertex, and the partition must be a congruence. Any other vector is an
 // error, so the disk codec rebuilds stored partitions through here too.
+// The graph is built at its final size (cfg.FromSlabs), every node
+// shares its original vertex's block, and it is checked for structure
+// only (cfg.Graph.ValidateStructure): its blocks are the validated
+// original's.
 func Assemble(h *trace.HPG, class []int, hot []cfg.NodeID, weights []int64) (*Reduced, error) {
 	g := h.G
 	if len(class) != g.NumNodes() {
 		return nil, fmt.Errorf("reduce: %d class entries for %d nodes", len(class), g.NumNodes())
 	}
-	numClasses := 0
+	// Each class's first member is its leader, whose out-edges become
+	// the class's.
+	numClasses, numEdges := 0, 0
 	for n, c := range class {
 		if c < 0 || c > numClasses {
 			return nil, fmt.Errorf("reduce: node %d has class %d, want at most %d", n, c, numClasses)
 		}
 		if c == numClasses {
 			numClasses++
+			numEdges += len(g.Node(cfg.NodeID(n)).Out)
 		}
 	}
 	red := &Reduced{
 		H:         h,
-		G:         &cfg.Graph{Name: g.Name + "#reduced"},
 		Class:     class,
 		Members:   make([][]cfg.NodeID, numClasses),
 		Rep:       make([]cfg.NodeID, numClasses),
+		OrigNode:  make([]cfg.NodeID, numClasses),
+		OrigEdge:  make([]cfg.EdgeID, numEdges),
 		Recording: map[cfg.EdgeID]bool{},
 		Hot:       hot,
 		Weights:   weights,
 	}
-	// Every block is a copy of one of the original function's.
-	red.G.ShareColumns(h.Fn.G)
-	for _, nd := range g.Nodes {
-		red.Members[class[nd.ID]] = append(red.Members[class[nd.ID]], nd.ID)
+	// Every class's member list is carved from one arena.
+	size := make([]int, numClasses)
+	for _, c := range class {
+		size[c]++
 	}
+	arena, off := make([]cfg.NodeID, len(class)), 0
+	for c, k := range size {
+		red.Members[c] = arena[off : off : off+k]
+		off += k
+	}
+	for n, c := range class {
+		red.Members[c] = append(red.Members[c], cfg.NodeID(n))
+	}
+	nodes := make([]cfg.Node, numClasses)
 	for c, ms := range red.Members {
 		leader := ms[0]
 		ov := h.OrigNode[leader]
@@ -482,39 +498,42 @@ func Assemble(h *trace.HPG, class []int, hot []cfg.NodeID, weights []int64) (*Re
 				name = fmt.Sprintf("n%d", ov)
 			}
 		}
-		id := red.G.AddNode(name)
-		nd := red.G.Node(id)
-		nd.Instrs = append([]ir.Instr(nil), origNd.Instrs...)
-		nd.Kind = origNd.Kind
-		nd.Cond = origNd.Cond
-		nd.Ret = origNd.Ret
-		red.Rep[c] = id
-		red.OrigNode = append(red.OrigNode, ov)
+		nd := &nodes[c]
+		nd.Name = name
+		// The block is the original vertex's, shared, not copied.
+		nd.Instrs = origNd.Instrs[:len(origNd.Instrs):len(origNd.Instrs)]
+		nd.Kind, nd.Cond, nd.Ret = origNd.Kind, origNd.Cond, origNd.Ret
+		red.Rep[c] = cfg.NodeID(c)
+		red.OrigNode[c] = ov
 	}
-	red.G.Entry = red.Rep[class[g.Entry]]
-	red.G.Exit = red.Rep[class[g.Exit]]
-	for c := range red.Members {
-		leader := red.Members[c][0]
-		from := red.Rep[c]
-		for _, heid := range g.Node(leader).Out {
+	edges := make([]cfg.Edge, numEdges)
+	re := 0
+	for c, ms := range red.Members {
+		for _, heid := range g.Node(ms[0]).Out {
 			he := g.Edge(heid)
 			toClass := class[he.To]
 			// Congruence: every member's successor in this slot must be
 			// in toClass.
-			for _, m := range red.Members[c][1:] {
+			for _, m := range ms[1:] {
 				me := g.Edge(g.Node(m).Out[he.Slot])
 				if class[me.To] != toClass {
 					return nil, fmt.Errorf("reduce: partition is not a congruence at class %d slot %d", c, he.Slot)
 				}
 			}
-			reid := red.G.AddEdge(from, red.Rep[toClass])
-			red.OrigEdge = append(red.OrigEdge, h.OrigEdge[heid])
+			edges[re] = cfg.Edge{From: red.Rep[c], To: red.Rep[toClass]}
+			red.OrigEdge[re] = h.OrigEdge[heid]
 			if h.Recording[heid] {
-				red.Recording[reid] = true
+				red.Recording[cfg.EdgeID(re)] = true
 			}
+			re++
 		}
 	}
-	if err := red.G.Validate(h.Fn.NumVars()); err != nil {
+	red.G = cfg.FromSlabs(g.Name+"#reduced", nodes, edges)
+	red.G.Entry = red.Rep[class[g.Entry]]
+	red.G.Exit = red.Rep[class[g.Exit]]
+	// Every block is one of the original function's.
+	red.G.ShareColumns(h.Fn.G)
+	if err := red.G.ValidateStructure(h.Fn.NumVars()); err != nil {
 		return nil, fmt.Errorf("reduce: produced invalid graph: %w", err)
 	}
 	return red, nil

@@ -49,6 +49,12 @@ func buildReduced(t *testing.T, cr float64) (*cfg.Func, *trace.HPG, *constprop.R
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Build and Assemble check only the structure; the blocks are f's.
+	for _, g := range []*cfg.Graph{h.G, red.G} {
+		if err := g.Validate(f.NumVars()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return f, h, sol, red, tp
 }
 
@@ -496,6 +502,11 @@ func checkAgainstReference(t *testing.T, label string, res *engine.ProgramResult
 			got, err := Reduce(fr.HPG, fr.HPGSol, fr.HPGProf, Options{CR: cr})
 			if err != nil {
 				t.Fatalf("%s/%s CR=%.1f: %v", label, name, cr, err)
+			}
+			for _, g := range []*cfg.Graph{fr.HPG.G, got.G} {
+				if err := g.Validate(fr.Fn.NumVars()); err != nil {
+					t.Fatalf("%s/%s CR=%.1f: %v", label, name, cr, err)
+				}
 			}
 			weights, hot, class, numClasses := referencePartition(fr.HPG, fr.HPGSol, fr.HPGProf, cr)
 			want, err := Quotient(fr.HPG, weights, hot, class, numClasses)

@@ -75,6 +75,9 @@ func TestBuildIsDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if err := h1.G.Validate(in.fn.NumVars()); err != nil {
+				t.Fatal(err)
+			}
 			revived, err := automaton.FromSnapshot(in.auto.R, in.auto.Snapshot())
 			if err != nil {
 				t.Fatal(err)

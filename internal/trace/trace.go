@@ -13,10 +13,10 @@ package trace
 
 import (
 	"fmt"
+	"strconv"
 
 	"pathflow/internal/automaton"
 	"pathflow/internal/cfg"
-	"pathflow/internal/ir"
 )
 
 // HPG is a traced hot path graph.
@@ -49,42 +49,42 @@ type pairKey struct {
 
 // Build traces fn's graph against automaton a, whose recording-edge set
 // must be the one fn was profiled with.
+//
+// It first discovers the reachable pairs and the edges between them:
+// pair i becomes node i in the order the worklist finds it, and each
+// popped pair's out-edges, in its original vertex's slot order, take
+// the next edge IDs. Then it materializes the graph once, at its final
+// size (cfg.FromSlabs). Every node aliases its original vertex's block.
 func Build(fn *cfg.Func, a *automaton.Automaton) (*HPG, error) {
 	g := fn.G
 	h := &HPG{
 		Fn:        fn,
 		Auto:      a,
-		G:         &cfg.Graph{Name: g.Name + "#hpg"},
+		OrigNode:  make([]cfg.NodeID, 0, g.NumNodes()),
+		State:     make([]automaton.State, 0, g.NumNodes()),
 		Recording: map[cfg.EdgeID]bool{},
-		pairs:     map[pairKey]cfg.NodeID{},
+		pairs:     make(map[pairKey]cfg.NodeID, g.NumNodes()),
 	}
-	// Every HPG block is a copy of one of g's.
-	h.G.ShareColumns(g)
-
-	entry := h.addPair(g, g.Entry, a.Start())
-	h.G.Entry = entry
+	// popped lists the pairs in the order their out-edges were
+	// numbered; to[e] is the target pair of edge e.
+	popped := make([]cfg.NodeID, 0, g.NumNodes())
+	to := make([]cfg.NodeID, 0, g.NumEdges())
+	entry := h.addPair(g.Entry, a.Start())
 	worklist := []cfg.NodeID{entry}
 	for len(worklist) > 0 {
 		hn := worklist[len(worklist)-1]
 		worklist = worklist[:len(worklist)-1]
+		popped = append(popped, hn)
 		v, q := h.OrigNode[hn], h.State[hn]
 		for _, eid := range g.Node(v).Out {
 			e := g.Edge(eid)
 			q2 := a.Step(q, eid)
-			key := pairKey{e.To, q2}
-			hn2, ok := h.pairs[key]
+			hn2, ok := h.pairs[pairKey{e.To, q2}]
 			if !ok {
-				hn2 = h.addPair(g, e.To, q2)
+				hn2 = h.addPair(e.To, q2)
 				worklist = append(worklist, hn2)
 			}
-			he := h.G.AddEdge(hn, hn2)
-			h.OrigEdge = append(h.OrigEdge, eid)
-			if len(h.OrigEdge) != int(he)+1 {
-				return nil, fmt.Errorf("trace: edge bookkeeping out of sync")
-			}
-			if a.R[eid] {
-				h.Recording[he] = true
-			}
+			to = append(to, hn2)
 		}
 	}
 
@@ -92,37 +92,72 @@ func Build(fn *cfg.Func, a *automaton.Automaton) (*HPG, error) {
 	// every recording edge drives the automaton to q•. If the original
 	// exit is unreachable the pair is created detached so the graph
 	// still has a well-formed exit.
-	exitKey := pairKey{g.Exit, automaton.StateDot}
-	exitNode, ok := h.pairs[exitKey]
+	exitNode, ok := h.pairs[pairKey{g.Exit, automaton.StateDot}]
 	if !ok {
-		exitNode = h.addPair(g, g.Exit, automaton.StateDot)
+		exitNode = h.addPair(g.Exit, automaton.StateDot)
 	}
-	h.G.Exit = exitNode
 
-	if err := h.G.Validate(fn.NumVars()); err != nil {
+	nodes := make([]cfg.Node, len(h.OrigNode))
+	h.nameNodes(nodes)
+	for i, v := range h.OrigNode {
+		orig, nd := g.Node(v), &nodes[i]
+		nd.Instrs = orig.Instrs[:len(orig.Instrs):len(orig.Instrs)]
+		nd.Kind, nd.Cond, nd.Ret = orig.Kind, orig.Cond, orig.Ret
+	}
+	edges := make([]cfg.Edge, len(to))
+	h.OrigEdge = make([]cfg.EdgeID, len(to))
+	he := 0
+	for _, hn := range popped {
+		for _, eid := range g.Node(h.OrigNode[hn]).Out {
+			edges[he] = cfg.Edge{From: hn, To: to[he]}
+			h.OrigEdge[he] = eid
+			if a.R[eid] {
+				h.Recording[cfg.EdgeID(he)] = true
+			}
+			he++
+		}
+	}
+	h.G = cfg.FromSlabs(g.Name+"#hpg", nodes, edges)
+	h.G.Entry, h.G.Exit = entry, exitNode
+	// Every HPG block is one of g's.
+	h.G.ShareColumns(g)
+
+	if err := h.G.ValidateStructure(fn.NumVars()); err != nil {
 		return nil, fmt.Errorf("trace: produced invalid HPG: %w", err)
 	}
 	return h, nil
 }
 
-// addPair materializes the HPG node for (v, q), copying v's instructions
-// and terminator.
-func (h *HPG) addPair(g *cfg.Graph, v cfg.NodeID, q automaton.State) cfg.NodeID {
-	orig := g.Node(v)
-	name := orig.Name
-	if name == "" {
-		name = fmt.Sprintf("n%d", v)
-	}
-	id := h.G.AddNode(name + h.Auto.Name(q))
-	nd := h.G.Node(id)
-	nd.Instrs = append([]ir.Instr(nil), orig.Instrs...)
-	nd.Kind = orig.Kind
-	nd.Cond = orig.Cond
-	nd.Ret = orig.Ret
+// addPair numbers the HPG node for (v, q).
+func (h *HPG) addPair(v cfg.NodeID, q automaton.State) cfg.NodeID {
+	id := cfg.NodeID(len(h.OrigNode))
 	h.OrigNode = append(h.OrigNode, v)
 	h.State = append(h.State, q)
 	h.pairs[pairKey{v, q}] = id
 	return id
+}
+
+// nameNodes names node i after its original vertex and its automaton
+// state ("B" and state 2 make "B2"). The names are substrings of one
+// string.
+func (h *HPG) nameNodes(nodes []cfg.Node) {
+	ends := make([]int, len(nodes))
+	var buf []byte
+	for i, v := range h.OrigNode {
+		if name := h.Fn.G.Node(v).Name; name != "" {
+			buf = append(buf, name...)
+		} else {
+			buf = append(buf, 'n')
+			buf = strconv.AppendInt(buf, int64(v), 10)
+		}
+		buf = h.Auto.AppendName(buf, h.State[i])
+		ends[i] = len(buf)
+	}
+	names, start := string(buf), 0
+	for i, end := range ends {
+		nodes[i].Name = names[start:end]
+		start = end
+	}
 }
 
 // Assemble reconstructs an HPG from its parts — the traced graph and

@@ -27,6 +27,10 @@ func buildExampleHPG(t *testing.T) (*cfg.Func, paperex.Nodes, map[string]cfg.Edg
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Build checks only the structure; the blocks are f's.
+	if err := h.G.Validate(f.NumVars()); err != nil {
+		t.Fatal(err)
+	}
 	return f, nodes, edges, h
 }
 
